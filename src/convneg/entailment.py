@@ -123,8 +123,7 @@ def k_e(A: Dmat, B: Dmat, norm: str = "fro") -> float:
     if norm not in ("fro", "trace"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
-    eigs_a = np.linalg.eigvalsh(A.matrix)
-    norm_a = float(np.linalg.norm(eigs_a, ord=order))
+    norm_a = float(np.linalg.norm(A.eigenvalues, ord=order))
     if norm_a < 1e-12:
         raise ZeroMatrixError("k_e needs a nonzero first argument")
     eigs = np.linalg.eigvalsh(B.matrix - A.matrix)

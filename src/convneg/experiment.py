@@ -253,14 +253,24 @@ def run_grid(
     """Evaluate every config plus one negation-only baseline row per negation.
 
     Rows for mult/diag collapse across bases (their basis column is '-'), so
-    duplicate labels are evaluated once.
+    duplicate labels are evaluated once.  A word's worldly context does not
+    depend on the row, so each is built once and shared by every row (with
+    the decomposition it caches); rows running in parallel may both build
+    one, and all then share whichever is stored first.
     """
     configs = list(configs)
     jobs: dict[tuple[str, str, str], Callable[[], ResultRow]] = {}
+    contexts: dict[str, Dmat] = {}
+
+    def shared_context(word: str) -> Dmat:
+        context = contexts.get(word)
+        if context is None:
+            context = contexts.setdefault(word, context_provider(word))
+        return context
 
     def full_job(label, cfg):
         def run() -> ResultRow:
-            negate = lambda word: conversational_negate(word, cfg, lexicon, context_provider)
+            negate = lambda word: conversational_negate(word, cfg, lexicon, shared_context)
             return _row_from_scores(label, *_score_pairs(dataset, negate, lexicon))
 
         return run

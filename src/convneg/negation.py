@@ -40,25 +40,33 @@ def neg_supp(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
     return Dmat(decomp.apply(lambda lam: 1.0 / lam if lam > cut else 0.0))
 
 
+def _kernel_projector(X: Dmat, rank_tol: float) -> np.ndarray:
+    """Projector onto the kernel of X; exactly zero when X is invertible."""
+    decomp = spectral_decompose(X)
+    if decomp.rank(rank_tol) == X.dim:
+        return np.zeros((X.dim, X.dim))
+    cut = decomp.support_cut(rank_tol)
+    return decomp.apply(lambda lam: 0.0 if lam > cut else 1.0)
+
+
 def neg_ker(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
     """Projector onto the kernel.
 
     An invertible input has an empty kernel; the zero matrix is returned with
     an EmptyKernelWarning so that the convex mixture below stays total.
     """
-    decomp = spectral_decompose(X)
-    cut = decomp.support_cut(rank_tol)
-    if decomp.rank(rank_tol) == X.dim:
+    if spectral_decompose(X).rank(rank_tol) == X.dim:
         warnings.warn("input is invertible; kernel projector is zero", EmptyKernelWarning)
-        return Dmat(np.zeros((X.dim, X.dim)))
-    return Dmat(decomp.apply(lambda lam: 0.0 if lam > cut else 1.0))
+    return Dmat(_kernel_projector(X, rank_tol))
 
 
 def neg_inv(X: Dmat, support_weight: float = 0.5, rank_tol: float = RANK_TOL) -> Dmat:
     """Convex mixture of support inverse and kernel projector.
 
     Equal weighting is the default; `support_weight` in [0, 1] tilts toward
-    the support inverse (1 recovers neg_supp, 0 recovers neg_ker).
+    the support inverse (1 recovers neg_supp, 0 recovers neg_ker).  An empty
+    kernel contributes zero without a warning, and the process-wide warning
+    filters are left alone, so concurrent callers are safe.
     """
     if not 0.0 <= support_weight <= 1.0:
         raise WeightOutOfRangeError(f"support_weight {support_weight} not in [0, 1]")
@@ -67,8 +75,6 @@ def neg_inv(X: Dmat, support_weight: float = 0.5, rank_tol: float = RANK_TOL) ->
     supp = neg_supp(X, rank_tol)
     if support_weight == 1.0:
         return supp
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyKernelWarning)
-        ker = neg_ker(X, rank_tol)
-    mixed = support_weight * supp.matrix + (1.0 - support_weight) * ker.matrix
+    ker = _kernel_projector(X, rank_tol)
+    mixed = support_weight * supp.matrix + (1.0 - support_weight) * ker
     return Dmat(mixed)

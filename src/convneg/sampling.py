@@ -53,8 +53,8 @@ def random_ordered_pair(rng: np.random.Generator, dim: int, margin: float = 0.0)
     boundary.
     """
     b = random_normalized(rng, dim)
-    k = random_psd(rng, dim).matrix
-    k = k / (np.linalg.eigvalsh(k)[-1] * (1.0 + margin))
+    k = random_psd(rng, dim)
+    k = k.matrix / (k.max_eigenvalue() * (1.0 + margin))
     root = spectral_decompose(b).apply(np.sqrt)
     a = root @ k @ root
     return Dmat((a + a.T) / 2.0, normalized=True), b

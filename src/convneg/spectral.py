@@ -4,11 +4,18 @@ Matrices are real symmetric positive semidefinite throughout.  The top-level
 normalization convention divides by the largest eigenvalue so that it never
 exceeds 1; `rescale_max_eig` additionally scales upward so the largest
 eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
+
+A `Dmat` is immutable, so its eigen-data is computed at most once and kept
+read-only on the instance: the eigenvalues from validation, and the full
+`SpectralDecomposition` the first time `spectral_decompose` is asked for it
+(lazily, so matrices that are never decomposed never pay for `eigh`).  Threads
+sharing a `Dmat` may race to fill the decomposition; the race is benign,
+because every writer stores the same deterministic result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +45,19 @@ class Dmat:
     semidefiniteness (eigenvalues >= -PSD_TOL).  A matrix flagged
     `normalized` must additionally have largest eigenvalue <= 1 + PSD_TOL.
     Instances are immutable; the wrapped array is read-only.
+
+    Validation's ascending eigenvalues are kept as the read-only
+    `eigenvalues`.  The spectral decomposition is filled lazily by the first
+    `spectral_decompose` call and reused by every later one; concurrent first
+    calls may each compute it, and whichever identical result lands last is
+    kept.
     """
 
     matrix: np.ndarray
     normalized: bool = False
+    eigenvalues: np.ndarray = field(init=False)
+    # (smallest raw eigenvalue, decomposition), filled by spectral_decompose
+    _spectral: tuple[float, SpectralDecomposition] | None = field(init=False, default=None)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -60,7 +76,9 @@ class Dmat:
                 f"flagged normalized but largest eigenvalue is {eigenvalues[-1]:.12g}"
             )
         m.setflags(write=False)
+        eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -75,7 +93,7 @@ class Dmat:
         return cls(np.diag(np.asarray(values, dtype=float)), normalized=normalized)
 
     def max_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        return float(self.eigenvalues[-1])
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -96,6 +114,9 @@ class SpectralDecomposition:
     eigenvalues are ordered lexicographically.  Individual eigenvectors of a
     degenerate eigenvalue are not unique; compare eigenspace projectors, not
     columns, when spectra repeat.
+
+    Instances come from `spectral_decompose`, which caches one per `Dmat`
+    and shares it with every caller, so both arrays are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -104,10 +125,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def projector(self, i: int) -> np.ndarray:
-        v = self.eigenvectors[:, i]
-        return np.outer(v, v)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -149,42 +166,59 @@ class SpectralDecomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            out[:, j] = -col
-    return out
+    """Negate each column whose first component above 1e-12 in magnitude is negative."""
+    significant = np.abs(vectors) > 1e-12
+    first = np.argmax(significant, axis=0)
+    pivots = vectors[first, np.arange(vectors.shape[1])]
+    flip = significant.any(axis=0) & (pivots < 0)
+    return np.where(flip, -vectors, vectors)
 
 
 def _deterministic_order(eigenvalues: np.ndarray, vectors: np.ndarray):
-    """Descending eigenvalues; ties broken by lexicographic eigenvector order."""
-    keys = []
-    for j in range(len(eigenvalues)):
-        keys.append((-round(float(eigenvalues[j]), 12), tuple(np.round(vectors[:, j], 12))))
-    order = sorted(range(len(eigenvalues)), key=lambda j: keys[j])
+    """Descending eigenvalues; ties broken by lexicographic eigenvector order.
+
+    Eigenvalues are compared after Python's decimal `round(_, 12)` (which
+    `np.round` does not always match), then columns by their components
+    rounded with `np.round(_, 12)`, first component first.  The sort is
+    stable, so fully tied columns keep their input order.
+    """
+    primary = np.array([-round(lam, 12) for lam in eigenvalues.tolist()])
+    components = np.round(vectors, 12)
+    order = np.lexsort(np.vstack((components[::-1], primary)))
     return eigenvalues[order], vectors[:, order]
+
+
+def _decompose(m: np.ndarray) -> tuple[float, SpectralDecomposition]:
+    if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
+        eigenvalues = np.diagonal(m).astype(float).copy()
+        vectors = np.eye(m.shape[0])
+    else:
+        eigenvalues, vectors = np.linalg.eigh(m)
+    lowest = float(eigenvalues.min())
+    eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
+    eigenvalues, vectors = _deterministic_order(eigenvalues, _fix_signs(vectors))
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return lowest, SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 def spectral_decompose(M: Dmat, psd_tol: float = PSD_TOL) -> SpectralDecomposition:
     """Eigendecompose a Dmat, clamping roundoff-negative eigenvalues to zero.
 
     Exactly diagonal matrices take a fast path that keeps the standard basis,
-    so diagonal fixtures decompose without floating-point surprises.
+    so diagonal fixtures decompose without floating-point surprises.  The
+    result is computed once per Dmat and the same read-only object is
+    returned on every later call; `psd_tol` is checked against the smallest
+    unclamped eigenvalue on each call.
     """
-    m = M.matrix
-    if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
-        eigenvalues = np.diagonal(m).astype(float).copy()
-        vectors = np.eye(M.dim)
-    else:
-        eigenvalues, vectors = np.linalg.eigh(m)
-    if eigenvalues.min() < -psd_tol:
-        raise NotPSDError(f"eigenvalue {eigenvalues.min():.3e} below -{psd_tol:.0e}")
-    eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    vectors = _fix_signs(vectors)
-    eigenvalues, vectors = _deterministic_order(eigenvalues, vectors)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    cached = M._spectral
+    if cached is None:
+        cached = _decompose(M.matrix)
+        object.__setattr__(M, "_spectral", cached)
+    lowest, decomp = cached
+    if lowest < -psd_tol:
+        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{psd_tol:.0e}")
+    return decomp
 
 
 def normalize_max_eig(M: Dmat) -> Dmat:

@@ -572,8 +572,7 @@ def suite_pipeline_toy(rng, trials, dims, comps) -> SuiteResult:
     fruit = Dmat(apple.matrix / 2 + orange.matrix / 3 + fig.matrix / 6)
     raw = comps["spider"](neg_sub(apple), fruit)
     t.residual(np.linalg.norm(raw.matrix - (orange.matrix / 3 + fig.matrix / 6)), 1e-9)
-    top = float(np.linalg.eigvalsh(raw.matrix)[-1])
-    normalized = Dmat(raw.matrix / top, normalized=True)
+    normalized = Dmat(raw.matrix / raw.max_eigenvalue(), normalized=True)
     scores = [trace_similarity(normalized, alt) for alt in (orange, fig, movie)]
     t.check(scores[0] > scores[1] > scores[2] == 0.0)
     for _ in range(trials):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from convneg.cli import main
@@ -66,6 +68,10 @@ def test_negate_text_out_parses(fixture_paths, tmp_path, capsys):
     assert np.linalg.eigvalsh(matrix)[-1] <= 1.0 + 1e-9
 
 
+# Digest of the toy grid CSV; a change to any reported number changes it.
+FIXTURE_CSV_SHA256 = "ef8d407d66852aba0e4c2234271c90528b1a4da8bf3518785ae7c6ccf1e60b92"
+
+
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
     lex_path = build(fixture_paths, tmp_path)
     out_csv = tmp_path / "results.csv"
@@ -83,6 +89,7 @@ def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("negation,composition,basis,")
     assert len(lines) > 10
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == FIXTURE_CSV_SHA256
 
 
 def test_verify_exit_codes(capsys):

@@ -1,9 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convneg.context import WeightFunction, WeightKind, hierarchy_context_provider, load_hierarchy
+from convneg.context import (
+    HypernymHierarchy,
+    WeightFunction,
+    WeightKind,
+    hierarchy_context_provider,
+    load_hierarchy,
+)
 from convneg.errors import (
     DuplicatePairError,
     InsufficientDataError,
@@ -14,6 +22,8 @@ from convneg.errors import (
 from convneg.experiment import (
     GridSpec,
     MEASURE_COLUMNS,
+    PlausibilityDataset,
+    PlausibilityRecord,
     csv_header,
     load_dataset,
     parse_grid_config,
@@ -22,6 +32,7 @@ from convneg.experiment import (
 )
 from convneg.lexicon import build_lexicon, load_vectors
 from convneg.pipeline import NegationConfig
+from convneg.sampling import random_normalized
 
 
 def write(tmp_path, name, text):
@@ -177,6 +188,40 @@ class TestRunGrid:
         for line in body:
             for token in line.split(",")[3:]:
                 assert token == "null" or float(token) == float(token)
+
+
+def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
+    # Solver counts repeat exactly, so they guard the caches where timings cannot.
+    words = [f"w{i}" for i in range(8)]
+    lexicon = {w: random_normalized(rng, 5, rank=int(rng.integers(1, 4))) for w in words}
+    negated = ("w0", "w1", "w2")
+    hierarchy = HypernymHierarchy(paths={w: tuple(words[3 + i : 6 + i]) for i, w in enumerate(negated)})
+    records = tuple(
+        PlausibilityRecord(n, a, float(rng.uniform(1.0, 5.0)))
+        for n in negated
+        for a in words
+        if a != n
+    )
+    base = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    builds = Counter()
+
+    def provider(word):
+        builds[word] += 1
+        return base(word)
+
+    solved = []  # keeps every input alive, so ids stay distinct
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(a)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    table = run_grid(PlausibilityDataset(records), lexicon, provider, GridSpec().configs())
+    assert all(cell.skipped == 0 for row in table.rows for cell in row.cells.values())
+    # each Dmat owns its matrix array, so one solve per array is one per Dmat
+    assert solved and len({id(a) for a in solved}) == len(solved)
+    assert builds == {word: 1 for word in negated}
 
 
 class TestGridConfig:

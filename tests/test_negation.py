@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestNegInv:
     def test_invertible_input_no_warning_leaks(self, rng, recwarn):
         neg_inv(random_psd(rng, 3), 0.5)
         assert not [w for w in recwarn.list if issubclass(w.category, EmptyKernelWarning)]
+
+    def test_invertible_input_leaves_warning_filters_alone(self, rng, monkeypatch):
+        # catch_warnings swaps process-wide state, which races between threads
+        def forbidden(*args, **kwargs):
+            raise AssertionError("neg_inv entered warnings.catch_warnings")
+
+        x = random_psd(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(warnings, "catch_warnings", forbidden)
+            out = neg_inv(x, 0.5)
+        np.testing.assert_array_equal(out.matrix, 0.5 * neg_supp(x).matrix)
 
 
 def test_negations_preserve_eigenspaces(rng):
