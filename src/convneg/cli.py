@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="flat `key = value` grid config")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--highlight", type=float, default=0.4, help="mark rows whose best r reaches this")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads for the grid rows")
 
     p = sub.add_parser("verify", help="run the randomized theorem suites")
     p.add_argument("--seed", type=int, default=0)
@@ -94,21 +94,16 @@ def _cmd_negate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    spec = parse_grid_config(args.grid)
     lexicon = load_lexicon(args.lexicon)
     dataset = load_dataset(args.dataset)
-    spec = parse_grid_config(args.grid)
-    if spec.context == "hierarchy":
+    if spec.context == "graph":
+        graph = build_entailment_graph(lexicon, measure=spec.graph_measure, threshold=spec.graph_threshold)
+        provider = graph_context_provider(graph, lexicon)
+    else:
         hierarchy = load_hierarchy(args.hierarchy)
         fn = WeightFunction(WeightKind(spec.context_fn), spec.x)
         provider = hierarchy_context_provider(hierarchy, lexicon, fn)
-    elif spec.context == "graph":
-        graph = build_entailment_graph(
-            lexicon, measure=spec.graph_measure, threshold=spec.graph_threshold,
-            workers=args.workers,
-        )
-        provider = graph_context_provider(graph, lexicon)
-    else:
-        raise ConvNegError(f"unknown context source {spec.context!r}")
     table = run_grid(dataset, lexicon, provider, spec.configs(), out=args.out, workers=args.workers)
     print(table.render(highlight=args.highlight))
     print(f"wrote {args.out}")

@@ -8,14 +8,16 @@ largest eigenvalue is exactly 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import (
+    DuplicatePairError,
     IsolatedWordError,
     MissingMatrixError,
     ParseError,
@@ -154,58 +156,67 @@ def worldly_context_hierarchy(
     return rescale_max_eig(Dmat(mix))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntailmentGraph:
-    """Directed weighted entailment edges; absent edges weigh 0."""
+    """Directed weighted entailment edges; absent edges weigh 0.
 
-    edges: dict[tuple[str, str], float] = field(default_factory=dict)
+    Immutable: `edges` is a read-only copy of the mapping it is given, and
+    every word's neighbors (the sorted union of its in- and out-neighbors)
+    are indexed once at construction.
+    """
+
+    edges: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    _neighbors: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacent: dict[str, set[str]] = {}
+        for u, v in self.edges:
+            adjacent.setdefault(u, set()).add(v)
+            adjacent.setdefault(v, set()).add(u)
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        object.__setattr__(self, "_neighbors", {w: tuple(sorted(ns)) for w, ns in adjacent.items()})
 
     def weight(self, u: str, v: str) -> float:
         return self.edges.get((u, v), 0.0)
 
-    def neighbors(self, word: str) -> list[str]:
-        out = {v for (u, v) in self.edges if u == word}
-        out |= {u for (u, v) in self.edges if v == word}
-        return sorted(out)
+    def neighbors(self, word: str) -> tuple[str, ...]:
+        return self._neighbors.get(word, ())
 
     def __len__(self) -> int:
         return len(self.edges)
 
 
-_GRAPH_MEASURES = {
-    "k_hyp": entailment.k_hyp_clamped,
-    "k_E": entailment.k_e,
+# measure name -> all-pairs scorer returning W[i, j] = score(mats[i], mats[j])
+GRAPH_MEASURES = {
+    "k_hyp": entailment.pairwise_k_hyp_clamped,
+    "k_E": entailment.pairwise_k_e,
 }
 
 
-def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0, workers: int = 1) -> EntailmentGraph:
+def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
     """Graded entailment between every ordered word pair; weak edges dropped.
 
-    Pair computations are independent and can fan out across threads; the
-    result is assembled in a fixed order either way.
+    Scored in batches, with no thread pool: one stacked eigensolve per
+    unordered pair for k_E (`entailment.pairwise_k_e`) and one per structural
+    word for k_hyp (`entailment.pairwise_k_hyp_clamped`).  The values are
+    those of the scalar `k_e` / `k_hyp_clamped`, bit for bit apart from the
+    exact-tie case `pairwise_k_e` describes.  Edges are inserted in sorted
+    (u, v) order; non-finite scores and scores below `threshold` are dropped.
     """
     try:
-        score = _GRAPH_MEASURES[measure]
+        pairwise = GRAPH_MEASURES[measure]
     except KeyError:
-        raise ValueError(f"graph measure must be one of {sorted(_GRAPH_MEASURES)}") from None
+        raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}") from None
     words = sorted(lexicon)
-    pairs = [(u, v) for u in words for v in words if u != v]
-
-    def edge(pair):
-        u, v = pair
-        return pair, score(_matrix_of(lexicon, u), _matrix_of(lexicon, v))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(edge, pairs))
-    else:
-        results = [edge(p) for p in pairs]
-    edges = {
-        pair: float(w)
-        for pair, w in results
-        if np.isfinite(w) and w >= threshold
-    }
-    return EntailmentGraph(edges=edges)
+    if len(words) < 2:
+        return EntailmentGraph()
+    weights = pairwise([_matrix_of(lexicon, w) for w in words])
+    keep = np.isfinite(weights) & (weights >= threshold)  # the unset diagonal is NaN
+    sources, targets = np.nonzero(keep)
+    return EntailmentGraph(edges={
+        (words[i], words[j]): w
+        for i, j, w in zip(sources.tolist(), targets.tolist(), weights[keep].tolist())
+    })
 
 
 def worldly_context_graph(
@@ -247,6 +258,11 @@ def save_entailment_graph(graph: EntailmentGraph, path) -> None:
 
 
 def load_entailment_graph(path) -> EntailmentGraph:
+    """Parse `u<TAB>v<TAB>weight` lines; `#` comments ignored.
+
+    Weights must be finite and non-negative; self-loops and repeated
+    (u, v) pairs are rejected.
+    """
     edges: dict[tuple[str, str], float] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -256,11 +272,20 @@ def load_entailment_graph(path) -> EntailmentGraph:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError("expected `u<TAB>v<TAB>weight`", lineno)
+            u, v = parts[0], parts[1]
+            if not u or not v:
+                raise ParseError("empty word", lineno)
+            if u == v:
+                raise SelfReferenceError(f"self-loop on {u!r}", lineno)
             try:
                 weight = float(parts[2])
             except ValueError:
                 raise ParseError(f"bad weight {parts[2]!r}", lineno) from None
-            edges[(parts[0], parts[1])] = weight
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ParseError(f"weight {parts[2]!r} is not finite and non-negative", lineno)
+            if (u, v) in edges:
+                raise DuplicatePairError(f"duplicate edge {u!r} -> {v!r}", lineno)
+            edges[(u, v)] = weight
     return EntailmentGraph(edges=edges)
 
 

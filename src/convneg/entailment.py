@@ -5,6 +5,11 @@ k_hyp is the generalized max-eigenvalue form (no support check, may exceed
 measure, and trace similarity the density-operator analog of cosine
 similarity.  A slow binary-search oracle for the maximal Loewner grading is
 included as an independent cross-check of k_hyp.
+
+The k_hyp and k_E formulas each live in one array kernel (`k_hyp_from_root`,
+`k_e_from_spectra`), shared by the scalar measures and by the all-pairs
+scorers (`pairwise_k_hyp_clamped`, `pairwise_k_e`) that build the entailment
+graph with stacked eigensolves.
 """
 
 from __future__ import annotations
@@ -47,6 +52,32 @@ def _check(A: Dmat, B: Dmat) -> None:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
 
 
+def _check_all(mats: list[Dmat]) -> None:
+    dims = sorted({m.dim for m in mats})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"dims {dims} differ")
+
+
+def pinv_root(B: Dmat, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Pseudo-inverse square root of B, from its cached decomposition."""
+    decomp = spectral_decompose(B)
+    cut = decomp.support_cut(rank_tol)
+    return decomp.apply(lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0)
+
+
+def k_hyp_from_root(root: np.ndarray, mats: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """k_hyp of each A in `mats` (one matrix or a stack) against B = pinv(root)^2.
+
+    The formula behind `k_hyp`: gamma is the top eigenvalue of the symmetrized
+    `root @ A @ root`, and the result is 1/gamma, or +inf where gamma is at or
+    below rank_tol.  A stack is solved by one `eigvalsh` call.
+    """
+    core = root @ mats @ root
+    gamma = np.linalg.eigvalsh((core + np.swapaxes(core, -1, -2)) / 2.0)[..., -1]
+    with np.errstate(divide="ignore"):
+        return np.where(gamma <= rank_tol, np.inf, 1.0 / gamma)
+
+
 def k_hyp(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
     """Reciprocal of the top eigenvalue of pinv(B) A (generalized grading).
 
@@ -59,19 +90,31 @@ def k_hyp(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
     _check(A, B)
     if A.is_zero() or B.is_zero():
         raise ZeroMatrixError("k_hyp needs two nonzero matrices")
-    decomp = spectral_decompose(B)
-    cut = decomp.support_cut(rank_tol)
-    pinv_root = decomp.apply(lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0)
-    core = pinv_root @ A.matrix @ pinv_root
-    gamma = float(np.linalg.eigvalsh((core + core.T) / 2.0)[-1])
-    if gamma <= rank_tol:
-        return math.inf
-    return 1.0 / gamma
+    return float(k_hyp_from_root(pinv_root(B, rank_tol), A.matrix, rank_tol))
 
 
 def k_hyp_clamped(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
     """min(k_hyp, 1); the +inf sentinel clamps to full entailment."""
     return min(k_hyp(A, B, rank_tol), 1.0)
+
+
+def pairwise_k_hyp_clamped(mats: list[Dmat], rank_tol: float = RANK_TOL) -> np.ndarray:
+    """W[i, j] = k_hyp_clamped(mats[i], mats[j]) for i != j; the diagonal is unset.
+
+    One stacked eigensolve per structural word B = mats[j]: its pseudo-inverse
+    root is formed once and applied to every other matrix at once.
+    """
+    _check_all(mats)
+    if any(m.is_zero() for m in mats):
+        raise ZeroMatrixError("k_hyp needs two nonzero matrices")
+    stack = np.stack([m.matrix for m in mats])
+    n = len(mats)
+    weights = np.full((n, n), np.nan)
+    for j, b in enumerate(mats):
+        others = np.delete(np.arange(n), j)
+        k = k_hyp_from_root(pinv_root(b, rank_tol), stack[others], rank_tol)
+        weights[others, j] = np.minimum(k, 1.0)
+    return weights
 
 
 def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> float:
@@ -112,6 +155,27 @@ def k_ba(A: Dmat, B: Dmat) -> float:
     return float(np.sum(eigs)) / denom
 
 
+def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
+    """Norm of each spectrum along the last axis: Euclidean (2) or absolute sum (1).
+
+    The Euclidean norm is the root of a per-row `@` dot product, which rounds
+    exactly as `np.linalg.norm` does on each row; `np.einsum` does not.
+    """
+    if order == 1:
+        return np.abs(spectra).sum(axis=-1)
+    return np.sqrt((spectra[..., None, :] @ spectra[..., :, None])[..., 0, 0])
+
+
+def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2) -> np.ndarray:
+    """k_E from ascending spectra of B - A (last axis) and the norms of A's spectra.
+
+    The formula behind `k_e`: the error norm is the norm of the negative part
+    of the spectrum, and the result is 1 - error / norm_a clamped to [0, 1].
+    """
+    error = spectrum_norms(np.where(spectra < 0.0, -spectra, 0.0), order)
+    return np.clip(1.0 - error / norm_a, 0.0, 1.0)
+
+
 def k_e(A: Dmat, B: Dmat, norm: str = "fro") -> float:
     """One minus the relative size of the entailment error term.
 
@@ -123,12 +187,37 @@ def k_e(A: Dmat, B: Dmat, norm: str = "fro") -> float:
     if norm not in ("fro", "trace"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
-    norm_a = float(np.linalg.norm(A.eigenvalues, ord=order))
+    norm_a = float(spectrum_norms(A.eigenvalues, order))
     if norm_a < 1e-12:
         raise ZeroMatrixError("k_e needs a nonzero first argument")
-    eigs = np.linalg.eigvalsh(B.matrix - A.matrix)
-    error_norm = float(np.linalg.norm(np.where(eigs < 0.0, -eigs, 0.0), ord=order))
-    return float(np.clip(1.0 - error_norm / norm_a, 0.0, 1.0))
+    return float(k_e_from_spectra(np.linalg.eigvalsh(B.matrix - A.matrix), norm_a, order))
+
+
+def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
+    """W[i, j] = k_e(mats[i], mats[j]) for i != j; the diagonal is unset.
+
+    One stacked eigensolve per unordered pair: row i solves M_j - M_i for
+    every j > i, which gives k_E(i -> j), and because the spectrum of
+    M_i - M_j is the negated reversal of it, also k_E(j -> i).  The largest
+    temporary is one (n - 1) x d x d stack.
+
+    The i -> j half is bit-identical to `k_e`.  The j -> i half is too, except
+    where LAPACK's tridiagonal iteration meets an exact tie, which it does
+    not resolve sign-symmetrically; words with exactly repeated eigenvalues
+    can reach that case, and the value then differs in the last bits.
+    """
+    _check_all(mats)
+    norms = spectrum_norms(np.stack([m.eigenvalues for m in mats]))
+    if np.any(norms < 1e-12):
+        raise ZeroMatrixError("k_e needs a nonzero first argument")
+    stack = np.stack([m.matrix for m in mats])
+    n = len(mats)
+    weights = np.full((n, n), np.nan)
+    for i in range(n - 1):
+        spectra = np.linalg.eigvalsh(stack[i + 1:] - stack[i])
+        weights[i, i + 1:] = k_e_from_spectra(spectra, norms[i])
+        weights[i + 1:, i] = k_e_from_spectra(-spectra[:, ::-1], norms[i + 1:])
+    return weights
 
 
 def trace_similarity(A: Dmat, B: Dmat) -> float:

@@ -10,6 +10,7 @@ baseline row (no context) is emitted per negation.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .composition import CompositionKind
+from .context import GRAPH_MEASURES, WeightKind
 from .errors import (
     DuplicatePairError,
     InsufficientDataError,
@@ -341,9 +343,63 @@ class GridSpec:
         return out
 
 
+def _choice(choices):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+
+    return parse
+
+
+def _choices(kind):
+    one = _choice([k.value for k in kind])
+
+    def parse(value: str) -> tuple:
+        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+        if not tokens:
+            raise ValueError("expected at least one value")
+        return tuple(kind(one(tok)) for tok in tokens)
+
+    return parse
+
+
+def _number(lo: float = -math.inf, hi: float = math.inf):
+    def parse(value: str) -> float:
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"{value!r} is not a finite number")
+        if not lo <= number <= hi:
+            raise ValueError(f"{value!r} is outside [{lo:g}, {hi:g}]")
+        return number
+
+    return parse
+
+
+CONTEXT_SOURCES = ("hierarchy", "graph")
+
+# config key -> parser of its value; a parser raises ValueError on a bad value
+_GRID_KEYS = {
+    "negations": _choices(NegationKind),
+    "compositions": _choices(CompositionKind),
+    "bases": _choices(Basis),
+    "support_weight": _number(0.0, 1.0),
+    "context": _choice(CONTEXT_SOURCES),
+    "context_fn": _choice([k.value for k in WeightKind]),
+    "x": _number(0.0),
+    "graph_measure": _choice(list(GRAPH_MEASURES)),
+    "graph_threshold": _number(),
+}
+
+
 def parse_grid_config(path) -> GridSpec:
-    """Parse `key = value` lines; lists are comma-separated; `#` comments."""
-    values: dict[str, str] = {}
+    """Parse `key = value` lines; lists are comma-separated; `#` comments.
+
+    Every key and value is checked here, so a bad config fails before any
+    other input loads, with a `ParseError` naming the offending line.
+    """
+    spec = GridSpec()
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -352,28 +408,14 @@ def parse_grid_config(path) -> GridSpec:
             if "=" not in line:
                 raise ParseError("expected `key = value`", lineno)
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-
-    def split(value: str) -> list[str]:
-        return [tok.strip() for tok in value.split(",") if tok.strip()]
-
-    spec = GridSpec()
-    if "negations" in values:
-        spec.negations = tuple(NegationKind(tok) for tok in split(values.pop("negations")))
-    if "compositions" in values:
-        spec.compositions = tuple(CompositionKind(tok) for tok in split(values.pop("compositions")))
-    if "bases" in values:
-        spec.bases = tuple(Basis(tok) for tok in split(values.pop("bases")))
-    for key, cast in (
-        ("support_weight", float),
-        ("context", str),
-        ("context_fn", str),
-        ("x", float),
-        ("graph_measure", str),
-        ("graph_threshold", float),
-    ):
-        if key in values:
-            setattr(spec, key, cast(values.pop(key)))
-    if values:
-        raise ParseError(f"unknown config keys: {sorted(values)}")
+            key = key.strip()
+            if key not in _GRID_KEYS:
+                raise ParseError(f"unknown config key {key!r}", lineno)
+            if key in first_line:
+                raise ParseError(f"duplicate key {key!r}, first set on line {first_line[key]}", lineno)
+            first_line[key] = lineno
+            try:
+                setattr(spec, key, _GRID_KEYS[key](value.strip()))
+            except ValueError as exc:
+                raise ParseError(f"{key}: {exc}", lineno) from None
     return spec

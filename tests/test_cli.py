@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from convneg.cli import main
 from convneg.lexicon import load_lexicon
@@ -110,3 +111,43 @@ def test_unknown_word_is_reported(fixture_paths, tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        ("negations = sub, bogus\n", 1),
+        ("compositions = spider, blend\n", 1),
+        ("bases = w, z\n", 1),
+        ("negations =\n", 1),
+        ("# axes\ncontext = grph\n", 2),
+        ("context = hierarchy\ncontext_fn = cubic\n", 2),
+        ("context = graph\ngraph_measure = k_BA\n", 2),
+        ("x = -1\n", 1),
+        ("x = nan\n", 1),
+        ("x = two\n", 1),
+        ("support_weight = 1.5\n", 1),
+        ("graph_threshold = inf\n", 1),
+        ("x = 1\nsupport_weight = 0.5\nx = 2\n", 3),
+        ("volume = 11\n", 1),
+        ("negations sub\n", 1),
+    ],
+)
+def test_evaluate_rejects_bad_config_at_parse_time(fixture_paths, tmp_path, capsys, config, line):
+    # the lexicon does not exist: the config must fail before anything loads
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(config, encoding="utf-8")
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(tmp_path / "missing.lex"),
+            "--hierarchy", str(fixture_paths["hierarchy"]),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(grid),
+            "--out", str(tmp_path / "results.csv"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,9 @@ from convneg.context import (
     worldly_context_graph,
     worldly_context_hierarchy,
 )
-from convneg.entailment import k_e
+from convneg.entailment import k_e, k_hyp_clamped
 from convneg.errors import (
+    DimensionMismatchError,
     DuplicateWordError,
     IsolatedWordError,
     MissingMatrixError,
@@ -28,6 +31,7 @@ from convneg.errors import (
     UnknownWordError,
     ZeroMatrixError,
 )
+from convneg.sampling import random_psd
 from convneg.spectral import Dmat
 
 
@@ -35,6 +39,29 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def sampled_lexicon(rng, dim, size):
+    """Seeded words of mixed rank (1 to dim), a rank-1 word, a shared Dmat and an equal copy."""
+    lexicon = {f"w{i:02d}": random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))) for i in range(size)}
+    lexicon["pure"] = random_psd(rng, dim, rank=1)
+    lexicon["dup"] = lexicon["w01"]
+    lexicon["copy"] = Dmat(lexicon["w01"].matrix.copy())
+    return lexicon
+
+
+def per_pair_graph(lexicon, measure, threshold):
+    """Reference edges: the scalar measure on every ordered pair, in sorted order."""
+    score = {"k_E": k_e, "k_hyp": k_hyp_clamped}[measure]
+    words = sorted(lexicon)
+    edges = {}
+    for u in words:
+        for v in words:
+            if u != v:
+                w = score(lexicon[u], lexicon[v])
+                if np.isfinite(w) and w >= threshold:
+                    edges[(u, v)] = w
+    return edges
 
 
 class TestLoadHierarchy:
@@ -185,11 +212,81 @@ class TestEntailmentGraph:
     def test_single_word_no_self_loops(self, onb):
         assert len(build_entailment_graph({"apple": onb["apple"]}, "k_E")) == 0
 
-    def test_parallel_matches_serial(self, onb, fruit_raw):
-        lexicon = {"apple": onb["apple"], "orange": onb["orange"], "fruit": fruit_raw}
-        serial = build_entailment_graph(lexicon, "k_E")
-        parallel = build_entailment_graph(lexicon, "k_E", workers=4)
-        assert serial.edges == parallel.edges
+    def test_batched_matches_per_pair_reference(self):
+        # mixed ranks (rank-1 included), a shared Dmat and an equal copy
+        rng = np.random.default_rng(20)
+        for dim in (2, 3, 5, 8, 13, 20):
+            lexicon = sampled_lexicon(rng, dim, 14)
+            for measure in ("k_E", "k_hyp"):
+                for threshold in (0.0, 0.35, 0.8, 1.0):
+                    graph = build_entailment_graph(lexicon, measure, threshold)
+                    expected = per_pair_graph(lexicon, measure, threshold)
+                    assert list(graph.edges.items()) == list(expected.items()), (dim, measure, threshold)
+
+    def test_duplicate_words_fully_entail(self):
+        lexicon = sampled_lexicon(np.random.default_rng(3), 6, 5)
+        edges = build_entailment_graph(lexicon, "k_E").edges
+        for u, v in (("dup", "w01"), ("copy", "w01"), ("dup", "copy")):
+            assert edges[(u, v)] == edges[(v, u)] == 1.0
+
+    def test_repeated_spectra_reversed_direction(self):
+        # k_E(j -> i) reads the spectrum of M_j - M_i negated and reversed;
+        # LAPACK's tridiagonal iteration is not sign-symmetric at exact ties,
+        # which words with repeated eigenvalues can meet, so that half may
+        # differ from a direct solve in the last bits.  The directly solved
+        # half (i -> j, i before j) stays exact.
+        rng = np.random.default_rng(8)
+        lexicon = {f"w{i:02d}": random_psd(rng, 12, rank=int(rng.integers(1, 13)), repeat_prob=0.3)
+                   for i in range(25)}
+        graph = build_entailment_graph(lexicon, "k_E")
+        expected = per_pair_graph(lexicon, "k_E", 0.0)
+        assert list(graph.edges) == list(expected)
+        for (u, v), w in expected.items():
+            if u < v:
+                assert graph.edges[(u, v)] == w
+            else:
+                assert graph.edges[(u, v)] == pytest.approx(w, abs=1e-12)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_zero_matrix_rejected(self, onb, measure):
+        lexicon = {"apple": onb["apple"], "zero": Dmat(np.zeros((4, 4))), "fig": onb["fig"]}
+        with pytest.raises(ZeroMatrixError):
+            per_pair_graph(lexicon, measure, 0.0)
+        with pytest.raises(ZeroMatrixError):
+            build_entailment_graph(lexicon, measure)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_mixed_dims_rejected(self, onb, measure):
+        lexicon = {"apple": onb["apple"], "small": Dmat(np.eye(3)), "fig": onb["fig"]}
+        with pytest.raises(DimensionMismatchError):
+            per_pair_graph(lexicon, measure, 0.0)
+        with pytest.raises(DimensionMismatchError):
+            build_entailment_graph(lexicon, measure)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_trivial_lexicons(self, measure):
+        # no ordered pair exists, so not even a zero matrix is scored
+        assert len(build_entailment_graph({}, measure)) == 0
+        assert len(build_entailment_graph({"zero": Dmat(np.zeros((3, 3)))}, measure)) == 0
+
+    def test_unknown_measure(self, onb):
+        with pytest.raises(ValueError):
+            build_entailment_graph({"apple": onb["apple"]}, "k_BA")
+
+    @pytest.mark.parametrize("measure, limit", [("k_E", lambda n: n - 1), ("k_hyp", lambda n: n)])
+    def test_one_eigensolve_per_row(self, monkeypatch, measure, limit):
+        # call counts repeat exactly, so they guard the batching where timings cannot
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        build_entailment_graph(lexicon, measure)
+        assert 0 < len(calls) <= limit(len(lexicon))
 
     def test_round_trip_file(self, tmp_path, onb, fruit_raw):
         lexicon = {"apple": onb["apple"], "fruit": fruit_raw}
@@ -200,6 +297,56 @@ class TestEntailmentGraph:
         assert set(loaded.edges) == set(graph.edges)
         for key, w in graph.edges.items():
             assert loaded.edges[key] == pytest.approx(w, rel=1e-8)
+
+
+class TestEntailmentGraphIndex:
+    def test_neighbors_union_sorted(self):
+        graph = EntailmentGraph({("b", "a"): 0.5, ("b", "d"): 0.2, ("c", "b"): 0.1, ("a", "b"): 0.3})
+        assert graph.neighbors("b") == ("a", "c", "d")
+        assert graph.neighbors("a") == ("b",)
+        assert graph.neighbors("c") == ("b",)
+        assert graph.neighbors("zzz") == ()
+
+    def test_index_cannot_go_stale(self):
+        source = {("a", "b"): 0.5}
+        graph = EntailmentGraph(source)
+        source[("a", "c")] = 0.7
+        assert graph.neighbors("a") == ("b",) and len(graph) == 1
+        with pytest.raises(TypeError):
+            graph.edges[("a", "c")] = 0.7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.edges = {}
+
+    def test_equality_by_edges(self):
+        assert EntailmentGraph({("a", "b"): 0.5}) == EntailmentGraph({("a", "b"): 0.5})
+        assert EntailmentGraph({("a", "b"): 0.5}) != EntailmentGraph({("b", "a"): 0.5})
+
+
+class TestLoadEntailmentGraph:
+    def test_valid_file(self, tmp_path):
+        graph = load_entailment_graph(write(tmp_path, "g.tsv", "# edges\na\tb\t0.5\nb\ta\t0\n"))
+        assert dict(graph.edges) == {("a", "b"): 0.5, ("b", "a"): 0.0}
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "-0.25"])
+    def test_bad_weight_rejected(self, tmp_path, bad):
+        with pytest.raises(ParseError) as err:
+            load_entailment_graph(write(tmp_path, "g.tsv", f"a\tb\t0.5\nb\tc\t{bad}\n"))
+        assert err.value.line_number == 2
+
+    def test_self_loop_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_entailment_graph(write(tmp_path, "g.tsv", "a\tb\t0.5\na\ta\t0.5\n"))
+        assert err.value.line_number == 2
+
+    def test_duplicate_edge_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_entailment_graph(write(tmp_path, "g.tsv", "a\tb\t0.5\nb\ta\t0.5\n\na\tb\t0.25\n"))
+        assert err.value.line_number == 4
+
+    def test_empty_word_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_entailment_graph(write(tmp_path, "g.tsv", "a\t\t0.5\n"))
+        assert err.value.line_number == 1
 
 
 class TestWorldlyContextGraph:

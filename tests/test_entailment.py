@@ -24,7 +24,7 @@ from convneg.sampling import (
     random_psd,
     random_same_support_pair,
 )
-from convneg.spectral import Dmat
+from convneg.spectral import Dmat, spectral_decompose
 
 APPLE = Dmat.from_diagonal([1.0, 0.0, 0.0, 0.0])
 FRUIT = Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
@@ -212,3 +212,33 @@ def test_khyp_scaling_property(diag_a, scale):
     a = Dmat.from_diagonal(diag_a)
     b = Dmat.identity(dim)
     assert k_hyp(Dmat(a.matrix * scale), b) == pytest.approx(k_hyp(a, b) / scale, rel=1e-9)
+
+
+def loop_k_e(A, B, order):
+    """k_E as a plain per-pair formula over `np.linalg.norm`."""
+    eigs = np.linalg.eigvalsh(B.matrix - A.matrix)
+    error = float(np.linalg.norm(np.where(eigs < 0.0, -eigs, 0.0), ord=order))
+    return float(np.clip(1.0 - error / float(np.linalg.norm(A.eigenvalues, ord=order)), 0.0, 1.0))
+
+
+def loop_k_hyp(A, B, rank_tol=1e-8):
+    """k_hyp as a plain per-pair formula with a Python-level sentinel."""
+    decomp = spectral_decompose(B)
+    cut = decomp.support_cut(rank_tol)
+    root = decomp.apply(lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0)
+    core = root @ A.matrix @ root
+    gamma = float(np.linalg.eigvalsh((core + core.T) / 2.0)[-1])
+    return math.inf if gamma <= rank_tol else 1.0 / gamma
+
+
+def test_array_kernels_match_loop_formulas_bitwise():
+    # the kernels shared with the graph build must round exactly as the
+    # per-pair formulas do, or every grid CSV would drift
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 3, 5, 8, 13, 21, 34, 50):
+        for _ in range(12):
+            A = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.2)
+            B = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            assert k_e(A, B) == loop_k_e(A, B, 2)
+            assert k_e(A, B, norm="trace") == loop_k_e(A, B, 1)
+            assert k_hyp(A, B) == loop_k_hyp(A, B)
