@@ -197,11 +197,11 @@ def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0
     """Graded entailment between every ordered word pair; weak edges dropped.
 
     Scored in batches, with no thread pool: one stacked eigensolve per
-    unordered pair for k_E (`entailment.pairwise_k_e`) and one per structural
+    source word for k_E (`entailment.pairwise_k_e`) and one per structural
     word for k_hyp (`entailment.pairwise_k_hyp_clamped`).  The values are
-    those of the scalar `k_e` / `k_hyp_clamped`, bit for bit apart from the
-    exact-tie case `pairwise_k_e` describes.  Edges are inserted in sorted
-    (u, v) order; non-finite scores and scores below `threshold` are dropped.
+    those of the scalar `k_e` / `k_hyp_clamped`, bit for bit.  Edges are
+    inserted in sorted (u, v) order; non-finite scores and scores below
+    `threshold` are dropped.
     """
     try:
         pairwise = GRAPH_MEASURES[measure]

@@ -74,8 +74,7 @@ def k_hyp_from_root(root: np.ndarray, mats: np.ndarray, rank_tol: float = RANK_T
     """
     core = root @ mats @ root
     gamma = np.linalg.eigvalsh((core + np.swapaxes(core, -1, -2)) / 2.0)[..., -1]
-    with np.errstate(divide="ignore"):
-        return np.where(gamma <= rank_tol, np.inf, 1.0 / gamma)
+    return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > rank_tol)
 
 
 def k_hyp(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
@@ -98,7 +97,7 @@ def k_hyp_clamped(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
     return min(k_hyp(A, B, rank_tol), 1.0)
 
 
-def pairwise_k_hyp_clamped(mats: list[Dmat], rank_tol: float = RANK_TOL) -> np.ndarray:
+def pairwise_k_hyp_clamped(mats: list[Dmat]) -> np.ndarray:
     """W[i, j] = k_hyp_clamped(mats[i], mats[j]) for i != j; the diagonal is unset.
 
     One stacked eigensolve per structural word B = mats[j]: its pseudo-inverse
@@ -112,7 +111,7 @@ def pairwise_k_hyp_clamped(mats: list[Dmat], rank_tol: float = RANK_TOL) -> np.n
     weights = np.full((n, n), np.nan)
     for j, b in enumerate(mats):
         others = np.delete(np.arange(n), j)
-        k = k_hyp_from_root(pinv_root(b, rank_tol), stack[others], rank_tol)
+        k = k_hyp_from_root(pinv_root(b), stack[others])
         weights[others, j] = np.minimum(k, 1.0)
     return weights
 
@@ -196,15 +195,12 @@ def k_e(A: Dmat, B: Dmat, norm: str = "fro") -> float:
 def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
     """W[i, j] = k_e(mats[i], mats[j]) for i != j; the diagonal is unset.
 
-    One stacked eigensolve per unordered pair: row i solves M_j - M_i for
-    every j > i, which gives k_E(i -> j), and because the spectrum of
-    M_i - M_j is the negated reversal of it, also k_E(j -> i).  The largest
-    temporary is one (n - 1) x d x d stack.
-
-    The i -> j half is bit-identical to `k_e`.  The j -> i half is too, except
-    where LAPACK's tridiagonal iteration meets an exact tie, which it does
-    not resolve sign-symmetrically; words with exactly repeated eigenvalues
-    can reach that case, and the value then differs in the last bits.
+    One stacked eigensolve per source word: row i solves M_j - M_i for every
+    j != i at once.  Both directions of a pair are solved directly: the
+    spectrum of M_i - M_j is the negated reversal of that of M_j - M_i in
+    exact arithmetic, but LAPACK does not keep that symmetry at exact
+    eigenvalue ties, so reading one direction from the other would not be
+    bit-identical to `k_e`.  The largest temporary is one (n - 1) x d x d stack.
     """
     _check_all(mats)
     norms = spectrum_norms(np.stack([m.eigenvalues for m in mats]))
@@ -213,10 +209,10 @@ def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
     stack = np.stack([m.matrix for m in mats])
     n = len(mats)
     weights = np.full((n, n), np.nan)
-    for i in range(n - 1):
-        spectra = np.linalg.eigvalsh(stack[i + 1:] - stack[i])
-        weights[i, i + 1:] = k_e_from_spectra(spectra, norms[i])
-        weights[i + 1:, i] = k_e_from_spectra(-spectra[:, ::-1], norms[i + 1:])
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        spectra = np.linalg.eigvalsh(stack[others] - stack[i])
+        weights[i, others] = k_e_from_spectra(spectra, norms[i])
     return weights
 
 
