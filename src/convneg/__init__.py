@@ -15,7 +15,6 @@ from .context import (
     worldly_context_hierarchy,
 )
 from .entailment import (
-    EntailmentScore,
     k_ba,
     k_e,
     k_hyp,

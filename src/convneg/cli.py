@@ -134,6 +134,10 @@ def main(argv=None) -> int:
     except ConvNegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,50 +6,68 @@ measure, and trace similarity the density-operator analog of cosine
 similarity.  A slow binary-search oracle for the maximal Loewner grading is
 included as an independent cross-check of k_hyp.
 
-The k_hyp and k_E formulas each live in one array kernel (`k_hyp_from_root`,
-`k_e_from_spectra`), shared by the scalar measures and by the all-pairs
-scorers (`pairwise_k_hyp_clamped`, `pairwise_k_e`) that build the entailment
-graph with stacked eigensolves.
+Each measure takes a `Dmat` or a non-empty sequence of `Dmat`s in either
+argument.  Two matrices give a float.  Otherwise one matrix pairs with every
+member of the sequence (two sequences pair up elementwise), and the values
+come back as an array in sequence order, equal bit for bit to a loop of
+scalar calls and raising what the first failing call of that loop would
+raise.  A sequence costs one stacked eigensolve per measure.
+
+The k_hyp, k_E and k_BA formulas each live in one array kernel
+(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`), shared by the
+measures and by the all-pairs scorers (`pairwise_k_hyp_clamped`,
+`pairwise_k_e`) that build the entailment graph.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroMatrixError
 from .spectral import RANK_TOL, Dmat, spectral_decompose
 
-MEASURE_NAMES = ("k_hyp", "k_BA", "k_E", "trace_sim")
-
-
-@dataclass(frozen=True)
-class EntailmentScore:
-    """One measured entailment value with the direction it was computed in."""
-
-    measure: str
-    value: float
-    direction: tuple[str, str]
-
-    def __post_init__(self):
-        if self.measure not in MEASURE_NAMES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        v = self.value
-        if self.measure == "k_hyp":
-            ok = v >= 0.0 or math.isinf(v)
-        elif self.measure == "k_BA":
-            ok = -1.0 - 1e-9 <= v <= 1.0 + 1e-9
-        else:
-            ok = -1e-9 <= v <= 1.0 + 1e-9
-        if not ok and not math.isnan(v):
-            raise ValueError(f"{self.measure} value {v} out of range")
-
 
 def _check(A: Dmat, B: Dmat) -> None:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
+
+
+def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero=False, message: str = "") -> None:
+    """Raise what the first failing call of a loop of scalar calls would raise.
+
+    The loop visits the (a, b) pairs in order; a pair fails on differing
+    dims, else on its flag in `zero` (one flag, or an array of one per
+    pair) with ZeroMatrixError(message).
+    """
+    if isinstance(A, Dmat):
+        pairs = [(A, B)] if isinstance(B, Dmat) else [(A, b) for b in B]
+    else:
+        pairs = [(a, B) for a in A] if isinstance(B, Dmat) else list(zip(A, B, strict=True))
+    flags = zero if isinstance(zero, np.ndarray) else [zero] * len(pairs)
+    for (a, b), flag in zip(pairs, flags):
+        _check(a, b)
+        if flag:
+            raise ZeroMatrixError(message)
+
+
+def _each(X: Dmat | Sequence[Dmat], fn: Callable[[Dmat], object]):
+    """fn(X) for one matrix; the stack of fn over a sequence.
+
+    Arrays stack only at one dim: stack per-matrix scalars before
+    `_check_pairs`, matrices and spectra only after it.
+    """
+    return fn(X) if isinstance(X, Dmat) else np.stack([fn(x) for x in X])
+
+
+def _matrix(X: Dmat) -> np.ndarray:
+    return X.matrix
+
+
+def _result(values, A, B):
+    """A float for two matrices, else the array of values."""
+    return float(values) if isinstance(A, Dmat) and isinstance(B, Dmat) else values
 
 
 def _check_all(mats: list[Dmat]) -> None:
@@ -62,39 +80,40 @@ def pinv_root(B: Dmat, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square root of B, from its cached decomposition."""
     decomp = spectral_decompose(B)
     cut = decomp.support_cut(rank_tol)
-    return decomp.apply(lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0)
+    return decomp.apply(lambda lam: np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=lam > cut))
 
 
 def k_hyp_from_root(root: np.ndarray, mats: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """k_hyp of each A in `mats` (one matrix or a stack) against B = pinv(root)^2.
+    """k_hyp of each A in `mats` against B = pinv(root)^2.
 
     The formula behind `k_hyp`: gamma is the top eigenvalue of the symmetrized
     `root @ A @ root`, and the result is 1/gamma, or +inf where gamma is at or
-    below rank_tol.  A stack is solved by one `eigvalsh` call.
+    below rank_tol.  `root` and `mats` are each one matrix or a stack (they
+    broadcast); a stack is solved by one `eigvalsh` call.
     """
     core = root @ mats @ root
     gamma = np.linalg.eigvalsh((core + np.swapaxes(core, -1, -2)) / 2.0)[..., -1]
     return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > rank_tol)
 
 
-def k_hyp(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
+def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], rank_tol: float = RANK_TOL):
     """Reciprocal of the top eigenvalue of pinv(B) A (generalized grading).
 
     Computed from the symmetrized form pinv_sqrt(B) A pinv_sqrt(B), which has
     the same spectrum but stays symmetric.  When the support of A lies inside
     the support of B this equals the largest k with B - kA still PSD.  A top
     eigenvalue at or below rank_tol means A places nothing measurable inside
-    B's support; +inf is returned to signal the unconstrained case.
+    B's support; +inf is returned to signal the unconstrained case.  Each
+    structural operand B has its pseudo-inverse root formed once.
     """
-    _check(A, B)
-    if A.is_zero() or B.is_zero():
-        raise ZeroMatrixError("k_hyp needs two nonzero matrices")
-    return float(k_hyp_from_root(pinv_root(B, rank_tol), A.matrix, rank_tol))
+    _check_pairs(A, B, _each(A, Dmat.is_zero) | _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
+    root = _each(B, lambda b: pinv_root(b, rank_tol))
+    return _result(k_hyp_from_root(root, _each(A, _matrix), rank_tol), A, B)
 
 
-def k_hyp_clamped(A: Dmat, B: Dmat, rank_tol: float = RANK_TOL) -> float:
+def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], rank_tol: float = RANK_TOL):
     """min(k_hyp, 1); the +inf sentinel clamps to full entailment."""
-    return min(k_hyp(A, B, rank_tol), 1.0)
+    return _result(np.minimum(k_hyp(A, B, rank_tol), 1.0), A, B)
 
 
 def pairwise_k_hyp_clamped(mats: list[Dmat]) -> np.ndarray:
@@ -140,18 +159,24 @@ def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> f
     return lo
 
 
-def k_ba(A: Dmat, B: Dmat) -> float:
+def k_ba_from_spectra(spectra: np.ndarray) -> np.ndarray:
+    """k_BA from spectra of B - A (last axis): their sum over their absolute sum.
+
+    An absolute sum below 1e-12 (equal matrices, 0/0) gives 1.
+    """
+    denom = np.abs(spectra).sum(axis=-1)
+    return np.divide(spectra.sum(axis=-1), denom, out=np.ones_like(denom), where=denom >= 1e-12)
+
+
+def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """Signed eigenvalue ratio of B - A, in [-1, 1].
 
     Equal matrices give 0/0; that case is defined as 1 (full self-entailment,
     matching the limit along B = A + eps*I).
     """
-    _check(A, B)
-    eigs = np.linalg.eigvalsh(B.matrix - A.matrix)
-    denom = float(np.sum(np.abs(eigs)))
-    if denom < 1e-12:
-        return 1.0
-    return float(np.sum(eigs)) / denom
+    _check_pairs(A, B)
+    spectra = np.linalg.eigvalsh(_each(B, _matrix) - _each(A, _matrix))
+    return _result(k_ba_from_spectra(spectra), A, B)
 
 
 def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
@@ -175,21 +200,20 @@ def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2) -> np.ndarray:
     return np.clip(1.0 - error / norm_a, 0.0, 1.0)
 
 
-def k_e(A: Dmat, B: Dmat, norm: str = "fro") -> float:
+def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
     """One minus the relative size of the entailment error term.
 
     The error term collects the negative part of B - A with flipped signs;
     it vanishes exactly when B - A is PSD.  Clamped to [0, 1].  The norm is
     Frobenius by default; "trace" uses the absolute eigenvalue sum instead.
     """
-    _check(A, B)
     if norm not in ("fro", "trace"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
-    norm_a = float(spectrum_norms(A.eigenvalues, order))
-    if norm_a < 1e-12:
-        raise ZeroMatrixError("k_e needs a nonzero first argument")
-    return float(k_e_from_spectra(np.linalg.eigvalsh(B.matrix - A.matrix), norm_a, order))
+    norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
+    _check_pairs(A, B, norm_a < 1e-12, "k_e needs a nonzero first argument")
+    spectra = np.linalg.eigvalsh(_each(B, _matrix) - _each(A, _matrix))
+    return _result(k_e_from_spectra(spectra, norm_a, order), A, B)
 
 
 def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
@@ -216,12 +240,10 @@ def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
     return weights
 
 
-def trace_similarity(A: Dmat, B: Dmat) -> float:
+def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """trace(A B) over the product of Frobenius norms; symmetric, in [0, 1]."""
-    _check(A, B)
-    norm_a = A.frobenius_norm()
-    norm_b = B.frobenius_norm()
-    if norm_a < 1e-12 or norm_b < 1e-12:
-        raise ZeroMatrixError("trace similarity needs two nonzero matrices")
-    value = float(np.trace(A.matrix @ B.matrix)) / (norm_a * norm_b)
-    return float(np.clip(value, 0.0, 1.0))
+    norm_a = _each(A, Dmat.frobenius_norm)
+    norm_b = _each(B, Dmat.frobenius_norm)
+    _check_pairs(A, B, (norm_a < 1e-12) | (norm_b < 1e-12), "trace similarity needs two nonzero matrices")
+    traces = np.trace(_each(A, _matrix) @ _each(B, _matrix), axis1=-2, axis2=-1)
+    return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)

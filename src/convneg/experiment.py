@@ -110,8 +110,12 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise InsufficientDataError(f"need at least 3 points, got {len(xs)}")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    # Centering twice removes the rounding error of the first mean, which is
+    # not small next to a tiny spread (values like 1, 1, 1, 1 + 2e-12).
     dx = x - x.mean()
+    dx -= dx.mean()
     dy = y - y.mean()
+    dy -= dy.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
     sy = float(np.sqrt(np.sum(dy * dy)))
     if sx < 1e-15 or sy < 1e-15:
@@ -195,35 +199,57 @@ def _measure_and_direction(column: str) -> tuple[str, int]:
     return column, 1
 
 
+_Groups = dict[str, tuple[list[int], list[Dmat], list[int]]]
+
+
+def _group_pairs(dataset: PlausibilityDataset, lexicon) -> _Groups:
+    """Group record indices by negated word, in order of first appearance.
+
+    Each word maps to the indices of its records whose alternative is in the
+    lexicon, those alternatives, and the indices of the records whose
+    alternative is not.
+    """
+    groups: _Groups = {}
+    for index, record in enumerate(dataset):
+        indices, alternatives, missing = groups.setdefault(record.negated, ([], [], []))
+        try:
+            alternatives.append(lookup_word(lexicon, record.alternative))
+        except UnknownWordError:
+            missing.append(index)
+            continue
+        indices.append(index)
+    return groups
+
+
 def _score_pairs(
     dataset: PlausibilityDataset,
+    groups: _Groups,
     negate: Callable[[str], Dmat],
-    lexicon,
 ) -> tuple[dict[str, list[float]], list[float], int]:
-    """Negate every w_N once, score all measures against each alternative."""
-    scores: dict[str, list[float]] = {m: [] for m in MEASURE_COLUMNS}
-    ratings: list[float] = []
+    """Negate every w_N once and score all its alternatives at once per measure.
+
+    Scores and ratings come back in dataset order, so the correlations sum
+    in the same order as a record-by-record loop would.
+    """
+    by_record: dict[int, tuple[float, ...]] = {}
     skipped = 0
-    cache: dict[str, Dmat | None] = {}
-    for record in dataset:
-        if record.negated not in cache:
-            try:
-                cache[record.negated] = negate(record.negated)
-            except _SKIP_ERRORS:
-                cache[record.negated] = None
-        negated = cache[record.negated]
-        if negated is None:
-            skipped += 1
-            continue
+    for word, (indices, alternatives, missing) in groups.items():
         try:
-            alternative = lookup_word(lexicon, record.alternative)
-        except UnknownWordError:
-            skipped += 1
+            negated = negate(word)
+        except _SKIP_ERRORS:
+            skipped += len(indices) + len(missing)
             continue
-        for column in MEASURE_COLUMNS:
-            measure, direction = _measure_and_direction(column)
-            scores[column].append(plausibility(negated, alternative, measure, direction))
-        ratings.append(record.mean_rating)
+        skipped += len(missing)
+        if not indices:
+            continue
+        columns = [
+            plausibility(negated, alternatives, *_measure_and_direction(column)).tolist()
+            for column in MEASURE_COLUMNS
+        ]
+        by_record.update(zip(indices, zip(*columns)))
+    order = sorted(by_record)
+    scores = {column: [by_record[i][k] for i in order] for k, column in enumerate(MEASURE_COLUMNS)}
+    ratings = [dataset.records[i].mean_rating for i in order]
     return scores, ratings, skipped
 
 
@@ -255,32 +281,45 @@ def run_grid(
     """Evaluate every config plus one negation-only baseline row per negation.
 
     Rows for mult/diag collapse across bases (their basis column is '-'), so
-    duplicate labels are evaluated once.  A word's worldly context does not
-    depend on the row, so each is built once and shared by every row (with
-    the decomposition it caches); rows running in parallel may both build
-    one, and all then share whichever is stored first.
+    duplicate labels are evaluated once.  Records are grouped by negated word
+    once, and each row scores a word's alternatives in one batch per
+    measure.  A word's worldly context does not depend on the row, and its
+    logical negation depends only on the negation kind and support weight,
+    so each is built once and shared by every row that needs it (with the
+    decomposition it caches); rows running in parallel may both build one,
+    and all then share whichever is stored first.
     """
     configs = list(configs)
+    groups = _group_pairs(dataset, lexicon)
     jobs: dict[tuple[str, str, str], Callable[[], ResultRow]] = {}
     contexts: dict[str, Dmat] = {}
+    negations: dict[tuple[str, NegationKind, float], Dmat] = {}
+
+    def shared(cache: dict, key, build: Callable[[], Dmat]) -> Dmat:
+        value = cache.get(key)
+        if value is None:
+            value = cache.setdefault(key, build())
+        return value
 
     def shared_context(word: str) -> Dmat:
-        context = contexts.get(word)
-        if context is None:
-            context = contexts.setdefault(word, context_provider(word))
-        return context
+        return shared(contexts, word, lambda: context_provider(word))
+
+    def shared_negation(word: str, cfg: NegationConfig) -> Dmat:
+        key = (word, cfg.negation, cfg.support_weight)
+        return shared(negations, key, lambda: logical_negation(lookup_word(lexicon, word), cfg))
 
     def full_job(label, cfg):
         def run() -> ResultRow:
-            negate = lambda word: conversational_negate(word, cfg, lexicon, shared_context)
-            return _row_from_scores(label, *_score_pairs(dataset, negate, lexicon))
+            negation_of = lambda word: shared_negation(word, cfg)
+            negate = lambda word: conversational_negate(word, cfg, lexicon, shared_context, negation_of)
+            return _row_from_scores(label, *_score_pairs(dataset, groups, negate))
 
         return run
 
     def baseline_job(label, cfg):
         def run() -> ResultRow:
-            negate = lambda word: rescale_max_eig(logical_negation(lookup_word(lexicon, word), cfg))
-            return _row_from_scores(label, *_score_pairs(dataset, negate, lexicon))
+            negate = lambda word: rescale_max_eig(shared_negation(word, cfg))
+            return _row_from_scores(label, *_score_pairs(dataset, groups, negate))
 
         return run
 

@@ -37,7 +37,7 @@ def neg_supp(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
     cut = decomp.support_cut(rank_tol)
     if decomp.rank(rank_tol) == 0:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
-    return Dmat(decomp.apply(lambda lam: 1.0 / lam if lam > cut else 0.0))
+    return Dmat(decomp.apply(lambda lam: np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)))
 
 
 def _kernel_projector(X: Dmat, rank_tol: float) -> np.ndarray:
@@ -46,7 +46,7 @@ def _kernel_projector(X: Dmat, rank_tol: float) -> np.ndarray:
     if decomp.rank(rank_tol) == X.dim:
         return np.zeros((X.dim, X.dim))
     cut = decomp.support_cut(rank_tol)
-    return decomp.apply(lambda lam: 0.0 if lam > cut else 1.0)
+    return decomp.apply(lambda lam: np.where(lam > cut, 0.0, 1.0))
 
 
 def neg_ker(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .composition import BasisSlot, CompositionKind, compose
 from .entailment import k_ba, k_e, k_hyp_clamped, trace_similarity
@@ -71,14 +71,21 @@ def conversational_negate(
     cfg: NegationConfig,
     lexicon,
     context_provider: Callable[[str], Dmat],
+    negation_provider: Callable[[str], Dmat] | None = None,
 ) -> Dmat:
     """Negate, contextualize, compose, rescale.
 
-    Raises UnknownWordError / IsolatedWordError from the lexicon or provider,
-    and ZeroMatrixError when the composition annihilates everything (an
-    orthogonal context); a silent all-zero rating never escapes.
+    `negation_provider(word)`, when given, supplies the word's logical
+    negation under `cfg` (so callers can share one across configs);
+    otherwise it is computed from the lexicon.  Raises UnknownWordError /
+    IsolatedWordError from the lexicon or providers, and ZeroMatrixError
+    when the composition annihilates everything (an orthogonal context); a
+    silent all-zero rating never escapes.
     """
-    negated = logical_negation(lookup_word(lexicon, word), cfg)
+    if negation_provider is None:
+        negated = logical_negation(lookup_word(lexicon, word), cfg)
+    else:
+        negated = negation_provider(word)
     context = context_provider(word)
     slot = BasisSlot.FIRST_OPERAND if cfg.basis is Basis.W else BasisSlot.SECOND_OPERAND
     raw = compose(negated, context, cfg.composition, slot)
@@ -95,13 +102,15 @@ _MEASURES = {
 }
 
 
-def plausibility(negated: Dmat, alternative: Dmat, measure: str, direction: int = 1) -> float:
+def plausibility(negated: Dmat, alternative: Dmat | Sequence[Dmat], measure: str, direction: int = 1):
     """Score an alternative against a conversational-negation output.
 
     Direction 1 runs the asymmetric measures from the negation output to the
     alternative; direction 2 runs them the other way.  k_BA and trace are
     direction-insensitive by convention here (k_BA flips sign structure
-    rather than direction, trace is symmetric).
+    rather than direction, trace is symmetric).  A sequence of alternatives
+    is scored at once, into an array in sequence order (see `entailment`);
+    one alternative gives a float.
     """
     try:
         fn = _MEASURES[measure]

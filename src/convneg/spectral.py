@@ -131,9 +131,13 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.T
 
     def apply(self, fn) -> np.ndarray:
-        """Spectral function: sum of fn(eigenvalue) times each projector."""
+        """Spectral function: sum of fn(eigenvalue) times each projector.
+
+        `fn` maps the whole eigenvalue array at once (elementwise), e.g.
+        `np.sqrt`.
+        """
         v = self.eigenvectors
-        mapped = np.array([fn(lam) for lam in self.eigenvalues], dtype=float)
+        mapped = np.asarray(fn(self.eigenvalues), dtype=float)
         out = (v * mapped) @ v.T
         return (out + out.T) / 2.0
 
@@ -256,5 +260,5 @@ def support_projector(M: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
     """Orthogonal projector onto the span of eigenvectors above the rank cut."""
     decomp = spectral_decompose(M)
     cut = decomp.support_cut(rank_tol)
-    proj = decomp.apply(lambda lam: 1.0 if lam > cut else 0.0)
+    proj = decomp.apply(lambda lam: np.where(lam > cut, 1.0, 0.0))
     return Dmat(proj, normalized=True)

@@ -151,3 +151,37 @@ def test_evaluate_rejects_bad_config_at_parse_time(fixture_paths, tmp_path, caps
     assert code == 2
     assert err.startswith(f"error: line {line}: ")
     assert "Traceback" not in err
+
+
+def assert_missing_input_reported(argv, flag, tmp_path, capsys):
+    """Run with the file after `flag` missing: one `error:` line, exit 2."""
+    missing = tmp_path / "missing.txt"
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--lexicon", "--hierarchy", "--dataset", "--grid"])
+def test_evaluate_reports_missing_input_file(fixture_paths, tmp_path, capsys, flag):
+    lex_path = build(fixture_paths, tmp_path)
+    capsys.readouterr()
+    argv = [
+        "evaluate",
+        "--lexicon", str(lex_path),
+        "--hierarchy", str(fixture_paths["hierarchy"]),
+        "--dataset", str(fixture_paths["dataset"]),
+        "--grid", str(fixture_paths["grid"]),
+        "--out", str(tmp_path / "results.csv"),
+    ]
+    assert_missing_input_reported(argv, flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--vectors", "--hierarchy"])
+def test_build_lexicon_reports_missing_input_file(fixture_paths, tmp_path, capsys, flag):
+    argv = [
+        "build-lexicon",
+        "--vectors", str(fixture_paths["vectors"]),
+        "--hierarchy", str(fixture_paths["hierarchy"]),
+        "--out", str(tmp_path / "toy.lex"),
+    ]
+    assert_missing_input_reported(argv, flag, tmp_path, capsys)

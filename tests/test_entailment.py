@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convneg.entailment import (
-    EntailmentScore,
     k_ba,
     k_e,
     k_hyp,
@@ -14,7 +13,7 @@ from convneg.entailment import (
     k_hyp_oracle,
     trace_similarity,
 )
-from convneg.errors import ZeroMatrixError
+from convneg.errors import DimensionMismatchError, ZeroMatrixError
 from convneg.negation import neg_supp
 from convneg.sampling import (
     random_invertible_pair,
@@ -189,19 +188,6 @@ class TestReversalTheorems:
             assert abs(k_hyp(a, b) - k_hyp(neg_supp(b), neg_supp(a))) <= 1e-6
 
 
-class TestEntailmentScore:
-    def test_accepts_valid(self):
-        EntailmentScore("k_E", 0.5, ("apple", "fruit"))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            EntailmentScore("k_BA", 1.5, ("a", "b"))
-
-    def test_rejects_unknown_measure(self):
-        with pytest.raises(ValueError):
-            EntailmentScore("cosine", 0.5, ("a", "b"))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     diag_a=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
@@ -225,7 +211,10 @@ def loop_k_hyp(A, B, rank_tol=1e-8):
     """k_hyp as a plain per-pair formula with a Python-level sentinel."""
     decomp = spectral_decompose(B)
     cut = decomp.support_cut(rank_tol)
-    root = decomp.apply(lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0)
+    v = decomp.eigenvectors
+    mapped = np.array([1.0 / math.sqrt(lam) if lam > cut else 0.0 for lam in decomp.eigenvalues])
+    root = (v * mapped) @ v.T
+    root = (root + root.T) / 2.0
     core = root @ A.matrix @ root
     gamma = float(np.linalg.eigvalsh((core + core.T) / 2.0)[-1])
     return math.inf if gamma <= rank_tol else 1.0 / gamma
@@ -242,3 +231,93 @@ def test_array_kernels_match_loop_formulas_bitwise():
             assert k_e(A, B) == loop_k_e(A, B, 2)
             assert k_e(A, B, norm="trace") == loop_k_e(A, B, 1)
             assert k_hyp(A, B) == loop_k_hyp(A, B)
+
+
+MEASURES = {
+    "k_hyp": k_hyp,
+    "k_hyp_clamped": k_hyp_clamped,
+    "k_e": k_e,
+    "k_e_trace": lambda a, b: k_e(a, b, norm="trace"),
+    "k_ba": k_ba,
+    "trace_similarity": trace_similarity,
+}
+
+
+class TestStackedMeasures:
+    """A sequence operand must give exactly what a loop of scalar calls gives."""
+
+    def test_match_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(47)
+        for dim in range(2, 51):
+            a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.3)
+            others = [
+                random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.3)
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            pure = random_psd(rng, dim, rank=1)
+            # a rank-1 member, the fixed operand itself, a shared Dmat and an equal copy
+            seq = others + [pure, a, others[0], Dmat(others[0].matrix)]
+            for name, fn in MEASURES.items():
+                for got, want in (
+                    (fn(a, seq), [fn(a, b) for b in seq]),
+                    (fn(seq, a), [fn(b, a) for b in seq]),
+                    (fn(seq, seq[::-1]), [fn(x, y) for x, y in zip(seq, seq[::-1])]),
+                ):
+                    assert isinstance(got, np.ndarray), name
+                    assert all(isinstance(w, float) for w in want), name
+                    assert got.tobytes() == np.array(want).tobytes(), (name, dim)
+
+    def test_single_member_sequence(self, rng):
+        a, b = random_psd(rng, 4), random_psd(rng, 4)
+        for name, fn in MEASURES.items():
+            assert fn(a, [b]).tobytes() == np.array([fn(a, b)]).tobytes(), name
+            assert fn((b,), a).tobytes() == np.array([fn(b, a)]).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            ("ok", "zero", "small"),
+            ("ok", "small", "zero"),
+            ("zero", "ok"),
+            ("small", "ok"),
+            ("ok", "ok", "zero"),
+        ],
+    )
+    def test_errors_match_first_failing_scalar_call(self, rng, members):
+        a = random_psd(rng, 3)
+        kinds = {
+            "ok": lambda: random_psd(rng, 3),
+            "zero": lambda: Dmat(np.zeros((3, 3))),
+            "small": lambda: random_psd(rng, 2),
+        }
+        seq = [kinds[m]() for m in members]
+
+        def outcome(call):
+            try:
+                return call()
+            except (ZeroMatrixError, DimensionMismatchError) as exc:
+                return type(exc), str(exc)
+
+        def loop_outcome(pairs, fn):
+            for x, y in pairs:
+                result = outcome(lambda: fn(x, y))
+                if isinstance(result, tuple):
+                    return result
+            return None
+
+        for name, fn in MEASURES.items():
+            for stacked, pairs in (
+                (lambda: fn(a, seq), [(a, b) for b in seq]),
+                (lambda: fn(seq, a), [(b, a) for b in seq]),
+            ):
+                want = loop_outcome(pairs, fn)
+                got = outcome(stacked)
+                if want is None:
+                    assert isinstance(got, np.ndarray), name
+                else:
+                    assert got == want, name
+
+    def test_elementwise_lengths_must_match(self, rng):
+        seq = [random_psd(rng, 3) for _ in range(3)]
+        with pytest.raises(ValueError):
+            k_ba(seq, seq[:2])

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convneg import experiment, pipeline
 from convneg.context import (
     HypernymHierarchy,
     WeightFunction,
@@ -31,8 +33,9 @@ from convneg.experiment import (
     run_grid,
 )
 from convneg.lexicon import build_lexicon, load_vectors
-from convneg.pipeline import NegationConfig
+from convneg.pipeline import NegationConfig, conversational_negate, logical_negation, plausibility
 from convneg.sampling import random_normalized
+from convneg.spectral import rescale_max_eig
 
 
 def write(tmp_path, name, text):
@@ -87,6 +90,11 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(ZeroVarianceError):
             pearson([1, 1, 1], [1, 2, 3])
+
+    def test_tiny_spread_on_a_large_offset(self):
+        # the first mean's rounding error is not small next to a 2e-12 spread
+        assert pearson([1, 1, 1, 1 + 2e-12], [0, 0, 0, 1]) == 1.0
+        assert pearson([0, 0, 0, 2e-12], [0, 0, 0, 1]) == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -222,6 +230,103 @@ def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
     # each Dmat owns its matrix array, so one solve per array is one per Dmat
     assert solved and len({id(a) for a in solved}) == len(solved)
     assert builds == {word: 1 for word in negated}
+
+
+@pytest.fixture
+def shuffled_grid():
+    """Three negated words whose records are shuffled together, one unknown alternative."""
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(12)]
+    lexicon = {w: random_normalized(rng, 6, rank=int(rng.integers(1, 7))) for w in words}
+    negated = ("w0", "w1", "w2")
+    hierarchy = HypernymHierarchy(paths={w: tuple(words[4 + i : 8 + i]) for i, w in enumerate(negated)})
+    pairs = [(n, a) for n in negated for a in words if a != n] + [("w1", "ghost")]
+    records = tuple(
+        PlausibilityRecord(*pairs[i], float(rng.uniform(1.0, 5.0))) for i in rng.permutation(len(pairs))
+    )
+    provider = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    return PlausibilityDataset(records), lexicon, provider, negated
+
+
+def record_by_record(dataset, lexicon, negate):
+    """The per-pair reference: each record in dataset order, scalar measure calls."""
+    scores = {column: [] for column in MEASURE_COLUMNS}
+    ratings = []
+    for record in dataset:
+        try:
+            negated = negate(record.negated)
+            alternative = lexicon[record.alternative]
+        except KeyError:
+            continue
+        for column in MEASURE_COLUMNS:
+            measure, direction = (column[:-1], int(column[-1])) if column[-1] in "12" else (column, 1)
+            scores[column].append(plausibility(negated, alternative, measure, direction))
+        ratings.append(record.mean_rating)
+    return [(scores[column], ratings) for column in MEASURE_COLUMNS]
+
+
+def test_grid_scores_keep_dataset_order(shuffled_grid, monkeypatch):
+    dataset, lexicon, provider, _ = shuffled_grid
+    seen = []
+    real_pearson = experiment.pearson
+
+    def recording_pearson(xs, ys):
+        seen.append((list(xs), list(ys)))
+        return real_pearson(xs, ys)
+
+    monkeypatch.setattr(experiment, "pearson", recording_pearson)
+    table = run_grid(dataset, lexicon, provider, GridSpec().configs())
+    expected = []
+    for row in table.sorted_rows():
+        if row.composition == "none":
+            cfg = NegationConfig(row.negation, "spider")
+            negate = lambda word: rescale_max_eig(logical_negation(lexicon[word], cfg))
+        else:
+            cfg = NegationConfig(row.negation, row.composition, "w" if row.basis == "-" else row.basis)
+            negate = lambda word: conversational_negate(word, cfg, lexicon, provider)
+        expected += record_by_record(dataset, lexicon, negate)
+        assert row.cells["trace"].n == len(dataset) - 1 and row.cells["trace"].skipped == 1
+    assert seen == expected
+
+
+def test_grid_batches_measure_solves_per_negated_word(shuffled_grid, monkeypatch):
+    dataset, lexicon, provider, negated = shuffled_grid
+    measure_solves = Counter()
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        measure_solves[sys._getframe(1).f_globals["__name__"]] += 1
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    table = run_grid(dataset, lexicon, provider, GridSpec().configs())
+    # k_hyp both ways, k_E both ways, k_BA; trace similarity needs no solve
+    assert 0 < measure_solves["convneg.entailment"] <= 5 * len(table.rows) * len(negated)
+
+
+def test_grid_negates_each_word_once_per_kind(shuffled_grid, monkeypatch):
+    dataset, lexicon, provider, negated = shuffled_grid
+    negations = Counter()
+
+    def counting(name, fn):
+        def negate(X, *args):
+            negations[(name, id(X)) + args] += 1
+            return fn(X, *args)
+
+        return negate
+
+    monkeypatch.setattr(pipeline, "neg_sub", counting("sub", pipeline.neg_sub))
+    monkeypatch.setattr(pipeline, "neg_inv", counting("inv", pipeline.neg_inv))
+    run_grid(dataset, lexicon, provider, GridSpec().configs())
+    once = {("sub", id(lexicon[w])): 1 for w in negated} | {("inv", id(lexicon[w]), 0.5): 1 for w in negated}
+    assert negations == once
+
+
+def test_grid_csv_identical_across_worker_counts(shuffled_grid, tmp_path):
+    dataset, lexicon, provider, _ = shuffled_grid
+    run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "serial.csv")
+    run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "pool.csv", workers=2)
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
 
 
 class TestGridConfig:

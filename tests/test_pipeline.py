@@ -12,6 +12,7 @@ from convneg.pipeline import (
     logical_negation,
     plausibility,
 )
+from convneg.sampling import random_normalized, random_psd
 from convneg.spectral import Dmat
 
 
@@ -153,3 +154,16 @@ class TestPlausibility:
         fig = plausibility(negated, onb["fig"], "trace")
         movie = plausibility(negated, onb["movie"], "trace")
         assert orange > fig > movie == 0.0
+
+    def test_alternatives_scored_at_once_match_scalar_loop(self, onb, rng):
+        cases = [(Dmat(WORKED_OUTPUT, normalized=True), list(onb.values()))]
+        for dim in (2, 7, 20):
+            negated = random_normalized(rng, dim, rank=max(1, dim - 2))
+            alternatives = [random_psd(rng, dim, rank=r, repeat_prob=0.3) for r in range(1, dim + 1, 3)]
+            cases.append((negated, alternatives + [negated, alternatives[0]]))
+        for negated, alternatives in cases:
+            for measure in ("k_hyp", "k_E", "k_BA", "trace"):
+                for direction in (1, 2):
+                    got = plausibility(negated, alternatives, measure, direction)
+                    want = [plausibility(negated, alt, measure, direction) for alt in alternatives]
+                    assert got.tobytes() == np.array(want).tobytes(), (measure, direction)

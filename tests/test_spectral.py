@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+
+from convneg.entailment import pinv_root
+from convneg.negation import _kernel_projector, neg_supp
 
 from convneg.errors import (
     DimensionMismatchError,
@@ -179,6 +184,31 @@ class TestVectorizedConvention:
     def test_sign_pivot_skips_tiny_components(self):
         vectors = np.array([[1e-13, -0.0, -1e-13], [-1.0, 1e-13, 0.0], [0.0, -1.0, -1e-14]])
         assert _fix_signs(vectors).tobytes() == loop_fix_signs(vectors).tobytes()
+
+
+def loop_apply(decomp, fn):
+    """A spectral function with `fn` called once per eigenvalue."""
+    v = decomp.eigenvectors
+    out = (v * np.array([fn(lam) for lam in decomp.eigenvalues])) @ v.T
+    return (out + out.T) / 2.0
+
+
+def test_spectral_functions_match_per_eigenvalue_loop(rng):
+    # np.sqrt and np.divide round exactly as math.sqrt and / do
+    for dim in range(1, 51):
+        X = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.3)
+        decomp = spectral_decompose(X)
+        cut = decomp.support_cut()
+        cases = [
+            (pinv_root(X), lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0),
+            (neg_supp(X).matrix, lambda lam: 1.0 / lam if lam > cut else 0.0),
+            (support_projector(X).matrix, lambda lam: 1.0 if lam > cut else 0.0),
+            (decomp.apply(np.sqrt), math.sqrt),
+        ]
+        if decomp.rank() < dim:
+            cases.append((_kernel_projector(X, 1e-8), lambda lam: 0.0 if lam > cut else 1.0))
+        for got, fn in cases:
+            assert got.tobytes() == loop_apply(decomp, fn).tobytes(), dim
 
 
 class TestDecompositionCache:
