@@ -14,8 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .spectral import EIGENVALUE_GROUP_TOL, Dmat, spectral_decompose
+from .spectral import EIGENVALUE_GROUP_TOL, Dmat, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -33,11 +32,6 @@ class BasisSlot(str, Enum):
     SECOND_OPERAND = "second_operand"
 
 
-def _check_dims(A: Dmat, B: Dmat) -> None:
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
-
-
 def _wrap(matrix: np.ndarray) -> Dmat:
     return Dmat((matrix + matrix.T) / 2.0)
 
@@ -50,7 +44,7 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     dim^2 x dim^2 tensor: in B's eigenbasis B is diagonal, so the entrywise
     product keeps only A's diagonal there, scaled by B's eigenvalues.
     """
-    _check_dims(A, B)
+    check_dims(A, B)
     decomp = spectral_decompose(B)
     v = decomp.eigenvectors
     a_diag = np.einsum("ij,jk,ki->i", v.T, A.matrix, v)
@@ -63,7 +57,7 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
     Projectors are grouped per distinct eigenvalue of B so degenerate spectra
     do not depend on the eigenvector choice inside an eigenspace.
     """
-    _check_dims(A, B)
+    check_dims(A, B)
     decomp = spectral_decompose(B)
     out = np.zeros((A.dim, A.dim))
     for value, proj in decomp.eigenspaces(EIGENVALUE_GROUP_TOL):
@@ -74,20 +68,20 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
 
 def phaser(A: Dmat, B: Dmat) -> Dmat:
     """Conjugation by the spectral square root of B (Bayesian-style update)."""
-    _check_dims(A, B)
+    check_dims(A, B)
     root = spectral_decompose(B).apply(np.sqrt)
     return _wrap(root @ A.matrix @ root)
 
 
 def mult(A: Dmat, B: Dmat) -> Dmat:
     """Entrywise product in the computational basis (Schur product)."""
-    _check_dims(A, B)
+    check_dims(A, B)
     return _wrap(A.matrix * B.matrix)
 
 
 def diag_comp(A: Dmat, B: Dmat) -> Dmat:
     """Product of the diagonal parts; off-diagonal entries are discarded."""
-    _check_dims(A, B)
+    check_dims(A, B)
     return Dmat(np.diag(np.diagonal(A.matrix) * np.diagonal(B.matrix)))
 
 
@@ -114,7 +108,6 @@ def compose(
     """
     kind = CompositionKind(kind)
     if kind in _SYMMETRIC_KINDS:
-        _check_dims(A, B)
         return mult(A, B) if kind is CompositionKind.MULT else diag_comp(A, B)
     fn = _STRUCTURAL[kind]
     if BasisSlot(slot) is BasisSlot.FIRST_OPERAND:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class HypernymHierarchy:
             return self.paths[word]
         except KeyError:
             raise UnknownWordError(f"{word!r} has no hypernym path") from None
-
-    @property
-    def words(self):
-        return self.paths.keys()
 
     def hyponym_sets(self) -> dict[str, set[str]]:
         """Invert the paths: for each hypernym, the set of words listing it."""
@@ -186,32 +182,39 @@ class EntailmentGraph:
         return len(self.edges)
 
 
-# measure name -> all-pairs scorer returning W[i, j] = score(mats[i], mats[j])
-GRAPH_MEASURES = {
-    "k_hyp": entailment.pairwise_k_hyp_clamped,
-    "k_E": entailment.pairwise_k_e,
-}
+GRAPH_MEASURES = ("k_E", "k_hyp")
 
 
 def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
     """Graded entailment between every ordered word pair; weak edges dropped.
 
-    Scored in batches, with no thread pool: one stacked eigensolve per
-    source word for k_E (`entailment.pairwise_k_e`) and one per structural
-    word for k_hyp (`entailment.pairwise_k_hyp_clamped`).  The values are
-    those of the scalar `k_e` / `k_hyp_clamped`, bit for bit.  Edges are
-    inserted in sorted (u, v) order; non-finite scores and scores below
-    `threshold` are dropped.
+    Scored with the batched measures, with no thread pool: one `k_e` call per
+    source word u over every other word (row u, one stacked eigensolve), or
+    one `k_hyp_clamped` call per structural word v over every other word
+    (column v, one pseudo-inverse root).  The values are those of the scalar
+    calls, bit for bit, and a bad lexicon raises what the first failing
+    scalar call in sorted (u, v) order would raise.  Both directions of a
+    k_E pair are solved: reading one from the negated, reversed spectrum of
+    the other is not bit-exact where LAPACK meets an exact eigenvalue tie.
+    Edges are inserted in sorted (u, v) order; non-finite scores and scores
+    below `threshold` are dropped.
     """
-    try:
-        pairwise = GRAPH_MEASURES[measure]
-    except KeyError:
-        raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}") from None
+    if measure not in GRAPH_MEASURES:
+        raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}")
     words = sorted(lexicon)
     if len(words) < 2:
         return EntailmentGraph()
-    weights = pairwise([_matrix_of(lexicon, w) for w in words])
-    keep = np.isfinite(weights) & (weights >= threshold)  # the unset diagonal is NaN
+    mats = [_matrix_of(lexicon, w) for w in words]
+    n = len(mats)
+    weights = np.full((n, n), np.nan)  # the diagonal stays unset
+    for k in range(n):
+        others = np.arange(n) != k
+        rest = mats[:k] + mats[k + 1:]
+        if measure == "k_E":
+            weights[k, others] = entailment.k_e(mats[k], rest)
+        else:
+            weights[others, k] = entailment.k_hyp_clamped(rest, mats[k])
+    keep = np.isfinite(weights) & (weights >= threshold)
     sources, targets = np.nonzero(keep)
     return EntailmentGraph(edges={
         (words[i], words[j]): w
@@ -219,19 +222,12 @@ def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0
     })
 
 
-def worldly_context_graph(
-    word: str,
-    graph: EntailmentGraph,
-    lexicon,
-    combiner: Callable[[float, float], float] | None = None,
-) -> Dmat:
-    """Mixture over graph neighbors weighted by f(outgoing, incoming) edges.
+def worldly_context_graph(word: str, graph: EntailmentGraph, lexicon) -> Dmat:
+    """Mixture over graph neighbors weighted by the word's outgoing edges.
 
-    The default combiner keeps the outgoing weight (how much the word entails
-    the neighbor).
+    A neighbor weighs how much the word entails it; a neighbor joined only by
+    an incoming edge weighs 0.
     """
-    if combiner is None:
-        combiner = lambda p, q: p
     neighbors = graph.neighbors(word)
     if not neighbors:
         raise IsolatedWordError(f"{word!r} has no neighbors in the entailment graph")
@@ -239,14 +235,12 @@ def worldly_context_graph(
     mix = np.zeros((dim, dim))
     total = 0.0
     for h in neighbors:
-        w = float(combiner(graph.weight(word, h), graph.weight(h, word)))
-        if w < 0.0:
-            raise ValueError(f"combiner produced negative weight {w} for {h!r}")
+        w = graph.weight(word, h)
         if w > 0.0:
             mix += w * _matrix_of(lexicon, h).matrix
             total += w
     if total <= 0.0:
-        raise ZeroMatrixError(f"all combined weights vanish for {word!r}")
+        raise ZeroMatrixError(f"all outgoing weights vanish for {word!r}")
     return rescale_max_eig(Dmat(mix))
 
 
@@ -298,10 +292,10 @@ def hierarchy_context_provider(hierarchy: HypernymHierarchy, lexicon, fn: Weight
     return provider
 
 
-def graph_context_provider(graph: EntailmentGraph, lexicon, combiner=None):
+def graph_context_provider(graph: EntailmentGraph, lexicon):
     """Callable word -> worldly context built from the entailment graph."""
 
     def provider(word: str) -> Dmat:
-        return worldly_context_graph(word, graph, lexicon, combiner)
+        return worldly_context_graph(word, graph, lexicon)
 
     return provider

@@ -14,9 +14,8 @@ scalar calls and raising what the first failing call of that loop would
 raise.  A sequence costs one stacked eigensolve per measure.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
-(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`), shared by the
-measures and by the all-pairs scorers (`pairwise_k_hyp_clamped`,
-`pairwise_k_e`) that build the entailment graph.
+(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid and
+the entailment graph both score through the measures themselves.
 """
 
 from __future__ import annotations
@@ -25,13 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroMatrixError
-from .spectral import RANK_TOL, Dmat, spectral_decompose
-
-
-def _check(A: Dmat, B: Dmat) -> None:
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
+from .errors import ZeroMatrixError
+from .spectral import RANK_TOL, Dmat, check_dims, spectral_decompose
 
 
 def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero=False, message: str = "") -> None:
@@ -47,7 +41,7 @@ def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero=False,
         pairs = [(a, B) for a in A] if isinstance(B, Dmat) else list(zip(A, B, strict=True))
     flags = zero if isinstance(zero, np.ndarray) else [zero] * len(pairs)
     for (a, b), flag in zip(pairs, flags):
-        _check(a, b)
+        check_dims(a, b)
         if flag:
             raise ZeroMatrixError(message)
 
@@ -68,12 +62,6 @@ def _matrix(X: Dmat) -> np.ndarray:
 def _result(values, A, B):
     """A float for two matrices, else the array of values."""
     return float(values) if isinstance(A, Dmat) and isinstance(B, Dmat) else values
-
-
-def _check_all(mats: list[Dmat]) -> None:
-    dims = sorted({m.dim for m in mats})
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"dims {dims} differ")
 
 
 def pinv_root(B: Dmat, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -116,28 +104,9 @@ def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], rank_tol: 
     return _result(np.minimum(k_hyp(A, B, rank_tol), 1.0), A, B)
 
 
-def pairwise_k_hyp_clamped(mats: list[Dmat]) -> np.ndarray:
-    """W[i, j] = k_hyp_clamped(mats[i], mats[j]) for i != j; the diagonal is unset.
-
-    One stacked eigensolve per structural word B = mats[j]: its pseudo-inverse
-    root is formed once and applied to every other matrix at once.
-    """
-    _check_all(mats)
-    if any(m.is_zero() for m in mats):
-        raise ZeroMatrixError("k_hyp needs two nonzero matrices")
-    stack = np.stack([m.matrix for m in mats])
-    n = len(mats)
-    weights = np.full((n, n), np.nan)
-    for j, b in enumerate(mats):
-        others = np.delete(np.arange(n), j)
-        k = k_hyp_from_root(pinv_root(b), stack[others])
-        weights[others, j] = np.minimum(k, 1.0)
-    return weights
-
-
 def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> float:
     """Largest k with B - kA PSD, by plain bisection.  Independent of k_hyp."""
-    _check(A, B)
+    check_dims(A, B)
     eigs_a = np.linalg.eigvalsh(A.matrix)
     positive = eigs_a[eigs_a > tol]
     if positive.size == 0:
@@ -214,30 +183,6 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
     _check_pairs(A, B, norm_a < 1e-12, "k_e needs a nonzero first argument")
     spectra = np.linalg.eigvalsh(_each(B, _matrix) - _each(A, _matrix))
     return _result(k_e_from_spectra(spectra, norm_a, order), A, B)
-
-
-def pairwise_k_e(mats: list[Dmat]) -> np.ndarray:
-    """W[i, j] = k_e(mats[i], mats[j]) for i != j; the diagonal is unset.
-
-    One stacked eigensolve per source word: row i solves M_j - M_i for every
-    j != i at once.  Both directions of a pair are solved directly: the
-    spectrum of M_i - M_j is the negated reversal of that of M_j - M_i in
-    exact arithmetic, but LAPACK does not keep that symmetry at exact
-    eigenvalue ties, so reading one direction from the other would not be
-    bit-identical to `k_e`.  The largest temporary is one (n - 1) x d x d stack.
-    """
-    _check_all(mats)
-    norms = spectrum_norms(np.stack([m.eigenvalues for m in mats]))
-    if np.any(norms < 1e-12):
-        raise ZeroMatrixError("k_e needs a nonzero first argument")
-    stack = np.stack([m.matrix for m in mats])
-    n = len(mats)
-    weights = np.full((n, n), np.nan)
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        spectra = np.linalg.eigvalsh(stack[others] - stack[i])
-        weights[i, others] = k_e_from_spectra(spectra, norms[i])
-    return weights
 
 
 def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):

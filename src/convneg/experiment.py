@@ -426,7 +426,7 @@ _GRID_KEYS = {
     "context": _choice(CONTEXT_SOURCES),
     "context_fn": _choice([k.value for k in WeightKind]),
     "x": _number(0.0),
-    "graph_measure": _choice(list(GRAPH_MEASURES)),
+    "graph_measure": _choice(GRAPH_MEASURES),
     "graph_threshold": _number(),
 }
 

@@ -131,16 +131,12 @@ class Lexicon:
         return iter(self.matrices)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.matrices or word.lower() in self.matrices
+        return word in self.matrices
 
     def __getitem__(self, word: str) -> Dmat:
-        """Exact-match lookup with a lowercase fallback."""
+        """Exact-match lookup; words differing only in case are distinct."""
         try:
             return self.matrices[word]
-        except KeyError:
-            pass
-        try:
-            return self.matrices[word.lower()]
         except KeyError:
             raise UnknownWordError(f"no density matrix for {word!r}") from None
 

@@ -248,10 +248,15 @@ def rescale_max_eig(M: Dmat) -> Dmat:
     return Dmat(M.matrix / top, normalized=True)
 
 
-def loewner_leq(A: Dmat, B: Dmat, tol: float = PSD_TOL) -> bool:
-    """True iff B - A is PSD within tol (crisp Loewner order A below B)."""
+def check_dims(A: Dmat, B: Dmat) -> None:
+    """Raise DimensionMismatchError unless A and B have the same dimension."""
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dims {A.dim} and {B.dim} differ")
+
+
+def loewner_leq(A: Dmat, B: Dmat, tol: float = PSD_TOL) -> bool:
+    """True iff B - A is PSD within tol (crisp Loewner order A below B)."""
+    check_dims(A, B)
     smallest = float(np.linalg.eigvalsh(B.matrix - A.matrix)[0])
     return smallest >= -tol
 

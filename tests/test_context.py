@@ -22,6 +22,7 @@ from convneg.context import (
 )
 from convneg.entailment import k_e, k_hyp_clamped
 from convneg.errors import (
+    ConvNegError,
     DimensionMismatchError,
     DuplicateWordError,
     IsolatedWordError,
@@ -257,6 +258,16 @@ class TestEntailmentGraph:
             build_entailment_graph(lexicon, measure)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_zero_and_mixed_dims_raise_like_per_pair(self, measure):
+        # the per-pair loop meets the zero word at ("a", "b") before any dims mismatch
+        lexicon = {"a": Dmat(np.zeros((4, 4))), "b": Dmat(np.eye(4)), "c": Dmat(np.eye(3))}
+        with pytest.raises(ConvNegError) as expected:
+            per_pair_graph(lexicon, measure, 0.0)
+        with pytest.raises(ConvNegError) as raised:
+            build_entailment_graph(lexicon, measure)
+        assert type(raised.value) is type(expected.value) is ZeroMatrixError
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_trivial_lexicons(self, measure):
         # no ordered pair exists, so not even a zero matrix is scored
         assert len(build_entailment_graph({}, measure)) == 0
@@ -348,10 +359,11 @@ class TestWorldlyContextGraph:
         out = worldly_context_graph("w", graph, {"h": onb["orange"]})
         np.testing.assert_allclose(out.matrix, onb["orange"].matrix, atol=1e-12)
 
-    def test_zero_combiner_rejected(self, onb):
-        graph = EntailmentGraph({("w", "h"): 0.5})
+    def test_only_incoming_edges_rejected(self, onb):
+        # the neighbor is weighted by the outgoing edge, which is absent
+        graph = EntailmentGraph({("h", "w"): 0.5})
         with pytest.raises(ZeroMatrixError):
-            worldly_context_graph("w", graph, {"h": onb["orange"]}, combiner=lambda p, q: 0.0)
+            worldly_context_graph("w", graph, {"h": onb["orange"]})
 
     def test_isolated_word(self, onb):
         with pytest.raises(IsolatedWordError):

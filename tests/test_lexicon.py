@@ -148,9 +148,11 @@ class TestPersistence:
 
 
 class TestLexiconLookup:
-    def test_lowercase_fallback(self, tmp_path):
+    def test_lookup_is_case_exact(self, tmp_path):
         lexicon = TestPersistence().make_lexicon(tmp_path)
-        assert lexicon["A"].dim == 2
+        assert "a" in lexicon and "A" not in lexicon
+        with pytest.raises(UnknownWordError):
+            lexicon["A"]
 
     def test_missing_word(self, tmp_path):
         lexicon = TestPersistence().make_lexicon(tmp_path)
