@@ -7,8 +7,6 @@ from .context import (
     WeightFunction,
     WeightKind,
     build_entailment_graph,
-    graph_context_provider,
-    hierarchy_context_provider,
     hypernym_weights,
     load_hierarchy,
     worldly_context_graph,
@@ -37,7 +35,6 @@ from .lexicon import (
     VectorTable,
     build_density_matrix,
     build_lexicon,
-    export_lexicon_text,
     load_lexicon,
     load_vectors,
     save_lexicon,

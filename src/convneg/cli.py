@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -11,9 +12,9 @@ from .context import (
     WeightFunction,
     WeightKind,
     build_entailment_graph,
-    graph_context_provider,
-    hierarchy_context_provider,
     load_hierarchy,
+    worldly_context_graph,
+    worldly_context_hierarchy,
 )
 from .errors import ConvNegError
 from .experiment import load_dataset, parse_grid_config, run_grid
@@ -74,9 +75,8 @@ def _cmd_build_lexicon(args) -> int:
 def _cmd_negate(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     hierarchy = load_hierarchy(args.hierarchy)
-    provider = hierarchy_context_provider(
-        hierarchy, lexicon, WeightFunction(WeightKind(args.context_fn), args.x)
-    )
+    fn = WeightFunction(WeightKind(args.context_fn), args.x)
+    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=fn)
     cfg = NegationConfig(
         negation=args.negation,
         composition=args.composition,
@@ -99,11 +99,11 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
     if spec.context == "graph":
         graph = build_entailment_graph(lexicon, measure=spec.graph_measure, threshold=spec.graph_threshold)
-        provider = graph_context_provider(graph, lexicon)
+        provider = partial(worldly_context_graph, graph=graph, lexicon=lexicon)
     else:
         hierarchy = load_hierarchy(args.hierarchy)
         fn = WeightFunction(WeightKind(spec.context_fn), spec.x)
-        provider = hierarchy_context_provider(hierarchy, lexicon, fn)
+        provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=fn)
     table = run_grid(dataset, lexicon, provider, spec.configs(), out=args.out, workers=args.workers)
     print(table.render(highlight=args.highlight))
     print(f"wrote {args.out}")

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import EIGENVALUE_GROUP_TOL, Dmat, check_dims, spectral_decompose
+from .spectral import Dmat, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -60,7 +60,7 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
     check_dims(A, B)
     decomp = spectral_decompose(B)
     out = np.zeros((A.dim, A.dim))
-    for value, proj in decomp.eigenspaces(EIGENVALUE_GROUP_TOL):
+    for value, proj in decomp.eigenspaces():
         if value != 0.0:
             out += value * (proj @ A.matrix @ proj)
     return _wrap(out)

@@ -17,16 +17,17 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DuplicatePairError,
+    DuplicateWordError,
     IsolatedWordError,
     MissingMatrixError,
     ParseError,
     SelfReferenceError,
-    DuplicateWordError,
     UnknownWordError,
+    WeightOutOfRangeError,
     ZeroMatrixError,
 )
 from . import entailment
+from .lexicon import lookup_word
 from .spectral import Dmat, rescale_max_eig
 
 
@@ -116,21 +117,14 @@ def hypernym_weights(fn: WeightFunction, word: str, hierarchy: HypernymHierarchy
     else:
         if lexicon is None:
             raise MissingMatrixError("hyp weights need a lexicon")
-        word_mat = _matrix_of(lexicon, word)
+        word_mat = lookup_word(lexicon, word)
         raw = np.empty(n)
         for j, h in enumerate(path):
-            raw[j] = (n - i[j]) ** (fn.x / 2.0) * entailment.k_e(word_mat, _matrix_of(lexicon, h))
+            raw[j] = (n - i[j]) ** (fn.x / 2.0) * entailment.k_e(word_mat, lookup_word(lexicon, h))
     total = float(raw.sum())
     if total <= 0.0:
         return np.zeros(n)
     return raw / total
-
-
-def _matrix_of(lexicon, word: str) -> Dmat:
-    try:
-        return lexicon[word]
-    except KeyError:
-        raise MissingMatrixError(f"no density matrix for {word!r}") from None
 
 
 def worldly_context_hierarchy(
@@ -144,11 +138,11 @@ def worldly_context_hierarchy(
     weights = hypernym_weights(fn, word, hierarchy, lexicon)
     if not np.any(weights > 0.0):
         raise ZeroMatrixError(f"all hypernym weights vanish for {word!r}")
-    dim = _matrix_of(lexicon, path[0]).dim
+    dim = lookup_word(lexicon, path[0]).dim
     mix = np.zeros((dim, dim))
     for w, h in zip(weights, path):
         if w > 0.0:
-            mix += w * _matrix_of(lexicon, h).matrix
+            mix += w * lookup_word(lexicon, h).matrix
     return rescale_max_eig(Dmat(mix))
 
 
@@ -158,7 +152,8 @@ class EntailmentGraph:
 
     Immutable: `edges` is a read-only copy of the mapping it is given, and
     every word's neighbors (the sorted union of its in- and out-neighbors)
-    are indexed once at construction.
+    are indexed once at construction.  Every weight must be finite and
+    non-negative, and no word may have an edge to itself.
     """
 
     edges: Mapping[tuple[str, str], float] = field(default_factory=dict)
@@ -166,7 +161,11 @@ class EntailmentGraph:
 
     def __post_init__(self):
         adjacent: dict[str, set[str]] = {}
-        for u, v in self.edges:
+        for (u, v), w in self.edges.items():
+            if u == v:
+                raise SelfReferenceError(f"self-loop on {u!r}")
+            if not 0.0 <= w < math.inf:
+                raise WeightOutOfRangeError(f"edge {u!r} -> {v!r} has weight {w}, not finite and >= 0")
             adjacent.setdefault(u, set()).add(v)
             adjacent.setdefault(v, set()).add(u)
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
@@ -204,7 +203,7 @@ def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0
     words = sorted(lexicon)
     if len(words) < 2:
         return EntailmentGraph()
-    mats = [_matrix_of(lexicon, w) for w in words]
+    mats = [lookup_word(lexicon, w) for w in words]
     n = len(mats)
     weights = np.full((n, n), np.nan)  # the diagonal stays unset
     for k in range(n):
@@ -231,71 +230,15 @@ def worldly_context_graph(word: str, graph: EntailmentGraph, lexicon) -> Dmat:
     neighbors = graph.neighbors(word)
     if not neighbors:
         raise IsolatedWordError(f"{word!r} has no neighbors in the entailment graph")
-    dim = _matrix_of(lexicon, neighbors[0]).dim
+    dim = lookup_word(lexicon, neighbors[0]).dim
     mix = np.zeros((dim, dim))
     total = 0.0
     for h in neighbors:
         w = graph.weight(word, h)
         if w > 0.0:
-            mix += w * _matrix_of(lexicon, h).matrix
+            mix += w * lookup_word(lexicon, h).matrix
             total += w
     if total <= 0.0:
         raise ZeroMatrixError(f"all outgoing weights vanish for {word!r}")
     return rescale_max_eig(Dmat(mix))
 
-
-def save_entailment_graph(graph: EntailmentGraph, path) -> None:
-    """Export edges as `u<TAB>v<TAB>weight` with 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (u, v), w in sorted(graph.edges.items()):
-            fh.write(f"{u}\t{v}\t{w:.9g}\n")
-
-
-def load_entailment_graph(path) -> EntailmentGraph:
-    """Parse `u<TAB>v<TAB>weight` lines; `#` comments ignored.
-
-    Weights must be finite and non-negative; self-loops and repeated
-    (u, v) pairs are rejected.
-    """
-    edges: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected `u<TAB>v<TAB>weight`", lineno)
-            u, v = parts[0], parts[1]
-            if not u or not v:
-                raise ParseError("empty word", lineno)
-            if u == v:
-                raise SelfReferenceError(f"self-loop on {u!r}", lineno)
-            try:
-                weight = float(parts[2])
-            except ValueError:
-                raise ParseError(f"bad weight {parts[2]!r}", lineno) from None
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ParseError(f"weight {parts[2]!r} is not finite and non-negative", lineno)
-            if (u, v) in edges:
-                raise DuplicatePairError(f"duplicate edge {u!r} -> {v!r}", lineno)
-            edges[(u, v)] = weight
-    return EntailmentGraph(edges=edges)
-
-
-def hierarchy_context_provider(hierarchy: HypernymHierarchy, lexicon, fn: WeightFunction):
-    """Callable word -> worldly context built from the hypernym hierarchy."""
-
-    def provider(word: str) -> Dmat:
-        return worldly_context_hierarchy(word, hierarchy, lexicon, fn)
-
-    return provider
-
-
-def graph_context_provider(graph: EntailmentGraph, lexicon):
-    """Callable word -> worldly context built from the entailment graph."""
-
-    def provider(word: str) -> Dmat:
-        return worldly_context_graph(word, graph, lexicon)
-
-    return provider

@@ -64,44 +64,44 @@ def _result(values, A, B):
     return float(values) if isinstance(A, Dmat) and isinstance(B, Dmat) else values
 
 
-def pinv_root(B: Dmat, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv_root(B: Dmat) -> np.ndarray:
     """Pseudo-inverse square root of B, from its cached decomposition."""
     decomp = spectral_decompose(B)
-    cut = decomp.support_cut(rank_tol)
+    cut = decomp.support_cut()
     return decomp.apply(lambda lam: np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=lam > cut))
 
 
-def k_hyp_from_root(root: np.ndarray, mats: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def k_hyp_from_root(root: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """k_hyp of each A in `mats` against B = pinv(root)^2.
 
     The formula behind `k_hyp`: gamma is the top eigenvalue of the symmetrized
     `root @ A @ root`, and the result is 1/gamma, or +inf where gamma is at or
-    below rank_tol.  `root` and `mats` are each one matrix or a stack (they
+    below RANK_TOL.  `root` and `mats` are each one matrix or a stack (they
     broadcast); a stack is solved by one `eigvalsh` call.
     """
     core = root @ mats @ root
     gamma = np.linalg.eigvalsh((core + np.swapaxes(core, -1, -2)) / 2.0)[..., -1]
-    return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > rank_tol)
+    return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > RANK_TOL)
 
 
-def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], rank_tol: float = RANK_TOL):
+def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """Reciprocal of the top eigenvalue of pinv(B) A (generalized grading).
 
     Computed from the symmetrized form pinv_sqrt(B) A pinv_sqrt(B), which has
     the same spectrum but stays symmetric.  When the support of A lies inside
     the support of B this equals the largest k with B - kA still PSD.  A top
-    eigenvalue at or below rank_tol means A places nothing measurable inside
+    eigenvalue at or below RANK_TOL means A places nothing measurable inside
     B's support; +inf is returned to signal the unconstrained case.  Each
     structural operand B has its pseudo-inverse root formed once.
     """
     _check_pairs(A, B, _each(A, Dmat.is_zero) | _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
-    root = _each(B, lambda b: pinv_root(b, rank_tol))
-    return _result(k_hyp_from_root(root, _each(A, _matrix), rank_tol), A, B)
+    root = _each(B, pinv_root)
+    return _result(k_hyp_from_root(root, _each(A, _matrix)), A, B)
 
 
-def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], rank_tol: float = RANK_TOL):
+def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """min(k_hyp, 1); the +inf sentinel clamps to full entailment."""
-    return _result(np.minimum(k_hyp(A, B, rank_tol), 1.0), A, B)
+    return _result(np.minimum(k_hyp(A, B), 1.0), A, B)
 
 
 def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> float:

@@ -30,13 +30,13 @@ from .errors import (
     ZeroMatrixError,
     ZeroVarianceError,
 )
+from .lexicon import lookup_word
 from .pipeline import (
     Basis,
     NegationConfig,
     NegationKind,
     conversational_negate,
     logical_negation,
-    lookup_word,
     plausibility,
 )
 from .spectral import Dmat, rescale_max_eig

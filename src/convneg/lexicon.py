@@ -2,8 +2,7 @@
 
 A word's density matrix is the mixture of outer products of the unit-length
 vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
-The on-disk lexicon format is binary for exactness; a text export exists for
-debugging.
+The on-disk lexicon format is binary for exactness.
 """
 
 from __future__ import annotations
@@ -144,6 +143,14 @@ class Lexicon:
         return self.matrices.keys()
 
 
+def lookup_word(lexicon, word: str) -> Dmat:
+    """A word's matrix from a Lexicon or a plain mapping; UnknownWordError if missing."""
+    try:
+        return lexicon[word]
+    except KeyError:
+        raise UnknownWordError(f"no density matrix for {word!r}") from None
+
+
 def _file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -222,12 +229,3 @@ def load_lexicon(path) -> Lexicon:
     if offset != len(blob):
         raise CorruptLexiconError(f"{len(blob) - offset} trailing bytes")
     return Lexicon(matrices=matrices, provenance={"loaded_from": str(path)})
-
-
-def export_lexicon_text(lexicon: Lexicon, path) -> None:
-    """Debug export: `word<TAB>dim<TAB>row-major values` at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(lexicon.matrices):
-            m = lexicon.matrices[word].matrix
-            values = " ".join(f"{v:.17g}" for v in m.reshape(-1))
-            fh.write(f"{word}\t{m.shape[0]}\t{values}\n")

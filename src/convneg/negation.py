@@ -19,7 +19,7 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
-from .spectral import PSD_TOL, RANK_TOL, Dmat, spectral_decompose
+from .spectral import PSD_TOL, Dmat, spectral_decompose
 
 
 def neg_sub(X: Dmat) -> Dmat:
@@ -31,36 +31,36 @@ def neg_sub(X: Dmat) -> Dmat:
     return Dmat((out + out.T) / 2.0)
 
 
-def neg_supp(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
+def neg_supp(X: Dmat) -> Dmat:
     """Moore-Penrose inverse: invert eigenvalues on the support, zero the kernel."""
     decomp = spectral_decompose(X)
-    cut = decomp.support_cut(rank_tol)
-    if decomp.rank(rank_tol) == 0:
+    cut = decomp.support_cut()
+    if decomp.rank() == 0:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
     return Dmat(decomp.apply(lambda lam: np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)))
 
 
-def _kernel_projector(X: Dmat, rank_tol: float) -> np.ndarray:
+def _kernel_projector(X: Dmat) -> np.ndarray:
     """Projector onto the kernel of X; exactly zero when X is invertible."""
     decomp = spectral_decompose(X)
-    if decomp.rank(rank_tol) == X.dim:
+    if decomp.rank() == X.dim:
         return np.zeros((X.dim, X.dim))
-    cut = decomp.support_cut(rank_tol)
+    cut = decomp.support_cut()
     return decomp.apply(lambda lam: np.where(lam > cut, 0.0, 1.0))
 
 
-def neg_ker(X: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
+def neg_ker(X: Dmat) -> Dmat:
     """Projector onto the kernel.
 
     An invertible input has an empty kernel; the zero matrix is returned with
     an EmptyKernelWarning so that the convex mixture below stays total.
     """
-    if spectral_decompose(X).rank(rank_tol) == X.dim:
+    if spectral_decompose(X).rank() == X.dim:
         warnings.warn("input is invertible; kernel projector is zero", EmptyKernelWarning)
-    return Dmat(_kernel_projector(X, rank_tol))
+    return Dmat(_kernel_projector(X))
 
 
-def neg_inv(X: Dmat, support_weight: float = 0.5, rank_tol: float = RANK_TOL) -> Dmat:
+def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
     """Convex mixture of support inverse and kernel projector.
 
     Equal weighting is the default; `support_weight` in [0, 1] tilts toward
@@ -71,10 +71,10 @@ def neg_inv(X: Dmat, support_weight: float = 0.5, rank_tol: float = RANK_TOL) ->
     if not 0.0 <= support_weight <= 1.0:
         raise WeightOutOfRangeError(f"support_weight {support_weight} not in [0, 1]")
     if support_weight == 0.0:
-        return neg_ker(X, rank_tol)
-    supp = neg_supp(X, rank_tol)
+        return neg_ker(X)
+    supp = neg_supp(X)
     if support_weight == 1.0:
         return supp
-    ker = _kernel_projector(X, rank_tol)
+    ker = _kernel_projector(X)
     mixed = support_weight * supp.matrix + (1.0 - support_weight) * ker
     return Dmat(mixed)

@@ -14,19 +14,10 @@ from typing import Callable, Sequence
 
 from .composition import BasisSlot, CompositionKind, compose
 from .entailment import k_ba, k_e, k_hyp_clamped, trace_similarity
-from .errors import UnknownWordError, WeightOutOfRangeError, ZeroMatrixError
+from .errors import WeightOutOfRangeError, ZeroMatrixError
+from .lexicon import lookup_word
 from .negation import neg_inv, neg_sub
 from .spectral import Dmat, rescale_max_eig
-
-
-def lookup_word(lexicon, word: str) -> Dmat:
-    """Lexicon access that reports a missing word uniformly."""
-    try:
-        return lexicon[word]
-    except UnknownWordError:
-        raise
-    except KeyError:
-        raise UnknownWordError(f"no density matrix for {word!r}") from None
 
 
 class NegationKind(str, Enum):

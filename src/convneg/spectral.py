@@ -56,8 +56,8 @@ class Dmat:
     matrix: np.ndarray
     normalized: bool = False
     eigenvalues: np.ndarray = field(init=False)
-    # (smallest raw eigenvalue, decomposition), filled by spectral_decompose
-    _spectral: tuple[float, SpectralDecomposition] | None = field(init=False, default=None)
+    # filled by the first spectral_decompose call
+    _spectral: SpectralDecomposition | None = field(init=False, default=None)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -98,8 +98,8 @@ class Dmat:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
-    def is_zero(self, tol: float = ZERO_NORM_TOL) -> bool:
-        return self.frobenius_norm() < tol
+    def is_zero(self) -> bool:
+        return self.frobenius_norm() < ZERO_NORM_TOL
 
     def __repr__(self) -> str:
         return f"Dmat(dim={self.dim}, normalized={self.normalized})"
@@ -141,21 +141,21 @@ class SpectralDecomposition:
         out = (v * mapped) @ v.T
         return (out + out.T) / 2.0
 
-    def support_cut(self, rank_tol: float = RANK_TOL) -> float:
-        """Threshold separating support from kernel, relative to the top eigenvalue."""
+    def support_cut(self) -> float:
+        """Threshold separating support from kernel: RANK_TOL times the top eigenvalue."""
         top = self.eigenvalues[0] if self.eigenvalues.size else 0.0
-        return rank_tol * max(top, 0.0)
+        return RANK_TOL * max(top, 0.0)
 
-    def rank(self, rank_tol: float = RANK_TOL) -> int:
-        return int(np.sum(self.eigenvalues > self.support_cut(rank_tol)))
+    def rank(self) -> int:
+        return int(np.sum(self.eigenvalues > self.support_cut()))
 
-    def eigenspaces(self, group_tol: float = EIGENVALUE_GROUP_TOL):
-        """Group eigenvalues within group_tol (relative) into (value, projector) pairs.
+    def eigenspaces(self):
+        """Group eigenvalues within EIGENVALUE_GROUP_TOL (relative) into (value, projector) pairs.
 
         Returned in descending eigenvalue order; projectors sum to the identity.
         """
         scale = max(abs(self.eigenvalues[0]), 1.0) if self.eigenvalues.size else 1.0
-        tol = group_tol * scale
+        tol = EIGENVALUE_GROUP_TOL * scale
         groups: list[tuple[float, np.ndarray]] = []
         start = 0
         n = self.eigenvalues.size
@@ -192,36 +192,35 @@ def _deterministic_order(eigenvalues: np.ndarray, vectors: np.ndarray):
     return eigenvalues[order], vectors[:, order]
 
 
-def _decompose(m: np.ndarray) -> tuple[float, SpectralDecomposition]:
+def _decompose(m: np.ndarray) -> SpectralDecomposition:
     if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
         eigenvalues = np.diagonal(m).astype(float).copy()
         vectors = np.eye(m.shape[0])
     else:
         eigenvalues, vectors = np.linalg.eigh(m)
     lowest = float(eigenvalues.min())
+    if lowest < -PSD_TOL:
+        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{PSD_TOL:.0e}")
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     eigenvalues, vectors = _deterministic_order(eigenvalues, _fix_signs(vectors))
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
-    return lowest, SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
-def spectral_decompose(M: Dmat, psd_tol: float = PSD_TOL) -> SpectralDecomposition:
+def spectral_decompose(M: Dmat) -> SpectralDecomposition:
     """Eigendecompose a Dmat, clamping roundoff-negative eigenvalues to zero.
 
     Exactly diagonal matrices take a fast path that keeps the standard basis,
     so diagonal fixtures decompose without floating-point surprises.  The
     result is computed once per Dmat and the same read-only object is
-    returned on every later call; `psd_tol` is checked against the smallest
-    unclamped eigenvalue on each call.
+    returned on every later call.  An eigenvalue below -PSD_TOL raises
+    NotPSDError when the decomposition is computed.
     """
-    cached = M._spectral
-    if cached is None:
-        cached = _decompose(M.matrix)
-        object.__setattr__(M, "_spectral", cached)
-    lowest, decomp = cached
-    if lowest < -psd_tol:
-        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{psd_tol:.0e}")
+    decomp = M._spectral
+    if decomp is None:
+        decomp = _decompose(M.matrix)
+        object.__setattr__(M, "_spectral", decomp)
     return decomp
 
 
@@ -261,9 +260,9 @@ def loewner_leq(A: Dmat, B: Dmat, tol: float = PSD_TOL) -> bool:
     return smallest >= -tol
 
 
-def support_projector(M: Dmat, rank_tol: float = RANK_TOL) -> Dmat:
+def support_projector(M: Dmat) -> Dmat:
     """Orthogonal projector onto the span of eigenvectors above the rank cut."""
     decomp = spectral_decompose(M)
-    cut = decomp.support_cut(rank_tol)
+    cut = decomp.support_cut()
     proj = decomp.apply(lambda lam: np.where(lam > cut, 1.0, 0.0))
     return Dmat(proj, normalized=True)

@@ -20,13 +20,14 @@ module:
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from convneg.cli import main
 from convneg.composition import diag_comp, fuzz, mult, phaser, spider
-from convneg.context import WeightFunction, WeightKind, hierarchy_context_provider, load_hierarchy
+from convneg.context import WeightFunction, WeightKind, load_hierarchy, worldly_context_hierarchy
 from convneg.entailment import k_ba, k_hyp, k_hyp_oracle
 from convneg.experiment import load_dataset, parse_grid_config, run_grid
 from convneg.lexicon import build_lexicon, load_vectors
@@ -199,8 +200,8 @@ def test_criterion_08_pipeline_sign_check(fixture_paths):
     lexicon = build_lexicon(vectors, hierarchy.hyponym_sets())
     dataset = load_dataset(fixture_paths["dataset"])
     spec = parse_grid_config(fixture_paths["grid"])
-    provider = hierarchy_context_provider(
-        hierarchy, lexicon, WeightFunction(WeightKind(spec.context_fn), spec.x)
+    provider = partial(
+        worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind(spec.context_fn), spec.x)
     )
     table = run_grid(dataset, lexicon, provider, spec.configs())
     r_spider = table.row("sub", "spider", "w").cells["trace"].r

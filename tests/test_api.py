@@ -1,0 +1,59 @@
+"""The public surface: tolerances are module constants, not per-call options."""
+
+import inspect
+import types
+
+import convneg
+
+TOLERANCE_PARAMETERS = {"rank_tol", "group_tol", "psd_tol"}
+REMOVED_NAMES = {
+    "save_entailment_graph",
+    "load_entailment_graph",
+    "export_lexicon_text",
+    "hierarchy_context_provider",
+    "graph_context_provider",
+}
+
+
+def public_callables():
+    """Every exported function and class method, plus the public ones of each exported module."""
+    found = {}
+
+    def add(qualname, obj):
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not (attr.startswith("_") and attr != "__init__"):
+                    found[f"{qualname}.{attr}"] = member
+        elif inspect.isfunction(obj):
+            found[qualname] = obj
+
+    for name in convneg.__all__:
+        obj = getattr(convneg, name)
+        if isinstance(obj, types.ModuleType):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and getattr(member, "__module__", None) == obj.__name__:
+                    add(f"{obj.__name__}.{attr}", member)
+        else:
+            add(name, obj)
+    return found
+
+
+def test_no_tolerance_parameters():
+    surface = public_callables()
+    for expected in ("k_hyp", "convneg.entailment.pinv_root", "SpectralDecomposition.rank", "Dmat.is_zero"):
+        assert expected in surface
+    offenders = {
+        name: sorted(TOLERANCE_PARAMETERS & set(inspect.signature(fn).parameters))
+        for name, fn in surface.items()
+    }
+    assert {name: params for name, params in offenders.items() if params} == {}
+
+
+def test_is_zero_takes_no_tolerance():
+    assert list(inspect.signature(convneg.Dmat.is_zero).parameters) == ["self"]
+
+
+def test_removed_names_are_not_exported():
+    assert not REMOVED_NAMES & set(convneg.__all__)
+    for name in REMOVED_NAMES:
+        assert not any(hasattr(getattr(convneg, m), name) for m in ("context", "lexicon", "pipeline"))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,12 +12,8 @@ from convneg.context import (
     WeightFunction,
     WeightKind,
     build_entailment_graph,
-    graph_context_provider,
-    hierarchy_context_provider,
     hypernym_weights,
-    load_entailment_graph,
     load_hierarchy,
-    save_entailment_graph,
     worldly_context_graph,
     worldly_context_hierarchy,
 )
@@ -30,8 +27,11 @@ from convneg.errors import (
     ParseError,
     SelfReferenceError,
     UnknownWordError,
+    WeightOutOfRangeError,
     ZeroMatrixError,
 )
+from convneg.lexicon import Lexicon
+from convneg.pipeline import NegationConfig, conversational_negate
 from convneg.sampling import random_psd
 from convneg.spectral import Dmat
 
@@ -178,7 +178,7 @@ class TestWorldlyContextHierarchy:
 
     def test_missing_matrix(self, onb):
         hierarchy = HypernymHierarchy({"apple": ("ghost",)})
-        with pytest.raises(MissingMatrixError):
+        with pytest.raises(UnknownWordError):
             worldly_context_hierarchy("apple", hierarchy, {"apple": onb["apple"]},
                                       WeightFunction(WeightKind.EXP, 5.0))
 
@@ -292,16 +292,6 @@ class TestEntailmentGraph:
         build_entailment_graph(lexicon, measure)
         assert 0 < len(calls) <= len(lexicon)
 
-    def test_round_trip_file(self, tmp_path, onb, fruit_raw):
-        lexicon = {"apple": onb["apple"], "fruit": fruit_raw}
-        graph = build_entailment_graph(lexicon, "k_E")
-        path = tmp_path / "graph.tsv"
-        save_entailment_graph(graph, path)
-        loaded = load_entailment_graph(path)
-        assert set(loaded.edges) == set(graph.edges)
-        for key, w in graph.edges.items():
-            assert loaded.edges[key] == pytest.approx(w, rel=1e-8)
-
 
 class TestEntailmentGraphIndex:
     def test_neighbors_union_sorted(self):
@@ -325,32 +315,18 @@ class TestEntailmentGraphIndex:
         assert EntailmentGraph({("a", "b"): 0.5}) == EntailmentGraph({("a", "b"): 0.5})
         assert EntailmentGraph({("a", "b"): 0.5}) != EntailmentGraph({("b", "a"): 0.5})
 
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, math.nan, math.inf, np.float64(math.nan)])
+    def test_bad_weight_rejected(self, bad):
+        with pytest.raises(WeightOutOfRangeError):
+            EntailmentGraph({("w", "h"): bad, ("w", "g"): 1.0})
 
-class TestLoadEntailmentGraph:
-    def test_valid_file(self, tmp_path):
-        graph = load_entailment_graph(write(tmp_path, "g.tsv", "# edges\na\tb\t0.5\nb\ta\t0\n"))
-        assert dict(graph.edges) == {("a", "b"): 0.5, ("b", "a"): 0.0}
+    def test_self_loop_rejected(self):
+        with pytest.raises(SelfReferenceError):
+            EntailmentGraph({("w", "h"): 0.5, ("w", "w"): 0.5})
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "-0.25"])
-    def test_bad_weight_rejected(self, tmp_path, bad):
-        with pytest.raises(ParseError) as err:
-            load_entailment_graph(write(tmp_path, "g.tsv", f"a\tb\t0.5\nb\tc\t{bad}\n"))
-        assert err.value.line_number == 2
-
-    def test_self_loop_rejected(self, tmp_path):
-        with pytest.raises(ParseError) as err:
-            load_entailment_graph(write(tmp_path, "g.tsv", "a\tb\t0.5\na\ta\t0.5\n"))
-        assert err.value.line_number == 2
-
-    def test_duplicate_edge_rejected(self, tmp_path):
-        with pytest.raises(ParseError) as err:
-            load_entailment_graph(write(tmp_path, "g.tsv", "a\tb\t0.5\nb\ta\t0.5\n\na\tb\t0.25\n"))
-        assert err.value.line_number == 4
-
-    def test_empty_word_rejected(self, tmp_path):
-        with pytest.raises(ParseError) as err:
-            load_entailment_graph(write(tmp_path, "g.tsv", "a\t\t0.5\n"))
-        assert err.value.line_number == 1
+    def test_zero_and_one_weights_accepted(self):
+        graph = EntailmentGraph({("w", "h"): 0.0, ("h", "w"): 1.0})
+        assert graph.weight("w", "h") == 0.0 and graph.weight("h", "w") == 1.0
 
 
 class TestWorldlyContextGraph:
@@ -388,16 +364,35 @@ class TestWorldlyContextGraph:
         np.testing.assert_allclose(via_graph.matrix, via_hierarchy.matrix, atol=1e-10)
 
 
-class TestProviders:
-    def test_hierarchy_provider(self, onb, fruit_raw):
-        hierarchy = HypernymHierarchy({"apple": ("fruit",)})
-        lexicon = {"apple": onb["apple"], "fruit": fruit_raw}
-        provider = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.EXP, 5.0))
-        np.testing.assert_allclose(
-            provider("apple").matrix, np.diag([1.0, 2 / 3, 1 / 3, 0.0]), atol=1e-12
-        )
 
-    def test_graph_provider(self, onb):
-        graph = EntailmentGraph({("apple", "orange"): 0.7})
-        provider = graph_context_provider(graph, {"orange": onb["orange"]})
-        np.testing.assert_allclose(provider("apple").matrix, onb["orange"].matrix, atol=1e-12)
+def as_lexicon(mapping):
+    return Lexicon(dict(mapping))
+
+
+@pytest.mark.parametrize("container", [dict, as_lexicon], ids=["dict", "Lexicon"])
+class TestMissingWordRaisesUnknownWord:
+    """Every lexicon access goes through one lookup: a missing word is UnknownWordError."""
+
+    def test_hierarchy_context_missing_hypernym(self, onb, container):
+        hierarchy = HypernymHierarchy({"apple": ("orange", "ghost")})
+        lexicon = container({"apple": onb["apple"], "orange": onb["orange"]})
+        with pytest.raises(UnknownWordError, match="'ghost'"):
+            worldly_context_hierarchy("apple", hierarchy, lexicon, WeightFunction(WeightKind.EXP, 5.0))
+
+    @pytest.mark.parametrize("missing", ["apple", "ghost"])
+    def test_hyp_weights(self, onb, container, missing):
+        hierarchy = HypernymHierarchy({"apple": ("orange", "ghost")})
+        present = {"apple": onb["apple"], "orange": onb["orange"], "ghost": onb["fig"]}
+        del present[missing]
+        with pytest.raises(UnknownWordError, match=repr(missing)):
+            hypernym_weights(WeightFunction(WeightKind.HYP, 1.0), "apple", hierarchy, container(present))
+
+    def test_graph_context_missing_neighbor(self, onb, container):
+        graph = EntailmentGraph({("w", "h"): 0.5, ("w", "ghost"): 0.5})
+        with pytest.raises(UnknownWordError, match="'ghost'"):
+            worldly_context_graph("w", graph, container({"h": onb["orange"]}))
+
+    def test_conversational_negate_missing_word(self, onb, container):
+        cfg = NegationConfig("sub", "spider")
+        with pytest.raises(UnknownWordError, match="'ghost'"):
+            conversational_negate("ghost", cfg, container({"h": onb["orange"]}), lambda word: onb["orange"])

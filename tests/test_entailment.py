@@ -207,17 +207,17 @@ def loop_k_e(A, B, order):
     return float(np.clip(1.0 - error / float(np.linalg.norm(A.eigenvalues, ord=order)), 0.0, 1.0))
 
 
-def loop_k_hyp(A, B, rank_tol=1e-8):
+def loop_k_hyp(A, B):
     """k_hyp as a plain per-pair formula with a Python-level sentinel."""
     decomp = spectral_decompose(B)
-    cut = decomp.support_cut(rank_tol)
+    cut = 1e-8 * max(decomp.eigenvalues[0], 0.0)
     v = decomp.eigenvectors
     mapped = np.array([1.0 / math.sqrt(lam) if lam > cut else 0.0 for lam in decomp.eigenvalues])
     root = (v * mapped) @ v.T
     root = (root + root.T) / 2.0
     core = root @ A.matrix @ root
     gamma = float(np.linalg.eigvalsh((core + core.T) / 2.0)[-1])
-    return math.inf if gamma <= rank_tol else 1.0 / gamma
+    return math.inf if gamma <= 1e-8 else 1.0 / gamma
 
 
 def test_array_kernels_match_loop_formulas_bitwise():

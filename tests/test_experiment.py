@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from convneg.context import (
     HypernymHierarchy,
     WeightFunction,
     WeightKind,
-    hierarchy_context_provider,
     load_hierarchy,
+    worldly_context_hierarchy,
 )
 from convneg.errors import (
     DuplicatePairError,
@@ -121,7 +122,7 @@ def toy_run(fixture_paths):
     hierarchy = load_hierarchy(fixture_paths["hierarchy"])
     lexicon = build_lexicon(vectors, hierarchy.hyponym_sets())
     dataset = load_dataset(fixture_paths["dataset"])
-    provider = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
     return dataset, lexicon, provider
 
 
@@ -210,7 +211,7 @@ def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
         for a in words
         if a != n
     )
-    base = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    base = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
     builds = Counter()
 
     def provider(word):
@@ -244,7 +245,7 @@ def shuffled_grid():
     records = tuple(
         PlausibilityRecord(*pairs[i], float(rng.uniform(1.0, 5.0))) for i in rng.permutation(len(pairs))
     )
-    provider = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
     return PlausibilityDataset(records), lexicon, provider, negated
 
 

@@ -14,10 +14,11 @@ as an expected failure in CI.
 
 import os
 import time
+from functools import partial
 
 import pytest
 
-from convneg.context import WeightFunction, WeightKind, hierarchy_context_provider, load_hierarchy
+from convneg.context import WeightFunction, WeightKind, load_hierarchy, worldly_context_hierarchy
 from convneg.experiment import load_dataset, run_grid
 from convneg.lexicon import build_lexicon, load_vectors
 from convneg.pipeline import NegationConfig
@@ -37,7 +38,7 @@ def test_full_data_directional_targets():
     lexicon = build_lexicon(vectors, hierarchy.hyponym_sets())
     dataset = load_dataset(os.environ["CONVNEG_DATASET"])
 
-    provider = hierarchy_context_provider(hierarchy, lexicon, WeightFunction(WeightKind.POLY, 2.0))
+    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
     configs = [
         NegationConfig("sub", comp, basis)
         for comp in ("spider", "fuzz", "phaser", "mult", "diag")

@@ -11,7 +11,6 @@ from convneg.lexicon import (
     Lexicon,
     build_density_matrix,
     build_lexicon,
-    export_lexicon_text,
     load_lexicon,
     load_vectors,
     save_lexicon,
@@ -135,16 +134,6 @@ class TestPersistence:
     def test_mixed_dims_rejected_at_construction(self):
         with pytest.raises(DimensionMismatchError):
             Lexicon({"a": Dmat.identity(2), "b": Dmat.identity(3)})
-
-    def test_text_export_full_precision(self, tmp_path):
-        lexicon = self.make_lexicon(tmp_path)
-        path = tmp_path / "lex.tsv"
-        export_lexicon_text(lexicon, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        word, dim, values = lines[0].split("\t")
-        parsed = np.array([float(v) for v in values.split()]).reshape(2, 2)
-        assert np.max(np.abs(parsed - lexicon[word].matrix)) == 0.0
 
 
 class TestLexiconLookup:

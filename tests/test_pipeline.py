@@ -1,8 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from convneg.composition import CompositionKind
-from convneg.context import HypernymHierarchy, WeightFunction, WeightKind, hierarchy_context_provider
+from convneg.context import HypernymHierarchy, WeightFunction, WeightKind, worldly_context_hierarchy
 from convneg.errors import IsolatedWordError, UnknownWordError, WeightOutOfRangeError, ZeroMatrixError
 from convneg.pipeline import (
     Basis,
@@ -80,7 +82,9 @@ class TestConversationalNegate:
         lexicon = {"orange": onb["orange"]}
         hierarchy = HypernymHierarchy({"orange": ("ctx",)})
         ctx_lexicon = {"ctx": onb["orange"], "orange": onb["orange"]}
-        provider = hierarchy_context_provider(hierarchy, ctx_lexicon, WeightFunction(WeightKind.EXP, 5.0))
+        provider = partial(
+            worldly_context_hierarchy, hierarchy=hierarchy, lexicon=ctx_lexicon, fn=WeightFunction(WeightKind.EXP, 5.0)
+        )
         cfg = NegationConfig(NegationKind.SUB, CompositionKind.MULT)
         with pytest.raises(ZeroMatrixError):
             conversational_negate("orange", cfg, lexicon, provider)
