@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 
+from .composition import CompositionKind
 from .context import (
     WeightFunction,
     WeightKind,
@@ -40,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--negation", choices=[k.value for k in NegationKind], default="sub")
-    p.add_argument("--composition", choices=["spider", "fuzz", "phaser", "mult", "diag"], default="spider")
+    p.add_argument("--composition", choices=[k.value for k in CompositionKind], default="spider")
     p.add_argument("--basis", choices=[b.value for b in Basis], default="w")
     p.add_argument("--context-fn", choices=[k.value for k in WeightKind], default="poly")
     p.add_argument("--x", type=float, default=1.0, help="weight-function parameter")

@@ -23,7 +23,6 @@ from .errors import (
     DuplicatePairError,
     InsufficientDataError,
     IsolatedWordError,
-    MissingMatrixError,
     ParseError,
     RatingOutOfRangeError,
     UnknownWordError,
@@ -48,7 +47,7 @@ BASELINE_COMPOSITION = "none"
 BASELINE_BASIS = "-"
 
 # Errors that mean "skip this word pair", not "abort the run".
-_SKIP_ERRORS = (UnknownWordError, IsolatedWordError, ZeroMatrixError, MissingMatrixError)
+_SKIP_ERRORS = (UnknownWordError, IsolatedWordError, ZeroMatrixError)
 
 
 @dataclass(frozen=True)

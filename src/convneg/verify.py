@@ -5,7 +5,8 @@ and reports trial/failure counts with the worst residual seen.  The suites
 double as executable statements of the theory: order reversal under the
 support inverse, the reversal identity for the signed eigenvalue ratio on
 its valid spectra families, and the maximally-mixed-support composition
-identity.
+identity.  The acceptance gate (tests/test_acceptance.py) runs its
+randomized criteria through these same suites with pinned seeds.
 
 A note on two fine points the suites make explicit:
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,15 +64,29 @@ DEFAULT_DIMS = tuple(range(2, 11))
 
 @dataclass
 class SuiteResult:
+    """Accumulates one suite's trials, failures and worst residual."""
+
     name: str
-    trials: int
-    failures: int
-    worst_residual: float
+    trials: int = 0
+    failures: int = 0
+    worst_residual: float = 0.0
     note: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def residual(self, value: float, tol: float) -> None:
+        self.trials += 1
+        self.worst_residual = max(self.worst_residual, abs(value))
+        if abs(value) > tol:
+            self.failures += 1
+
+    def check(self, ok: bool) -> None:
+        self.trials += 1
+        if not ok:
+            self.failures += 1
+            self.worst_residual = max(self.worst_residual, 1.0)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -101,39 +117,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-class _Tracker:
-    """Accumulates worst residual and failures for one suite."""
-
-    def __init__(self):
-        self.trials = 0
-        self.failures = 0
-        self.worst = 0.0
-
-    def residual(self, value: float, tol: float) -> None:
-        self.trials += 1
-        self.worst = max(self.worst, abs(value))
-        if abs(value) > tol:
-            self.failures += 1
-
-    def check(self, ok: bool) -> None:
-        self.trials += 1
-        if not ok:
-            self.failures += 1
-            self.worst = max(self.worst, 1.0)
-
-    def result(self, name: str, note: str = "") -> SuiteResult:
-        return SuiteResult(name, self.trials, self.failures, self.worst, note)
-
-
 def _dims_cycle(rng: np.random.Generator, dims: Sequence[int], trials: int):
     return [int(rng.choice(dims)) for _ in range(trials)]
 
 
-def _compositions(overrides: Mapping[str, Callable] | None):
-    table = {"spider": spider, "fuzz": fuzz, "phaser": phaser, "mult": mult, "diag": diag_comp}
-    if overrides:
-        table.update(overrides)
-    return table
+# The suites look compositions up here by name; read-only so that a
+# negative control's overrides go into a copy.
+COMPOSITIONS: Mapping[str, Callable] = MappingProxyType(
+    {"spider": spider, "fuzz": fuzz, "phaser": phaser, "mult": mult, "diag": diag_comp}
+)
 
 
 # --------------------------------------------------------------------------
@@ -141,27 +133,27 @@ def _compositions(overrides: Mapping[str, Callable] | None):
 # --------------------------------------------------------------------------
 
 def suite_spectral_roundtrip(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("spectral reconstruction round-trip")
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim + 1))
         m = random_psd(rng, dim, rank=rank, repeat_prob=0.3)
         rebuilt = spectral_decompose(m).reconstruct()
         scale = max(1.0, float(np.linalg.norm(m.matrix)))
         t.residual(np.linalg.norm(rebuilt - m.matrix) / scale, 1e-8)
-    return t.result("spectral reconstruction round-trip")
+    return t
 
 
 def suite_spectral_orthonormal(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("eigenvector orthonormality")
     for dim in _dims_cycle(rng, dims, trials):
         decomp = spectral_decompose(random_psd(rng, dim, repeat_prob=0.3))
         v = decomp.eigenvectors
         t.residual(np.linalg.norm(v.T @ v - np.eye(dim)), 1e-8)
-    return t.result("eigenvector orthonormality")
+    return t
 
 
 def suite_loewner_order(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("Loewner order: reflexive, antisymmetric, unitary-invariant")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_ordered_pair(rng, dim, margin=0.05)
         t.check(loewner_leq(a, a))
@@ -173,26 +165,26 @@ def suite_loewner_order(rng, trials, dims, comps) -> SuiteResult:
         qa = Dmat(q @ a.matrix @ q.T)
         qb = Dmat(q @ b.matrix @ q.T)
         t.check(loewner_leq(qa, qb, tol=1e-8))
-    return t.result("Loewner order: reflexive, antisymmetric, unitary-invariant")
+    return t
 
 
 def suite_support_projector(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("support projector idempotent")
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim + 1))
         p = support_projector(random_psd(rng, dim, rank=rank)).matrix
         t.residual(np.linalg.norm(p @ p - p), 1e-10)
-    return t.result("support projector idempotent")
+    return t
 
 
 def suite_normalization(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("normalization caps the top eigenvalue at 1")
     for dim in _dims_cycle(rng, dims, trials):
         scale = float(rng.uniform(0.1, 5.0))
         m = Dmat(random_psd(rng, dim).matrix * scale)
         top = normalize_max_eig(m).max_eigenvalue()
         t.check(top <= 1.0 + 1e-9)
-    return t.result("normalization caps the top eigenvalue at 1")
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -200,24 +192,24 @@ def suite_normalization(rng, trials, dims, comps) -> SuiteResult:
 # --------------------------------------------------------------------------
 
 def suite_neg_sub_involution(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("identity-subtraction negation is an involution")
     for dim in _dims_cycle(rng, dims, trials):
         x = random_normalized(rng, dim)
         t.residual(np.linalg.norm(neg_sub(neg_sub(x)).matrix - x.matrix), 1e-10)
-    return t.result("identity-subtraction negation is an involution")
+    return t
 
 
 def suite_neg_supp_involution(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("double support inverse restores the matrix")
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim + 1))
         x = random_psd(rng, dim, rank=rank)
         t.residual(np.linalg.norm(neg_supp(neg_supp(x)).matrix - x.matrix), 1e-8)
-    return t.result("double support inverse restores the matrix")
+    return t
 
 
 def suite_neg_sub_contrapositive(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("contrapositive under identity-subtraction negation")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_ordered_pair(rng, dim)
         t.check(loewner_leq(neg_sub(b), neg_sub(a), tol=1e-8))
@@ -225,20 +217,20 @@ def suite_neg_sub_contrapositive(rng, trials, dims, comps) -> SuiteResult:
         c = random_normalized(rng, dim)
         d = random_normalized(rng, dim)
         t.check(loewner_leq(c, d) == loewner_leq(neg_sub(d), neg_sub(c)))
-    return t.result("contrapositive under identity-subtraction negation")
+    return t
 
 
 def suite_neg_sub_kba(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("signed eigenvalue ratio symmetric under identity-subtraction")
     for dim in _dims_cycle(rng, dims, trials):
         a = random_normalized(rng, dim)
         b = random_normalized(rng, dim)
         t.residual(k_ba(neg_sub(b), neg_sub(a)) - k_ba(a, b), 1e-8)
-    return t.result("signed eigenvalue ratio symmetric under identity-subtraction")
+    return t
 
 
 def suite_negations_preserve_eigenvectors(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("negations act through the input eigenspaces")
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim + 1))
         x = random_psd(rng, dim, rank=rank, repeat_prob=0.3)
@@ -260,7 +252,7 @@ def suite_negations_preserve_eigenvectors(rng, trials, dims, comps) -> SuiteResu
         y_inv = neg_inv(x, 0.5) if rank < dim else Dmat(0.5 * y_supp)
         expect_inv = from_groups(lambda lam: 0.5 / lam if lam > cut else 0.5)
         t.residual(np.linalg.norm(y_inv.matrix - expect_inv), 1e-8)
-    return t.result("negations act through the input eigenspaces")
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -269,19 +261,19 @@ def suite_negations_preserve_eigenvectors(rng, trials, dims, comps) -> SuiteResu
 
 def suite_khyp_reversal(rng, trials, dims, comps) -> SuiteResult:
     """Support inverse reverses the maximal Loewner grading at equal rank."""
-    t = _Tracker()
+    t = SuiteResult("grading reversed by support inverse (equal rank)")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_invertible_pair(rng, dim)
         t.residual(k_hyp(a, b) - k_hyp(neg_supp(b), neg_supp(a)), 1e-6)
         rank = int(rng.integers(1, dim + 1))
         sa, sb = random_same_support_pair(rng, dim, rank)
         t.residual(k_hyp(sa, sb) - k_hyp(neg_supp(sb), neg_supp(sa)), 1e-6)
-    return t.result("grading reversed by support inverse (equal rank)")
+    return t
 
 
 def suite_kba_reversal(rng, trials, dims, comps) -> SuiteResult:
     """Inversion reverses the signed eigenvalue ratio on its valid families."""
-    t = _Tracker()
+    t = SuiteResult("signed ratio reversed by inverse (same eigenbasis)")
     worst_free = 0.0
     for dim in _dims_cycle(rng, dims, trials):
         family = "ordered" if rng.random() < 0.5 else "constant_product"
@@ -289,13 +281,13 @@ def suite_kba_reversal(rng, trials, dims, comps) -> SuiteResult:
         t.residual(k_ba(neg_supp(b), neg_supp(a)) - k_ba(a, b), 1e-8)
         fa, fb = random_commuting_pair(rng, dim, family="free")
         worst_free = max(worst_free, abs(k_ba(neg_supp(fb), neg_supp(fa)) - k_ba(fa, fb)))
-    note = f"free-spectra pairs deviate up to {worst_free:.3f}; identity needs sign-uniform or constant-product spectra"
-    return t.result("signed ratio reversed by inverse (same eigenbasis)", note)
+    t.note = f"free-spectra pairs deviate up to {worst_free:.3f}; identity needs sign-uniform or constant-product spectra"
+    return t
 
 
 def suite_maximally_mixed_support(rng, trials, dims, comps) -> SuiteResult:
     """Composing X with its support inverse flattens X onto its support."""
-    t = _Tracker()
+    t = SuiteResult("support-inverse composition gives the support projector")
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim + 1))
         x = random_psd(rng, dim, rank=rank, repeat_prob=0.2)
@@ -304,7 +296,7 @@ def suite_maximally_mixed_support(rng, trials, dims, comps) -> SuiteResult:
         for name in ("spider", "fuzz", "phaser"):
             got = comps[name](x, inverse).matrix
             t.residual(np.linalg.norm(got - target), 1e-8)
-    return t.result("support-inverse composition gives the support projector")
+    return t
 
 
 def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
@@ -315,7 +307,7 @@ def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
     projector.  The structural slot is pinned to the negated matrix; the
     operands commute, so the swapped slot agrees (spot-checked below).
     """
-    t = _Tracker()
+    t = SuiteResult("mixture-negation composition gives the support projector")
     worst_swapped = 0.0
     for dim in _dims_cycle(rng, dims, trials):
         rank = int(rng.integers(1, dim))  # keep a kernel so the mixture is warning-free
@@ -330,10 +322,8 @@ def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
             swapped = comps[name](mixture, x).matrix
             s_top = float(np.linalg.eigvalsh(swapped)[-1])
             worst_swapped = max(worst_swapped, float(np.linalg.norm(swapped / s_top - target)))
-    return t.result(
-        "mixture-negation composition gives the support projector",
-        f"swapped-slot residual {worst_swapped:.3e} (recorded, not asserted)",
-    )
+    t.note = f"swapped-slot residual {worst_swapped:.3e} (recorded, not asserted)"
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +331,7 @@ def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
 # --------------------------------------------------------------------------
 
 def suite_compositions_psd(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("compositions return symmetric PSD outputs")
     for dim in _dims_cycle(rng, dims, trials):
         a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
         b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
@@ -349,12 +339,12 @@ def suite_compositions_psd(rng, trials, dims, comps) -> SuiteResult:
             out = fn(a, b).matrix
             t.residual(max(0.0, -float(np.linalg.eigvalsh(out)[0])), 1e-9)
             t.residual(np.linalg.norm(out - out.T), 1e-9)
-    return t.result("compositions return symmetric PSD outputs")
+    return t
 
 
 def suite_order_preservation(rng, trials, dims, comps) -> SuiteResult:
     """mult and diag preserve order on generic pairs; spider on its fixed-basis instance."""
-    t = _Tracker()
+    t = SuiteResult("order preserved by mult, diag, and fixed-basis spider")
     for dim in _dims_cycle(rng, dims, trials):
         a1, b1 = random_ordered_pair(rng, dim)
         a2, b2 = random_ordered_pair(rng, dim)
@@ -362,10 +352,8 @@ def suite_order_preservation(rng, trials, dims, comps) -> SuiteResult:
             t.check(loewner_leq(comps[name](a1, a2), comps[name](b1, b2), tol=1e-8))
         d2, e2 = random_diagonal_ordered_pair(rng, dim)
         t.check(loewner_leq(comps["spider"](a1, d2), comps["spider"](b1, e2), tol=1e-8))
-    return t.result(
-        "order preserved by mult, diag, and fixed-basis spider",
-        "floating-basis spider shares fuzz's violations; see the search suite",
-    )
+    t.note = "floating-basis spider shares fuzz's violations; see the search suite"
+    return t
 
 
 def _format_counterexample(a1, b1, a2, b2) -> str:
@@ -386,7 +374,7 @@ def suite_order_violation_search(rng, trials, dims, comps) -> SuiteResult:
     budget = max(200, min(10_000, trials * 50))
     found: dict[str, str] = {}
     spider_witness = ""
-    t = _Tracker()
+    t = SuiteResult("fuzz and phaser violate order preservation")
     for name in ("fuzz", "phaser"):
         witness = None
         for trial in range(budget):
@@ -411,11 +399,12 @@ def suite_order_violation_search(rng, trials, dims, comps) -> SuiteResult:
     note_parts = [f"{name}: {text}" for name, text in found.items()]
     if spider_witness:
         note_parts.append(spider_witness)
-    return t.result("fuzz and phaser violate order preservation", "; ".join(note_parts))
+    t.note = "; ".join(note_parts)
+    return t
 
 
 def suite_spider_mult_instance(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("spider equals mult for computational-diagonal structure")
     for dim in _dims_cycle(rng, dims, trials):
         a = random_psd(rng, dim)
         values = rng.uniform(0.0, 1.0, size=dim)
@@ -423,11 +412,11 @@ def suite_spider_mult_instance(rng, trials, dims, comps) -> SuiteResult:
             values[: dim // 2 + 1] = values[0]  # repeated diagonal entries
         b = Dmat(np.diag(values))
         t.residual(np.linalg.norm(comps["spider"](a, b).matrix - comps["mult"](a, b).matrix), 1e-9)
-    return t.result("spider equals mult for computational-diagonal structure")
+    return t
 
 
 def suite_commuting_coincidence(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("commuting operands: spider, fuzz, phaser coincide")
     for dim in _dims_cycle(rng, dims, trials):
         q = random_orthogonal(rng, dim)
         a_eigs = rng.uniform(0.0, 1.0, size=dim)
@@ -437,7 +426,7 @@ def suite_commuting_coincidence(rng, trials, dims, comps) -> SuiteResult:
         expected = _sym((q * (a_eigs * b_eigs)) @ q.T)
         for name in ("spider", "fuzz", "phaser"):
             t.residual(np.linalg.norm(comps[name](a, b).matrix - expected), 1e-9)
-    return t.result("commuting operands: spider, fuzz, phaser coincide")
+    return t
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -449,36 +438,36 @@ def _sym(m: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def suite_khyp_oracle(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("pseudo-inverse grading matches the bisection oracle")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_nested_support_pair(rng, dim)
         t.residual(k_hyp(a, b) - k_hyp_oracle(a, b), 1e-6)
-    return t.result("pseudo-inverse grading matches the bisection oracle")
+    return t
 
 
 def suite_crisp_measures(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("crisp values when the difference is PSD")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_ordered_pair(rng, dim, margin=0.05)
         t.residual(k_e(a, b) - 1.0, 1e-9)
         t.residual(k_ba(a, b) - 1.0, 1e-9)
         if np.linalg.norm(b.matrix - a.matrix) > 1e-6:
             t.residual(k_ba(b, a) + 1.0, 1e-9)
-    return t.result("crisp values when the difference is PSD")
+    return t
 
 
 def suite_khyp_scaling(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("grading scales inversely with the first argument")
     for dim in _dims_cycle(rng, dims, trials):
         a, b = random_invertible_pair(rng, dim)
         c = float(rng.uniform(0.2, 5.0))
         base = k_hyp(a, b)
         t.residual((k_hyp(Dmat(a.matrix * c), b) - base / c) / max(1.0, base), 1e-8)
-    return t.result("grading scales inversely with the first argument")
+    return t
 
 
 def suite_trace_similarity(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("trace similarity: symmetric, scale-free, rotation-invariant")
     for dim in _dims_cycle(rng, dims, trials):
         a = random_psd(rng, dim)
         b = random_psd(rng, dim)
@@ -491,7 +480,7 @@ def suite_trace_similarity(rng, trials, dims, comps) -> SuiteResult:
         t.residual(trace_similarity(qa, qb) - trace_similarity(a, b), 1e-9)
         value = trace_similarity(a, b)
         t.check(0.0 <= value <= 1.0)
-    return t.result("trace similarity: symmetric, scale-free, rotation-invariant")
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +488,7 @@ def suite_trace_similarity(rng, trials, dims, comps) -> SuiteResult:
 # --------------------------------------------------------------------------
 
 def suite_context_weights(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("hypernym weights: non-increasing, sum to one")
     for _ in range(trials):
         n = int(rng.integers(2, 9))
         hierarchy = HypernymHierarchy({"w": tuple(f"h{i}" for i in range(n))})
@@ -509,11 +498,11 @@ def suite_context_weights(rng, trials, dims, comps) -> SuiteResult:
             t.check(bool(np.all(np.diff(weights) <= 1e-12)))
             if weights.sum() > 0:
                 t.residual(weights.sum() - 1.0, 1e-9)
-    return t.result("hypernym weights: non-increasing, sum to one")
+    return t
 
 
 def suite_context_mixture(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("worldly context: top eigenvalue one, pure-hypernym reduction")
     for _ in range(trials):
         dim = int(rng.choice(dims))
         n = int(rng.integers(1, 4))
@@ -527,11 +516,11 @@ def suite_context_mixture(rng, trials, dims, comps) -> SuiteResult:
         same = {f"h{i}": pure for i in range(n)}
         got = worldly_context_hierarchy("w", hierarchy, same, WeightFunction(WeightKind.EXP, 5.0))
         t.residual(np.linalg.norm(got.matrix - pure.matrix), 1e-9)
-    return t.result("worldly context: top eigenvalue one, pure-hypernym reduction")
+    return t
 
 
 def suite_lexicon_construction(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("lexicon: exact top eigenvalue, permutation-invariant, lossless round-trip")
     for _ in range(max(1, trials // 10)):
         dim = int(rng.integers(3, 7))
         words = [f"w{i}" for i in range(int(rng.integers(2, 6)))]
@@ -557,13 +546,13 @@ def suite_lexicon_construction(rng, trials, dims, comps) -> SuiteResult:
             t.residual(worst, 0.0)
         finally:
             os.unlink(path)
-    return t.result("lexicon: exact top eigenvalue, permutation-invariant, lossless round-trip")
+    return t
 
 
 def suite_pipeline_toy(rng, trials, dims, comps) -> SuiteResult:
     """Deterministic worked example: negate the pure state, apply the toy
     context, and land on the graded mixture of alternatives."""
-    t = _Tracker()
+    t = SuiteResult("pipeline toy regression and slot-insensitive mult/diag")
     basis = np.eye(4)
     apple = Dmat(np.outer(basis[0], basis[0]), normalized=True)
     orange = Dmat(np.outer(basis[1], basis[1]), normalized=True)
@@ -583,11 +572,11 @@ def suite_pipeline_toy(rng, trials, dims, comps) -> SuiteResult:
             first = compose(a, b, kind, BasisSlot.FIRST_OPERAND).matrix
             second = compose(a, b, kind, BasisSlot.SECOND_OPERAND).matrix
             t.check(bool(np.array_equal(first, second)))
-    return t.result("pipeline toy regression and slot-insensitive mult/diag")
+    return t
 
 
 def suite_pearson_affine(rng, trials, dims, comps) -> SuiteResult:
-    t = _Tracker()
+    t = SuiteResult("correlation invariant under positive affine transforms")
     for _ in range(trials):
         n = int(rng.integers(4, 20))
         xs = rng.normal(size=n)
@@ -595,7 +584,7 @@ def suite_pearson_affine(rng, trials, dims, comps) -> SuiteResult:
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-100.0, 100.0))
         t.residual(pearson(scale * xs + shift, ys) - pearson(xs, ys), 1e-9)
-    return t.result("correlation invariant under positive affine transforms")
+    return t
 
 
 ALL_SUITES: tuple[Callable, ...] = (
@@ -643,7 +632,7 @@ def verify_theorems(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    comps = _compositions(overrides)
+    comps = {**COMPOSITIONS, **(overrides or {})}
     report = VerifyReport(seed=seed, trials=trials)
     for index, suite in enumerate(ALL_SUITES):
         rng = np.random.default_rng([seed, index])

@@ -13,8 +13,8 @@ from convneg.composition import (
 )
 from convneg.errors import DimensionMismatchError
 from convneg.negation import neg_supp
-from convneg.sampling import random_diagonal_ordered_pair, random_ordered_pair, random_orthogonal, random_psd
-from convneg.spectral import Dmat, loewner_leq, support_projector
+from convneg.sampling import random_orthogonal, random_psd
+from convneg.spectral import Dmat, support_projector
 
 PLUS = Dmat(np.full((2, 2), 0.5))  # rank-1 state on the diagonal direction
 B_DIAG = Dmat.from_diagonal([1.0, 0.25])
@@ -192,25 +192,3 @@ class TestSharedProperties:
             expected = (q * (a_eigs * b_eigs)) @ q.T
             for comp in (spider, fuzz, phaser):
                 assert np.linalg.norm(comp(a, b).matrix - expected) <= 1e-9
-
-    def test_order_preserved_mult_diag_and_fixed_basis_spider(self, rng):
-        for _ in range(60):
-            a1, b1 = random_ordered_pair(rng, 3)
-            a2, b2 = random_ordered_pair(rng, 3)
-            for comp in (mult, diag_comp):
-                assert loewner_leq(comp(a1, a2), comp(b1, b2), tol=1e-8)
-            d2, e2 = random_diagonal_ordered_pair(rng, 3)
-            assert loewner_leq(spider(a1, d2), spider(b1, e2), tol=1e-8)
-
-    def test_fuzz_phaser_admit_order_violations(self, rng):
-        found = {"fuzz": False, "phaser": False}
-        for _ in range(2000):
-            b1 = random_psd(rng, 3)
-            a1 = b1
-            a2, b2 = random_ordered_pair(rng, 3)
-            for name, comp in (("fuzz", fuzz), ("phaser", phaser)):
-                if not found[name] and not loewner_leq(comp(a1, a2), comp(b1, b2), tol=1e-9):
-                    found[name] = True
-            if all(found.values()):
-                break
-        assert all(found.values())

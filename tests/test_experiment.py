@@ -18,6 +18,7 @@ from convneg.context import (
 from convneg.errors import (
     DuplicatePairError,
     InsufficientDataError,
+    MissingMatrixError,
     ParseError,
     RatingOutOfRangeError,
     ZeroVarianceError,
@@ -165,6 +166,13 @@ class TestRunGrid:
         table = run_grid(load_dataset(data), lexicon, provider, [NegationConfig("sub", "spider", "w")])
         cell = table.row("sub", "spider", "w").cells["trace"]
         assert cell.r is None and cell.n == 0 and cell.skipped == 3
+
+    def test_context_without_lexicon_aborts(self, toy_run):
+        # a misbuilt context provider is a configuration error, not a skipped pair
+        dataset, lexicon, provider = toy_run
+        hyp_without_lexicon = partial(provider, lexicon=None, fn=WeightFunction(WeightKind.HYP, 1.0))
+        with pytest.raises(MissingMatrixError):
+            run_grid(dataset, lexicon, hyp_without_lexicon, [NegationConfig("sub", "spider", "w")])
 
     def test_r_values_in_range(self, toy_run):
         dataset, lexicon, provider = toy_run

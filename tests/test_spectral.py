@@ -229,7 +229,7 @@ class TestDecompositionCache:
             m = random_psd(rng, dim, repeat_prob=0.3)
             assert m.max_eigenvalue() == float(np.linalg.eigvalsh(m.matrix)[-1])
 
-    def test_strict_tolerance_raises_after_cache_filled(self, rng):
+    def test_small_negative_eigenvalue_clamped_once_and_cached(self, rng):
         q = random_orthogonal(rng, 3)
         for matrix in (np.diag([1.0, 0.5, -1e-10]), (q * [1.0, 0.5, -1e-10]) @ q.T):
             m = Dmat((matrix + matrix.T) / 2.0)

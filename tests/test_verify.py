@@ -1,8 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from convneg.composition import mult
+from convneg import verify
+from convneg.composition import mult, phaser
 from convneg.verify import verify_theorems
+
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def test_small_run_passes():
@@ -21,8 +27,7 @@ def test_report_renders_one_line_per_suite():
 def test_seed_reproducibility():
     first = verify_theorems(seed=3, trials=8)
     second = verify_theorems(seed=3, trials=8)
-    for a, b in zip(first.results, second.results):
-        assert a.worst_residual == b.worst_residual
+    assert first.render() == second.render()
 
 
 def test_trials_must_be_positive():
@@ -49,3 +54,25 @@ def test_broken_spider_is_caught():
 
     report = verify_theorems(seed=0, trials=10, overrides={"spider": shifted_spider})
     assert not report.passed
+
+
+def test_overrides_leave_the_shared_table_alone():
+    verify_theorems(seed=0, trials=2, overrides={"phaser": mult})
+    assert verify.COMPOSITIONS["phaser"] is phaser
+    with pytest.raises(TypeError):
+        verify.COMPOSITIONS["phaser"] = mult
+
+
+def test_acceptance_gate_runs_only_reported_suites():
+    # the gate's criteria call verify's suites; each must be one `verify` reports
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "verify"
+        and node.attr.startswith("suite_")
+    }
+    assert called
+    assert all(getattr(verify, name) in verify.ALL_SUITES for name in called)
