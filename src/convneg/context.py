@@ -181,38 +181,30 @@ class EntailmentGraph:
         return len(self.edges)
 
 
-GRAPH_MEASURES = ("k_E", "k_hyp")
+# each scorer fills an n x n array of every ordered pair's score, NaN on the diagonal
+GRAPH_MEASURES = MappingProxyType({
+    "k_E": entailment.k_e_all_pairs,
+    "k_hyp": entailment.k_hyp_clamped_all_pairs,
+})
 
 
 def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
     """Graded entailment between every ordered word pair; weak edges dropped.
 
-    Scored with the batched measures, with no thread pool: one `k_e` call per
-    source word u over every other word (row u, one stacked eigensolve), or
-    one `k_hyp_clamped` call per structural word v over every other word
-    (column v, one pseudo-inverse root).  The values are those of the scalar
-    calls, bit for bit, and a bad lexicon raises what the first failing
-    scalar call in sorted (u, v) order would raise.  Both directions of a
-    k_E pair are solved: reading one from the negated, reversed spectrum of
-    the other is not bit-exact where LAPACK meets an exact eigenvalue tie.
-    Edges are inserted in sorted (u, v) order; non-finite scores and scores
-    below `threshold` are dropped.
+    Scored with no thread pool by `entailment.k_e_all_pairs` (each pair's
+    spectrum solved in the pair's joint support, equal to `k_e` to roundoff)
+    or `entailment.k_hyp_clamped_all_pairs` (one pseudo-inverse root per
+    structural word, equal to `k_hyp_clamped` bit for bit).  A bad lexicon
+    raises what the first failing scalar call in sorted (u, v) order would
+    raise.  Edges are inserted in sorted (u, v) order; non-finite scores and
+    scores below `threshold` are dropped.
     """
     if measure not in GRAPH_MEASURES:
         raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}")
     words = sorted(lexicon)
     if len(words) < 2:
         return EntailmentGraph()
-    mats = [lookup_word(lexicon, w) for w in words]
-    n = len(mats)
-    weights = np.full((n, n), np.nan)  # the diagonal stays unset
-    for k in range(n):
-        others = np.arange(n) != k
-        rest = mats[:k] + mats[k + 1:]
-        if measure == "k_E":
-            weights[k, others] = entailment.k_e(mats[k], rest)
-        else:
-            weights[others, k] = entailment.k_hyp_clamped(rest, mats[k])
+    weights = GRAPH_MEASURES[measure]([lookup_word(lexicon, w) for w in words])
     keep = np.isfinite(weights) & (weights >= threshold)
     sources, targets = np.nonzero(keep)
     return EntailmentGraph(edges={

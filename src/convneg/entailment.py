@@ -14,8 +14,11 @@ scalar calls and raising what the first failing call of that loop would
 raise.  A sequence costs one stacked eigensolve per measure.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
-(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid and
-the entailment graph both score through the measures themselves.
+(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
+scores through the measures themselves.  The entailment graph scores every
+ordered word pair through `k_hyp_clamped_all_pairs`, bit for bit the scalar
+values, and `k_e_all_pairs`, which solves each pair in its joint support and
+agrees with `k_e` to roundoff.
 """
 
 from __future__ import annotations
@@ -65,10 +68,18 @@ def _result(values, A, B):
 
 
 def pinv_root(B: Dmat) -> np.ndarray:
-    """Pseudo-inverse square root of B, from its cached decomposition."""
-    decomp = spectral_decompose(B)
-    cut = decomp.support_cut()
-    return decomp.apply(lambda lam: np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=lam > cut))
+    """Pseudo-inverse square root of B, from its cached decomposition.
+
+    Built once per Dmat and kept read-only on it, like the decomposition.
+    """
+    root = B._pinv_root
+    if root is None:
+        decomp = spectral_decompose(B)
+        cut = decomp.support_cut()
+        root = decomp.apply(lambda lam: np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=lam > cut))
+        root.setflags(write=False)
+        object.__setattr__(B, "_pinv_root", root)
+    return root
 
 
 def k_hyp_from_root(root: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -192,3 +203,86 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     _check_pairs(A, B, (norm_a < 1e-12) | (norm_b < 1e-12), "trace similarity needs two nonzero matrices")
     traces = np.trace(_each(A, _matrix) @ _each(B, _matrix), axis1=-2, axis2=-1)
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
+
+
+def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, either: bool = False) -> None:
+    """Raise what the first failing scalar call over every ordered pair, row by row, would raise.
+
+    A pair fails on differing dims, else on its first word's flag in `zero`
+    (on either word's, with `either`).  Any dims mismatch already fails the
+    first row, so a later row can only fail on its own flag.
+    """
+    _check_pairs(mats[0], mats[1:], zero[0] | zero[1:] if either else zero[0], message)
+    if zero.any():
+        raise ZeroMatrixError(message)
+
+
+def _support_factor(M: Dmat) -> np.ndarray:
+    """F with F F^T = M to roundoff: eigenvectors scaled by root eigenvalues, from the cached decomposition.
+
+    The support is cut at roundoff (4 dim eps times the top eigenvalue), not
+    at RANK_TOL: a real eigenvalue of 1e-9 left out moves k_E by about as much.
+    """
+    decomp = spectral_decompose(M)
+    lam = decomp.eigenvalues
+    rank = int(np.count_nonzero(lam > 4 * M.dim * np.finfo(float).eps * lam[0]))
+    return decomp.eigenvectors[:, :rank] * np.sqrt(lam[:rank])
+
+
+def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
+    """`k_e(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
+
+    The diagonal is NaN, and a bad word raises what the first failing `k_e`
+    call in row order would raise.  M_j - M_i vanishes outside span[F_j F_i]
+    (support factors, F F^T = M), so with R the triangular factor of
+    [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
+    (r_i + r_j)-square problem; each row solves one stack of them per target
+    rank.  A pair with r_i + r_j >= dim, or of equal matrices (which must
+    score exactly 1), is solved d x d as `k_e` does.  The values agree with
+    `k_e` to roundoff.
+    """
+    n, dim = len(mats), mats[0].dim
+    norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
+    _check_all_pairs(mats, norm_a < 1e-12, "k_e needs a nonzero first argument")
+    stack = np.stack([m.matrix for m in mats])
+    factors = [_support_factor(m) for m in mats]
+    ranks = np.array([f.shape[1] for f in factors])
+    by_rank = {}
+    for r in set(ranks.tolist()):
+        by_rank[r] = (ranks == r, np.stack([f for f in factors if f.shape[1] == r]))
+    # equal matrices hash alike (adding 0.0 makes -0.0 into 0.0); a collision only costs a d x d solve
+    hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
+    out = np.full((n, n), np.nan)
+    for i, fi in enumerate(factors):
+        others = np.arange(n) != i
+        full = others & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
+        if full.any():
+            out[i, full] = k_e_from_spectra(np.linalg.eigvalsh(stack[full] - stack[i]), norm_a[i])
+        joint = others & ~full
+        for r, (members, stacked) in by_rank.items():
+            cols = joint & members
+            if cols.any():
+                fj = stacked[cols[members]]
+                tri = np.linalg.qr(np.concatenate([fj, np.broadcast_to(fi, (len(fj), *fi.shape))], axis=-1), "r")
+                signs = np.repeat([1.0, -1.0], [r, fi.shape[1]])
+                spectra = np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2))
+                out[i, cols] = k_e_from_spectra(spectra, norm_a[i])
+    return out
+
+
+def k_hyp_clamped_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
+    """`k_hyp_clamped(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
+
+    The diagonal is NaN, and a bad word raises what the first failing call
+    in row order would raise.  Column j is one `k_hyp_from_root` call with
+    mats[j]'s root over the stack of every other matrix, so the values are
+    the scalar ones bit for bit.
+    """
+    n = len(mats)
+    _check_all_pairs(mats, np.array([m.is_zero() for m in mats]), "k_hyp needs two nonzero matrices", either=True)
+    stack = np.stack([m.matrix for m in mats])
+    out = np.full((n, n), np.nan)
+    for j, b in enumerate(mats):
+        others = np.arange(n) != j
+        out[others, j] = np.minimum(k_hyp_from_root(pinv_root(b), stack[others]), 1.0)
+    return out

@@ -71,6 +71,13 @@ def test_negate_text_out_parses(fixture_paths, tmp_path, capsys):
 
 # Digest of the toy grid CSV; a change to any reported number changes it.
 FIXTURE_CSV_SHA256 = "ef8d407d66852aba0e4c2234271c90528b1a4da8bf3518785ae7c6ccf1e60b92"
+# The same grid with entailment-graph context, per graph measure.
+GRAPH_FIXTURE_CSV_SHA256 = {
+    "k_E": "c95682ec12b341df80236e58e6b28e897b65d28052c49f5d7267cb39468c1e8f",
+    "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
+}
+# Digest of the `verify --seed 0 --trials 200` report.
+VERIFY_STDOUT_SHA256 = "0b45e4f03d783ad713f4c58cd28ac065de7cccd0c981161dbba4dddf3bf4a80b"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
@@ -91,6 +98,36 @@ def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
     assert lines[0].startswith("negation,composition,basis,")
     assert len(lines) > 10
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == FIXTURE_CSV_SHA256
+
+
+@pytest.mark.parametrize("measure", sorted(GRAPH_FIXTURE_CSV_SHA256))
+def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
+    lex_path = build(fixture_paths, tmp_path)
+    hierarchy_grid = fixture_paths["grid"].read_text(encoding="utf-8")
+    assert "context = hierarchy\n" in hierarchy_grid
+    grid = tmp_path / "graph.cfg"
+    grid.write_text(
+        hierarchy_grid.replace("context = hierarchy\n", f"context = graph\ngraph_measure = {measure}\n"),
+        encoding="utf-8",
+    )
+    out_csv = tmp_path / "results.csv"
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(lex_path),
+            "--hierarchy", str(fixture_paths["hierarchy"]),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(grid),
+            "--out", str(out_csv),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GRAPH_FIXTURE_CSV_SHA256[measure]
+
+
+def test_verify_report_digest(capsys):
+    assert main(["verify", "--seed", "0", "--trials", "200"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 def test_verify_exit_codes(capsys):

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convneg
 from convneg.context import (
     EntailmentGraph,
     HypernymHierarchy,
@@ -32,7 +37,7 @@ from convneg.errors import (
 )
 from convneg.lexicon import Lexicon
 from convneg.pipeline import NegationConfig, conversational_negate
-from convneg.sampling import random_psd
+from convneg.sampling import random_orthogonal, random_psd
 from convneg.spectral import Dmat
 
 
@@ -63,6 +68,39 @@ def per_pair_graph(lexicon, measure, threshold):
                 if np.isfinite(w) and w >= threshold:
                     edges[(u, v)] = w
     return edges
+
+
+def assert_matches_per_pair(graph, lexicon, measure, threshold):
+    """k_hyp edges are the scalar calls' bit for bit; k_E edges have the same keys, in order, within 1e-12."""
+    expected = per_pair_graph(lexicon, measure, threshold)
+    if measure == "k_hyp":
+        assert list(graph.edges.items()) == list(expected.items())
+    else:
+        assert list(graph.edges) == list(expected)
+        np.testing.assert_allclose(list(graph.edges.values()), list(expected.values()), rtol=0.0, atol=1e-12)
+
+
+def near_copy(rng, word, scale):
+    """A word of the same rank whose support factor is `word`'s plus a perturbation of relative size `scale`."""
+    lam, vecs = np.linalg.eigh(word.matrix)
+    support = lam > 1e-12 * lam[-1]
+    factor = vecs[:, support] * np.sqrt(lam[support])
+    factor = factor + scale * rng.normal(size=factor.shape)
+    m = factor @ factor.T
+    return Dmat((m + m.T) / 2.0)
+
+
+def record_shapes(monkeypatch, name):
+    """Patch np.linalg.<name> to record the shape of its first argument; returns the list."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
 
 
 class TestLoadHierarchy:
@@ -220,9 +258,8 @@ class TestEntailmentGraph:
             lexicon = sampled_lexicon(rng, dim, 14)
             for measure in ("k_E", "k_hyp"):
                 for threshold in (0.0, 0.35, 0.8, 1.0):
-                    graph = build_entailment_graph(lexicon, measure, threshold)
-                    expected = per_pair_graph(lexicon, measure, threshold)
-                    assert list(graph.edges.items()) == list(expected.items()), (dim, measure, threshold)
+                    assert_matches_per_pair(build_entailment_graph(lexicon, measure, threshold),
+                                            lexicon, measure, threshold)
 
     def test_duplicate_words_fully_entail(self):
         lexicon = sampled_lexicon(np.random.default_rng(3), 6, 5)
@@ -238,8 +275,7 @@ class TestEntailmentGraph:
         rng = np.random.default_rng(8)
         lexicon = {f"w{i:02d}": random_psd(rng, 12, rank=int(rng.integers(1, 13)), repeat_prob=0.3)
                    for i in range(25)}
-        graph = build_entailment_graph(lexicon, measure)
-        assert list(graph.edges.items()) == list(per_pair_graph(lexicon, measure, 0.0).items())
+        assert_matches_per_pair(build_entailment_graph(lexicon, measure), lexicon, measure, 0.0)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_zero_matrix_rejected(self, onb, measure):
@@ -279,18 +315,97 @@ class TestEntailmentGraph:
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_one_eigensolve_per_row(self, monkeypatch, measure):
-        # call counts repeat exactly, so they guard the batching where timings cannot
+        # call counts repeat exactly, so they guard the batching where timings cannot;
+        # k_E's joint-support stacks are smaller than dim and come on top
         lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        calls = record_shapes(monkeypatch, "eigvalsh")
         build_entailment_graph(lexicon, measure)
-        assert 0 < len(calls) <= len(lexicon)
+        assert 0 < sum(shape[-1] == 6 for shape in calls) <= len(lexicon)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_words_checked_once(self, monkeypatch, measure):
+        # the zero check takes one Frobenius norm per word, not one per pair
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        norms = []
+        real = Dmat.frobenius_norm
+        monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: norms.append(m) or real(m))
+        build_entailment_graph(lexicon, measure)
+        assert len(norms) <= len(lexicon)
+
+
+class TestJointSupportKE:
+    """k_E graph edges solved in each pair's joint support stay at the per-pair d x d values."""
+
+    def test_tiny_eigenvalues_stay_in_the_support(self):
+        # a support cut at RANK_TOL would drop the 3e-9 and 1e-10 eigenvalues and move edges by ~4e-10
+        rng = np.random.default_rng(12)
+        q = random_orthogonal(rng, 12)
+        tiny = (q * np.r_[1.0, 3e-9, 1e-10, np.zeros(9)]) @ q.T
+        lexicon = {"tiny": Dmat((tiny + tiny.T) / 2.0)}
+        lexicon.update({f"w{i}": random_psd(rng, 12, rank=i) for i in range(1, 6)})
+        assert_matches_per_pair(build_entailment_graph(lexicon, "k_E"), lexicon, "k_E", 0.0)
+
+    def test_near_dependent_supports(self):
+        # near-parallel factors make an orthogonalization through the Gram matrix lose digits
+        rng = np.random.default_rng(13)
+        base = random_psd(rng, 10, rank=3)
+        lexicon = {"base": base, "pure": random_psd(rng, 10, rank=1)}
+        lexicon.update({f"near{k}": near_copy(rng, base, 10.0 ** -k) for k in (3, 5, 7, 9)})
+        assert_matches_per_pair(build_entailment_graph(lexicon, "k_E"), lexicon, "k_E", 0.0)
+
+    def test_equal_matrices_score_exactly_one(self):
+        # equal low-rank words, one of them with -0.0 where the other has 0.0
+        rng = np.random.default_rng(15)
+        block = np.zeros((10, 10))
+        block[:4, :4] = random_psd(rng, 4, rank=2).matrix
+        signed = block.copy()
+        signed[signed == 0.0] = -0.0
+        lexicon = {"a": Dmat(block), "b": Dmat(block.copy()), "c": Dmat(signed),
+                   "p": random_psd(rng, 10, rank=2)}
+        lexicon["d"] = lexicon["p"]
+        lexicon["e"] = Dmat(lexicon["p"].matrix.copy())
+        graph = build_entailment_graph(lexicon, "k_E", threshold=1.0)
+        equal = ("abc", "dep")
+        assert set(graph.edges) == {(u, v) for group in equal for u in group for v in group if u != v}
+        assert set(graph.edges.values()) == {1.0}
+
+    def test_batches_one_source_word_at_a_time(self, monkeypatch):
+        # stacking every pair at once costs memory for no speed
+        lexicon = sampled_lexicon(np.random.default_rng(4), 9, 12)
+        solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
+        build_entailment_graph(lexicon, "k_E")
+        shapes = solves + factorizations
+        assert factorizations and all(len(shape) == 3 and shape[0] < len(lexicon) for shape in shapes)
+
+    def test_build_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma, about 1 MB of resident memory
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from convneg.context import build_entailment_graph\n"
+            "from convneg.sampling import random_psd\n"
+            "rng = np.random.default_rng(0)\n"
+            "build_entailment_graph({f'w{i}': random_psd(rng, 8, rank=1 + i % 8) for i in range(12)})\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(convneg.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+    @settings(max_examples=50, deadline=None)
+    @given(dim=st.integers(1, 20), size=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_matches_per_pair_reference(self, dim, size, seed, scale):
+        # mixed ranks cover both r_i + r_j < dim and the d x d fallback; a near copy
+        # gives near-dependent supports, and an equal copy must stay at exactly 1
+        rng = np.random.default_rng(seed)
+        lexicon = {f"w{i}": random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))) for i in range(size)}
+        lexicon["full"] = random_psd(rng, dim)
+        lexicon["pure"] = random_psd(rng, dim, rank=1)
+        lexicon["near"] = near_copy(rng, lexicon["w0"], scale)
+        lexicon["copy"] = Dmat(lexicon["w0"].matrix.copy())
+        for threshold in (0.0, 0.35, 0.8, 1.0):
+            graph = build_entailment_graph(lexicon, "k_E", threshold)
+            assert_matches_per_pair(graph, lexicon, "k_E", threshold)
 
 
 class TestEntailmentGraphIndex:

@@ -215,11 +215,12 @@ class TestDecompositionCache:
     def test_second_call_returns_same_object(self, rng):
         m = random_psd(rng, 6, rank=4)
         assert spectral_decompose(m) is spectral_decompose(m)
+        assert pinv_root(m) is pinv_root(m)
 
     def test_cached_arrays_are_readonly(self, rng):
         m = random_psd(rng, 5)
         decomp = spectral_decompose(m)
-        for array in (decomp.eigenvalues, decomp.eigenvectors, m.eigenvalues):
+        for array in (decomp.eigenvalues, decomp.eigenvectors, m.eigenvalues, pinv_root(m)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
