@@ -193,8 +193,8 @@ def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0
 
     Scored with no thread pool by `entailment.k_e_all_pairs` (each pair's
     spectrum solved in the pair's joint support, equal to `k_e` to roundoff)
-    or `entailment.k_hyp_clamped_all_pairs` (one pseudo-inverse root per
-    structural word, equal to `k_hyp_clamped` bit for bit).  A bad lexicon
+    or `entailment.k_hyp_clamped_all_pairs` (each pair solved in the smaller
+    support, equal to `k_hyp_clamped` bit for bit).  A bad lexicon
     raises what the first failing scalar call in sorted (u, v) order would
     raise.  Edges are inserted in sorted (u, v) order; non-finite scores and
     scores below `threshold` are dropped.

@@ -11,10 +11,12 @@ argument.  Two matrices give a float.  Otherwise one matrix pairs with every
 member of the sequence (two sequences pair up elementwise), and the values
 come back as an array in sequence order, equal bit for bit to a loop of
 scalar calls and raising what the first failing call of that loop would
-raise.  A sequence costs one stacked eigensolve per measure.
+raise.  A sequence costs one stacked eigensolve per measure, except k_hyp,
+which solves one stack per problem shape and reads a 1 x 1 problem off
+without one.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
-(`k_hyp_from_root`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
+(`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
 scores through the measures themselves.  The entailment graph scores every
 ordered word pair through `k_hyp_clamped_all_pairs`, bit for bit the scalar
 values, and `k_e_all_pairs`, which solves each pair in its joint support and
@@ -63,51 +65,109 @@ def _matrix(X: Dmat) -> np.ndarray:
 
 
 def _result(values, A, B):
-    """A float for two matrices, else the array of values."""
-    return float(values) if isinstance(A, Dmat) and isinstance(B, Dmat) else values
+    """A float for two matrices (values holds one), else the array of values."""
+    return values.item() if isinstance(A, Dmat) and isinstance(B, Dmat) else values
 
 
-def pinv_root(B: Dmat) -> np.ndarray:
-    """Pseudo-inverse square root of B, from its cached decomposition.
+def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> int:
+    """How many eigenvalues exceed roundoff: 4 dim eps times the largest."""
+    return int(np.count_nonzero(eigenvalues > 4 * dim * np.finfo(float).eps * eigenvalues.max()))
 
-    Built once per Dmat and kept read-only on it, like the decomposition.
+
+def _support_factor(M: Dmat) -> np.ndarray:
+    """F with F F^T = M to roundoff: eigenvectors scaled by root eigenvalues, from the cached decomposition.
+
+    The support is cut at roundoff (`_roundoff_rank`), not at RANK_TOL: a
+    real eigenvalue of 1e-9 left out moves k_E by about as much.
     """
-    root = B._pinv_root
-    if root is None:
-        decomp = spectral_decompose(B)
-        cut = decomp.support_cut()
-        root = decomp.apply(lambda lam: np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=lam > cut))
-        root.setflags(write=False)
-        object.__setattr__(B, "_pinv_root", root)
-    return root
+    decomp = spectral_decompose(M)
+    rank = _roundoff_rank(decomp.eigenvalues, M.dim)
+    return decomp.eigenvectors[:, :rank] * np.sqrt(decomp.eigenvalues[:rank])
 
 
-def k_hyp_from_root(root: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """k_hyp of each A in `mats` against B = pinv(root)^2.
+def _whitened_support(B: Dmat) -> np.ndarray:
+    """W = U_r diag(lambda_r)^(-1/2) over B's eigenvalues above its RANK_TOL support cut, so W W^T = pinv(B)."""
+    decomp = spectral_decompose(B)
+    rank = decomp.rank()
+    return decomp.eigenvectors[:, :rank] / np.sqrt(decomp.eigenvalues[:rank])
 
-    The formula behind `k_hyp`: gamma is the top eigenvalue of the symmetrized
-    `root @ A @ root`, and the result is 1/gamma, or +inf where gamma is at or
-    below RANK_TOL.  `root` and `mats` are each one matrix or a stack (they
-    broadcast); a stack is solved by one `eigvalsh` call.
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Arrays of one shape, copied into one preallocated stack (np.stack costs more per member)."""
+    out = np.empty((len(arrays), *arrays[0].shape))
+    for slot, array in enumerate(arrays):
+        out[slot] = array
+    return out
+
+
+def _top_eigenvalue(cores: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each symmetrized square matrix in a stack; a 1 x 1 matrix is its entry."""
+    sym = (cores + np.swapaxes(cores, -1, -2)) / 2.0
+    return sym[:, 0, 0] if sym.shape[-1] == 1 else np.linalg.eigvalsh(sym)[:, -1]
+
+
+def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarray:
+    """k_hyp(mats[ia[k]], mats[ib[k]]) for every k: the one kernel behind `k_hyp` and the graph.
+
+    gamma, the top eigenvalue of pinv(B) A, is solved in the smaller support.
+    With W the whitened support of B (`_whitened_support`, rank r_B),
+    gamma = lambda_max(W^T A W), an r_B-square problem that needs only A's
+    matrix.  When A's roundoff rank r_A is below r_B, gamma =
+    lambda_max(G^T G) with G = W^T F_A and F_A A's support factor, an
+    r_A-square problem.  The result is 1/gamma, or +inf where gamma is at or
+    below RANK_TOL.  Pairs are grouped by their problem's shape and solved a
+    stack at a time, at most len(mats) pairs per stack, so a stack holds no
+    more matrices than `mats` does; every pair rounds the same in any stack,
+    so values do not depend on the batch.
     """
-    core = root @ mats @ root
-    gamma = np.linalg.eigvalsh((core + np.swapaxes(core, -1, -2)) / 2.0)[..., -1]
+    whitened = {j: _whitened_support(mats[j]) for j in dict.fromkeys(ib)}
+    ranks = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) for i in dict.fromkeys(ia)}
+    factors: dict[int, np.ndarray] = {}
+    # (r_B, r_A) -> the pairs of that shape; r_A = 0 marks a pair solved in B's support
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        r_b, r_a = whitened[j].shape[1], 0
+        if ranks[i] < r_b:
+            if i not in factors:
+                factors[i] = _support_factor(mats[i])
+            r_a = factors[i].shape[1]
+        groups.setdefault((r_b, r_a), []).append(k)
+    gamma = np.empty(len(ia))
+    for (_, r_a), rows in groups.items():
+        for start in range(0, len(rows), len(mats)):
+            part = rows[start : start + len(mats)]
+            w = _stack([whitened[ib[k]] for k in part])
+            wt = np.swapaxes(w, -1, -2)
+            if r_a == 0:
+                cores = wt @ _stack([mats[ia[k]].matrix for k in part]) @ w
+            else:
+                g = wt @ _stack([factors[ia[k]] for k in part])
+                cores = np.swapaxes(g, -1, -2) @ g
+            gamma[part] = _top_eigenvalue(cores)
     return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > RANK_TOL)
+
+
+def _pair_indices(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
+    """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order."""
+    a = [A] if isinstance(A, Dmat) else list(A)
+    b = [B] if isinstance(B, Dmat) else list(B)
+    n = max(len(a), len(b))
+    ia = list(range(n)) if len(a) == n else [0] * n
+    ib = list(range(len(a), len(a) + n)) if len(b) == n else [len(a)] * n
+    return a + b, ia, ib
 
 
 def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """Reciprocal of the top eigenvalue of pinv(B) A (generalized grading).
 
-    Computed from the symmetrized form pinv_sqrt(B) A pinv_sqrt(B), which has
-    the same spectrum but stays symmetric.  When the support of A lies inside
-    the support of B this equals the largest k with B - kA still PSD.  A top
-    eigenvalue at or below RANK_TOL means A places nothing measurable inside
-    B's support; +inf is returned to signal the unconstrained case.  Each
-    structural operand B has its pseudo-inverse root formed once.
+    Solved in the smaller of the two supports (see `_k_hyp_pairs`).  When
+    the support of A lies inside the support of B this equals the largest k
+    with B - kA still PSD.  A top eigenvalue at or below RANK_TOL means A
+    places nothing measurable inside B's support; +inf is returned to signal
+    the unconstrained case.
     """
     _check_pairs(A, B, _each(A, Dmat.is_zero) | _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
-    root = _each(B, pinv_root)
-    return _result(k_hyp_from_root(root, _each(A, _matrix)), A, B)
+    return _result(_k_hyp_pairs(*_pair_indices(A, B)), A, B)
 
 
 def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -217,18 +277,6 @@ def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, eithe
         raise ZeroMatrixError(message)
 
 
-def _support_factor(M: Dmat) -> np.ndarray:
-    """F with F F^T = M to roundoff: eigenvectors scaled by root eigenvalues, from the cached decomposition.
-
-    The support is cut at roundoff (4 dim eps times the top eigenvalue), not
-    at RANK_TOL: a real eigenvalue of 1e-9 left out moves k_E by about as much.
-    """
-    decomp = spectral_decompose(M)
-    lam = decomp.eigenvalues
-    rank = int(np.count_nonzero(lam > 4 * M.dim * np.finfo(float).eps * lam[0]))
-    return decomp.eigenvectors[:, :rank] * np.sqrt(lam[:rank])
-
-
 def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     """`k_e(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
 
@@ -274,15 +322,12 @@ def k_hyp_clamped_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     """`k_hyp_clamped(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
 
     The diagonal is NaN, and a bad word raises what the first failing call
-    in row order would raise.  Column j is one `k_hyp_from_root` call with
-    mats[j]'s root over the stack of every other matrix, so the values are
-    the scalar ones bit for bit.
+    in row order would raise.  Every pair goes through the kernel of
+    `k_hyp`, so the values are the scalar ones bit for bit.
     """
     n = len(mats)
     _check_all_pairs(mats, np.array([m.is_zero() for m in mats]), "k_hyp needs two nonzero matrices", either=True)
-    stack = np.stack([m.matrix for m in mats])
+    ia, ib = np.nonzero(~np.eye(n, dtype=bool))
     out = np.full((n, n), np.nan)
-    for j, b in enumerate(mats):
-        others = np.arange(n) != j
-        out[others, j] = np.minimum(k_hyp_from_root(pinv_root(b), stack[others]), 1.0)
+    out[ia, ib] = np.minimum(_k_hyp_pairs(mats, ia.tolist(), ib.tolist()), 1.0)
     return out

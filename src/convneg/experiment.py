@@ -102,7 +102,12 @@ def load_dataset(path) -> PlausibilityDataset:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Product-moment correlation; needs length >= 3 and variance on both sides."""
+    """Product-moment correlation; needs length >= 3 and variance on both sides.
+
+    A side varies when its root sum of squared deviations exceeds
+    256 eps sqrt(n) times its largest magnitude, so the cut scales with the
+    values and a column constant up to rounding raises ZeroVarianceError.
+    """
     if len(xs) != len(ys):
         raise InsufficientDataError(f"length mismatch {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
@@ -117,7 +122,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy -= dy.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
     sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx < 1e-15 or sy < 1e-15:
+    # A spread within rounding of the values' magnitude is constant: the
+    # rounding-noise columns of the benchmark grids reach 65 eps sqrt(n) max|x|.
+    cut = 256 * np.finfo(float).eps * math.sqrt(len(x))
+    if sx <= cut * float(np.abs(x).max()) or sy <= cut * float(np.abs(y).max()):
         raise ZeroVarianceError("one input list is constant")
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 

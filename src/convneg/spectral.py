@@ -8,10 +8,9 @@ eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
 read-only on the instance: the eigenvalues from validation, and the full
 `SpectralDecomposition` the first time `spectral_decompose` is asked for it
-(lazily, so matrices that are never decomposed never pay for `eigh`), and the
-pseudo-inverse root the first time `entailment.pinv_root` is.  Threads
-sharing a `Dmat` may race to fill a cache; the race is benign, because every
-writer stores the same deterministic result.
+(lazily, so matrices that are never decomposed never pay for `eigh`).
+Threads sharing a `Dmat` may race to fill the cache; the race is benign,
+because every writer stores the same deterministic result.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ class Dmat:
 
     Validation's ascending eigenvalues are kept as the read-only
     `eigenvalues`.  The spectral decomposition is filled lazily by the first
-    `spectral_decompose` call and reused by every later one, and
-    `entailment.pinv_root` caches its result the same way; concurrent first
-    calls may each compute a cache, and whichever identical result lands last
-    is kept.
+    `spectral_decompose` call and reused by every later one; concurrent first
+    calls may each compute it, and whichever identical result lands last is
+    kept.
     """
 
     matrix: np.ndarray
@@ -60,8 +58,6 @@ class Dmat:
     eigenvalues: np.ndarray = field(init=False)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
-    # filled by the first entailment.pinv_root call
-    _pinv_root: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)

@@ -40,7 +40,7 @@ def public_callables():
 
 def test_no_tolerance_parameters():
     surface = public_callables()
-    for expected in ("k_hyp", "convneg.entailment.pinv_root", "SpectralDecomposition.rank", "Dmat.is_zero"):
+    for expected in ("k_hyp", "convneg.entailment.k_e_from_spectra", "SpectralDecomposition.rank", "Dmat.is_zero"):
         assert expected in surface
     offenders = {
         name: sorted(TOLERANCE_PARAMETERS & set(inspect.signature(fn).parameters))

@@ -77,7 +77,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "0b45e4f03d783ad713f4c58cd28ac065de7cccd0c981161dbba4dddf3bf4a80b"
+VERIFY_STDOUT_SHA256 = "bb8904f7e23e6ecfc04ad4d9f762a098b242dafe9e2c4e1cb9c158736fc8766a"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

@@ -199,8 +199,9 @@ def loop_k_hyp(A, B):
 
 
 def test_array_kernels_match_loop_formulas_bitwise():
-    # the kernels shared with the graph build must round exactly as the
-    # per-pair formulas do, or every grid CSV would drift
+    # the k_E kernel shared with the grid must round exactly as the per-pair
+    # formula does, or every grid CSV would drift; k_hyp is solved in the
+    # smaller support, so it holds the d x d formula to 1e-12 relative
     rng = np.random.default_rng(31)
     for dim in (1, 2, 3, 5, 8, 13, 21, 34, 50):
         for _ in range(12):
@@ -208,7 +209,60 @@ def test_array_kernels_match_loop_formulas_bitwise():
             B = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
             assert k_e(A, B) == loop_k_e(A, B, 2)
             assert k_e(A, B, norm="trace") == loop_k_e(A, B, 1)
-            assert k_hyp(A, B) == loop_k_hyp(A, B)
+            assert k_hyp(A, B) == pytest.approx(loop_k_hyp(A, B), rel=1e-12, abs=0)
+
+
+def psd_from_spectrum(basis, eigenvalues):
+    m = (basis[:, : len(eigenvalues)] * eigenvalues) @ basis[:, : len(eigenvalues)].T
+    return Dmat((m + m.T) / 2.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 50),
+    data=st.data(),
+    case=st.sampled_from(["generic", "nested", "orthogonal", "above_cut", "below_cut"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_k_hyp_kernel_matches_d_by_d_formula_and_oracle(dim, data, case, seed):
+    """The smaller-support kernel against the d x d loop formula (1e-12 relative) and the bisection oracle.
+
+    Ranks run from 1 to dim on both sides, so both supports' routes are
+    taken.  "orthogonal" puts A outside B's support (the +inf sentinel);
+    "above_cut" and "below_cut" give B an eigenvalue 0.1% either side of its
+    RANK_TOL cut, with A weighted on that eigenvector.
+    """
+    rng = np.random.default_rng(seed)
+    rank_b = data.draw(st.integers(1, dim), label="rank_b")
+    q = random_orthogonal(rng, dim)
+    lam_b = rng.uniform(0.1, 1.0, size=rank_b)
+    if case in ("above_cut", "below_cut"):
+        lam_b[0] = 1.0
+        if rank_b > 1:
+            lam_b[-1] = 1e-8 * (1.001 if case == "above_cut" else 0.999)
+    B = psd_from_spectrum(q, lam_b)
+    if case == "orthogonal":
+        if rank_b == dim:
+            return
+        rank_a = data.draw(st.integers(1, dim - rank_b), label="rank_a")
+        A = psd_from_spectrum(q[:, rank_b:], rng.uniform(0.1, 1.0, size=rank_a))
+    elif case == "nested":
+        rank_a = data.draw(st.integers(1, rank_b), label="rank_a")
+        A = psd_from_spectrum(q[:, :rank_b] @ random_orthogonal(rng, rank_b), rng.uniform(0.1, 1.0, size=rank_a))
+    else:
+        rank_a = data.draw(st.integers(1, dim), label="rank_a")
+        A = random_psd(rng, dim, rank=rank_a)
+        if case != "generic":
+            A = Dmat(A.matrix + np.outer(q[:, rank_b - 1], q[:, rank_b - 1]))
+    got = k_hyp(A, B)
+    want = loop_k_hyp(A, B)
+    if case == "orthogonal":
+        assert got == want == math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    if case == "nested":
+        # the oracle's bisection resolves k to about its PSD tolerance, 1e-9
+        assert got == pytest.approx(k_hyp_oracle(A, B), rel=1e-6, abs=1e-6)
 
 
 MEASURES = {

@@ -113,8 +113,23 @@ class TestPearson:
             base = pearson(xs, ys)
         except ZeroVarianceError:
             return
-        moved = pearson([scale * x + shift for x in xs], ys)
+        moved_xs = [scale * x + shift for x in xs]
+        try:
+            moved = pearson(moved_xs, ys)
+        except ZeroVarianceError:
+            # the shift swamped the spread (say 1e-59 + 1): constant up to rounding
+            assert max(moved_xs) - min(moved_xs) <= 1e-12 * max(abs(v) for v in moved_xs)
+            return
         assert moved == pytest.approx(base, abs=1e-9)
+
+    def test_constant_up_to_rounding(self):
+        # 20 values, each within 14 ulps of 1 (an ulp is eps above 1, eps / 2 below)
+        eps = np.finfo(float).eps
+        values = [1.0 + k * eps for k in range(15)] + [1.0 - k * eps / 2 for k in range(1, 6)]
+        with pytest.raises(ZeroVarianceError):
+            pearson(values, range(20))
+        with pytest.raises(ZeroVarianceError):
+            pearson(range(20), [1e30 * v for v in values])
 
 
 @pytest.fixture
@@ -241,12 +256,14 @@ def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
     assert builds == {word: 1 for word in negated}
 
 
-@pytest.fixture
-def shuffled_grid():
-    """Three negated words whose records are shuffled together, one unknown alternative."""
+def make_shuffled_grid(rank=None):
+    """Three negated words whose records are shuffled together, one unknown alternative.
+
+    Every word has the given rank, or a random one from 1 to the dim 6.
+    """
     rng = np.random.default_rng(7)
     words = [f"w{i}" for i in range(12)]
-    lexicon = {w: random_normalized(rng, 6, rank=int(rng.integers(1, 7))) for w in words}
+    lexicon = {w: random_normalized(rng, 6, rank=rank or int(rng.integers(1, 7))) for w in words}
     negated = ("w0", "w1", "w2")
     hierarchy = HypernymHierarchy(paths={w: tuple(words[4 + i : 8 + i]) for i, w in enumerate(negated)})
     pairs = [(n, a) for n in negated for a in words if a != n] + [("w1", "ghost")]
@@ -255,6 +272,11 @@ def shuffled_grid():
     )
     provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
     return PlausibilityDataset(records), lexicon, provider, negated
+
+
+@pytest.fixture
+def shuffled_grid():
+    return make_shuffled_grid()
 
 
 def record_by_record(dataset, lexicon, negate):
@@ -298,8 +320,9 @@ def test_grid_scores_keep_dataset_order(shuffled_grid, monkeypatch):
     assert seen == expected
 
 
-def test_grid_batches_measure_solves_per_negated_word(shuffled_grid, monkeypatch):
-    dataset, lexicon, provider, negated = shuffled_grid
+def test_grid_batches_measure_solves_per_negated_word(monkeypatch):
+    # rank-1 words, as the lexicon's leaves are
+    dataset, lexicon, provider, negated = make_shuffled_grid(rank=1)
     measure_solves = Counter()
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -309,8 +332,8 @@ def test_grid_batches_measure_solves_per_negated_word(shuffled_grid, monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     table = run_grid(dataset, lexicon, provider, GridSpec().configs())
-    # k_hyp both ways, k_E both ways, k_BA; trace similarity needs no solve
-    assert 0 < measure_solves["convneg.entailment"] <= 5 * len(table.rows) * len(negated)
+    # k_E both ways and k_BA; k_hyp against a rank-1 word and trace similarity need no solve
+    assert 0 < measure_solves["convneg.entailment"] <= 3 * len(table.rows) * len(negated)
 
 
 def test_grid_negates_each_word_once_per_kind(shuffled_grid, monkeypatch):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from convneg.entailment import pinv_root
 from convneg.negation import _kernel_projector, neg_supp
 
 from convneg.errors import (
@@ -200,7 +199,6 @@ def test_spectral_functions_match_per_eigenvalue_loop(rng):
         decomp = spectral_decompose(X)
         cut = decomp.support_cut()
         cases = [
-            (pinv_root(X), lambda lam: 1.0 / math.sqrt(lam) if lam > cut else 0.0),
             (neg_supp(X).matrix, lambda lam: 1.0 / lam if lam > cut else 0.0),
             (support_projector(X).matrix, lambda lam: 1.0 if lam > cut else 0.0),
             (decomp.apply(np.sqrt), math.sqrt),
@@ -215,12 +213,11 @@ class TestDecompositionCache:
     def test_second_call_returns_same_object(self, rng):
         m = random_psd(rng, 6, rank=4)
         assert spectral_decompose(m) is spectral_decompose(m)
-        assert pinv_root(m) is pinv_root(m)
 
     def test_cached_arrays_are_readonly(self, rng):
         m = random_psd(rng, 5)
         decomp = spectral_decompose(m)
-        for array in (decomp.eigenvalues, decomp.eigenvectors, m.eigenvalues, pinv_root(m)):
+        for array in (decomp.eigenvalues, decomp.eigenvectors, m.eigenvalues):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
