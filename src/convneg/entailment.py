@@ -11,16 +11,19 @@ argument.  Two matrices give a float.  Otherwise one matrix pairs with every
 member of the sequence (two sequences pair up elementwise), and the values
 come back as an array in sequence order, equal bit for bit to a loop of
 scalar calls and raising what the first failing call of that loop would
-raise.  A sequence costs one stacked eigensolve per measure, except k_hyp,
-which solves one stack per problem shape and reads a 1 x 1 problem off
-without one.
+raise.  k_hyp solves one stack per problem shape and reads a 1 x 1 problem
+off without one.  k_E and k_BA are read off the spectrum of B - A, and
+the spectrum of A - B is its negated reversal, so each pair is solved once
+(`_difference_spectra`), in an orientation fixed by the pair alone: a
+matrix facing a sequence keeps the spectra against it, and k_E both ways
+and k_BA against that sequence cost one stacked eigensolve between them.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
 scores through the measures themselves.  The entailment graph scores every
 ordered word pair through `k_hyp_clamped_all_pairs`, bit for bit the scalar
-values, and `k_e_all_pairs`, which solves each pair in its joint support and
-agrees with `k_e` to roundoff.
+values, and `k_e_all_pairs`, which solves each unordered pair once in its
+joint support and agrees with `k_e` to roundoff.
 """
 
 from __future__ import annotations
@@ -69,9 +72,14 @@ def _result(values, A, B):
     return values.item() if isinstance(A, Dmat) and isinstance(B, Dmat) else values
 
 
+def _roundoff_cut(scale, dim: int):
+    """Roundoff in the spectrum of a dim-square matrix whose largest eigenvalue magnitude is `scale`: 4 dim eps scale."""
+    return 4 * dim * np.finfo(float).eps * scale
+
+
 def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> int:
-    """How many eigenvalues exceed roundoff: 4 dim eps times the largest."""
-    return int(np.count_nonzero(eigenvalues > 4 * dim * np.finfo(float).eps * eigenvalues.max()))
+    """How many eigenvalues exceed roundoff (`_roundoff_cut` of the largest)."""
+    return int(np.count_nonzero(eigenvalues > _roundoff_cut(eigenvalues.max(), dim)))
 
 
 def _support_factor(M: Dmat) -> np.ndarray:
@@ -199,6 +207,68 @@ def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> f
     return lo
 
 
+def _flipped(spectra: np.ndarray) -> np.ndarray:
+    """Ascending spectra of -M from ascending spectra of M (last axis); the negation is a contiguous copy."""
+    return -spectra[..., ::-1]
+
+
+def _solved_first(X: Dmat, Y: Dmat) -> bool:
+    """Whether the pair {X, Y} is solved as X - Y: X has the smaller trace, a tie going to the smaller bytes.
+
+    eigvalsh is not bitwise odd (the spectrum it gives for -M may differ from
+    the negated reversal of M's in the last bit), so each pair is solved in
+    one orientation that depends on the pair alone, whichever call asks.
+    """
+    tx, ty = X.matrix.trace(), Y.matrix.trace()
+    return bool(tx < ty or (tx == ty and X.matrix.tobytes() <= Y.matrix.tobytes()))
+
+
+def _solve(xs: np.ndarray, ys: np.ndarray, x_first: np.ndarray) -> np.ndarray:
+    """Ascending spectra of xs - ys where x_first, else of ys - xs (stacks, or one matrix broadcast)."""
+    return np.linalg.eigvalsh(np.where(x_first[:, None, None], xs - ys, ys - xs))
+
+
+def _spectra_against(X: Dmat, partners: Sequence[Dmat]) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair {X, Y}'s spectrum in its own orientation, and where that is X - Y, over Y in `partners`.
+
+    Kept on X for the last sequence it faced (`Dmat._pair_spectra`), so
+    k_e both ways and k_ba against the same sequence make one solve.
+    """
+    partners = tuple(partners)
+    memo = X._pair_spectra
+    if memo is not None and memo[0] == partners:
+        return memo[1], memo[2]
+    x_first = np.array([_solved_first(X, Y) for Y in partners])
+    spectra = _solve(X.matrix, _stack([Y.matrix for Y in partners]), x_first)
+    spectra.setflags(write=False)
+    object.__setattr__(X, "_pair_spectra", (partners, spectra, x_first))
+    return spectra, x_first
+
+
+def _difference_spectra(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]) -> np.ndarray:
+    """Ascending spectra of B - A for each pair: the one solve behind `k_e` and `k_ba`.
+
+    Each pair is solved in the orientation `_solved_first` picks, and the
+    other orientation is read off as the negated reversal.  Two matrices
+    solve directly; one matrix against a sequence goes through the memo of
+    `_spectra_against`; two sequences solve their pairs directly.
+    """
+    if isinstance(A, Dmat) and isinstance(B, Dmat):
+        if _solved_first(B, A):
+            return np.linalg.eigvalsh(B.matrix - A.matrix)
+        return _flipped(np.linalg.eigvalsh(A.matrix - B.matrix))
+    if isinstance(A, Dmat):
+        spectra, flip = _spectra_against(A, B)
+    elif isinstance(B, Dmat):
+        spectra, b_first = _spectra_against(B, A)
+        flip = ~b_first
+    else:
+        b_first = np.array([_solved_first(b, a) for a, b in zip(A, B)])
+        spectra = _solve(_each(B, _matrix), _each(A, _matrix), b_first)
+        flip = ~b_first
+    return np.where(flip[:, None], _flipped(spectra), spectra)
+
+
 def k_ba_from_spectra(spectra: np.ndarray) -> np.ndarray:
     """k_BA from spectra of B - A (last axis): their sum over their absolute sum.
 
@@ -215,8 +285,7 @@ def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     matching the limit along B = A + eps*I).
     """
     _check_pairs(A, B)
-    spectra = np.linalg.eigvalsh(_each(B, _matrix) - _each(A, _matrix))
-    return _result(k_ba_from_spectra(spectra), A, B)
+    return _result(k_ba_from_spectra(_difference_spectra(A, B)), A, B)
 
 
 def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
@@ -230,13 +299,18 @@ def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
     return np.sqrt((spectra[..., None, :] @ spectra[..., :, None])[..., 0, 0])
 
 
-def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2) -> np.ndarray:
+def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2, dim: int | None = None) -> np.ndarray:
     """k_E from ascending spectra of B - A (last axis) and the norms of A's spectra.
 
     The formula behind `k_e`: the error norm is the norm of the negative part
     of the spectrum, and the result is 1 - error / norm_a clamped to [0, 1].
+    A negative eigenvalue within roundoff of zero (`_roundoff_cut` of the
+    largest magnitude, at the matrices' `dim`, by default the spectrum
+    length) counts as zero, so a crisply entailed pair scores exactly 1.
     """
-    error = spectrum_norms(np.where(spectra < 0.0, -spectra, 0.0), order)
+    dim = spectra.shape[-1] if dim is None else dim
+    cut = _roundoff_cut(np.maximum(-spectra[..., :1], spectra[..., -1:]), dim)
+    error = spectrum_norms(np.where(spectra < -cut, -spectra, 0.0), order)
     return np.clip(1.0 - error / norm_a, 0.0, 1.0)
 
 
@@ -252,8 +326,7 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
     order = 2 if norm == "fro" else 1
     norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
     _check_pairs(A, B, norm_a < 1e-12, "k_e needs a nonzero first argument")
-    spectra = np.linalg.eigvalsh(_each(B, _matrix) - _each(A, _matrix))
-    return _result(k_e_from_spectra(spectra, norm_a, order), A, B)
+    return _result(k_e_from_spectra(_difference_spectra(A, B), norm_a, order), A, B)
 
 
 def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -286,8 +359,9 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
     (r_i + r_j)-square problem; each row solves one stack of them per target
     rank.  A pair with r_i + r_j >= dim, or of equal matrices (which must
-    score exactly 1), is solved d x d as `k_e` does.  The values agree with
-    `k_e` to roundoff.
+    score exactly 1), is solved d x d as `k_e` does.  Each unordered pair is
+    solved once, in row i for j > i, and cell (j, i) is read off the negated
+    reversal of its spectrum.  The values agree with `k_e` to roundoff.
     """
     n, dim = len(mats), mats[0].dim
     norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
@@ -301,20 +375,25 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     # equal matrices hash alike (adding 0.0 makes -0.0 into 0.0); a collision only costs a d x d solve
     hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
     out = np.full((n, n), np.nan)
+
+    def fill(i: int, cols: np.ndarray, spectra: np.ndarray) -> None:
+        """Cells (i, j) and (j, i) over j in cols, from the spectra of M_j - M_i."""
+        out[i, cols] = k_e_from_spectra(spectra, norm_a[i], dim=dim)
+        out[cols, i] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
+
     for i, fi in enumerate(factors):
-        others = np.arange(n) != i
-        full = others & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
+        later = np.arange(n) > i
+        full = later & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
         if full.any():
-            out[i, full] = k_e_from_spectra(np.linalg.eigvalsh(stack[full] - stack[i]), norm_a[i])
-        joint = others & ~full
+            fill(i, full, np.linalg.eigvalsh(stack[full] - stack[i]))
+        joint = later & ~full
         for r, (members, stacked) in by_rank.items():
             cols = joint & members
             if cols.any():
                 fj = stacked[cols[members]]
                 tri = np.linalg.qr(np.concatenate([fj, np.broadcast_to(fi, (len(fj), *fi.shape))], axis=-1), "r")
                 signs = np.repeat([1.0, -1.0], [r, fi.shape[1]])
-                spectra = np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2))
-                out[i, cols] = k_e_from_spectra(spectra, norm_a[i])
+                fill(i, cols, np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2)))
     return out
 
 

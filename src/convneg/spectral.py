@@ -51,6 +51,13 @@ class Dmat:
     `spectral_decompose` call and reused by every later one; concurrent first
     calls may each compute it, and whichever identical result lands last is
     kept.
+
+    A matrix scored by k_e or k_ba against a sequence also keeps a one-slot
+    memo of the difference spectra against that sequence (its members held
+    by identity), so both k_E directions and k_BA share one solve.  A call
+    against another sequence replaces it.  Threads may race to replace it;
+    the race is benign, because each slot is one tuple, stored whole and
+    checked against the caller's own sequence on every read.
     """
 
     matrix: np.ndarray
@@ -58,6 +65,8 @@ class Dmat:
     eigenvalues: np.ndarray = field(init=False)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
+    # (partners, spectra, flags) of the last sequence this matrix faced in k_e or k_ba
+    _pair_spectra: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)

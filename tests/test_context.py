@@ -322,6 +322,13 @@ class TestEntailmentGraph:
         build_entailment_graph(lexicon, measure)
         assert 0 < sum(shape[-1] == 6 for shape in calls) <= len(lexicon)
 
+    def test_k_e_solves_each_unordered_pair_once(self, monkeypatch):
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        calls = record_shapes(monkeypatch, "eigvalsh")
+        build_entailment_graph(lexicon, "k_E")
+        n = len(lexicon)
+        assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= n * (n - 1) // 2
+
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_words_checked_once(self, monkeypatch, measure):
         # the zero check takes one Frobenius norm per word, not one per pair

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from convneg.entailment import (
     k_ba,
     k_e,
+    k_e_all_pairs,
     k_hyp,
     k_hyp_clamped,
     k_hyp_oracle,
@@ -130,6 +131,16 @@ class TestKE:
             b = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
             assert 0.0 <= k_e(a, b) <= 1.0
 
+    def test_crisp_pairs_score_exactly_one(self):
+        # B - A is PSD with a kernel, which eigvalsh returns as roundoff of
+        # either sign; without the roundoff cut only 132 of these scored 1.0
+        rng = np.random.default_rng(0)
+        for k in range(400):
+            a = random_psd(rng, 10, rank=3)
+            b = Dmat(1.5 * a.matrix) if k % 2 == 0 else Dmat(a.matrix + random_psd(rng, 10, rank=3).matrix)
+            assert k_e(a, b) == 1.0
+            assert k_e_all_pairs([a, b])[0, 1] == 1.0
+
 
 class TestTraceSimilarity:
     def test_identical_pure_states(self, onb):
@@ -199,16 +210,17 @@ def loop_k_hyp(A, B):
 
 
 def test_array_kernels_match_loop_formulas_bitwise():
-    # the k_E kernel shared with the grid must round exactly as the per-pair
-    # formula does, or every grid CSV would drift; k_hyp is solved in the
-    # smaller support, so it holds the d x d formula to 1e-12 relative
+    # the kernels hold the d x d per-pair formulas to 1e-12 relative: k_E
+    # solves each pair in the orientation its traces pick and counts
+    # roundoff-sized negative eigenvalues as zero, and k_hyp is solved in
+    # the smaller support
     rng = np.random.default_rng(31)
     for dim in (1, 2, 3, 5, 8, 13, 21, 34, 50):
         for _ in range(12):
             A = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.2)
             B = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            assert k_e(A, B) == loop_k_e(A, B, 2)
-            assert k_e(A, B, norm="trace") == loop_k_e(A, B, 1)
+            assert k_e(A, B) == pytest.approx(loop_k_e(A, B, 2), rel=1e-12, abs=0)
+            assert k_e(A, B, norm="trace") == pytest.approx(loop_k_e(A, B, 1), rel=1e-12, abs=0)
             assert k_hyp(A, B) == pytest.approx(loop_k_hyp(A, B), rel=1e-12, abs=0)
 
 
@@ -348,6 +360,28 @@ class TestStackedMeasures:
                     assert isinstance(got, np.ndarray), name
                 else:
                     assert got == want, name
+
+    def test_one_solve_for_both_k_e_directions_and_k_ba(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = random_psd(rng, 12, rank=4)
+        seq = [random_psd(rng, 12, rank=int(rng.integers(1, 13))) for _ in range(6)] + [a]
+        calls = [lambda x: k_e(x, seq), lambda x: k_e(seq, x), lambda x: k_ba(x, seq), lambda x: k_ba(seq, x)]
+        # each call alone, on its own copy of a with no memo
+        fresh = [call(Dmat(a.matrix)).tobytes() for call in calls]
+        real = np.linalg.eigvalsh
+        solves = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *args: solves.append(m.shape) or real(m, *args))
+        for first in range(len(calls)):
+            x = Dmat(a.matrix)
+            solves.clear()
+            order = [first] + [k for k in range(len(calls)) if k != first]
+            got = {k: calls[k](x).tobytes() for k in order}
+            assert solves == [(len(seq), 12, 12)]
+            assert [got[k] for k in range(len(calls))] == fresh
+        # a different sequence replaces the memo
+        k_e(x, seq[::-1])
+        k_e(x, seq)
+        assert len(solves) == 3
 
     def test_elementwise_lengths_must_match(self, rng):
         seq = [random_psd(rng, 3) for _ in range(3)]
