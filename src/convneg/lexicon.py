@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CorruptLexiconError,
     DimensionMismatchError,
+    DuplicateWordError,
     ParseError,
     UnknownWordError,
     ZeroMatrixError,
@@ -74,6 +75,8 @@ def load_vectors(path) -> VectorTable:
                 raise DimensionMismatchError(
                     f"line {lineno}: vector of length {values.size}, expected {dim}"
                 )
+            if word in vectors:
+                raise DuplicateWordError(f"duplicate vector for {word!r}", lineno)
             values.setflags(write=False)
             vectors[word] = values
     if dim is None:
@@ -211,19 +214,24 @@ def load_lexicon(path) -> Lexicon:
     offset = len(MAGIC) + 8
     matrix_bytes = dim * dim * 8
     matrices: dict[str, Dmat] = {}
-    for _ in range(count):
+    for index in range(count):
         if offset + 2 > len(blob):
             raise CorruptLexiconError("truncated word header")
         (word_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
         if offset + word_len + matrix_bytes > len(blob):
             raise CorruptLexiconError("truncated record")
-        word = blob[offset : offset + word_len].decode("utf-8")
+        try:
+            word = blob[offset : offset + word_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptLexiconError(f"record {index}: word bytes are not valid UTF-8") from None
+        if word in matrices:
+            raise CorruptLexiconError(f"record {index}: duplicate record for {word!r}")
         offset += word_len
         flat = np.frombuffer(blob, dtype="<f8", count=dim * dim, offset=offset)
         offset += matrix_bytes
         try:
-            matrices[word] = Dmat(flat.reshape(dim, dim).copy(), normalized=True)
+            matrices[word] = Dmat(flat.reshape(dim, dim), normalized=True)
         except Exception as exc:
             raise CorruptLexiconError(f"invalid matrix for {word!r}: {exc}") from exc
     if offset != len(blob):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Dmat, spectral_decompose
+from .spectral import Dmat, rescale_max_eig, spectral_decompose
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -40,9 +40,7 @@ def random_psd(
 
 def random_normalized(rng: np.random.Generator, dim: int, rank: int | None = None) -> Dmat:
     """Random PSD matrix with largest eigenvalue exactly 1."""
-    m = random_psd(rng, dim, rank=rank)
-    top = m.max_eigenvalue()
-    return Dmat(m.matrix / top, normalized=True)
+    return rescale_max_eig(random_psd(rng, dim, rank=rank))
 
 
 def random_ordered_pair(rng: np.random.Generator, dim: int, margin: float = 0.0):

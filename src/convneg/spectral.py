@@ -6,16 +6,18 @@ exceeds 1; `rescale_max_eig` additionally scales upward so the largest
 eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
-read-only on the instance: the eigenvalues from validation, and the full
-`SpectralDecomposition` the first time `spectral_decompose` is asked for it
-(lazily, so matrices that are never decomposed never pay for `eigh`).
-Threads sharing a `Dmat` may race to fill the cache; the race is benign,
-because every writer stores the same deterministic result.
+read-only on the instance: the eigenvalues on first read (or from validation,
+which solves for them anyway), and the full `SpectralDecomposition` the first
+time `spectral_decompose` is asked for it.  `normalize_max_eig` and
+`rescale_max_eig` check their result against the input's spectrum divided by
+the scale, so a rescaled matrix whose eigenvalues are never read never pays
+for a solve.  Threads sharing a `Dmat` may race to fill a cache; the race is
+benign, because every writer stores the same deterministic result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,11 +48,13 @@ class Dmat:
     `normalized` must additionally have largest eigenvalue <= 1 + PSD_TOL.
     Instances are immutable; the wrapped array is read-only.
 
-    Validation's ascending eigenvalues are kept as the read-only
-    `eigenvalues`.  The spectral decomposition is filled lazily by the first
-    `spectral_decompose` call and reused by every later one; concurrent first
-    calls may each compute it, and whichever identical result lands last is
-    kept.
+    The read-only ascending `eigenvalues` are `eigvalsh(matrix)`, computed on
+    first read and kept.  `Dmat(...)` solves for them to validate, so it keeps
+    them from the start; a matrix made by `normalize_max_eig` or
+    `rescale_max_eig` solves only if they are read.  The spectral
+    decomposition is filled lazily by the first `spectral_decompose` call and
+    reused by every later one.  Concurrent first reads may each compute either
+    cache, and whichever identical result lands last is kept.
 
     A matrix scored by k_e or k_ba against a sequence also keeps a one-slot
     memo of the difference spectra against that sequence (its members held
@@ -62,7 +66,8 @@ class Dmat:
 
     matrix: np.ndarray
     normalized: bool = False
-    eigenvalues: np.ndarray = field(init=False)
+    # filled by validation or the first read of `eigenvalues`
+    _eigenvalues: np.ndarray | None = field(init=False, default=None)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
     # (partners, spectra, flags) of the last sequence this matrix faced in k_e or k_ba
@@ -72,22 +77,20 @@ class Dmat:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NotPSDError("matrix has non-finite entries")
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYMMETRY_TOL:
-            raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues[0] < -PSD_TOL:
-            raise NotPSDError(f"eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL:.0e}")
-        if self.normalized and eigenvalues[-1] > 1.0 + PSD_TOL:
-            raise NotNormalizedError(
-                f"flagged normalized but largest eigenvalue is {eigenvalues[-1]:.12g}"
-            )
+        eigenvalues = _validate(m, self.normalized, np.linalg.eigvalsh)
         m.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "_eigenvalues", eigenvalues)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        eigenvalues = self._eigenvalues
+        if eigenvalues is None:
+            eigenvalues = np.linalg.eigvalsh(self.matrix)
+            eigenvalues.setflags(write=False)
+            object.__setattr__(self, "_eigenvalues", eigenvalues)
+        return eigenvalues
 
     @property
     def dim(self) -> int:
@@ -112,6 +115,48 @@ class Dmat:
 
     def __repr__(self) -> str:
         return f"Dmat(dim={self.dim}, normalized={self.normalized})"
+
+
+def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
+    """Check a square float array as a Dmat; return `spectrum(m)`.
+
+    The checks: finite entries, symmetry within SYMMETRY_TOL, ascending
+    eigenvalues `spectrum(m)` at least -PSD_TOL, and, when `normalized`, a
+    largest eigenvalue of at most 1 + PSD_TOL.  `spectrum` runs only on a
+    finite symmetric `m`.
+    """
+    if not np.all(np.isfinite(m)):
+        raise NotPSDError("matrix has non-finite entries")
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > SYMMETRY_TOL:
+        raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+    eigenvalues = spectrum(m)
+    if eigenvalues[0] < -PSD_TOL:
+        raise NotPSDError(f"eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL:.0e}")
+    if normalized and eigenvalues[-1] > 1.0 + PSD_TOL:
+        raise NotNormalizedError(
+            f"flagged normalized but largest eigenvalue is {eigenvalues[-1]:.12g}"
+        )
+    return eigenvalues
+
+
+def _scaled(M: Dmat, s: float) -> Dmat:
+    """`M.matrix / s` (s > 0) flagged normalized, without a new eigensolve.
+
+    Dividing by a positive s divides each eigenvalue by s, so the PSD and
+    normalized checks read M's spectrum divided by s; finiteness and symmetry
+    are checked on the scaled array.  The result is built without `__init__`,
+    whose validation would solve again; its own `eigenvalues` are computed on
+    first read, bit for bit what validation would have kept.
+    """
+    m = M.matrix / s
+    _validate(m, True, lambda _: M.eigenvalues / s)
+    m.setflags(write=False)
+    out = object.__new__(Dmat)
+    values = {"matrix": m, "normalized": True}
+    for f in fields(Dmat):
+        object.__setattr__(out, f.name, values.get(f.name, f.default))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +282,7 @@ def normalize_max_eig(M: Dmat) -> Dmat:
     """Divide by the largest eigenvalue when it exceeds 1; never scale upward."""
     if M.is_zero():
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    top = M.max_eigenvalue()
-    scaled = M.matrix / max(1.0, top)
-    return Dmat(scaled, normalized=True)
+    return _scaled(M, max(1.0, M.max_eigenvalue()))
 
 
 def rescale_max_eig(M: Dmat) -> Dmat:
@@ -253,7 +296,7 @@ def rescale_max_eig(M: Dmat) -> Dmat:
     top = M.max_eigenvalue()
     if top < ZERO_NORM_TOL:
         raise ZeroMatrixError("largest eigenvalue is numerically zero")
-    return Dmat(M.matrix / top, normalized=True)
+    return _scaled(M, top)
 
 
 def check_dims(A: Dmat, B: Dmat) -> None:

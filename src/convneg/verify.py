@@ -55,6 +55,7 @@ from .spectral import (
     Dmat,
     loewner_leq,
     normalize_max_eig,
+    rescale_max_eig,
     spectral_decompose,
     support_projector,
 )
@@ -561,7 +562,7 @@ def suite_pipeline_toy(rng, trials, dims, comps) -> SuiteResult:
     fruit = Dmat(apple.matrix / 2 + orange.matrix / 3 + fig.matrix / 6)
     raw = comps["spider"](neg_sub(apple), fruit)
     t.residual(np.linalg.norm(raw.matrix - (orange.matrix / 3 + fig.matrix / 6)), 1e-9)
-    normalized = Dmat(raw.matrix / raw.max_eigenvalue(), normalized=True)
+    normalized = rescale_max_eig(raw)
     scores = [trace_similarity(normalized, alt) for alt in (orange, fig, movie)]
     t.check(scores[0] > scores[1] > scores[2] == 0.0)
     for _ in range(trials):

@@ -190,6 +190,26 @@ def test_evaluate_rejects_bad_config_at_parse_time(fixture_paths, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_evaluate_reports_corrupt_lexicon_word(fixture_paths, tmp_path, capsys):
+    lex_path = build(fixture_paths, tmp_path)
+    capsys.readouterr()
+    blob = bytearray(lex_path.read_bytes())
+    blob[5 + 8 + 2] = 0xFF  # first byte of record 0's word
+    lex_path.write_bytes(bytes(blob))
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(lex_path),
+            "--hierarchy", str(fixture_paths["hierarchy"]),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(fixture_paths["grid"]),
+            "--out", str(tmp_path / "results.csv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: record 0: word bytes are not valid UTF-8\n"
+
+
 def assert_missing_input_reported(argv, flag, tmp_path, capsys):
     """Run with the file after `flag` missing: one `error:` line, exit 2."""
     missing = tmp_path / "missing.txt"

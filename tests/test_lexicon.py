@@ -1,13 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from convneg.errors import (
     CorruptLexiconError,
     DimensionMismatchError,
+    DuplicateWordError,
     ParseError,
     UnknownWordError,
 )
 from convneg.lexicon import (
+    MAGIC,
     Lexicon,
     build_density_matrix,
     build_lexicon,
@@ -42,6 +46,12 @@ class TestLoadVectors:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_vectors(write(tmp_path, "v.txt", ""))
+
+    def test_duplicate_word_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(DuplicateWordError) as err:
+            load_vectors(write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.0 1.0\n\na 0.6 0.8\n"))
+        assert err.value.line_number == 4
+        assert "'a'" in str(err.value)
 
     def test_unknown_word(self, tmp_path):
         table = load_vectors(write(tmp_path, "v.txt", "a 1.0 0.0\n"))
@@ -82,6 +92,22 @@ class TestBuildDensityMatrix:
         first = build_density_matrix("a", ["b", "c", "d"], table)
         second = build_density_matrix("a", ["d", "b", "c"], table)
         np.testing.assert_array_equal(first.matrix, second.matrix)
+
+    def test_one_eigensolve_per_word(self, tmp_path, rng, monkeypatch):
+        lines = [f"w{i} " + " ".join(f"{v:.6f}" for v in rng.normal(size=5)) for i in range(4)]
+        table = load_vectors(write(tmp_path, "v.txt", "\n".join(lines) + "\n"))
+        solves = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            solves.append(a)
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for hyponyms in (set(), {"w1"}, {"w1", "w2", "w3"}):
+            solves.clear()
+            build_density_matrix("w0", hyponyms, table)
+            assert len(solves) == 1  # validating the raw mixture; normalizing reuses its spectrum
 
     def test_top_eigenvalue_exactly_one(self, tmp_path, rng):
         lines = [
@@ -129,6 +155,25 @@ class TestPersistence:
         blob[-8:] = np.array([5.0]).tobytes()  # breaks the normalized invariant
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptLexiconError):
+            load_lexicon(path)
+
+    def test_invalid_utf8_word_rejected_with_record_index(self, tmp_path):
+        lexicon = self.make_lexicon(tmp_path)
+        path = tmp_path / "lex.bin"
+        save_lexicon(lexicon, path)
+        blob = bytearray(path.read_bytes())
+        second = len(MAGIC) + 8 + 2 + 1 + 2 * 2 * 8 + 2  # word bytes of record 1 ("b")
+        assert blob[second : second + 1] == b"b"
+        blob[second] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptLexiconError, match="record 1: word bytes are not valid UTF-8"):
+            load_lexicon(path)
+
+    def test_duplicate_word_rejected(self, tmp_path):
+        record = struct.pack("<H", 1) + b"a" + np.eye(2).astype("<f8").tobytes()
+        path = tmp_path / "lex.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 2, 2) + record + record)
+        with pytest.raises(CorruptLexiconError, match="record 1: duplicate record for 'a'"):
             load_lexicon(path)
 
     def test_mixed_dims_rejected_at_construction(self):

@@ -17,6 +17,7 @@ from convneg.spectral import (
     Dmat,
     _deterministic_order,
     _fix_signs,
+    _scaled,
     loewner_leq,
     normalize_max_eig,
     rescale_max_eig,
@@ -266,6 +267,66 @@ class TestNormalize:
         for _ in range(25):
             m = Dmat(random_psd(rng, 4).matrix * rng.uniform(0.1, 5.0))
             assert normalize_max_eig(m).max_eigenvalue() <= 1.0 + 1e-9
+
+
+class TestRescaleWithoutSolve:
+    """normalize_max_eig and rescale_max_eig check their result against the input's spectrum."""
+
+    def test_no_eigensolve(self, rng, monkeypatch):
+        inputs = [random_psd(rng, 6) for _ in range(2)] + [Dmat(random_psd(rng, 6).matrix * 3.0)]
+        calls = []
+
+        def counting(real):
+            def solve(a, *args, **kwargs):
+                calls.append(a)
+                return real(a, *args, **kwargs)
+
+            return solve
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        for m in inputs:
+            normalize_max_eig(m)
+            rescale_max_eig(m)
+        assert calls == []
+
+    def test_lazy_eigenvalues_match_eager_validation_bitwise(self, rng):
+        for dim in (1, 2, 7, 30):
+            for scale in (0.3, 1.0, 4.0):
+                m = Dmat(random_psd(rng, dim, repeat_prob=0.3).matrix * scale)
+                for out in (normalize_max_eig(m), rescale_max_eig(m)):
+                    np.testing.assert_array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+                    assert out.eigenvalues is out.eigenvalues
+                    assert not out.eigenvalues.flags.writeable
+
+    def test_result_is_a_fresh_read_only_dmat(self, rng):
+        m = random_psd(rng, 5)
+        parent_decomp = spectral_decompose(m)
+        out = rescale_max_eig(m)
+        assert out.normalized and out.dim == 5
+        np.testing.assert_array_equal(out.matrix, m.matrix / m.max_eigenvalue())
+        with pytest.raises(ValueError):
+            out.matrix[0, 0] = 2.0
+        assert spectral_decompose(out) is not parent_decomp
+        np.testing.assert_allclose(
+            spectral_decompose(out).eigenvalues, parent_decomp.eigenvalues / m.max_eigenvalue()
+        )
+
+    def test_upward_rescaling_still_rejects_scaled_negativity(self, rng):
+        q = random_orthogonal(rng, 3)
+        for matrix in (np.diag([0.5, 0.2, -0.9e-9]), (q * [0.5, 0.2, -0.9e-9]) @ q.T):
+            m = Dmat((matrix + matrix.T) / 2.0)  # -0.9e-9 is within PSD_TOL
+            with pytest.raises(NotPSDError):
+                rescale_max_eig(m)  # -0.9e-9 / 0.5 is not
+
+    def test_upward_rescaling_still_rejects_scaled_asymmetry(self):
+        m = Dmat(np.array([[1e-3, 1e-3 + 5e-12], [1e-3, 1e-3]]))  # asymmetry within tolerance
+        with pytest.raises(NonSymmetricError):
+            rescale_max_eig(m)  # 5e-12 / 2e-3 is not
+
+    def test_non_finite_result_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(NotPSDError, match="non-finite"):
+            _scaled(Dmat.identity(2), 1e-320)
 
 
 class TestLoewner:
