@@ -23,7 +23,8 @@ The k_hyp, k_E and k_BA formulas each live in one array kernel
 scores through the measures themselves.  The entailment graph scores every
 ordered word pair through `k_hyp_clamped_all_pairs`, bit for bit the scalar
 values, and `k_e_all_pairs`, which solves each unordered pair once in its
-joint support and agrees with `k_e` to roundoff.
+joint support, in stacks of one problem shape that take pairs from as many
+source words as fit, and agrees with `k_e` to roundoff.
 """
 
 from __future__ import annotations
@@ -357,11 +358,18 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     call in row order would raise.  M_j - M_i vanishes outside span[F_j F_i]
     (support factors, F F^T = M), so with R the triangular factor of
     [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
-    (r_i + r_j)-square problem; each row solves one stack of them per target
-    rank.  A pair with r_i + r_j >= dim, or of equal matrices (which must
-    score exactly 1), is solved d x d as `k_e` does.  Each unordered pair is
-    solved once, in row i for j > i, and cell (j, i) is read off the negated
-    reversal of its spectrum.  The values agree with `k_e` to roundoff.
+    (r_i + r_j)-square problem.  A pair with r_i + r_j >= dim, or of equal
+    matrices (which must score exactly 1), is solved d x d as `k_e` does.
+    Each unordered pair is solved once, as M_j - M_i for j > i, and cell
+    (j, i) is read off the negated reversal of its spectrum.  The values
+    agree with `k_e` to roundoff.
+
+    Pairs wait in one queue per problem shape, (r_j, r_i) or d x d, filled
+    row by row; a queue is solved as one stack when it holds n - 1 pairs,
+    and what is left at the end as one more.  A stack thus mixes source
+    words but never holds more matrices than one row has pairs, and each
+    pair rounds the same in any stack, so the values do not depend on the
+    batching.
     """
     n, dim = len(mats), mats[0].dim
     norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
@@ -369,31 +377,59 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     stack = np.stack([m.matrix for m in mats])
     factors = [_support_factor(m) for m in mats]
     ranks = np.array([f.shape[1] for f in factors])
-    by_rank = {}
-    for r in set(ranks.tolist()):
-        by_rank[r] = (ranks == r, np.stack([f for f in factors if f.shape[1] == r]))
+    # word k's factor is by_rank[ranks[k]][slot[k]]
+    slot, by_rank = np.empty(n, dtype=int), {}
+    for r in sorted(set(ranks.tolist())):
+        members = np.flatnonzero(ranks == r)
+        slot[members] = np.arange(members.size)
+        by_rank[r] = np.stack([factors[k] for k in members])
     # equal matrices hash alike (adding 0.0 makes -0.0 into 0.0); a collision only costs a d x d solve
     hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
     out = np.full((n, n), np.nan)
 
-    def fill(i: int, cols: np.ndarray, spectra: np.ndarray) -> None:
-        """Cells (i, j) and (j, i) over j in cols, from the spectra of M_j - M_i."""
-        out[i, cols] = k_e_from_spectra(spectra, norm_a[i], dim=dim)
-        out[cols, i] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
+    def solve(shape, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Cells (i, j) and (j, i) for i, j in zip(rows, cols), pairs of one shape, from one stack of M_j - M_i spectra."""
+        if shape is None:
+            # rows come in runs, queued row by row: subtract each M_i in place over its run, with no second stack
+            diffs = stack[cols]
+            bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+            for start, stop in zip(bounds, bounds[1:]):
+                diffs[start:stop] -= stack[rows[start]]
+            spectra = np.linalg.eigvalsh(diffs)
+        else:
+            r_j, r_i = shape
+            tri = np.linalg.qr(np.concatenate([by_rank[r_j][slot[cols]], by_rank[r_i][slot[rows]]], axis=-1), "r")
+            signs = np.repeat([1.0, -1.0], [r_j, r_i])
+            spectra = np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2))
+        out[rows, cols] = k_e_from_spectra(spectra, norm_a[rows], dim=dim)
+        out[cols, rows] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
 
-    for i, fi in enumerate(factors):
-        later = np.arange(n) > i
-        full = later & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
-        if full.any():
-            fill(i, full, np.linalg.eigvalsh(stack[full] - stack[i]))
-        joint = later & ~full
-        for r, (members, stacked) in by_rank.items():
-            cols = joint & members
-            if cols.any():
-                fj = stacked[cols[members]]
-                tri = np.linalg.qr(np.concatenate([fj, np.broadcast_to(fi, (len(fj), *fi.shape))], axis=-1), "r")
-                signs = np.repeat([1.0, -1.0], [r, fi.shape[1]])
-                fill(i, cols, np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2)))
+    # shape -> (source words, target words, pending count) not yet solved; None is d x d
+    queues: dict[tuple[int, int] | None, tuple[list, list, int]] = {}
+
+    def enqueue(shape, i: int, cols: np.ndarray) -> None:
+        """Queue pairs (i, j) for j in cols; solve the queue's first n - 1 pairs once it holds that many."""
+        if cols.size:
+            rows_q, cols_q, pending = queues.get(shape, ([], [], 0))
+            rows_q.append(np.full(cols.size, i))
+            cols_q.append(cols)
+            pending += cols.size
+            if pending >= n - 1:
+                rows, cols = np.concatenate(rows_q), np.concatenate(cols_q)
+                solve(shape, rows[: n - 1], cols[: n - 1])
+                rows_q, cols_q, pending = [rows[n - 1 :]], [cols[n - 1 :]], pending - (n - 1)
+            queues[shape] = (rows_q, cols_q, pending)
+
+    for i in range(n - 1):
+        later = np.arange(i + 1, n)
+        full = (ranks[later] + ranks[i] >= dim) | (hashes[later] == hashes[i])
+        enqueue(None, i, later[full])
+        joint = later[~full]
+        for r in by_rank:
+            enqueue((r, int(ranks[i])), i, joint[ranks[joint] == r])
+    for shape, (rows_q, cols_q, pending) in queues.items():
+        if pending:
+            solve(shape, np.concatenate(rows_q), np.concatenate(cols_q))
     return out
 
 

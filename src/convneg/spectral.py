@@ -127,7 +127,8 @@ def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
     """
     if not np.all(np.isfinite(m)):
         raise NotPSDError("matrix has non-finite entries")
-    asym = float(np.max(np.abs(m - m.T)))
+    # most inputs are exactly symmetric, and comparing is far cheaper than forming m - m.T
+    asym = 0.0 if (m == m.T).all() else float(np.max(np.abs(m - m.T)))
     if asym > SYMMETRY_TOL:
         raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     eigenvalues = spectrum(m)

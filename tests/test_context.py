@@ -22,7 +22,15 @@ from convneg.context import (
     worldly_context_graph,
     worldly_context_hierarchy,
 )
-from convneg.entailment import k_e, k_hyp_clamped
+from convneg.entailment import (
+    _flipped,
+    _support_factor,
+    k_e,
+    k_e_all_pairs,
+    k_e_from_spectra,
+    k_hyp_clamped,
+    spectrum_norms,
+)
 from convneg.errors import (
     ConvNegError,
     DimensionMismatchError,
@@ -88,6 +96,39 @@ def near_copy(rng, word, scale):
     factor = factor + scale * rng.normal(size=factor.shape)
     m = factor @ factor.T
     return Dmat((m + m.T) / 2.0)
+
+
+def per_row_k_e(mats):
+    """Reference k_E weights: the all-pairs kernel with each source row solving its own stacks.
+
+    Row i solves M_j - M_i over j > i: one d x d stack (r_i + r_j >= dim, or
+    equal matrices), then one joint-support stack per target rank, and fills
+    both cells of each pair.
+    """
+    n, dim = len(mats), mats[0].dim
+    norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
+    stack = np.stack([m.matrix for m in mats])
+    factors = [_support_factor(m) for m in mats]
+    ranks = np.array([f.shape[1] for f in factors])
+    hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
+    out = np.full((n, n), np.nan)
+
+    def fill(i, cols, spectra):
+        out[i, cols] = k_e_from_spectra(spectra, norm_a[i], dim=dim)
+        out[cols, i] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
+
+    for i, fi in enumerate(factors):
+        later = np.arange(n) > i
+        full = later & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
+        if full.any():
+            fill(i, full, np.linalg.eigvalsh(stack[full] - stack[i]))
+        for r in sorted(set(ranks[later & ~full].tolist())):
+            cols = later & ~full & (ranks == r)
+            fj = np.stack([factors[j] for j in np.flatnonzero(cols)])
+            tri = np.linalg.qr(np.concatenate([fj, np.broadcast_to(fi, (len(fj), *fi.shape))], axis=-1), "r")
+            signs = np.repeat([1.0, -1.0], [r, fi.shape[1]])
+            fill(i, cols, np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2)))
+    return out
 
 
 def record_shapes(monkeypatch, name):
@@ -314,9 +355,10 @@ class TestEntailmentGraph:
             build_entailment_graph({"apple": onb["apple"]}, "k_BA")
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
-    def test_one_eigensolve_per_row(self, monkeypatch, measure):
-        # call counts repeat exactly, so they guard the batching where timings cannot;
-        # k_E's joint-support stacks are smaller than dim and come on top
+    def test_full_size_solves_at_most_one_per_word(self, monkeypatch, measure):
+        # call counts repeat exactly, so they guard the batching where timings cannot:
+        # the dim-square solves come in at most one call per word, as when each row
+        # solved alone; k_E's joint-support stacks are smaller than dim and come on top
         lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
         calls = record_shapes(monkeypatch, "eigvalsh")
         build_entailment_graph(lexicon, measure)
@@ -376,13 +418,30 @@ class TestJointSupportKE:
         assert set(graph.edges) == {(u, v) for group in equal for u in group for v in group if u != v}
         assert set(graph.edges.values()) == {1.0}
 
-    def test_batches_one_source_word_at_a_time(self, monkeypatch):
+    def test_no_stack_holds_every_word(self, monkeypatch):
+        # stacks span source rows but hold at most n - 1 pairs, the most one row has;
         # stacking every pair at once costs memory for no speed
         lexicon = sampled_lexicon(np.random.default_rng(4), 9, 12)
         solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
         build_entailment_graph(lexicon, "k_E")
         shapes = solves + factorizations
         assert factorizations and all(len(shape) == 3 and shape[0] < len(lexicon) for shape in shapes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [3, 8, 12])
+    def test_matches_per_row_kernel_bitwise(self, monkeypatch, seed, dim):
+        # mixed ranks, full-rank words and equal copies; the rank-1 leaves give a
+        # shape with more than n - 1 pairs, so some stack mixes source rows
+        rng = np.random.default_rng(seed)
+        lexicon = sampled_lexicon(rng, dim, 8)
+        lexicon.update({f"leaf{i}": random_psd(rng, dim, rank=1) for i in range(10)})
+        lexicon["full"] = random_psd(rng, dim)
+        lexicon["full_copy"] = Dmat(lexicon["full"].matrix.copy())
+        mats = [lexicon[w] for w in sorted(lexicon)]
+        expected = per_row_k_e(mats)
+        solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
+        assert np.array_equal(k_e_all_pairs(mats), expected, equal_nan=True)
+        assert max(shape[0] for shape in solves + factorizations) == len(mats) - 1
 
     def test_build_imports_no_masked_arrays(self):
         # np.unique imports numpy.ma, about 1 MB of resident memory

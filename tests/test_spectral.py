@@ -31,6 +31,19 @@ class TestDmatInvariants:
         with pytest.raises(NonSymmetricError):
             Dmat(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    def test_asymmetry_message_names_its_size(self):
+        with pytest.raises(NonSymmetricError, match=r"^asymmetry 2\.000e-10 exceeds 1e-10$"):
+            Dmat(np.array([[1.0, 0.5 + 2e-10], [0.5, 1.0]]))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        m = np.array([[1.0, 0.5 + 5e-11], [0.5, 1.0]])
+        assert np.array_equal(Dmat(m).matrix, m)
+
+    def test_mirrored_signed_zeros_are_symmetric(self):
+        # -0.0 == 0.0, so the exact comparison treats the mirror as symmetric
+        m = np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]])
+        assert np.array_equal(Dmat(m).eigenvalues, [1.0, 1.0, 1.0])
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSDError):
             Dmat(np.array([[1.0, 0.0], [0.0, -0.5]]))
