@@ -204,23 +204,37 @@ class SpectralDecomposition:
     def rank(self) -> int:
         return int(np.sum(self.eigenvalues > self.support_cut()))
 
+    def eigenvalue_groups(self) -> list[tuple[float, int, int]]:
+        """The eigenspaces as (value, start, stop) over the descending eigenvalues.
+
+        A group runs from its first eigenvalue while the next stays within
+        EIGENVALUE_GROUP_TOL times max(1, top eigenvalue) of that first one;
+        its value is the mean of `eigenvalues[start:stop]`.
+        """
+        values = self.eigenvalues.tolist()
+        tol = EIGENVALUE_GROUP_TOL * max(abs(values[0]), 1.0) if values else 0.0
+        groups: list[tuple[float, int, int]] = []
+        start = 0
+        n = len(values)
+        for i in range(1, n + 1):
+            if i == n or values[start] - values[i] > tol:
+                # the mean of one value is that value, bit for bit
+                value = values[start] if i == start + 1 else float(np.mean(self.eigenvalues[start:i]))
+                groups.append((value, start, i))
+                start = i
+        return groups
+
     def eigenspaces(self):
         """Group eigenvalues within EIGENVALUE_GROUP_TOL (relative) into (value, projector) pairs.
 
-        Returned in descending eigenvalue order; projectors sum to the identity.
+        The groups are `eigenvalue_groups()`, in descending eigenvalue order;
+        projectors sum to the identity.
         """
-        scale = max(abs(self.eigenvalues[0]), 1.0) if self.eigenvalues.size else 1.0
-        tol = EIGENVALUE_GROUP_TOL * scale
         groups: list[tuple[float, np.ndarray]] = []
-        start = 0
-        n = self.eigenvalues.size
-        for i in range(1, n + 1):
-            if i == n or self.eigenvalues[start] - self.eigenvalues[i] > tol:
-                block = self.eigenvectors[:, start:i]
-                proj = block @ block.T
-                value = float(np.mean(self.eigenvalues[start:i]))
-                groups.append((value, (proj + proj.T) / 2.0))
-                start = i
+        for value, start, stop in self.eigenvalue_groups():
+            block = self.eigenvectors[:, start:stop]
+            proj = block @ block.T
+            groups.append((value, (proj + proj.T) / 2.0))
         return groups
 
 

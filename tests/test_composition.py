@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,35 @@ from convneg.composition import (
 from convneg.errors import DimensionMismatchError
 from convneg.negation import neg_supp
 from convneg.sampling import random_orthogonal, random_psd
-from convneg.spectral import Dmat, support_projector
+from convneg.spectral import Dmat, SpectralDecomposition, spectral_decompose, support_projector
 
 PLUS = Dmat(np.full((2, 2), 0.5))  # rank-1 state on the diagonal direction
 B_DIAG = Dmat.from_diagonal([1.0, 0.25])
+REFERENCE_DIMS = [1, 2, 3, 4, 7, 10, 20, 35, 50]
+
+
+def _fuzz_projector_loop(A: Dmat, B: Dmat) -> np.ndarray:
+    """Reference fuzz: one projector per eigenspace of B, sum of value * P A P."""
+    out = np.zeros((A.dim, A.dim))
+    for value, proj in spectral_decompose(B).eigenspaces():
+        if value != 0.0:
+            out += value * (proj @ A.matrix @ proj)
+    return (out + out.T) / 2.0
+
+
+def _spider_einsum(A: Dmat, B: Dmat) -> np.ndarray:
+    """Reference spider: A's diagonal in B's eigenbasis by a three-operand einsum."""
+    decomp = spectral_decompose(B)
+    v = decomp.eigenvectors
+    a_diag = np.einsum("ij,jk,ki->i", v.T, A.matrix, v)
+    out = (v * (decomp.eigenvalues * a_diag)) @ v.T
+    return (out + out.T) / 2.0
+
+
+def _assert_relatively_close(out: np.ndarray, ref: np.ndarray, A: Dmat, B: Dmat) -> None:
+    # relative to the scale of the product: |A| times B's largest eigenvalue
+    scale = A.frobenius_norm() * B.max_eigenvalue()
+    assert np.linalg.norm(out - ref) <= 1e-12 * scale
 
 
 class TestSpider:
@@ -59,6 +86,13 @@ class TestSpider:
             expected = copy_isometry @ np.kron(a.matrix, b.matrix) @ copy_isometry.T
             assert np.linalg.norm(spider(a, b).matrix - expected) <= 1e-9
 
+    @pytest.mark.parametrize("dim", REFERENCE_DIMS)
+    def test_matches_einsum_reference(self, dim, rng):
+        for _ in range(6):
+            a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.5)
+            _assert_relatively_close(spider(a, b).matrix, _spider_einsum(a, b), a, b)
+
 
 class TestFuzz:
     def test_projector_weighted_sum(self):
@@ -83,6 +117,76 @@ class TestFuzz:
         out = fuzz(a, b).matrix
         np.testing.assert_allclose(out[:2, :2], 0.5 * a.matrix[:2, :2], atol=1e-10)
         assert abs(out[2, 2]) <= 1e-12
+
+
+    @pytest.mark.parametrize("dim", REFERENCE_DIMS)
+    def test_matches_projector_loop(self, dim, rng):
+        # repeated eigenvalues and rank-deficient B (a kernel group) included
+        for _ in range(6):
+            a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.5)
+            _assert_relatively_close(fuzz(a, b).matrix, _fuzz_projector_loop(a, b), a, b)
+
+    @pytest.mark.parametrize("dim", REFERENCE_DIMS)
+    def test_matches_projector_loop_for_diagonal_structure(self, dim, rng):
+        # the exactly diagonal fast path: unsorted entries with repeats and
+        # exact zeros, so groups are scattered in the input coordinates and
+        # one group has value 0
+        for _ in range(4):
+            a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            b = Dmat.from_diagonal(rng.choice([0.0, 0.25, 0.5, 1.0], size=dim))
+            _assert_relatively_close(fuzz(a, b).matrix, _fuzz_projector_loop(a, b), a, b)
+
+    def test_zero_valued_group_gives_zero_block(self, rng):
+        a = random_psd(rng, 6)
+        b = Dmat.from_diagonal([0.0, 0.5, 0.0, 1.0, 0.5, 0.0])
+        kernel = np.array([0, 2, 5])
+        out = fuzz(a, b).matrix
+        assert np.count_nonzero(out[kernel]) == 0
+        assert np.count_nonzero(out[:, kernel]) == 0
+        _assert_relatively_close(out, _fuzz_projector_loop(a, b), a, b)
+
+    def test_groups_follow_eigenvalue_group_rule(self, rng):
+        # a group is cut relative to its first eigenvalue, not to its
+        # neighbour: 1 - 0.6e-8 joins 1, and 1 - 1.2e-8 starts a new group
+        # although it is within 1e-8 of 1 - 0.6e-8
+        a = random_psd(rng, 3)
+        b = Dmat.from_diagonal([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8])
+        out = fuzz(a, b).matrix
+        assert out[0, 1] != 0.0
+        assert out[0, 2] == 0.0 and out[1, 2] == 0.0
+        _assert_relatively_close(out, _fuzz_projector_loop(a, b), a, b)
+
+    def test_rotation_inside_repeated_eigenspace(self, rng):
+        dim = 8
+        eigs = np.array([0.9, 0.9, 0.9, 0.6, 0.3, 0.3, 0.0, 0.0])
+        q = random_orthogonal(rng, dim)
+        a = random_psd(rng, dim)
+        b = Dmat((q * eigs) @ q.T)
+        base = spectral_decompose(b)
+        rotated = np.array(base.eigenvectors)
+        for start, stop in [(0, 3), (4, 6), (6, 8)]:
+            rotated[:, start:stop] = rotated[:, start:stop] @ random_orthogonal(rng, stop - start)
+        twin = Dmat(b.matrix)
+        # hand the twin the same spectrum with another orthonormal basis of each eigenspace
+        object.__setattr__(twin, "_spectral", SpectralDecomposition(base.eigenvalues, rotated))
+        assert not np.allclose(spectral_decompose(twin).eigenvectors, base.eigenvectors)
+        _assert_relatively_close(fuzz(a, twin).matrix, fuzz(a, b).matrix, a, b)
+
+    def test_memory_is_a_few_square_arrays(self, rng):
+        # 300 distinct eigenvalues: one projector per group would hold
+        # hundreds of d x d arrays; the eigenbasis route holds a few
+        dim = 300
+        a = random_psd(rng, dim)
+        b = random_psd(rng, dim)
+        assert len(spectral_decompose(b).eigenvalue_groups()) == dim
+        tracemalloc.start()
+        try:
+            fuzz(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * dim * dim * 8
 
 
 class TestPhaser:
