@@ -1,3 +1,5 @@
+import hashlib
+import logging
 import struct
 
 import numpy as np
@@ -7,6 +9,9 @@ from convneg.errors import (
     CorruptLexiconError,
     DimensionMismatchError,
     DuplicateWordError,
+    NonSymmetricError,
+    NotNormalizedError,
+    NotPSDError,
     ParseError,
     UnknownWordError,
 )
@@ -19,7 +24,7 @@ from convneg.lexicon import (
     load_vectors,
     save_lexicon,
 )
-from convneg.spectral import Dmat
+from convneg.spectral import Dmat, normalize_max_eig
 
 
 def write(tmp_path, name, text):
@@ -179,6 +184,129 @@ class TestPersistence:
     def test_mixed_dims_rejected_at_construction(self):
         with pytest.raises(DimensionMismatchError):
             Lexicon({"a": Dmat.identity(2), "b": Dmat.identity(3)})
+
+
+def tree_table(tmp_path, rng, dim=64):
+    """Vectors for a tree `root -> a, b -> a0..a9, b0..b9` and its hyponym sets.
+
+    Ranks: root 23 (above the certificate's budget of dim // 4 = 16 at dim
+    64), `a` and `b` 11, the leaves 1.
+    """
+    words = ["root", "a", "b"] + [f"{p}{i}" for p in "ab" for i in range(10)]
+    lines = [f"{w} " + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) for w in words]
+    table = load_vectors(write(tmp_path, "v.txt", "\n".join(lines) + "\n"))
+    hyponyms = {p: {f"{p}{i}" for i in range(10)} for p in "ab"}
+    hyponyms["root"] = set(words[1:])
+    return table, hyponyms
+
+
+def old_build_density_matrix(word, hyponyms, vectors):
+    """The construction before the no-op symmetrization was dropped."""
+    members = [word] + sorted(h for h in set(hyponyms) if h != word and h in vectors)
+    out = np.zeros((vectors.dim, vectors.dim))
+    for member in members:
+        v = vectors[member]
+        unit = v / float(np.linalg.norm(v))
+        out += np.outer(unit, unit)
+    return normalize_max_eig(Dmat((out + out.T) / 2.0))
+
+
+def old_save_lexicon(lexicon, path):
+    """The writer before the `astype("<f8")` copy was dropped."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", len(lexicon.matrices), lexicon.dim))
+        for word in sorted(lexicon.matrices):
+            encoded = word.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(lexicon.matrices[word].matrix.astype("<f8").tobytes(order="C"))
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestDim64Load:
+    """Loading at a dim where words are proved by the Cholesky certificate."""
+
+    def saved_tree(self, tmp_path, rng):
+        table, hyponyms = tree_table(tmp_path, rng)
+        lexicon = build_lexicon(table, hyponyms)
+        path = tmp_path / "lex.bin"
+        save_lexicon(lexicon, path)
+        return lexicon, path
+
+    def test_solves_only_words_beyond_the_budget(self, tmp_path, rng, monkeypatch):
+        lexicon, path = self.saved_tree(tmp_path, rng)
+        eager = {w: Dmat(m.matrix, normalized=True).eigenvalues for w, m in lexicon.matrices.items()}
+        shapes = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        loaded = load_lexicon(path)
+        assert shapes.count((64, 64)) == 1  # root, rank 23 > 16, falls back
+        assert [w for w, m in loaded.matrices.items() if m._eigenvalues is not None] == ["root"]
+        monkeypatch.undo()
+        for word, m in loaded.matrices.items():
+            assert m.eigenvalues.tobytes() == real_eigvalsh(m.matrix).tobytes()
+            assert m.eigenvalues.tobytes() == eager[word].tobytes()
+            assert not m.eigenvalues.flags.writeable
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda m: m * 2.0, NotNormalizedError),
+            (lambda m: m - 1e-6 * np.eye(64), NotPSDError),
+            (lambda m: np.where(np.eye(64, k=3, dtype=bool), np.nan, m), NotPSDError),
+            (lambda m: m + 1e-6 * np.eye(64, k=3), NonSymmetricError),
+            (lambda m: m + 1e-12 * np.eye(64, k=3), None),  # within SYMMETRY_TOL: solved, kept
+        ],
+    )
+    def test_corrupted_record_rejected_like_dmat(self, tmp_path, rng, corrupt, error):
+        lexicon, path = self.saved_tree(tmp_path, rng)
+        bad = corrupt(lexicon["a3"].matrix)
+        blob = path.read_bytes()
+        start = blob.index(lexicon["a3"].matrix.tobytes())
+        path.write_bytes(blob[:start] + bad.astype("<f8").tobytes() + blob[start + bad.nbytes :])
+        if error is None:
+            loaded = load_lexicon(path)
+            assert loaded["a3"].matrix.tobytes() == bad.tobytes()
+            assert loaded["a3"]._eigenvalues is not None
+            return
+        with pytest.raises(error) as expected:
+            Dmat(bad, normalized=True)
+        with pytest.raises(CorruptLexiconError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"invalid matrix for 'a3': {expected.value}"
+        assert type(err.value.__cause__) is error
+
+    def test_logs_certified_and_solved_counts(self, tmp_path, rng, caplog):
+        _, path = self.saved_tree(tmp_path, rng)
+        with caplog.at_level(logging.DEBUG, logger="convneg.lexicon"):
+            load_lexicon(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            "loaded 23 words at dim 64: 22 certified by Cholesky, 1 solved by eigvalsh"
+        ]
+
+    def test_silent_by_default(self, tmp_path, rng, caplog):
+        _, path = self.saved_tree(tmp_path, rng)
+        load_lexicon(path)
+        assert caplog.records == []
+
+    def test_built_and_saved_bytes_unchanged(self, tmp_path, rng):
+        table, hyponyms = tree_table(tmp_path, rng)
+        lexicon = build_lexicon(table, hyponyms)
+        for word, m in lexicon.matrices.items():
+            old = old_build_density_matrix(word, hyponyms.get(word, ()), table)
+            assert sha256(m.matrix.tobytes()) == sha256(old.matrix.tobytes())
+        save_lexicon(lexicon, tmp_path / "new.bin")
+        old_save_lexicon(lexicon, tmp_path / "old.bin")
+        assert sha256((tmp_path / "new.bin").read_bytes()) == sha256((tmp_path / "old.bin").read_bytes())
 
 
 class TestLexiconLookup:
