@@ -99,7 +99,8 @@ def _cmd_evaluate(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     dataset = load_dataset(args.dataset)
     if spec.context == "graph":
-        graph = build_entailment_graph(lexicon, measure=spec.graph_measure, threshold=spec.graph_threshold)
+        negated = {record.negated for record in dataset}
+        graph = build_entailment_graph(lexicon, negated, measure=spec.graph_measure, threshold=spec.graph_threshold)
         provider = partial(worldly_context_graph, graph=graph, lexicon=lexicon)
     else:
         hierarchy = load_hierarchy(args.hierarchy)

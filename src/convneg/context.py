@@ -8,6 +8,7 @@ largest eigenvalue is exactly 1.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,12 +24,15 @@ from .errors import (
     ParseError,
     SelfReferenceError,
     UnknownWordError,
+    UnscoredWordError,
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
 from . import entailment
 from .lexicon import lookup_word
 from .spectral import Dmat, rescale_max_eig
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,15 @@ class EntailmentGraph:
     every word's neighbors (the sorted union of its in- and out-neighbors)
     are indexed once at construction.  Every weight must be finite and
     non-negative, and no word may have an edge to itself.
+
+    `scored` names the words whose every pair was scored, the only words
+    whose neighbors the graph knows in full.  `build_entailment_graph`
+    always sets it; None, which means every word, is only for a graph given
+    its edges outright by hand.
     """
 
     edges: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    scored: frozenset[str] | None = None
     _neighbors: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,42 +185,65 @@ class EntailmentGraph:
         return self.edges.get((u, v), 0.0)
 
     def neighbors(self, word: str) -> tuple[str, ...]:
+        """The word's neighbors; UnscoredWordError for a word outside `scored`, whose list may be partial."""
+        if self.scored is not None and word not in self.scored:
+            raise UnscoredWordError(
+                f"the entailment graph was not built around {word!r}, so its neighbors may be partial"
+            )
         return self._neighbors.get(word, ())
 
     def __len__(self) -> int:
         return len(self.edges)
 
 
-# each scorer fills an n x n array of every ordered pair's score, NaN on the diagonal
+# each scorer fills an n x n array of the scores of the ordered pairs that hold a
+# source word (a boolean mask over the n words), NaN in every other cell
 GRAPH_MEASURES = MappingProxyType({
     "k_E": entailment.k_e_all_pairs,
     "k_hyp": entailment.k_hyp_clamped_all_pairs,
 })
 
 
-def build_entailment_graph(lexicon, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
-    """Graded entailment between every ordered word pair; weak edges dropped.
+def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
+    """Graded entailment, both ways, between each of `words` and every other lexicon word; weak edges dropped.
+
+    Only the edges incident to `words` are scored, so the graph knows the
+    neighbors of those words alone (`EntailmentGraph.scored`); their edges
+    are those of the graph over every word pair, bit for bit.  With k of
+    the n lexicon words in `words`, that is k(n - 1) - k(k - 1)/2 unordered
+    pairs, against n(n - 1)/2 for every word.  A word of `words` that is not
+    in the lexicon has no edges.
 
     Scored with no thread pool by `entailment.k_e_all_pairs` (each pair's
     spectrum solved in the pair's joint support, equal to `k_e` to roundoff)
     or `entailment.k_hyp_clamped_all_pairs` (each pair solved in the smaller
-    support, equal to `k_hyp_clamped` bit for bit).  A bad lexicon
-    raises what the first failing scalar call in sorted (u, v) order would
-    raise.  Edges are inserted in sorted (u, v) order; non-finite scores and
-    scores below `threshold` are dropped.
+    support, equal to `k_hyp_clamped` bit for bit).  Every lexicon word is
+    checked, in `words` or not: a bad lexicon raises what the first failing
+    scalar call over every word pair, in sorted (u, v) order, would raise.
+    Edges are inserted in sorted (u, v) order; non-finite scores and scores
+    below `threshold` are dropped.  One DEBUG line on this module's logger
+    counts the words, the pairs scored and the edges kept.
     """
     if measure not in GRAPH_MEASURES:
         raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}")
-    words = sorted(lexicon)
-    if len(words) < 2:
-        return EntailmentGraph()
-    weights = GRAPH_MEASURES[measure]([lookup_word(lexicon, w) for w in words])
-    keep = np.isfinite(weights) & (weights >= threshold)
-    sources, targets = np.nonzero(keep)
-    return EntailmentGraph(edges={
-        (words[i], words[j]): w
-        for i, j, w in zip(sources.tolist(), targets.tolist(), weights[keep].tolist())
-    })
+    scored = frozenset(words)
+    lexicon_words = sorted(lexicon)
+    n = len(lexicon_words)
+    sources = np.array([w in scored for w in lexicon_words], dtype=bool)
+    edges = {}
+    if n >= 2:
+        weights = GRAPH_MEASURES[measure]([lookup_word(lexicon, w) for w in lexicon_words], sources)
+        keep = np.isfinite(weights) & (weights >= threshold)
+        rows, cols = np.nonzero(keep)
+        edges = {
+            (lexicon_words[i], lexicon_words[j]): w
+            for i, j, w in zip(rows.tolist(), cols.tolist(), weights[keep].tolist())
+        }
+    graph = EntailmentGraph(edges=edges, scored=scored)
+    k = int(sources.sum())
+    logger.debug("%s graph over %d words around %d source words: %d of %d word pairs scored, %d edges kept",
+                 measure, n, k, k * (n - 1) - k * (k - 1) // 2, n * (n - 1) // 2, len(graph))
+    return graph
 
 
 def worldly_context_graph(word: str, graph: EntailmentGraph, lexicon) -> Dmat:

@@ -20,11 +20,14 @@ and k_BA against that sequence cost one stacked eigensolve between them.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
-scores through the measures themselves.  The entailment graph scores every
-ordered word pair through `k_hyp_clamped_all_pairs`, bit for bit the scalar
-values, and `k_e_all_pairs`, which solves each unordered pair once in its
+scores through the measures themselves.  The entailment graph scores, both
+ways, every word pair that holds at least one of a given set of source
+words: through `k_hyp_clamped_all_pairs`, bit for bit the scalar values,
+and `k_e_all_pairs`, which solves each such unordered pair once in its
 joint support, in stacks of one problem shape that take pairs from as many
-source words as fit, and agrees with `k_e` to roundoff.
+rows as fit, and agrees with `k_e` to roundoff.  With k source
+words among n, that is k(n - 1) - k(k - 1)/2 unordered pairs, against
+n(n - 1)/2 for every pair.
 """
 
 from __future__ import annotations
@@ -351,23 +354,28 @@ def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, eithe
         raise ZeroMatrixError(message)
 
 
-def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
-    """`k_e(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
+def k_e_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
+    """`k_e(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words with a source word.
 
-    The diagonal is NaN, and a bad word raises what the first failing `k_e`
-    call in row order would raise.  M_j - M_i vanishes outside span[F_j F_i]
+    `sources` is a boolean mask over `mats`: a pair is scored, both ways,
+    when at least one of its words is a source, and every other cell is NaN,
+    the diagonal included.  Every word is checked, source or not: a bad word
+    raises what the first failing `k_e` call over every ordered pair, in row
+    order, would raise.  M_j - M_i vanishes outside span[F_j F_i]
     (support factors, F F^T = M), so with R the triangular factor of
     [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
     (r_i + r_j)-square problem.  A pair with r_i + r_j >= dim, or of equal
     matrices (which must score exactly 1), is solved d x d as `k_e` does.
-    Each unordered pair is solved once, as M_j - M_i for j > i, and cell
+    Each scored unordered pair is solved once, as M_j - M_i for j > i (row
+    i keeps only the source words among its j unless i is one), and cell
     (j, i) is read off the negated reversal of its spectrum.  The values
-    agree with `k_e` to roundoff.
+    agree with `k_e` to roundoff, and a pair's value does not depend on
+    which other pairs are scored.
 
     Pairs wait in one queue per problem shape, (r_j, r_i) or d x d, filled
     row by row; a queue is solved as one stack when it holds n - 1 pairs,
-    and what is left at the end as one more.  A stack thus mixes source
-    words but never holds more matrices than one row has pairs, and each
+    and what is left at the end as one more.  A stack thus mixes rows but
+    never holds more matrices than one row has pairs, and each
     pair rounds the same in any stack, so the values do not depend on the
     batching.
     """
@@ -422,6 +430,8 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
 
     for i in range(n - 1):
         later = np.arange(i + 1, n)
+        if not sources[i]:
+            later = later[sources[later]]
         full = (ranks[later] + ranks[i] >= dim) | (hashes[later] == hashes[i])
         enqueue(None, i, later[full])
         joint = later[~full]
@@ -433,16 +443,18 @@ def k_e_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
     return out
 
 
-def k_hyp_clamped_all_pairs(mats: Sequence[Dmat]) -> np.ndarray:
-    """`k_hyp_clamped(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words.
+def k_hyp_clamped_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
+    """`k_hyp_clamped(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words with a source word.
 
-    The diagonal is NaN, and a bad word raises what the first failing call
-    in row order would raise.  Every pair goes through the kernel of
-    `k_hyp`, so the values are the scalar ones bit for bit.
+    `sources` is a boolean mask over `mats`, read as by `k_e_all_pairs`:
+    pairs without a source word, and the diagonal, are NaN, and every word
+    is checked, so a bad word raises what the first failing call over every
+    ordered pair, in row order, would raise.  Every scored pair goes through
+    the kernel of `k_hyp`, so the values are the scalar ones bit for bit.
     """
     n = len(mats)
     _check_all_pairs(mats, np.array([m.is_zero() for m in mats]), "k_hyp needs two nonzero matrices", either=True)
-    ia, ib = np.nonzero(~np.eye(n, dtype=bool))
+    ia, ib = np.nonzero((sources[:, None] | sources) & ~np.eye(n, dtype=bool))
     out = np.full((n, n), np.nan)
     out[ia, ib] = np.minimum(_k_hyp_pairs(mats, ia.tolist(), ib.tolist()), 1.0)
     return out

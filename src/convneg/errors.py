@@ -42,6 +42,10 @@ class IsolatedWordError(ConvNegError):
     pass
 
 
+class UnscoredWordError(ConvNegError):
+    """An entailment graph asked for a word it was not built around; never a skipped pair."""
+
+
 class CorruptLexiconError(ConvNegError):
     pass
 

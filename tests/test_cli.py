@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from convneg.cli import main
-from convneg.lexicon import load_lexicon
+from convneg.lexicon import Lexicon, load_lexicon, save_lexicon
+from convneg.spectral import Dmat
 
 
 def build(fixture_paths, tmp_path):
@@ -208,6 +209,31 @@ def test_evaluate_reports_corrupt_lexicon_word(fixture_paths, tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err == "error: record 0: word bytes are not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("measure, message", [
+    ("k_E", "k_e needs a nonzero first argument"),
+    ("k_hyp", "k_hyp needs two nonzero matrices"),
+])
+def test_evaluate_graph_context_rejects_zero_word_outside_dataset(fixture_paths, tmp_path, capsys, measure, message):
+    # the graph is scored around the dataset's negated words, yet every lexicon word is still checked
+    lexicon = load_lexicon(build(fixture_paths, tmp_path))
+    save_lexicon(Lexicon({**lexicon.matrices, "void": Dmat(np.zeros((4, 4)))}), tmp_path / "zero.lex")
+    grid = tmp_path / "graph.cfg"
+    grid.write_text(f"context = graph\ngraph_measure = {measure}\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(tmp_path / "zero.lex"),
+            "--hierarchy", str(fixture_paths["hierarchy"]),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(grid),
+            "--out", str(tmp_path / "results.csv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def assert_missing_input_reported(argv, flag, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import os
 import subprocess
@@ -40,6 +41,7 @@ from convneg.errors import (
     ParseError,
     SelfReferenceError,
     UnknownWordError,
+    UnscoredWordError,
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
@@ -279,7 +281,7 @@ class TestWorldlyContextHierarchy:
 class TestEntailmentGraph:
     def test_two_word_graph_weights(self, onb, fruit_raw):
         lexicon = {"apple": onb["apple"], "fruit": fruit_raw}
-        graph = build_entailment_graph(lexicon, measure="k_E")
+        graph = build_entailment_graph(lexicon, lexicon, measure="k_E")
         assert graph.weight("apple", "fruit") == pytest.approx(0.5, abs=1e-12)
         assert graph.weight("fruit", "apple") == pytest.approx(
             k_e(fruit_raw, onb["apple"]), abs=1e-12
@@ -287,10 +289,10 @@ class TestEntailmentGraph:
 
     def test_high_threshold_empties_graph(self, onb, fruit_raw):
         lexicon = {"apple": onb["apple"], "fruit": fruit_raw}
-        assert len(build_entailment_graph(lexicon, "k_E", threshold=1.1)) == 0
+        assert len(build_entailment_graph(lexicon, lexicon, "k_E", threshold=1.1)) == 0
 
     def test_single_word_no_self_loops(self, onb):
-        assert len(build_entailment_graph({"apple": onb["apple"]}, "k_E")) == 0
+        assert len(build_entailment_graph({"apple": onb["apple"]}, ["apple"], "k_E")) == 0
 
     def test_batched_matches_per_pair_reference(self):
         # mixed ranks (rank-1 included), a shared Dmat and an equal copy
@@ -299,12 +301,12 @@ class TestEntailmentGraph:
             lexicon = sampled_lexicon(rng, dim, 14)
             for measure in ("k_E", "k_hyp"):
                 for threshold in (0.0, 0.35, 0.8, 1.0):
-                    assert_matches_per_pair(build_entailment_graph(lexicon, measure, threshold),
+                    assert_matches_per_pair(build_entailment_graph(lexicon, lexicon, measure, threshold),
                                             lexicon, measure, threshold)
 
     def test_duplicate_words_fully_entail(self):
         lexicon = sampled_lexicon(np.random.default_rng(3), 6, 5)
-        edges = build_entailment_graph(lexicon, "k_E").edges
+        edges = build_entailment_graph(lexicon, lexicon, "k_E").edges
         for u, v in (("dup", "w01"), ("copy", "w01"), ("dup", "copy")):
             assert edges[(u, v)] == edges[(v, u)] == 1.0
 
@@ -316,7 +318,7 @@ class TestEntailmentGraph:
         rng = np.random.default_rng(8)
         lexicon = {f"w{i:02d}": random_psd(rng, 12, rank=int(rng.integers(1, 13)), repeat_prob=0.3)
                    for i in range(25)}
-        assert_matches_per_pair(build_entailment_graph(lexicon, measure), lexicon, measure, 0.0)
+        assert_matches_per_pair(build_entailment_graph(lexicon, lexicon, measure), lexicon, measure, 0.0)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_zero_matrix_rejected(self, onb, measure):
@@ -324,7 +326,7 @@ class TestEntailmentGraph:
         with pytest.raises(ZeroMatrixError):
             per_pair_graph(lexicon, measure, 0.0)
         with pytest.raises(ZeroMatrixError):
-            build_entailment_graph(lexicon, measure)
+            build_entailment_graph(lexicon, lexicon, measure)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_mixed_dims_rejected(self, onb, measure):
@@ -332,7 +334,7 @@ class TestEntailmentGraph:
         with pytest.raises(DimensionMismatchError):
             per_pair_graph(lexicon, measure, 0.0)
         with pytest.raises(DimensionMismatchError):
-            build_entailment_graph(lexicon, measure)
+            build_entailment_graph(lexicon, lexicon, measure)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_zero_and_mixed_dims_raise_like_per_pair(self, measure):
@@ -341,18 +343,18 @@ class TestEntailmentGraph:
         with pytest.raises(ConvNegError) as expected:
             per_pair_graph(lexicon, measure, 0.0)
         with pytest.raises(ConvNegError) as raised:
-            build_entailment_graph(lexicon, measure)
+            build_entailment_graph(lexicon, lexicon, measure)
         assert type(raised.value) is type(expected.value) is ZeroMatrixError
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_trivial_lexicons(self, measure):
         # no ordered pair exists, so not even a zero matrix is scored
-        assert len(build_entailment_graph({}, measure)) == 0
-        assert len(build_entailment_graph({"zero": Dmat(np.zeros((3, 3)))}, measure)) == 0
+        assert len(build_entailment_graph({}, [], measure)) == 0
+        assert len(build_entailment_graph({"zero": Dmat(np.zeros((3, 3)))}, ["zero"], measure)) == 0
 
     def test_unknown_measure(self, onb):
         with pytest.raises(ValueError):
-            build_entailment_graph({"apple": onb["apple"]}, "k_BA")
+            build_entailment_graph({"apple": onb["apple"]}, ["apple"], "k_BA")
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_full_size_solves_at_most_one_per_word(self, monkeypatch, measure):
@@ -361,13 +363,13 @@ class TestEntailmentGraph:
         # solved alone; k_E's joint-support stacks are smaller than dim and come on top
         lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
         calls = record_shapes(monkeypatch, "eigvalsh")
-        build_entailment_graph(lexicon, measure)
+        build_entailment_graph(lexicon, lexicon, measure)
         assert 0 < sum(shape[-1] == 6 for shape in calls) <= len(lexicon)
 
     def test_k_e_solves_each_unordered_pair_once(self, monkeypatch):
         lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
         calls = record_shapes(monkeypatch, "eigvalsh")
-        build_entailment_graph(lexicon, "k_E")
+        build_entailment_graph(lexicon, lexicon, "k_E")
         n = len(lexicon)
         assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= n * (n - 1) // 2
 
@@ -378,7 +380,7 @@ class TestEntailmentGraph:
         norms = []
         real = Dmat.frobenius_norm
         monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: norms.append(m) or real(m))
-        build_entailment_graph(lexicon, measure)
+        build_entailment_graph(lexicon, lexicon, measure)
         assert len(norms) <= len(lexicon)
 
 
@@ -392,7 +394,7 @@ class TestJointSupportKE:
         tiny = (q * np.r_[1.0, 3e-9, 1e-10, np.zeros(9)]) @ q.T
         lexicon = {"tiny": Dmat((tiny + tiny.T) / 2.0)}
         lexicon.update({f"w{i}": random_psd(rng, 12, rank=i) for i in range(1, 6)})
-        assert_matches_per_pair(build_entailment_graph(lexicon, "k_E"), lexicon, "k_E", 0.0)
+        assert_matches_per_pair(build_entailment_graph(lexicon, lexicon, "k_E"), lexicon, "k_E", 0.0)
 
     def test_near_dependent_supports(self):
         # near-parallel factors make an orthogonalization through the Gram matrix lose digits
@@ -400,7 +402,7 @@ class TestJointSupportKE:
         base = random_psd(rng, 10, rank=3)
         lexicon = {"base": base, "pure": random_psd(rng, 10, rank=1)}
         lexicon.update({f"near{k}": near_copy(rng, base, 10.0 ** -k) for k in (3, 5, 7, 9)})
-        assert_matches_per_pair(build_entailment_graph(lexicon, "k_E"), lexicon, "k_E", 0.0)
+        assert_matches_per_pair(build_entailment_graph(lexicon, lexicon, "k_E"), lexicon, "k_E", 0.0)
 
     def test_equal_matrices_score_exactly_one(self):
         # equal low-rank words, one of them with -0.0 where the other has 0.0
@@ -413,7 +415,7 @@ class TestJointSupportKE:
                    "p": random_psd(rng, 10, rank=2)}
         lexicon["d"] = lexicon["p"]
         lexicon["e"] = Dmat(lexicon["p"].matrix.copy())
-        graph = build_entailment_graph(lexicon, "k_E", threshold=1.0)
+        graph = build_entailment_graph(lexicon, lexicon, "k_E", threshold=1.0)
         equal = ("abc", "dep")
         assert set(graph.edges) == {(u, v) for group in equal for u in group for v in group if u != v}
         assert set(graph.edges.values()) == {1.0}
@@ -423,7 +425,7 @@ class TestJointSupportKE:
         # stacking every pair at once costs memory for no speed
         lexicon = sampled_lexicon(np.random.default_rng(4), 9, 12)
         solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
-        build_entailment_graph(lexicon, "k_E")
+        build_entailment_graph(lexicon, lexicon, "k_E")
         shapes = solves + factorizations
         assert factorizations and all(len(shape) == 3 and shape[0] < len(lexicon) for shape in shapes)
 
@@ -440,7 +442,7 @@ class TestJointSupportKE:
         mats = [lexicon[w] for w in sorted(lexicon)]
         expected = per_row_k_e(mats)
         solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
-        assert np.array_equal(k_e_all_pairs(mats), expected, equal_nan=True)
+        assert np.array_equal(k_e_all_pairs(mats, np.ones(len(mats), dtype=bool)), expected, equal_nan=True)
         assert max(shape[0] for shape in solves + factorizations) == len(mats) - 1
 
     def test_build_imports_no_masked_arrays(self):
@@ -451,7 +453,8 @@ class TestJointSupportKE:
             "from convneg.context import build_entailment_graph\n"
             "from convneg.sampling import random_psd\n"
             "rng = np.random.default_rng(0)\n"
-            "build_entailment_graph({f'w{i}': random_psd(rng, 8, rank=1 + i % 8) for i in range(12)})\n"
+            "lexicon = {f'w{i}': random_psd(rng, 8, rank=1 + i % 8) for i in range(12)}\n"
+            "build_entailment_graph(lexicon, lexicon)\n"
             "assert 'numpy.ma' not in sys.modules\n"
         )
         src = str(Path(convneg.__file__).resolve().parent.parent)
@@ -470,8 +473,82 @@ class TestJointSupportKE:
         lexicon["near"] = near_copy(rng, lexicon["w0"], scale)
         lexicon["copy"] = Dmat(lexicon["w0"].matrix.copy())
         for threshold in (0.0, 0.35, 0.8, 1.0):
-            graph = build_entailment_graph(lexicon, "k_E", threshold)
+            graph = build_entailment_graph(lexicon, lexicon, "k_E", threshold)
             assert_matches_per_pair(graph, lexicon, "k_E", threshold)
+
+
+def context_or_error(word, graph, lexicon):
+    """The word's graph context matrix, or the type of the error it raises."""
+    try:
+        return worldly_context_graph(word, graph, lexicon).matrix
+    except ConvNegError as exc:
+        return type(exc)
+
+
+class TestGraphAroundWords:
+    """A graph built around some words holds the full graph's edges at those words, bit for bit, and no others."""
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_incident_edges_and_contexts_match_full_graph_bitwise(self, measure, seed):
+        # mixed ranks, rank-1 leaves (a queue shape that outgrows one row), equal copies and a full-rank word
+        rng = np.random.default_rng(seed)
+        dim = (3, 8, 12)[seed]
+        lexicon = sampled_lexicon(rng, dim, 8)
+        lexicon.update({f"leaf{i}": random_psd(rng, dim, rank=1) for i in range(10)})
+        lexicon["full"] = random_psd(rng, dim)
+        lexicon["full_copy"] = Dmat(lexicon["full"].matrix.copy())
+        groups = (["leaf3"], ["w00", "dup"], ["copy", "full", "leaf0", "pure"], ["w07"])
+        for threshold in (0.0, 0.35, 1.0):
+            full = build_entailment_graph(lexicon, lexicon, measure, threshold)
+            for words in groups:
+                graph = build_entailment_graph(lexicon, words, measure, threshold)
+                expected = [(pair, w) for pair, w in full.edges.items() if set(pair) & set(words)]
+                assert list(graph.edges) == [pair for pair, _ in expected]
+                assert np.array(list(graph.edges.values())).tobytes() == np.array([w for _, w in expected]).tobytes()
+                for word in words:
+                    assert graph.neighbors(word) == full.neighbors(word)
+                    got, want = context_or_error(word, graph, lexicon), context_or_error(word, full, lexicon)
+                    assert got is want if isinstance(want, type) else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_k_e_solves_only_incident_pairs(self, monkeypatch, k):
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        n = len(lexicon)
+        calls = record_shapes(monkeypatch, "eigvalsh")
+        build_entailment_graph(lexicon, sorted(lexicon)[::-1][:k], "k_E")
+        assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= k * (n - 1) - k * (k - 1) // 2
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_zero_word_outside_the_sources_still_rejected(self, onb, measure):
+        lexicon = {"apple": onb["apple"], "zero": Dmat(np.zeros((4, 4))), "fig": onb["fig"]}
+        with pytest.raises(ZeroMatrixError):
+            build_entailment_graph(lexicon, ["apple"], measure)
+
+    def test_unscored_word_raises(self, onb):
+        lexicon = dict(onb)
+        graph = build_entailment_graph(lexicon, ["apple", "ghost"], "k_E")
+        assert graph.scored == {"apple", "ghost"}
+        assert graph.neighbors("apple") == ("fig", "movie", "orange")
+        with pytest.raises(UnscoredWordError, match="'fig'"):
+            graph.neighbors("fig")
+        with pytest.raises(UnscoredWordError):
+            worldly_context_graph("fig", graph, lexicon)
+        # a source word without a matrix has no edges, as in the full graph
+        with pytest.raises(IsolatedWordError):
+            worldly_context_graph("ghost", graph, lexicon)
+
+    def test_logs_one_line_per_build(self, caplog):
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        with caplog.at_level(logging.DEBUG, logger="convneg.context"):
+            graph = build_entailment_graph(lexicon, ["w00", "w05", "ghost"], "k_E", threshold=0.5)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"k_E graph over 15 words around 2 source words: 27 of 105 word pairs scored, {len(graph)} edges kept"
+        ]
+
+    def test_silent_by_default(self, caplog):
+        build_entailment_graph(sampled_lexicon(np.random.default_rng(4), 6, 12), ["w00"], "k_E")
+        assert caplog.records == []
 
 
 class TestEntailmentGraphIndex:

@@ -139,7 +139,7 @@ class TestKE:
             a = random_psd(rng, 10, rank=3)
             b = Dmat(1.5 * a.matrix) if k % 2 == 0 else Dmat(a.matrix + random_psd(rng, 10, rank=3).matrix)
             assert k_e(a, b) == 1.0
-            assert k_e_all_pairs([a, b])[0, 1] == 1.0
+            assert k_e_all_pairs([a, b], np.ones(2, dtype=bool))[0, 1] == 1.0
 
 
 class TestTraceSimilarity:

@@ -12,7 +12,9 @@ from convneg.context import (
     HypernymHierarchy,
     WeightFunction,
     WeightKind,
+    build_entailment_graph,
     load_hierarchy,
+    worldly_context_graph,
     worldly_context_hierarchy,
 )
 from convneg.errors import (
@@ -21,6 +23,7 @@ from convneg.errors import (
     MissingMatrixError,
     ParseError,
     RatingOutOfRangeError,
+    UnscoredWordError,
     ZeroVarianceError,
 )
 from convneg.experiment import (
@@ -188,6 +191,14 @@ class TestRunGrid:
         hyp_without_lexicon = partial(provider, lexicon=None, fn=WeightFunction(WeightKind.HYP, 1.0))
         with pytest.raises(MissingMatrixError):
             run_grid(dataset, lexicon, hyp_without_lexicon, [NegationConfig("sub", "spider", "w")])
+
+    def test_graph_built_around_other_words_aborts(self, toy_run):
+        # a graph that does not hold a negated word's every edge would give it a wrong context
+        dataset, lexicon, _ = toy_run
+        graph = build_entailment_graph(lexicon, ["fig"], "k_E")
+        provider = partial(worldly_context_graph, graph=graph, lexicon=lexicon)
+        with pytest.raises(UnscoredWordError):
+            run_grid(dataset, lexicon, provider, [NegationConfig("sub", "spider", "w")])
 
     def test_r_values_in_range(self, toy_run):
         dataset, lexicon, provider = toy_run
