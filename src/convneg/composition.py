@@ -3,9 +3,11 @@
 spider, fuzz, and phaser read their spectral structure off the second
 operand B: spider pinches A in B's eigenbasis and multiplies by B's
 eigenvalues, fuzz conjugates A by B's eigenspace projectors weighted by the
-eigenvalues, phaser conjugates by B's square root.  mult and diag work in
-the computational basis and ignore any basis choice.  `compose` dispatches
-and lets callers pick which argument occupies the structural slot.
+eigenvalues, phaser conjugates by B's square root.  fuzz and phaser use
+B's eigenspaces only, and spider fixes a basis inside each (see `spider`).
+mult and diag work in the computational basis and ignore any basis choice.
+`compose` dispatches and lets callers pick which argument occupies the
+structural slot.
 
 Cost at dimension d: the three structural compositions read B's cached
 eigendecomposition (`spectral_decompose`, solved once per B) and then take
@@ -51,14 +53,29 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     dim^2 x dim^2 tensor: in B's eigenbasis B is diagonal, so the entrywise
     product keeps only A's diagonal there, scaled by B's eigenvalues.
 
+    Inside each group of B's repeated eigenvalues above its support cut
+    (`eigenvalue_groups`), the columns V_k are rotated to the eigenvectors
+    of V_kᵀ diag(1, ..., d) V_k, so the basis depends on B's eigenspaces,
+    not on LAPACK's columns (unless that matrix repeats an eigenvalue too),
+    and spider equals mult for a diagonal B.  Each column is weighted by
+    its group's value, as in `fuzz`.
+
     Cost: A's diagonal in that basis, diag(Vᵀ A V), is the column sums of
     V * (A V), so the whole update is two d x d matmuls.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
-    v = decomp.eigenvectors
+    v = decomp.eigenvectors.copy()
+    weights = np.empty(B.dim)
+    index = np.arange(1.0, B.dim + 1)
+    cut = decomp.support_cut()
+    for value, start, stop in decomp.eigenvalue_groups():
+        weights[start:stop] = value
+        if stop - start > 1 and value > cut:
+            block = v[:, start:stop]
+            v[:, start:stop] = block @ np.linalg.eigh((block.T * index) @ block)[1]
     a_diag = np.sum(v * (A.matrix @ v), axis=0)
-    return _wrap((v * (decomp.eigenvalues * a_diag)) @ v.T)
+    return _wrap((v * (weights * a_diag)) @ v.T)
 
 
 def fuzz(A: Dmat, B: Dmat) -> Dmat:

@@ -7,8 +7,8 @@ similarity.  A slow binary-search oracle for the maximal Loewner grading is
 included as an independent cross-check of k_hyp.
 
 Each measure takes a `Dmat` or a non-empty sequence of `Dmat`s in either
-argument.  Two matrices give a float.  Otherwise one matrix pairs with every
-member of the sequence (two sequences pair up elementwise), and the values
+argument, but not two sequences (TypeError).  Two matrices give a float.
+Otherwise the matrix pairs with every member of the sequence, and the values
 come back as an array in sequence order, equal bit for bit to a loop of
 scalar calls and raising what the first failing call of that loop would
 raise.  k_hyp solves one stack per problem shape and reads a 1 x 1 problem
@@ -40,18 +40,21 @@ from .errors import ZeroMatrixError
 from .spectral import RANK_TOL, Dmat, check_dims, spectral_decompose
 
 
-def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero=False, message: str = "") -> None:
+def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message="") -> None:
     """Raise what the first failing call of a loop of scalar calls would raise.
 
-    The loop visits the (a, b) pairs in order; a pair fails on differing
-    dims, else on its flag in `zero` (one flag, or an array of one per
-    pair) with ZeroMatrixError(message).
+    Two sequences raise TypeError.  The loop visits the (a, b) pairs in
+    sequence order; a pair fails on differing dims, else on a's flag in
+    `zero_a` or b's in `zero_b` (one flag, or an array over the sequence)
+    with ZeroMatrixError(message).
     """
     if isinstance(A, Dmat):
         pairs = [(A, B)] if isinstance(B, Dmat) else [(A, b) for b in B]
+    elif isinstance(B, Dmat):
+        pairs = [(a, B) for a in A]
     else:
-        pairs = [(a, B) for a in A] if isinstance(B, Dmat) else list(zip(A, B, strict=True))
-    flags = zero if isinstance(zero, np.ndarray) else [zero] * len(pairs)
+        raise TypeError("a measure pairs a matrix with a matrix or a sequence, not two sequences")
+    flags = np.broadcast_to(np.logical_or(zero_a, zero_b), len(pairs))
     for (a, b), flag in zip(pairs, flags):
         check_dims(a, b)
         if flag:
@@ -161,12 +164,10 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
 
 def _pair_indices(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order."""
-    a = [A] if isinstance(A, Dmat) else list(A)
-    b = [B] if isinstance(B, Dmat) else list(B)
-    n = max(len(a), len(b))
-    ia = list(range(n)) if len(a) == n else [0] * n
-    ib = list(range(len(a), len(a) + n)) if len(b) == n else [len(a)] * n
-    return a + b, ia, ib
+    if isinstance(A, Dmat):
+        b = [B] if isinstance(B, Dmat) else list(B)
+        return [A, *b], [0] * len(b), list(range(1, len(b) + 1))
+    return [*A, B], list(range(len(A))), [len(A)] * len(A)
 
 
 def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -178,7 +179,7 @@ def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     places nothing measurable inside B's support; +inf is returned to signal
     the unconstrained case.
     """
-    _check_pairs(A, B, _each(A, Dmat.is_zero) | _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
+    _check_pairs(A, B, _each(A, Dmat.is_zero), _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
     return _result(_k_hyp_pairs(*_pair_indices(A, B)), A, B)
 
 
@@ -254,8 +255,8 @@ def _difference_spectra(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]) -> n
 
     Each pair is solved in the orientation `_solved_first` picks, and the
     other orientation is read off as the negated reversal.  Two matrices
-    solve directly; one matrix against a sequence goes through the memo of
-    `_spectra_against`; two sequences solve their pairs directly.
+    solve directly; a matrix against a sequence goes through the memo of
+    `_spectra_against`.
     """
     if isinstance(A, Dmat) and isinstance(B, Dmat):
         if _solved_first(B, A):
@@ -263,12 +264,8 @@ def _difference_spectra(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]) -> n
         return _flipped(np.linalg.eigvalsh(A.matrix - B.matrix))
     if isinstance(A, Dmat):
         spectra, flip = _spectra_against(A, B)
-    elif isinstance(B, Dmat):
-        spectra, b_first = _spectra_against(B, A)
-        flip = ~b_first
     else:
-        b_first = np.array([_solved_first(b, a) for a, b in zip(A, B)])
-        spectra = _solve(_each(B, _matrix), _each(A, _matrix), b_first)
+        spectra, b_first = _spectra_against(B, A)
         flip = ~b_first
     return np.where(flip[:, None], _flipped(spectra), spectra)
 
@@ -329,7 +326,7 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
     norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
-    _check_pairs(A, B, norm_a < 1e-12, "k_e needs a nonzero first argument")
+    _check_pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
     return _result(k_e_from_spectra(_difference_spectra(A, B), norm_a, order), A, B)
 
 
@@ -337,7 +334,7 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """trace(A B) over the product of Frobenius norms; symmetric, in [0, 1]."""
     norm_a = _each(A, Dmat.frobenius_norm)
     norm_b = _each(B, Dmat.frobenius_norm)
-    _check_pairs(A, B, (norm_a < 1e-12) | (norm_b < 1e-12), "trace similarity needs two nonzero matrices")
+    _check_pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
     traces = np.trace(_each(A, _matrix) @ _each(B, _matrix), axis1=-2, axis2=-1)
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
 
@@ -349,7 +346,7 @@ def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, eithe
     (on either word's, with `either`).  Any dims mismatch already fails the
     first row, so a later row can only fail on its own flag.
     """
-    _check_pairs(mats[0], mats[1:], zero[0] | zero[1:] if either else zero[0], message)
+    _check_pairs(mats[0], mats[1:], zero[0], zero[1:] if either else False, message)
     if zero.any():
         raise ZeroMatrixError(message)
 

@@ -263,11 +263,11 @@ def _certified_normalized(matrix) -> Dmat:
 class SpectralDecomposition:
     """Eigenvalues (descending, kernel clamped to 0) with orthonormal eigenvectors.
 
-    The eigenvector convention is deterministic: each column has its first
-    component of magnitude > 1e-12 made positive, and columns with equal
-    eigenvalues are ordered lexicographically.  Individual eigenvectors of a
-    degenerate eigenvalue are not unique; compare eigenspace projectors, not
-    columns, when spectra repeat.
+    The columns are LAPACK's (`eigh`) in descending order, or the standard
+    basis for an exactly diagonal matrix.  Only eigenspaces are stable: a
+    column's sign, and the basis of a repeated eigenvalue's eigenspace, may
+    change with roundoff, so read them through `eigenvalue_groups`,
+    `eigenspaces` or `apply`.
 
     Instances come from `spectral_decompose`, which caches one per `Dmat`
     and shares it with every caller, so both arrays are read-only.
@@ -337,40 +337,19 @@ class SpectralDecomposition:
         return groups
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Negate each column whose first component above 1e-12 in magnitude is negative."""
-    significant = np.abs(vectors) > 1e-12
-    first = np.argmax(significant, axis=0)
-    pivots = vectors[first, np.arange(vectors.shape[1])]
-    flip = significant.any(axis=0) & (pivots < 0)
-    return np.where(flip, -vectors, vectors)
-
-
-def _deterministic_order(eigenvalues: np.ndarray, vectors: np.ndarray):
-    """Descending eigenvalues; ties broken by lexicographic eigenvector order.
-
-    Eigenvalues are compared after Python's decimal `round(_, 12)` (which
-    `np.round` does not always match), then columns by their components
-    rounded with `np.round(_, 12)`, first component first.  The sort is
-    stable, so fully tied columns keep their input order.
-    """
-    primary = np.array([-round(lam, 12) for lam in eigenvalues.tolist()])
-    components = np.round(vectors, 12)
-    order = np.lexsort(np.vstack((components[::-1], primary)))
-    return eigenvalues[order], vectors[:, order]
-
-
 def _decompose(m: np.ndarray) -> SpectralDecomposition:
     if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
-        eigenvalues = np.diagonal(m).astype(float).copy()
-        vectors = np.eye(m.shape[0])
+        diagonal = np.diagonal(m)
+        order = np.argsort(-diagonal, kind="stable")
+        eigenvalues, vectors = diagonal[order], np.eye(m.shape[0])[:, order]
     else:
-        eigenvalues, vectors = np.linalg.eigh(m)
+        ascending, vectors = np.linalg.eigh(m)
+        eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
     lowest = float(eigenvalues.min())
     if lowest < -PSD_TOL:
         raise NotPSDError(f"eigenvalue {lowest:.3e} below -{PSD_TOL:.0e}")
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    eigenvalues, vectors = _deterministic_order(eigenvalues, _fix_signs(vectors))
+    vectors = np.ascontiguousarray(vectors)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
@@ -379,11 +358,12 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
 def spectral_decompose(M: Dmat) -> SpectralDecomposition:
     """Eigendecompose a Dmat, clamping roundoff-negative eigenvalues to zero.
 
-    Exactly diagonal matrices take a fast path that keeps the standard basis,
-    so diagonal fixtures decompose without floating-point surprises.  The
-    result is computed once per Dmat and the same read-only object is
-    returned on every later call.  An eigenvalue below -PSD_TOL raises
-    NotPSDError when the decomposition is computed.
+    Exactly diagonal matrices take a fast path that keeps the standard basis
+    (equal diagonal entries in index order), so diagonal fixtures decompose
+    without floating-point surprises.  The result is computed once per Dmat
+    and the same read-only object is returned on every later call.  An
+    eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
+    computed.
     """
     decomp = M._spectral
     if decomp is None:

@@ -78,7 +78,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "a7752b9b11bdeed52768f429bf1e578d30758e3c97d6eb7ae84ec0060c179b21"
+VERIFY_STDOUT_SHA256 = "61826c9db1fd362f1ef0442427e7f4d03103593bc9a3456fae4d2fff29c2c610"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

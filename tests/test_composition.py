@@ -14,9 +14,9 @@ from convneg.composition import (
     spider,
 )
 from convneg.errors import DimensionMismatchError
-from convneg.negation import neg_supp
+from convneg.negation import neg_sub, neg_supp
 from convneg.sampling import random_orthogonal, random_psd
-from convneg.spectral import Dmat, SpectralDecomposition, spectral_decompose, support_projector
+from convneg.spectral import Dmat, SpectralDecomposition, rescale_max_eig, spectral_decompose, support_projector
 
 PLUS = Dmat(np.full((2, 2), 0.5))  # rank-1 state on the diagonal direction
 B_DIAG = Dmat.from_diagonal([1.0, 0.25])
@@ -32,12 +32,32 @@ def _fuzz_projector_loop(A: Dmat, B: Dmat) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _spider_einsum(A: Dmat, B: Dmat) -> np.ndarray:
-    """Reference spider: A's diagonal in B's eigenbasis by a three-operand einsum."""
+def _spider_basis(B: Dmat) -> tuple[np.ndarray, np.ndarray]:
+    """Reference tie-break: each repeated group above the support cut gets the top eigenvectors of P D P.
+
+    P is the group's eigenspace projector and D = diag(1, ..., d); P D P
+    has the eigenvalues of V_kᵀ D V_k (all at least 1) and zeros, so its top
+    eigenvectors span the eigenspace in the basis that diagonalizes D there.
+    Every column carries its group's value.
+    """
     decomp = spectral_decompose(B)
-    v = decomp.eigenvectors
+    index = np.diag(np.arange(1.0, B.dim + 1))
+    columns, weights = [], []
+    groups = zip(decomp.eigenvalue_groups(), decomp.eigenspaces())
+    for (value, start, stop), (_, proj) in groups:
+        block = decomp.eigenvectors[:, start:stop]
+        if stop - start > 1 and value > decomp.support_cut():
+            block = np.linalg.eigh(proj @ index @ proj)[1][:, -(stop - start):]
+        columns.append(block)
+        weights += [value] * (stop - start)
+    return np.hstack(columns), np.array(weights)
+
+
+def _spider_einsum(A: Dmat, B: Dmat) -> np.ndarray:
+    """Reference spider: A's diagonal in the tie-broken eigenbasis of B by a three-operand einsum."""
+    v, weights = _spider_basis(B)
     a_diag = np.einsum("ij,jk,ki->i", v.T, A.matrix, v)
-    out = (v * (decomp.eigenvalues * a_diag)) @ v.T
+    out = (v * (weights * a_diag)) @ v.T
     return (out + out.T) / 2.0
 
 
@@ -65,9 +85,12 @@ class TestSpider:
         np.testing.assert_allclose(out.matrix, np.array([[0.5, 0.0], [0.0, 0.125]]), atol=1e-12)
 
     def test_equals_mult_for_diagonal_structure(self, rng):
-        for _ in range(20):
+        for k in range(20):
             a = random_psd(rng, 4)
-            b = Dmat.from_diagonal(rng.uniform(0.0, 1.0, size=4))
+            values = rng.uniform(0.0, 1.0, size=4)
+            if k % 2:
+                values[:3] = values[0]  # a repeated eigenvalue: the tie-break keeps the standard basis
+            b = Dmat.from_diagonal(values)
             assert np.linalg.norm(spider(a, b).matrix - mult(a, b).matrix) <= 1e-9
 
     def test_matches_copy_isometry_oracle(self, rng):
@@ -92,6 +115,35 @@ class TestSpider:
             a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
             b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.5)
             _assert_relatively_close(spider(a, b).matrix, _spider_einsum(a, b), a, b)
+
+
+def _relative_change(out: Dmat, ref: Dmat) -> float:
+    return float(np.linalg.norm(out.matrix - ref.matrix) / np.linalg.norm(ref.matrix))
+
+
+class TestSpiderIsBasisFree:
+    """spider must depend on B's eigenspaces, not on the eigenvectors LAPACK returns for them."""
+
+    def test_rotations_inside_repeated_eigenspaces(self, rng):
+        # groups of 3 and 2, a simple eigenvalue and a 3-dim kernel
+        eigs = np.array([1.0, 0.7, 0.7, 0.7, 0.4, 0.4, 0.2, 0.0, 0.0, 0.0])
+        for _ in range(20):
+            q = random_orthogonal(rng, 10)
+            turned = q.copy()
+            for start, stop in ((1, 4), (4, 6), (7, 10)):
+                turned[:, start:stop] = q[:, start:stop] @ random_orthogonal(rng, stop - start)
+            b, b_turned = (Dmat(((v * eigs) @ v.T + ((v * eigs) @ v.T).T) / 2.0) for v in (q, turned))
+            a = random_psd(rng, 10, rank=int(rng.integers(1, 11)))
+            assert _relative_change(spider(a, b_turned), spider(a, b)) <= 1e-12
+
+    def test_roundoff_in_negated_low_rank_word(self, rng):
+        # neg_sub of a rank-3 word: eigenvalue 1 repeats 7 times
+        for _ in range(20):
+            b = neg_sub(rescale_max_eig(random_psd(rng, 10, rank=3)))
+            noise = rng.normal(size=(10, 10))
+            b_noisy = Dmat(b.matrix + 1e-15 * (noise + noise.T) / 2.0)
+            a = random_psd(rng, 10)
+            assert _relative_change(spider(a, b_noisy), spider(a, b)) <= 1e-12
 
 
 class TestFuzz:

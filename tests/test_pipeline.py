@@ -1,10 +1,21 @@
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convneg.composition import CompositionKind
-from convneg.context import HypernymHierarchy, WeightFunction, WeightKind, worldly_context_hierarchy
+from convneg.context import (
+    HypernymHierarchy,
+    WeightFunction,
+    WeightKind,
+    build_entailment_graph,
+    load_hierarchy,
+    worldly_context_graph,
+    worldly_context_hierarchy,
+)
 from convneg.errors import IsolatedWordError, UnknownWordError, WeightOutOfRangeError, ZeroMatrixError
 from convneg.pipeline import (
     Basis,
@@ -14,8 +25,10 @@ from convneg.pipeline import (
     logical_negation,
     plausibility,
 )
-from convneg.sampling import random_normalized, random_psd
-from convneg.spectral import Dmat
+from convneg.experiment import load_dataset
+from convneg.lexicon import Lexicon, build_lexicon, load_vectors
+from convneg.sampling import random_normalized, random_orthogonal, random_psd
+from convneg.spectral import Dmat, rescale_max_eig
 
 
 @pytest.fixture
@@ -171,3 +184,57 @@ class TestPlausibility:
                     got = plausibility(negated, alternatives, measure, direction)
                     want = [plausibility(negated, alt, measure, direction) for alt in alternatives]
                     assert got.tobytes() == np.array(want).tobytes(), (measure, direction)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SCORE_COLUMNS = [("k_hyp", 1), ("k_hyp", 2), ("k_E", 1), ("k_E", 2), ("k_BA", 1), ("trace", 1)]
+
+
+def _basis_free_scores(lexicon, hierarchy, dataset) -> dict[str, list[float]]:
+    """Every fuzz, phaser and negation-only ("none") score of the fixture dataset, under each context source and weighting."""
+    graph = build_entailment_graph(lexicon, {r.negated for r in dataset})
+    providers = [partial(worldly_context_graph, graph=graph, lexicon=lexicon)] + [
+        partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(kind, 2.0))
+        for kind in WeightKind
+    ]
+    scores: dict[str, list[float]] = {"fuzz": [], "phaser": [], "none": []}
+    for provider in providers:
+        for negation in NegationKind:
+            for record in dataset:
+                alternative = lexicon[record.alternative]
+                outputs = [
+                    (comp, conversational_negate(record.negated, NegationConfig(negation, comp, basis), lexicon, provider))
+                    for comp in ("fuzz", "phaser")
+                    for basis in Basis
+                ]
+                plain = logical_negation(lexicon[record.negated], NegationConfig(negation, "fuzz"))
+                outputs.append(("none", rescale_max_eig(plain)))
+                for comp, out in outputs:
+                    scores[comp] += [plausibility(out, alternative, m, d) for m, d in SCORE_COLUMNS]
+    return scores
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rotating_the_lexicon_leaves_basis_free_scores(seed):
+    """One orthogonal Q applied to every lexicon matrix leaves every fuzz, phaser and baseline score.
+
+    spider, mult and diag read a basis by design and are left out.  fuzz
+    and the baseline hold 1e-9.  phaser takes the square root of its
+    structural operand's kernel eigenvalues, which are roundoff of up to
+    about 4 d eps (`entailment._roundoff_cut`), so its outputs move by up to
+    the square root of that under any perturbation, a rotation included.
+    """
+    hierarchy = load_hierarchy(FIXTURES / "toy_hierarchy.tsv")
+    dataset = load_dataset(FIXTURES / "toy_dataset.tsv")
+    lexicon = build_lexicon(load_vectors(FIXTURES / "toy_vectors.txt"), hierarchy.hyponym_sets())
+    q = random_orthogonal(np.random.default_rng(seed), lexicon.dim)
+    turned = {}
+    for word, m in lexicon.matrices.items():
+        r = q @ m.matrix @ q.T
+        turned[word] = Dmat((r + r.T) / 2.0, normalized=True)
+    want = _basis_free_scores(lexicon, hierarchy, dataset)
+    got = _basis_free_scores(Lexicon(turned), hierarchy, dataset)
+    bounds = {"fuzz": 1e-9, "none": 1e-9, "phaser": np.sqrt(4 * lexicon.dim * np.finfo(float).eps)}
+    for comp, bound in bounds.items():
+        np.testing.assert_allclose(got[comp], want[comp], rtol=0, atol=bound, err_msg=comp)

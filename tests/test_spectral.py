@@ -20,8 +20,6 @@ from convneg.spectral import (
     PSD_TOL,
     Dmat,
     _certified_normalized,
-    _deterministic_order,
-    _fix_signs,
     _scaled,
     loewner_leq,
     normalize_max_eig,
@@ -106,12 +104,17 @@ class TestSpectralDecompose:
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
 
-    def test_sign_convention(self, rng):
-        decomp = spectral_decompose(random_psd(rng, 4))
-        for j in range(4):
-            col = decomp.eigenvectors[:, j]
-            first = col[np.abs(col) > 1e-12][0]
-            assert first > 0
+    def test_descending_contiguous_pairs(self, rng):
+        m = random_psd(rng, 12, rank=7, repeat_prob=0.5)
+        decomp = spectral_decompose(m)
+        assert np.all(np.diff(decomp.eigenvalues) <= 0.0)
+        assert decomp.eigenvectors.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(m.matrix @ decomp.eigenvectors, decomp.eigenvectors * decomp.eigenvalues, atol=1e-12)
+
+    def test_diagonal_ties_keep_index_order(self):
+        decomp = spectral_decompose(Dmat.from_diagonal([0.5, 0.5, 0.25, 0.0, 0.5]))
+        assert decomp.eigenvalues.tolist() == [0.5, 0.5, 0.5, 0.25, 0.0]
+        assert decomp.eigenvectors.tobytes() == np.eye(5)[:, [0, 1, 4, 2, 3]].tobytes()
 
     def test_eigenspaces_sum_to_identity(self, rng):
         m = random_psd(rng, 6, rank=4, repeat_prob=0.5)
@@ -127,81 +130,6 @@ class TestSpectralDecompose:
         groups = spectral_decompose(m).eigenspaces()
         assert [round(v, 9) for v, _ in groups] == [0.7, 0.2, 0.0]
         assert all(np.allclose(p @ p, p, atol=1e-10) for _, p in groups)
-
-
-def loop_fix_signs(vectors):
-    """Reference: the column-by-column sign convention."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            out[:, j] = -col
-    return out
-
-
-def loop_deterministic_order(eigenvalues, vectors):
-    """Reference: sort columns by (-eigenvalue, components) as Python tuples."""
-    keys = []
-    for j in range(len(eigenvalues)):
-        keys.append((-round(float(eigenvalues[j]), 12), tuple(np.round(vectors[:, j], 12))))
-    order = sorted(range(len(eigenvalues)), key=lambda j: keys[j])
-    return eigenvalues[order], vectors[:, order]
-
-
-def raw_eigenpairs(m):
-    """What spectral_decompose feeds the convention: clamped eigenvalues, raw vectors."""
-    if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
-        eigenvalues, vectors = np.diagonal(m).astype(float).copy(), np.eye(m.shape[0])
-    else:
-        eigenvalues, vectors = np.linalg.eigh(m)
-    return np.where(eigenvalues < 0.0, 0.0, eigenvalues), vectors
-
-
-def assert_convention_matches_loops(m):
-    # Orthonormal columns are pairwise distinct, so equal outputs mean equal
-    # permutations; comparing bytes also checks the sign of every zero.
-    eigenvalues, vectors = raw_eigenpairs(m)
-    signed = _fix_signs(vectors)
-    assert signed.tobytes() == loop_fix_signs(vectors).tobytes()
-    got = _deterministic_order(eigenvalues, signed)
-    want = loop_deterministic_order(eigenvalues, loop_fix_signs(vectors))
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    decomp = spectral_decompose(Dmat(m))
-    assert decomp.eigenvalues.tobytes() == want[0].tobytes()
-    assert decomp.eigenvectors.tobytes() == want[1].tobytes()
-
-
-class TestVectorizedConvention:
-    def test_random_repeated_spectra(self, rng):
-        for dim in range(2, 51):
-            rank = int(rng.integers(1, dim + 1))
-            assert_convention_matches_loops(random_psd(rng, dim, rank=rank, repeat_prob=0.3).matrix)
-
-    def test_diagonal_fast_path(self):
-        for values in (
-            [0.5, 0.5, 0.25, 0.0, 0.5],
-            [0.0, -0.0, 0.3, -0.0, 0.0],
-            [1.0, 1.0, 1.0],
-            [-0.0, -0.0],
-            [0.2, -1e-10, 0.2, 0.0],
-            # a decimal half-way case: round(_, 12) ties these, np.round does not
-            [0.627657601299, 0.6276576012985],
-        ):
-            assert_convention_matches_loops(np.diag(values))
-
-    def test_rank_one_complement(self, rng):
-        # I - X for a pure X: eigenvalue 1 repeats dim - 1 times
-        for dim in range(2, 21):
-            v = rng.normal(size=dim)
-            v /= np.linalg.norm(v)
-            m = np.eye(dim) - np.outer(v, v)
-            assert_convention_matches_loops((m + m.T) / 2.0)
-
-    def test_sign_pivot_skips_tiny_components(self):
-        vectors = np.array([[1e-13, -0.0, -1e-13], [-1.0, 1e-13, 0.0], [0.0, -1.0, -1e-14]])
-        assert _fix_signs(vectors).tobytes() == loop_fix_signs(vectors).tobytes()
 
 
 def loop_apply(decomp, fn):
