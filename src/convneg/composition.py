@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .entailment import _roundoff_cut
 from .spectral import Dmat, check_dims, spectral_decompose
 
 
@@ -103,9 +104,17 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
 
 
 def phaser(A: Dmat, B: Dmat) -> Dmat:
-    """Conjugation by the spectral square root of B (Bayesian-style update)."""
+    """Conjugation by the spectral square root of B (Bayesian-style update).
+
+    B's eigenvalues at or below roundoff (`entailment._roundoff_cut` of the
+    top, the cut `_support_factor` makes) are zeroed before the root: the
+    square root would turn a kernel eigenvalue of 1e-17 into a weight of
+    3e-9 on an eigenvector that roundoff picks.
+    """
     check_dims(A, B)
-    root = spectral_decompose(B).apply(np.sqrt)
+    decomp = spectral_decompose(B)
+    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
+    root = decomp.apply(lambda lam: np.sqrt(np.where(lam > cut, lam, 0.0)))
     return _wrap(root @ A.matrix @ root)
 
 
