@@ -2,7 +2,9 @@
 
 A word's density matrix is the mixture of outer products of the unit-length
 vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
-The on-disk lexicon format is binary for exactness.
+A word of r < d such vectors has rank r, so its spectrum is read off the r×r
+Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
+of a d×d eigensolve.  The on-disk lexicon format is binary for exactness.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -23,7 +26,7 @@ from .errors import (
     UnknownWordError,
     ZeroMatrixError,
 )
-from .spectral import Dmat, _certified_normalized, normalize_max_eig
+from .spectral import PSD_TOL, Dmat, _certified_normalized, normalize_max_eig
 
 MAGIC = b"DMLX1"
 
@@ -87,18 +90,24 @@ def load_vectors(path) -> VectorTable:
     return VectorTable(vectors=vectors, dim=dim)
 
 
-def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTable) -> Dmat:
+def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTable, *,
+                         routes: Counter | None = None) -> Dmat:
     """Mixture of unit outer products over the word and its known hyponyms.
 
-    Hyponyms missing from the vector table are skipped; a word with no usable
-    hyponyms yields a pure rank-1 state.  The sum always has top eigenvalue
-    >= 1, so downward normalization lands it at exactly 1.
+    Hyponyms missing from the vector table, or with a zero vector, are
+    skipped; a word with no usable hyponyms yields a pure rank-1 state.  The
+    sum is then divided by its largest eigenvalue where that exceeds 1
+    (`normalize_max_eig`), which `_gram_spectrum` reads off the r×r Gram
+    matrix of the r unit vectors where it can prove it, and a d×d `eigvalsh`
+    finds otherwise.  `routes`, if given, counts the word under "gram" or
+    "eigvalsh".
     """
     if word not in vectors:
         raise UnknownWordError(f"no vector for {word!r}")
     members = [word] + sorted(h for h in set(hyponyms) if h != word and h in vectors)
     dim = vectors.dim
     out = np.zeros((dim, dim))
+    units = []
     for member in members:
         v = vectors[member]
         norm = float(np.linalg.norm(v))
@@ -108,8 +117,46 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
             continue
         unit = v / norm
         out += np.outer(unit, unit)
+        units.append(unit)
+    spectrum = _gram_spectrum(np.array(units))
+    if routes is not None:
+        routes["eigvalsh" if spectrum is None else "gram"] += 1
     # each outer product is exactly symmetric, and so is their sum in one order
-    return normalize_max_eig(Dmat(out))
+    return normalize_max_eig(Dmat(out, spectrum=spectrum))
+
+
+def _gram_spectrum(f: np.ndarray):
+    """The spectrum of Σ fᵢfᵢᵀ over the r unit rows of f (r×d), proved from F·Fᵀ; None if not proved.
+
+    FᵀF and the r×r Gram matrix F·Fᵀ have the same nonzero eigenvalues, so
+    FᵀF's ascending spectrum is that of F·Fᵀ merged with d − r zeros.  The
+    function returned computes it for `Dmat(out, spectrum=...)`, where `out`
+    is the rounded sum of the rows' rounded outer products.  Each value it
+    returns is within ρ = 1.1·eps·r·(d + 5r) of the matching eigenvalue of
+    `out` (eps is machine epsilon; Weyl's inequality adds the three errors,
+    and merging two sorted lists moves no element by more than its inputs):
+    - `out` − FᵀF: each entry is a sum of r rounded products, off by at most
+      γ_r·(|F|ᵀ|F|), whose Frobenius norm is at most 0.51·r·eps·‖F‖_F²;
+    - the computed F·Fᵀ: each entry a dot product of length d, off by at
+      most 0.51·d·eps·‖F‖_F² in Frobenius norm;
+    - `eigvalsh` of that r×r matrix G: off by at most 4·r·eps·‖G‖_F (the
+      assumption `_certified_normalized` makes), with ‖G‖_F <= 1.01·‖F‖_F²;
+    and a row v/‖v‖ rounded has squared norm below 1 + (d + 4)·eps, so
+    ‖F‖_F² <= 1.01·r.  The sum, below 0.6·eps·r·(d + 9r), is under ρ,
+    which leaves room for the rounding of the division by the scale and of
+    the comparisons.  Since FᵀF is PSD, `out` has no eigenvalue below −ρ.
+
+    The Gram route is taken for r < d when ρ <= PSD_TOL / 10.  The d×d
+    `eigvalsh` it replaces errs by up to 4·d·eps·‖out‖_F <= 3.7·ρ itself,
+    so both routes' spectra lie within PSD_TOL / 2 of `out`'s exact one, and
+    both accept every built word: its eigenvalues lie in [−ρ, top + ρ], far
+    from the thresholds −PSD_TOL and (after scaling) 1 + PSD_TOL.  The scale
+    max(1, top) may differ from the d×d route's by a few ulps.
+    """
+    r, d = f.shape
+    if r >= d or 1.1 * np.finfo(float).eps * r * (d + 5 * r) > PSD_TOL / 10:
+        return None
+    return lambda _: np.sort(np.append(np.linalg.eigvalsh(f @ f.T), np.zeros(d - r)))
 
 
 @dataclass
@@ -171,13 +218,18 @@ def build_lexicon(vectors: VectorTable, hyponym_sets: Mapping[str, set[str]] | N
     """Density matrices for every word in the vector table.
 
     `hyponym_sets` typically comes from HypernymHierarchy.hyponym_sets();
-    words absent from it get pure states.
+    words absent from it get pure states.  One DEBUG line on this module's
+    logger counts the words whose spectrum came from their Gram matrix and
+    those solved by a d×d `eigvalsh` (see `build_density_matrix`).
     """
     hyponym_sets = hyponym_sets or {}
+    routes = Counter()
     matrices = {
-        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors)
+        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors, routes=routes)
         for word in sorted(vectors)
     }
+    logger.debug("built %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
+                 len(matrices), vectors.dim, routes["gram"], routes["eigvalsh"])
     provenance = {
         "recipe": "unit-outer-product mixture of word and hyponym vectors, max-eig normalized",
         "dim": str(vectors.dim),

@@ -19,7 +19,8 @@ benign, because every writer stores the same deterministic result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -62,7 +63,12 @@ class Dmat:
     first read and kept.  `Dmat(...)` solves for them to validate, so it keeps
     them from the start; a matrix made by `normalize_max_eig` or
     `rescale_max_eig`, or a lexicon word that `load_lexicon` proved by its
-    Cholesky certificate, solves only if they are read.  The spectral
+    Cholesky certificate, solves only if they are read.  A caller that knows
+    the spectrum more cheaply passes `spectrum`, a function from the array to
+    its ascending eigenvalues (default `np.linalg.eigvalsh`); validation
+    checks and keeps what it returns, so it must be proved within roundoff of
+    the array's own (as `build_density_matrix` proves a word's from its r×r
+    Gram matrix).  The spectral
     decomposition is filled lazily by the first `spectral_decompose` call and
     reused by every later one.  Concurrent first reads may each compute either
     cache, and whichever identical result lands last is kept.
@@ -77,6 +83,8 @@ class Dmat:
 
     matrix: np.ndarray
     normalized: bool = False
+    # how validation finds the ascending eigenvalues; None is np.linalg.eigvalsh
+    spectrum: InitVar[Callable[[np.ndarray], np.ndarray] | None] = None
     # filled by validation or the first read of `eigenvalues`
     _eigenvalues: np.ndarray | None = field(init=False, default=None)
     # filled by the first spectral_decompose call
@@ -84,11 +92,11 @@ class Dmat:
     # (partners, spectra, flags) of the last sequence this matrix faced in k_e or k_ba
     _pair_spectra: tuple | None = field(init=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        eigenvalues = _validate(m, self.normalized, np.linalg.eigvalsh)
+        eigenvalues = _validate(m, self.normalized, spectrum or np.linalg.eigvalsh)
         m.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -78,7 +78,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "f4fdfd6890b0d4de1e3716e0837a6a94cd77689bf6f89909374085c9ce4bb2dd"
+VERIFY_STDOUT_SHA256 = "da3b3ccf9ef1cfb7c096eda17b88a2175845a3f54dcc073c160ed81c41311928"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

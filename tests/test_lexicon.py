@@ -1,6 +1,8 @@
 import hashlib
 import logging
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,10 @@ from convneg.lexicon import (
     load_vectors,
     save_lexicon,
 )
+from convneg.context import load_hierarchy
 from convneg.spectral import Dmat, normalize_max_eig
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write(tmp_path, name, text):
@@ -112,7 +117,7 @@ class TestBuildDensityMatrix:
         for hyponyms in (set(), {"w1"}, {"w1", "w2", "w3"}):
             solves.clear()
             build_density_matrix("w0", hyponyms, table)
-            assert len(solves) == 1  # validating the raw mixture; normalizing reuses its spectrum
+            assert len(solves) == 1  # the Gram matrix's, to validate; normalizing reuses its spectrum
 
     def test_top_eigenvalue_exactly_one(self, tmp_path, rng):
         lines = [
@@ -298,15 +303,105 @@ class TestDim64Load:
         load_lexicon(path)
         assert caplog.records == []
 
-    def test_built_and_saved_bytes_unchanged(self, tmp_path, rng):
+    def test_built_matches_d_by_d_reference_and_saved_bytes_unchanged(self, tmp_path, rng):
         table, hyponyms = tree_table(tmp_path, rng)
         lexicon = build_lexicon(table, hyponyms)
         for word, m in lexicon.matrices.items():
-            old = old_build_density_matrix(word, hyponyms.get(word, ()), table)
-            assert sha256(m.matrix.tobytes()) == sha256(old.matrix.tobytes())
+            assert_scaled_reference(m, old_build_density_matrix(word, hyponyms.get(word, ()), table))
         save_lexicon(lexicon, tmp_path / "new.bin")
         old_save_lexicon(lexicon, tmp_path / "old.bin")
         assert sha256((tmp_path / "new.bin").read_bytes()) == sha256((tmp_path / "old.bin").read_bytes())
+
+    def test_no_d_by_d_solve_for_low_rank_words(self, tmp_path, rng, monkeypatch):
+        table, hyponyms = tree_table(tmp_path, rng)
+        shapes = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        build_lexicon(table, hyponyms)
+        # every word has rank below 64: one r×r Gram solve each, none 64×64
+        ranks = [1 + len(hyponyms.get(w, ())) for w in table]
+        assert sorted(shapes) == sorted((r, r) for r in ranks)
+
+    def test_logs_gram_and_solved_counts(self, tmp_path, rng, caplog):
+        table, hyponyms = tree_table(tmp_path, rng)
+        with caplog.at_level(logging.DEBUG, logger="convneg.lexicon"):
+            build_lexicon(table, hyponyms)
+        assert [r.getMessage() for r in caplog.records] == [
+            "built 23 words at dim 64: 23 proved by Gram spectrum, 0 solved by eigvalsh"
+        ]
+
+    def test_build_silent_by_default(self, tmp_path, rng, caplog):
+        table, hyponyms = tree_table(tmp_path, rng)
+        build_lexicon(table, hyponyms)
+        assert caplog.records == []
+
+
+# The Gram route's scale max(1, top) differs from the d×d route's by a few
+# ulps (up to about 6 measured at dim 300); this allows 16.
+SCALE_ULPS = 16
+
+
+def assert_scaled_reference(m, old):
+    """m equals the d×d-route matrix `old` up to one scale within SCALE_ULPS."""
+    nonzero = old.matrix != 0
+    assert np.array_equal(m.matrix != 0, nonzero)
+    ratio = m.matrix[nonzero] / old.matrix[nonzero]
+    assert np.max(np.abs(ratio - 1.0)) <= SCALE_ULPS * np.finfo(float).eps
+    assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.matrix).tobytes()
+
+
+class TestGramRoute:
+    """Words of rank r < d take their spectrum from the r×r Gram matrix."""
+
+    def build(self, word, hyponyms, table):
+        routes = Counter()
+        m = build_density_matrix(word, hyponyms, table, routes=routes)
+        assert_scaled_reference(m, old_build_density_matrix(word, hyponyms, table))
+        return m, routes
+
+    def test_full_rank_word_falls_back_to_eigvalsh(self):
+        table = load_vectors(FIXTURES / "toy_vectors.txt")
+        hyponyms = load_hierarchy(FIXTURES / "toy_hierarchy.tsv").hyponym_sets()["entity"]
+        m, routes = self.build("entity", hyponyms, table)  # 6 members at dim 4
+        assert routes == Counter(eigvalsh=1)
+        assert m.matrix.tobytes() == old_build_density_matrix("entity", hyponyms, table).matrix.tobytes()
+
+    def test_parallel_and_duplicate_vectors(self, tmp_path, rng):
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        rows = {"a": a, "twice": 2.0 * a, "copy": a, "negated": -a, "b": b}
+        text = "".join(f"{w} " + " ".join(repr(float(x)) for x in v) + "\n" for w, v in rows.items())
+        table = load_vectors(write(tmp_path, "v.txt", text))
+        m, routes = self.build("a", set(rows) - {"a"}, table)  # Gram rank 2 of r = 5
+        assert routes == Counter(gram=1)
+        assert m.eigenvalues[-1] == pytest.approx(1.0, abs=1e-12)
+        assert m.eigenvalues[0] >= -1e-15 and np.sum(m.eigenvalues > 1e-12) == 2
+
+    def test_zero_vector_hyponym_skipped(self, tmp_path):
+        table = load_vectors(write(tmp_path, "v.txt", "a 1.0 0.2 0.0\nb 0.1 1.0 0.3\nz 0.0 0.0 0.0\n"))
+        routes = Counter()
+        m = build_density_matrix("a", {"b", "z"}, table, routes=routes)
+        assert routes == Counter(gram=1)
+        assert m.matrix.tobytes() == self.build("a", {"b"}, table)[0].matrix.tobytes()
+
+    def test_rank_one_scale_exactly_one_when_gram_top_at_most_one(self, tmp_path, rng):
+        vectors = [np.eye(5)[0], np.array([3.0, 4.0, 0.0, 0.0, 0.0])] + list(rng.normal(size=(8, 5)))
+        text = "".join(f"w{i} " + " ".join(repr(float(x)) for x in v) + "\n" for i, v in enumerate(vectors))
+        table = load_vectors(write(tmp_path, "v.txt", text))
+        exact = 0
+        for i, v in enumerate(vectors):
+            m, routes = self.build(f"w{i}", set(), table)
+            assert routes == Counter(gram=1)
+            unit = (v / np.linalg.norm(v))[None, :]
+            top = np.linalg.eigvalsh(unit @ unit.T)[-1]
+            outer = np.outer(unit, unit)
+            assert m.matrix.tobytes() == (outer if top <= 1.0 else outer / top).tobytes()
+            exact += top <= 1.0
+        assert exact >= 1  # w0 is a standard basis vector
 
 
 class TestLexiconLookup:
