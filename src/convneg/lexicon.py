@@ -96,11 +96,11 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
 
     Hyponyms missing from the vector table, or with a zero vector, are
     skipped; a word with no usable hyponyms yields a pure rank-1 state.  The
-    sum is then divided by its largest eigenvalue where that exceeds 1
-    (`normalize_max_eig`), which `_gram_spectrum` reads off the r×r Gram
-    matrix of the r unit vectors where it can prove it, and a d×d `eigvalsh`
-    finds otherwise.  `routes`, if given, counts the word under "gram" or
-    "eigvalsh".
+    sum is divided by its largest eigenvalue where that exceeds 1
+    (`normalize_max_eig`).  Its spectrum comes from the r×r Gram matrix of
+    the r unit vectors where `_gram_spectrum` proves it, and from a d×d
+    `eigvalsh` otherwise.  `routes`, if given, counts the word under "gram"
+    or "eigvalsh".
     """
     if word not in vectors:
         raise UnknownWordError(f"no vector for {word!r}")

@@ -10,11 +10,13 @@ read-only on the instance: the eigenvalues on first read (or from validation,
 which solves for them anyway), and the full `SpectralDecomposition` the first
 time `spectral_decompose` is asked for it.  `normalize_max_eig` and
 `rescale_max_eig` check their result against the input's spectrum divided by
-the scale, and a lexicon word loaded at dim CERTIFY_MIN_DIM or above is proved
-PSD and normalized by a pivoted Cholesky of its low-rank matrix, so a rescaled
-matrix or a loaded word whose eigenvalues are never read never pays for a
-d×d solve.  Threads sharing a `Dmat` may race to fill a cache; the race is
-benign, because every writer stores the same deterministic result.
+the scale, a lexicon word loaded at dim CERTIFY_MIN_DIM or above is proved
+PSD and normalized by a pivoted Cholesky of its low-rank matrix, and a word
+being built is validated against the spectrum of its r×r Gram matrix (the
+`spectrum` argument of `Dmat`), so a rescaled matrix or a built or loaded
+word whose eigenvalues are never read never pays for a d×d solve.  Threads
+sharing a `Dmat` may race to fill a cache; the race is benign, because every
+writer stores the same deterministic result.
 """
 
 from __future__ import annotations
@@ -68,9 +70,8 @@ class Dmat:
     its ascending eigenvalues (default `np.linalg.eigvalsh`); validation
     checks and keeps what it returns, so it must be proved within roundoff of
     the array's own (as `build_density_matrix` proves a word's from its r×r
-    Gram matrix).  The spectral
-    decomposition is filled lazily by the first `spectral_decompose` call and
-    reused by every later one.  Concurrent first reads may each compute either
+    Gram matrix).  The spectral decomposition is filled lazily by the first
+    `spectral_decompose` call and reused by every later one.  Concurrent first reads may each compute either
     cache, and whichever identical result lands last is kept.
 
     A matrix scored by k_e or k_ba against a sequence also keeps a one-slot
