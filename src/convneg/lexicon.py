@@ -14,7 +14,7 @@ import logging
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -125,7 +125,7 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
     return normalize_max_eig(Dmat(out, spectrum=spectrum))
 
 
-def _gram_spectrum(f: np.ndarray):
+def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """The spectrum of Σ fᵢfᵢᵀ over the r unit rows of f (r×d), proved from F·Fᵀ; None if not proved.
 
     FᵀF and the r×r Gram matrix F·Fᵀ have the same nonzero eigenvalues, so
