@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entailment import _roundoff_cut
-from .spectral import Dmat, check_dims, spectral_decompose
+from .spectral import Dmat, _roundoff_cut, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -106,10 +105,10 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
 def phaser(A: Dmat, B: Dmat) -> Dmat:
     """Conjugation by the spectral square root of B (Bayesian-style update).
 
-    B's eigenvalues at or below roundoff (`entailment._roundoff_cut` of the
-    top, the cut `_support_factor` makes) are zeroed before the root: the
-    square root would turn a kernel eigenvalue of 1e-17 into a weight of
-    3e-9 on an eigenvector that roundoff picks.
+    B's eigenvalues at or below roundoff (`spectral._roundoff_cut` of the
+    top, where `SpectralDecomposition.support_factor` cuts) are zeroed
+    before the root: the square root would turn a kernel eigenvalue of
+    1e-17 into a weight of 3e-9 on an eigenvector that roundoff picks.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)

@@ -11,23 +11,28 @@ argument, but not two sequences (TypeError).  Two matrices give a float.
 Otherwise the matrix pairs with every member of the sequence, and the values
 come back as an array in sequence order, equal bit for bit to a loop of
 scalar calls and raising what the first failing call of that loop would
-raise.  k_hyp solves one stack per problem shape and reads a 1 x 1 problem
-off without one.  k_E and k_BA are read off the spectrum of B - A, and
-the spectrum of A - B is its negated reversal, so each pair is solved once
-(`_difference_spectra`), in an orientation fixed by the pair alone: a
-matrix facing a sequence keeps the spectra against it, and k_E both ways
-and k_BA against that sequence cost one stacked eigensolve between them.
+raise: how a pair is solved, and how it rounds, depends on the pair alone.
+k_hyp solves one stack per problem shape and reads a 1 x 1 problem off
+without one.  k_E and k_BA are read off the spectrum of B - A.  When one
+side of a pair is a pure state a a^T (roundoff rank 1, as every lexicon
+leaf is), the few terms they need come from the other side's cached
+eigenbasis in O(d^2), with no d x d solve (`_rank_one_terms`), and that
+side keeps them, so k_E both ways and k_BA against one sequence of pure
+states share one evaluation; every other pair is solved d x d (`_solve`),
+one stack per call.  Trace similarity is the sum of the entrywise product,
+O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
-(`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`).  The grid
-scores through the measures themselves.  The entailment graph scores, both
-ways, every word pair that holds at least one of a given set of source
-words: through `k_hyp_clamped_all_pairs`, bit for bit the scalar values,
-and `k_e_all_pairs`, which solves each such unordered pair once in its
-joint support, in stacks of one problem shape that take pairs from as many
-rows as fit, and agrees with `k_e` to roundoff.  With k source
-words among n, that is k(n - 1) - k(k - 1)/2 unordered pairs, against
-n(n - 1)/2 for every pair.
+(`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
+route's closed forms.  The grid scores through the measures themselves.
+The entailment graph scores, both ways, every word pair that holds at
+least one of a given set of source words: through
+`k_hyp_clamped_all_pairs`, bit for bit the scalar values, and
+`k_e_all_pairs`, which solves each such unordered pair once in its joint
+support, in stacks of one problem shape that take pairs from as many rows
+as fit, and agrees with `k_e` to roundoff.  With k source words among n,
+that is k(n - 1) - k(k - 1)/2 unordered pairs, against n(n - 1)/2 for
+every pair.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ZeroMatrixError
-from .spectral import RANK_TOL, Dmat, check_dims, spectral_decompose
+from .spectral import EPS, RANK_TOL, Dmat, _roundoff_cut, _roundoff_rank, check_dims, spectral_decompose
+
+# Newton steps allowed for a rank-1 pair's root; a pair not converged by then is solved d x d
+NEWTON_STEPS = 64
 
 
 def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message="") -> None:
@@ -70,41 +78,9 @@ def _each(X: Dmat | Sequence[Dmat], fn: Callable[[Dmat], object]):
     return fn(X) if isinstance(X, Dmat) else np.stack([fn(x) for x in X])
 
 
-def _matrix(X: Dmat) -> np.ndarray:
-    return X.matrix
-
-
 def _result(values, A, B):
     """A float for two matrices (values holds one), else the array of values."""
     return values.item() if isinstance(A, Dmat) and isinstance(B, Dmat) else values
-
-
-def _roundoff_cut(scale, dim: int):
-    """Roundoff in the spectrum of a dim-square matrix whose largest eigenvalue magnitude is `scale`: 4 dim eps scale."""
-    return 4 * dim * np.finfo(float).eps * scale
-
-
-def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> int:
-    """How many eigenvalues exceed roundoff (`_roundoff_cut` of the largest)."""
-    return int(np.count_nonzero(eigenvalues > _roundoff_cut(eigenvalues.max(), dim)))
-
-
-def _support_factor(M: Dmat) -> np.ndarray:
-    """F with F F^T = M to roundoff: eigenvectors scaled by root eigenvalues, from the cached decomposition.
-
-    The support is cut at roundoff (`_roundoff_rank`), not at RANK_TOL: a
-    real eigenvalue of 1e-9 left out moves k_E by about as much.
-    """
-    decomp = spectral_decompose(M)
-    rank = _roundoff_rank(decomp.eigenvalues, M.dim)
-    return decomp.eigenvectors[:, :rank] * np.sqrt(decomp.eigenvalues[:rank])
-
-
-def _whitened_support(B: Dmat) -> np.ndarray:
-    """W = U_r diag(lambda_r)^(-1/2) over B's eigenvalues above its RANK_TOL support cut, so W W^T = pinv(B)."""
-    decomp = spectral_decompose(B)
-    rank = decomp.rank()
-    return decomp.eigenvectors[:, :rank] / np.sqrt(decomp.eigenvalues[:rank])
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -125,7 +101,7 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     """k_hyp(mats[ia[k]], mats[ib[k]]) for every k: the one kernel behind `k_hyp` and the graph.
 
     gamma, the top eigenvalue of pinv(B) A, is solved in the smaller support.
-    With W the whitened support of B (`_whitened_support`, rank r_B),
+    With W the whitened support of B (`whitened_support`, rank r_B),
     gamma = lambda_max(W^T A W), an r_B-square problem that needs only A's
     matrix.  When A's roundoff rank r_A is below r_B, gamma =
     lambda_max(G^T G) with G = W^T F_A and F_A A's support factor, an
@@ -135,7 +111,7 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     more matrices than `mats` does; every pair rounds the same in any stack,
     so values do not depend on the batch.
     """
-    whitened = {j: _whitened_support(mats[j]) for j in dict.fromkeys(ib)}
+    whitened = {j: spectral_decompose(mats[j]).whitened_support for j in dict.fromkeys(ib)}
     ranks = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) for i in dict.fromkeys(ia)}
     factors: dict[int, np.ndarray] = {}
     # (r_B, r_A) -> the pairs of that shape; r_A = 0 marks a pair solved in B's support
@@ -144,7 +120,7 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
         r_b, r_a = whitened[j].shape[1], 0
         if ranks[i] < r_b:
             if i not in factors:
-                factors[i] = _support_factor(mats[i])
+                factors[i] = spectral_decompose(mats[i]).support_factor
             r_a = factors[i].shape[1]
         groups.setdefault((r_b, r_a), []).append(k)
     gamma = np.empty(len(ia))
@@ -217,76 +193,136 @@ def _flipped(spectra: np.ndarray) -> np.ndarray:
     return -spectra[..., ::-1]
 
 
-def _solved_first(X: Dmat, Y: Dmat) -> bool:
-    """Whether the pair {X, Y} is solved as X - Y: X has the smaller trace, a tie going to the smaller bytes.
+def _solve(pairs: Sequence[tuple[Dmat, Dmat]]) -> np.ndarray:
+    """Ascending spectra of B - A for each (A, B) in `pairs`: one stacked d x d eigvalsh."""
+    return np.linalg.eigvalsh(_stack([b.matrix - a.matrix for a, b in pairs]))
 
-    eigvalsh is not bitwise odd (the spectrum it gives for -M may differ from
-    the negated reversal of M's in the last bit), so each pair is solved in
-    one orientation that depends on the pair alone, whichever call asks.
+
+def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
+    """Terms of the spectrum of D = N - a a^T for each pure state a a^T in `pure`, from N's cached eigenbasis.
+
+    With N = V Lambda V^T and w = V^T a, D is Lambda - w w^T in N's
+    eigenbasis, so it has at most one negative eigenvalue, -t, the root of
+    phi(t) = sum_i w_i^2 / (lambda_i + t) = 1 (Golub 1973; Bunch, Nielsen and
+    Sorensen 1978).  phi falls and 1/phi is concave on t > 0, so Newton's
+    method on 1/phi = 1 climbs to the root monotonically from any start
+    below it.  It starts at the largest of cut, the `_roundoff_cut` of N's
+    top eigenvalue, and the lower bounds sum_{j>=i} w_j^2 - lambda_i (over
+    eigenvalues in descending order); phi(cut) <= 1 puts the root within
+    roundoff of zero, where t is 0, as the d x d route counts such an
+    eigenvalue.  A root is frozen once its step falls below 2 eps t, so its
+    iterates do not depend on the other members.  Returns per member:
+
+    - t;
+    - tr D;
+    - pos_sq, the squared norm of D's positive part, ||D||_F^2 - t^2, with
+      ||D||_F^2 summed from non-negative terms only;
+    - `sure`: pos_sq is clear of cancellation, holding at least a quarter
+      of ||D||_F^2, and D is not within roundoff of zero, so its root errs
+      by about as much as the d x d route's;
+    - whether t was still moving after NEWTON_STEPS.
+
+    a is the first column of the member's support factor, taken as a
+    (d, 1) column so that w = V^T a rounds the same in any batch.  The
+    terms are kept on N for the last `pure` sequence (`Dmat._rank_one_memo`),
+    so both k_E directions and k_BA against it share one evaluation.
     """
-    tx, ty = X.matrix.trace(), Y.matrix.trace()
-    return bool(tx < ty or (tx == ty and X.matrix.tobytes() <= Y.matrix.tobytes()))
+    pure = tuple(pure)
+    memo = N._rank_one_memo
+    if memo is not None and memo[0] == pure:
+        return memo[1]
+    decomp = spectral_decompose(N)
+    lam, dim = decomp.eigenvalues, N.dim
+    u = np.square((decomp.eigenvectors.T @ _stack([spectral_decompose(p).support_factor[:, :1] for p in pure]))[..., 0])
+    # sum_{j>=i} u_j: phi(t) >= sum_{j>=i} u_j / (lambda_i + t), so the root is at least sum_{j>=i} u_j - lambda_i
+    suffix = np.cumsum(u[:, ::-1], axis=-1)[:, ::-1]
+    norm_sq = suffix[:, 0]
+    cut = _roundoff_cut(lam[0], dim)
+    t = np.maximum(cut, (suffix - lam).max(axis=-1))
+    active = np.ones(len(pure), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        r = 1.0 / (lam + t[:, None])
+        q = u * r
+        phi = q.sum(axis=-1)
+        step = phi * (phi - 1.0) / (q * r).sum(axis=-1)
+        active &= step > 2.0 * EPS * t
+        if not active.any():
+            break
+        np.add(t, step, out=t, where=active)
+    t = np.where(t > cut, t, 0.0)
+    # ||Lambda - w w^T||_F^2: sum_i (lambda_i - u_i)^2 on the diagonal, 2 sum_i u_i sum_{j>i} u_j off it
+    fro_sq = np.square(lam - u).sum(axis=-1) + 2.0 * (u[:, :-1] * suffix[:, 1:]).sum(axis=-1)
+    pos_sq = fro_sq - np.square(t)
+    sure = (4.0 * pos_sq >= fro_sq) & (fro_sq > np.square(_roundoff_cut(np.maximum(lam[0], norm_sq), dim)))
+    terms = (t, lam.sum() - norm_sq, pos_sq, sure, active)
+    object.__setattr__(N, "_rank_one_memo", (pure, terms))
+    return terms
 
 
-def _solve(xs: np.ndarray, ys: np.ndarray, x_first: np.ndarray) -> np.ndarray:
-    """Ascending spectra of xs - ys where x_first, else of ys - xs (stacks, or one matrix broadcast)."""
-    return np.linalg.eigvalsh(np.where(x_first[:, None, None], xs - ys, ys - xs))
+def _pure(M: Dmat) -> bool:
+    """Whether M has roundoff rank 1 (`_roundoff_rank`), read off its two largest (ascending) eigenvalues."""
+    eigenvalues = M.eigenvalues
+    top = float(eigenvalues[-1])
+    cut = _roundoff_cut(top, M.dim)
+    return top > cut and (M.dim == 1 or float(eigenvalues[-2]) <= cut)
 
 
-def _spectra_against(X: Dmat, partners: Sequence[Dmat]) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair {X, Y}'s spectrum in its own orientation, and where that is X - Y, over Y in `partners`.
+def _by_route(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], from_terms: Callable, from_spectra: Callable):
+    """Each pair's value, in loop order, from the rank-1 route or a d x d solve.
 
-    Kept on X for the last sequence it faced (`Dmat._pair_spectra`), so
-    k_e both ways and k_ba against the same sequence make one solve.
+    A pair takes the rank-1 route when its B, else its A, has roundoff rank
+    1 (`_roundoff_rank` of its eigenvalues): that side is a a^T, the other
+    N, and B - A is D = N - a a^T, or -D where a a^T is B (`flip`).  Its
+    value is from_terms(pairs, flip, t, tr D, pos_sq, sure) over the terms
+    of `_rank_one_terms`, and NaN leaves it, with any unconverged root and
+    every other pair, to from_spectra(spectra of B - A, pairs) over one
+    `_solve` stack.
     """
-    partners = tuple(partners)
-    memo = X._pair_spectra
-    if memo is not None and memo[0] == partners:
-        return memo[1], memo[2]
-    x_first = np.array([_solved_first(X, Y) for Y in partners])
-    spectra = _solve(X.matrix, _stack([Y.matrix for Y in partners]), x_first)
-    spectra.setflags(write=False)
-    object.__setattr__(X, "_pair_spectra", (partners, spectra, x_first))
-    return spectra, x_first
+    mats, ia, ib = _pair_indices(A, B)
+    pure = {i: _pure(mats[i]) for i in dict.fromkeys([*ia, *ib])}
+    # N's index -> the pairs scored in its eigenbasis; the pairs left to the d x d solve
+    groups: dict[int, list[int]] = {}
+    rest: list[int] = []
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        if pure[i] or pure[j]:
+            groups.setdefault(i if pure[j] else j, []).append(k)
+        else:
+            rest.append(k)
+    values = np.empty(len(ia))
+    for n, ks in groups.items():
+        flip = np.array([ia[k] == n for k in ks])
+        t, total, pos_sq, sure, moving = _rank_one_terms(mats[n], [mats[ib[k] if ia[k] == n else ia[k]] for k in ks])
+        ks = np.array(ks)
+        values[ks] = np.where(moving, np.nan, from_terms(ks, flip, t, total, pos_sq, sure))
+        rest += ks[np.isnan(values[ks])].tolist()
+    if rest:
+        values[rest] = from_spectra(_solve([(mats[ia[k]], mats[ib[k]]) for k in rest]), np.array(rest))
+    return _result(values, A, B)
 
 
-def _difference_spectra(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]) -> np.ndarray:
-    """Ascending spectra of B - A for each pair: the one solve behind `k_e` and `k_ba`.
-
-    Each pair is solved in the orientation `_solved_first` picks, and the
-    other orientation is read off as the negated reversal.  Two matrices
-    solve directly; a matrix against a sequence goes through the memo of
-    `_spectra_against`.
-    """
-    if isinstance(A, Dmat) and isinstance(B, Dmat):
-        if _solved_first(B, A):
-            return np.linalg.eigvalsh(B.matrix - A.matrix)
-        return _flipped(np.linalg.eigvalsh(A.matrix - B.matrix))
-    if isinstance(A, Dmat):
-        spectra, flip = _spectra_against(A, B)
-    else:
-        spectra, b_first = _spectra_against(B, A)
-        flip = ~b_first
-    return np.where(flip[:, None], _flipped(spectra), spectra)
+def _ratio(sums: np.ndarray, absolute_sums: np.ndarray) -> np.ndarray:
+    """k_BA from the sum and absolute sum of a spectrum of B - A; an absolute sum below 1e-12 (equal matrices, 0/0) gives 1."""
+    return np.divide(sums, absolute_sums, out=np.ones_like(absolute_sums), where=absolute_sums >= 1e-12)
 
 
 def k_ba_from_spectra(spectra: np.ndarray) -> np.ndarray:
-    """k_BA from spectra of B - A (last axis): their sum over their absolute sum.
-
-    An absolute sum below 1e-12 (equal matrices, 0/0) gives 1.
-    """
-    denom = np.abs(spectra).sum(axis=-1)
-    return np.divide(spectra.sum(axis=-1), denom, out=np.ones_like(denom), where=denom >= 1e-12)
+    """k_BA from spectra of B - A (last axis): their sum over their absolute sum (see `_ratio`)."""
+    return _ratio(spectra.sum(axis=-1), np.abs(spectra).sum(axis=-1))
 
 
 def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """Signed eigenvalue ratio of B - A, in [-1, 1].
 
     Equal matrices give 0/0; that case is defined as 1 (full self-entailment,
-    matching the limit along B = A + eps*I).
+    matching the limit along B = A + eps*I).  On the rank-1 route, B - A = ±D
+    sums to ±tr D, and its absolute sum is tr D + 2t.
     """
     _check_pairs(A, B)
-    return _result(k_ba_from_spectra(_difference_spectra(A, B)), A, B)
+
+    def from_terms(pairs, flip, t, total, pos_sq, sure):
+        return _ratio(np.where(flip, -total, total), total + 2.0 * t)
+
+    return _by_route(A, B, from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra))
 
 
 def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
@@ -321,21 +357,35 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
     The error term collects the negative part of B - A with flipped signs;
     it vanishes exactly when B - A is PSD.  Clamped to [0, 1].  The norm is
     Frobenius by default; "trace" uses the absolute eigenvalue sum instead.
+    On the rank-1 route the error is t where a a^T is A, and otherwise the
+    norm of D's positive part: sqrt(pos_sq), or tr D + t for the trace norm,
+    left to the d x d solve unless `sure`.
     """
     if norm not in ("fro", "trace"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
     norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
     _check_pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
-    return _result(k_e_from_spectra(_difference_spectra(A, B), norm_a, order), A, B)
+    norm_of = (lambda pairs: norm_a) if isinstance(A, Dmat) else (lambda pairs: norm_a[pairs])
+
+    def from_terms(pairs, flip, t, total, pos_sq, sure):
+        positive = np.sqrt(np.maximum(pos_sq, 0.0)) if order == 2 else total + t
+        values = np.clip(1.0 - np.where(flip, positive, t) / norm_of(pairs), 0.0, 1.0)
+        return np.where(flip & ~sure, np.nan, values)
+
+    return _by_route(A, B, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs), order))
 
 
 def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
-    """trace(A B) over the product of Frobenius norms; symmetric, in [0, 1]."""
+    """trace(A B) over the product of Frobenius norms; symmetric, in [0, 1].
+
+    trace(A B) of symmetric matrices is the sum of their entrywise product.
+    """
     norm_a = _each(A, Dmat.frobenius_norm)
     norm_b = _each(B, Dmat.frobenius_norm)
     _check_pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
-    traces = np.trace(_each(A, _matrix) @ _each(B, _matrix), axis1=-2, axis2=-1)
+    mats, ia, ib = _pair_indices(A, B)
+    traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
 
 
@@ -380,7 +430,7 @@ def k_e_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
     norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
     _check_all_pairs(mats, norm_a < 1e-12, "k_e needs a nonzero first argument")
     stack = np.stack([m.matrix for m in mats])
-    factors = [_support_factor(m) for m in mats]
+    factors = [spectral_decompose(m).support_factor for m in mats]
     ranks = np.array([f.shape[1] for f in factors])
     # word k's factor is by_rank[ranks[k]][slot[k]]
     slot, by_rank = np.empty(n, dtype=int), {}

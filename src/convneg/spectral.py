@@ -9,8 +9,8 @@ A `Dmat` is immutable, so its eigen-data is computed at most once and kept
 read-only on the instance: the eigenvalues on first read (or from validation,
 which solves for them anyway), and the full `SpectralDecomposition` the first
 time `spectral_decompose` is asked for it.  `normalize_max_eig` and
-`rescale_max_eig` check their result against the input's spectrum divided by
-the scale, a lexicon word loaded at dim CERTIFY_MIN_DIM or above is proved
+`rescale_max_eig` read their result's checks off the input's spectrum
+divided by the scale (a scale of at least 1 needs none), a lexicon word loaded at dim CERTIFY_MIN_DIM or above is proved
 PSD and normalized by a pivoted Cholesky of its low-rank matrix, and a word
 being built is validated against the spectrum of its r×r Gram matrix (the
 `spectrum` argument of `Dmat`), so a rescaled matrix or a built or loaded
@@ -22,6 +22,7 @@ writer stores the same deterministic result.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,8 @@ SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
 RANK_TOL = 1e-8
 ZERO_NORM_TOL = 1e-12
+
+EPS = np.finfo(float).eps
 
 # Eigenvalues closer than this (relative to the largest) are treated as one
 # eigenspace when grouping projectors.
@@ -71,15 +74,17 @@ class Dmat:
     checks and keeps what it returns, so it must be proved within roundoff of
     the array's own (as `build_density_matrix` proves a word's from its r×r
     Gram matrix).  The spectral decomposition is filled lazily by the first
-    `spectral_decompose` call and reused by every later one.  Concurrent first reads may each compute either
-    cache, and whichever identical result lands last is kept.
+    `spectral_decompose` call and reused by every later one.  Concurrent
+    first reads may each compute either cache, and whichever identical
+    result lands last is kept.
 
-    A matrix scored by k_e or k_ba against a sequence also keeps a one-slot
-    memo of the difference spectra against that sequence (its members held
-    by identity), so both k_E directions and k_BA share one solve.  A call
-    against another sequence replaces it.  Threads may race to replace it;
-    the race is benign, because each slot is one tuple, stored whole and
-    checked against the caller's own sequence on every read.
+    A matrix that pure states were scored against in its eigenbasis (the
+    rank-1 route of k_e and k_ba) keeps a one-slot memo of the terms for
+    that sequence of pure states (held by identity), so both k_E directions
+    and k_BA share one evaluation.  Another sequence replaces it.  Threads
+    may race to replace it; the race is benign, because the slot is one
+    tuple, stored whole and checked against the caller's own sequence on
+    every read.
     """
 
     matrix: np.ndarray
@@ -90,8 +95,8 @@ class Dmat:
     _eigenvalues: np.ndarray | None = field(init=False, default=None)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
-    # (partners, spectra, flags) of the last sequence this matrix faced in k_e or k_ba
-    _pair_spectra: tuple | None = field(init=False, default=None)
+    # (pure states, terms) of the last rank-1 route scored in this matrix's eigenbasis
+    _rank_one_memo: tuple | None = field(init=False, default=None)
 
     def __post_init__(self, spectrum):
         m = np.array(self.matrix, dtype=float)
@@ -162,16 +167,20 @@ def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
 
 
 def _scaled(M: Dmat, s: float) -> Dmat:
-    """`M.matrix / s` (s > 0) flagged normalized, without a new eigensolve.
+    """`M.matrix / s` flagged normalized, without a new eigensolve; s is at least M's top eigenvalue, or below 1.
 
-    Dividing by a positive s divides each eigenvalue by s, so the PSD and
-    normalized checks read M's spectrum divided by s; finiteness and symmetry
-    are checked on the scaled array.  The result is built without `__init__`,
-    whose validation would solve again; its own `eigenvalues` are computed on
+    Dividing by a positive s divides each eigenvalue by s.  For s >= 1 every
+    check holds by construction: the entries stay finite, the asymmetry and
+    a roundoff-negative eigenvalue only shrink, and the top eigenvalue
+    becomes at most 1.  A smaller s can overflow and widens both, so the
+    scaled array is checked again, its PSD and normalized checks reading M's
+    spectrum divided by s.  The result is built without `__init__`, whose
+    validation would solve again; its own `eigenvalues` are computed on
     first read, bit for bit what validation would have kept.
     """
     m = M.matrix / s
-    _validate(m, True, lambda _: M.eigenvalues / s)
+    if s < 1.0:
+        _validate(m, True, lambda _: M.eigenvalues / s)
     return _unsolved(m)
 
 
@@ -268,6 +277,21 @@ def _certified_normalized(matrix) -> Dmat:
     return Dmat(m, normalized=True)
 
 
+def _roundoff_cut(scale, dim: int):
+    """Roundoff in the spectrum of a dim-square matrix whose largest eigenvalue magnitude is `scale`: 4 dim eps scale."""
+    return 4 * dim * EPS * scale
+
+
+def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> int:
+    """How many eigenvalues exceed roundoff (`_roundoff_cut` of the largest)."""
+    return int(np.count_nonzero(eigenvalues > _roundoff_cut(eigenvalues.max(), dim)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (descending, kernel clamped to 0) with orthonormal eigenvectors.
@@ -279,7 +303,8 @@ class SpectralDecomposition:
     `eigenspaces` or `apply`.
 
     Instances come from `spectral_decompose`, which caches one per `Dmat`
-    and shares it with every caller, so both arrays are read-only.
+    and shares it with every caller, so both arrays are read-only, as are
+    the support factor and whitened support, each computed on first read.
     """
 
     eigenvalues: np.ndarray
@@ -288,6 +313,27 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
+
+    @cached_property
+    def roundoff_rank(self) -> int:
+        """How many eigenvalues exceed roundoff (`_roundoff_rank`)."""
+        return _roundoff_rank(self.eigenvalues, self.dim)
+
+    @cached_property
+    def support_factor(self) -> np.ndarray:
+        """F with F F^T = M to roundoff: eigenvectors scaled by root eigenvalues.
+
+        The support is cut at roundoff (`roundoff_rank`), not at RANK_TOL: a
+        real eigenvalue of 1e-9 left out moves k_E by about as much.
+        """
+        rank = self.roundoff_rank
+        return _read_only(self.eigenvectors[:, :rank] * np.sqrt(self.eigenvalues[:rank]))
+
+    @cached_property
+    def whitened_support(self) -> np.ndarray:
+        """W = U_r diag(lambda_r)^(-1/2) over the eigenvalues above the RANK_TOL support cut, so W W^T = pinv(M)."""
+        rank = self.rank()
+        return _read_only(self.eigenvectors[:, :rank] / np.sqrt(self.eigenvalues[:rank]))
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -317,7 +363,9 @@ class SpectralDecomposition:
 
         A group runs from its first eigenvalue while the next stays within
         EIGENVALUE_GROUP_TOL times max(1, top eigenvalue) of that first one;
-        its value is the mean of `eigenvalues[start:stop]`.
+        its value is the mean of `eigenvalues[start:stop]`, or their common
+        value when the first and last are equal (the mean of equal values
+        can miss it by an ulp).
         """
         values = self.eigenvalues.tolist()
         tol = EIGENVALUE_GROUP_TOL * max(abs(values[0]), 1.0) if values else 0.0
@@ -326,8 +374,8 @@ class SpectralDecomposition:
         n = len(values)
         for i in range(1, n + 1):
             if i == n or values[start] - values[i] > tol:
-                # the mean of one value is that value, bit for bit
-                value = values[start] if i == start + 1 else float(np.mean(self.eigenvalues[start:i]))
+                equal = values[start] == values[i - 1]
+                value = values[start] if equal else float(np.mean(self.eigenvalues[start:i]))
                 groups.append((value, start, i))
                 start = i
         return groups
@@ -358,10 +406,7 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
     if lowest < -PSD_TOL:
         raise NotPSDError(f"eigenvalue {lowest:.3e} below -{PSD_TOL:.0e}")
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    vectors = np.ascontiguousarray(vectors)
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 
 
 def spectral_decompose(M: Dmat) -> SpectralDecomposition:
@@ -383,9 +428,11 @@ def spectral_decompose(M: Dmat) -> SpectralDecomposition:
 
 def normalize_max_eig(M: Dmat) -> Dmat:
     """Divide by the largest eigenvalue when it exceeds 1; never scale upward."""
-    if M.is_zero():
+    top = M.max_eigenvalue()
+    # a top eigenvalue above ZERO_NORM_TOL bounds the Frobenius norm from below
+    if top <= ZERO_NORM_TOL and M.is_zero():
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    return _scaled(M, max(1.0, M.max_eigenvalue()))
+    return _scaled(M, max(1.0, top))
 
 
 def rescale_max_eig(M: Dmat) -> Dmat:
@@ -394,10 +441,10 @@ def rescale_max_eig(M: Dmat) -> Dmat:
     Worldly contexts and conversational-negation outputs use this stronger
     convention so that results of different words live on a common scale.
     """
-    if M.is_zero():
-        raise ZeroMatrixError("cannot rescale the zero matrix")
     top = M.max_eigenvalue()
     if top < ZERO_NORM_TOL:
+        if M.is_zero():
+            raise ZeroMatrixError("cannot rescale the zero matrix")
         raise ZeroMatrixError("largest eigenvalue is numerically zero")
     return _scaled(M, top)
 

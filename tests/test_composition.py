@@ -93,6 +93,13 @@ class TestSpider:
             b = Dmat.from_diagonal(values)
             assert np.linalg.norm(spider(a, b).matrix - mult(a, b).matrix) <= 1e-9
 
+    def test_equals_mult_exactly_for_diagonal_repeats(self, rng):
+        # a group of equal eigenvalues weighs by their value, not by their mean, which here misses it by an ulp
+        b = Dmat.from_diagonal([0.8132702392002724] * 3 + [0.3])
+        for _ in range(10):
+            a = random_psd(rng, 4)
+            np.testing.assert_array_equal(spider(a, b).matrix, mult(a, b).matrix)
+
     def test_matches_copy_isometry_oracle(self, rng):
         # independent route: conjugate the explicit tensor product by the
         # copy isometry built from the structural eigenbasis

@@ -25,7 +25,6 @@ from convneg.context import (
 )
 from convneg.entailment import (
     _flipped,
-    _support_factor,
     k_e,
     k_e_all_pairs,
     k_e_from_spectra,
@@ -48,7 +47,7 @@ from convneg.errors import (
 from convneg.lexicon import Lexicon
 from convneg.pipeline import NegationConfig, conversational_negate
 from convneg.sampling import random_orthogonal, random_psd
-from convneg.spectral import Dmat
+from convneg.spectral import Dmat, spectral_decompose
 
 
 def write(tmp_path, name, text):
@@ -110,7 +109,7 @@ def per_row_k_e(mats):
     n, dim = len(mats), mats[0].dim
     norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
     stack = np.stack([m.matrix for m in mats])
-    factors = [_support_factor(m) for m in mats]
+    factors = [spectral_decompose(m).support_factor for m in mats]
     ranks = np.array([f.shape[1] for f in factors])
     hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
     out = np.full((n, n), np.nan)

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convneg.entailment import (
+    _pure,
+    _solve,
     k_ba,
+    k_ba_from_spectra,
     k_e,
     k_e_all_pairs,
+    k_e_from_spectra,
     k_hyp,
     k_hyp_clamped,
     k_hyp_oracle,
+    spectrum_norms,
     trace_similarity,
 )
 from convneg.errors import DimensionMismatchError, ZeroMatrixError
@@ -403,9 +408,11 @@ class TestStackedMeasures:
                     assert got == want, name
 
     def test_one_solve_for_both_k_e_directions_and_k_ba(self, monkeypatch):
+        # against pure states, both k_E directions and k_BA share one evaluation of the
+        # rank-1 route's terms, kept on the other operand, and no d x d solve
         rng = np.random.default_rng(5)
         a = random_psd(rng, 12, rank=4)
-        seq = [random_psd(rng, 12, rank=int(rng.integers(1, 13))) for _ in range(6)] + [a]
+        seq = [random_psd(rng, 12, rank=1) for _ in range(6)]
         calls = [lambda x: k_e(x, seq), lambda x: k_e(seq, x), lambda x: k_ba(x, seq), lambda x: k_ba(seq, x)]
         # each call alone, on its own copy of a with no memo
         fresh = [call(Dmat(a.matrix)).tobytes() for call in calls]
@@ -415,14 +422,38 @@ class TestStackedMeasures:
         for first in range(len(calls)):
             x = Dmat(a.matrix)
             solves.clear()
-            order = [first] + [k for k in range(len(calls)) if k != first]
-            got = {k: calls[k](x).tobytes() for k in order}
-            assert solves == [(len(seq), 12, 12)]
+            got = {first: calls[first](x).tobytes()}
+            memo = x._rank_one_memo
+            for k in range(len(calls)):
+                got.setdefault(k, calls[k](x).tobytes())
+            assert x._rank_one_memo is memo and memo[0] == tuple(seq)
+            assert solves == []
             assert [got[k] for k in range(len(calls))] == fresh
         # a different sequence replaces the memo
         k_e(x, seq[::-1])
-        k_e(x, seq)
-        assert len(solves) == 3
+        assert x._rank_one_memo[0] == tuple(seq[::-1])
+
+    def test_rank_one_heavy_sequences_match_scalar_loop_bitwise(self):
+        # pure members of every kind the rank-1 route meets, mixed with full-rank ones, so
+        # one call scores some pairs in the other operand's eigenbasis and solves the rest d x d
+        rng = np.random.default_rng(53)
+        for dim in range(1, 41):
+            fixed = [random_psd(rng, dim, rank=1), random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))]
+            for a in fixed:
+                v = rng.normal(size=dim)
+                pure = [random_psd(rng, dim, rank=1) for _ in range(4)]
+                seq = pure + [
+                    Dmat(a.matrix),  # an equal copy
+                    Dmat(0.5 * a.matrix),  # a crisply ordered pair
+                    Dmat(np.outer(v, v)),  # an unnormalized pure state
+                    random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))),
+                    a,
+                    pure[0],
+                ]
+                for name, fn in MEASURES.items():
+                    for got, want in ((fn(a, seq), [fn(a, b) for b in seq]), (fn(seq, a), [fn(b, a) for b in seq])):
+                        assert got.tobytes() == np.array(want).tobytes(), (name, dim)
+                        assert np.all(np.isfinite(got)), (name, dim)
 
     def test_two_sequences_raise_type_error(self, rng):
         seq = [random_psd(rng, 3) for _ in range(3)]
@@ -430,3 +461,78 @@ class TestStackedMeasures:
             for other in (seq, seq[:2], [Dmat(np.zeros((3, 3)))], [random_psd(rng, 2)]):
                 with pytest.raises(TypeError):
                     fn(seq, other)
+
+
+def pure_state(vector: np.ndarray) -> Dmat:
+    return Dmat(np.outer(vector, vector))
+
+
+def d_by_d_values(A: Dmat, B: Dmat) -> dict[str, float]:
+    """k_E both norms and k_BA of (A, B) from `_solve`, the d x d spectrum of B - A, through the same formulas."""
+    spectra = _solve([(A, B)])
+    return {
+        "k_e": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues), 2)[0],
+        "k_e_trace": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues, 1), 1)[0],
+        "k_ba": k_ba_from_spectra(spectra)[0],
+    }
+
+
+RANK_ONE_CASES = ["generic", "kernel", "psd", "boundary", "rank_one", "repeated", "equal", "scaled"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 50), case=st.sampled_from(RANK_ONE_CASES), seed=st.integers(0, 2**32 - 1))
+def test_rank_one_route_matches_d_by_d_solve(dim, case, seed):
+    """k_E and k_BA between N and a pure state a a^T, from N's eigenbasis, against `_solve`.
+
+    Both routes err by a few d eps S in each eigenvalue of N - a a^T, S =
+    max(top eigenvalue of N, |a|^2) being the operands' scale, and their
+    roundoff cuts differ by at most 4 d eps S, so each value is held to
+    16 d eps S over the norm it divides by: |A|, or the absolute eigenvalue
+    sum for k_BA (2.0 d eps S at most over 4 000 draws of these cases).  The cases: a in N's kernel; N - a a^T PSD (a = N^(1/2) x
+    with |x| < 1) and singular PSD (|x| = 1, so phi(0) = 1); N of rank 1;
+    N with repeated eigenvalues; N equal to a a^T, where k_E and k_BA must
+    score exactly 1; N = c a a^T, crisply ordered either way, where k_E
+    must score exactly 1 in the entailed direction, as must a a^T below N
+    in the PSD case.
+    """
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(rng, dim)
+    rank = int(rng.integers(1, dim + 1))
+    if case == "kernel":
+        if dim == 1:
+            return
+        rank = min(rank, dim - 1)
+    lam = rng.uniform(0.1, 1.0, size=1 if case == "rank_one" else rank)
+    if case == "repeated":
+        lam = rng.choice([0.25, 0.75], size=rank)
+    N = psd_from_spectrum(q, lam)
+    a = rng.normal(size=dim) * rng.uniform(0.2, 2.0)
+    if case == "kernel":
+        a = q[:, rank:] @ rng.normal(size=dim - rank)
+    elif case in ("psd", "boundary"):
+        x = rng.normal(size=lam.size)
+        x *= (1.0 if case == "boundary" else rng.uniform(0.1, 0.95)) / np.linalg.norm(x)
+        a = q[:, : lam.size] @ (np.sqrt(lam) * x)
+    elif case == "equal":
+        N = pure_state(a)
+    c = rng.uniform(0.2, 5.0)
+    if case == "scaled":
+        N = Dmat(c * np.outer(a, a))
+    A = pure_state(a)
+    assert _pure(A)
+    scale = max(N.max_eigenvalue(), A.max_eigenvalue())
+    for X, Y in ((A, N), (N, A)):
+        want = d_by_d_values(X, Y)
+        got = {"k_e": k_e(X, Y), "k_e_trace": k_e(X, Y, norm="trace"), "k_ba": k_ba(X, Y)}
+        # an absolute sum below 1e-12 gives 1 on both routes
+        absolute_sum = max(np.abs(_solve([(X, Y)])).sum(), 1e-12)
+        divisors = {"k_e": spectrum_norms(X.eigenvalues), "k_e_trace": spectrum_norms(X.eigenvalues, 1), "k_ba": absolute_sum}
+        for name, value in got.items():
+            assert abs(value - want[name]) <= 16 * dim * np.finfo(float).eps * scale / divisors[name], (name, X is A)
+    if case == "equal":
+        assert k_e(A, N) == k_e(N, A) == k_ba(A, N) == k_ba(N, A) == 1.0
+    if case == "psd" or (case == "scaled" and c >= 1.0):
+        assert k_e(A, N) == 1.0
+    if case == "scaled" and c <= 1.0:
+        assert k_e(N, A) == 1.0

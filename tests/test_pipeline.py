@@ -221,7 +221,7 @@ def test_rotating_the_lexicon_leaves_basis_free_scores(seed):
 
     spider, mult and diag read a basis by design and are left out.  fuzz,
     phaser and the baseline hold 1e-9.  phaser holds it because it zeroes
-    its structural operand's kernel roundoff (`entailment._roundoff_cut`)
+    its structural operand's kernel roundoff (`spectral._roundoff_cut`)
     before the square root; without that cut its outputs move by up to the
     root of about 4 d eps under any perturbation, a rotation included.
     """

@@ -15,6 +15,7 @@ from convneg.errors import (
     ZeroMatrixError,
 )
 from convneg.sampling import random_orthogonal, random_psd
+from convneg import spectral
 from convneg.spectral import (
     CERTIFY_MIN_DIM,
     PSD_TOL,
@@ -115,6 +116,13 @@ class TestSpectralDecompose:
         decomp = spectral_decompose(Dmat.from_diagonal([0.5, 0.5, 0.25, 0.0, 0.5]))
         assert decomp.eigenvalues.tolist() == [0.5, 0.5, 0.5, 0.25, 0.0]
         assert decomp.eigenvectors.tobytes() == np.eye(5)[:, [0, 1, 4, 2, 3]].tobytes()
+
+    def test_group_of_equal_eigenvalues_takes_their_value(self):
+        # the mean of three copies of this value misses it by an ulp
+        value = 0.8132702392002724
+        assert float(np.mean([value] * 3)) != value
+        decomp = spectral_decompose(Dmat.from_diagonal([value, value, 0.3, value]))
+        assert decomp.eigenvalue_groups() == [(value, 0, 3), (0.3, 3, 4)]
 
     def test_eigenspaces_sum_to_identity(self, rng):
         m = random_psd(rng, 6, rank=4, repeat_prob=0.5)
@@ -235,6 +243,21 @@ class TestRescaleWithoutSolve:
             normalize_max_eig(m)
             rescale_max_eig(m)
         assert calls == []
+
+    def test_scaling_down_rechecks_nothing(self, rng, monkeypatch):
+        # dividing by s >= 1 keeps every validated property, and a top eigenvalue above
+        # ZERO_NORM_TOL already shows the matrix is nonzero; scaling up checks again
+        checks = []
+        real_validate, real_norm = spectral._validate, Dmat.frobenius_norm
+        monkeypatch.setattr(spectral, "_validate", lambda *args: checks.append("validate") or real_validate(*args))
+        monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: checks.append("norm") or real_norm(m))
+        for scale in (0.5, 1.0, 3.0):
+            m = Dmat(random_psd(rng, 6).matrix * scale)
+            checks.clear()
+            normalize_max_eig(m)
+            assert checks == []
+            rescale_max_eig(m)
+            assert checks == ([] if m.max_eigenvalue() >= 1.0 else ["validate"])
 
     def test_lazy_eigenvalues_match_eager_validation_bitwise(self, rng):
         for dim in (1, 2, 7, 30):
