@@ -121,14 +121,6 @@ class Dmat:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "Dmat":
-        return cls(np.eye(dim), normalized=True)
-
-    @classmethod
-    def from_diagonal(cls, values, normalized: bool = False) -> "Dmat":
-        return cls(np.diag(np.asarray(values, dtype=float)), normalized=normalized)
-
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
@@ -394,13 +386,13 @@ class SpectralDecomposition:
         return groups
 
 
-def _decompose(m: np.ndarray) -> SpectralDecomposition:
+def _decompose(m: np.ndarray, solved=None) -> SpectralDecomposition:
     if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
         diagonal = np.diagonal(m)
         order = np.argsort(-diagonal, kind="stable")
         eigenvalues, vectors = diagonal[order], np.eye(m.shape[0])[:, order]
     else:
-        ascending, vectors = np.linalg.eigh(m)
+        ascending, vectors = np.linalg.eigh(m) if solved is None else solved
         eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
     lowest = float(eigenvalues.min())
     if lowest < -PSD_TOL:
@@ -409,7 +401,7 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 
 
-def spectral_decompose(M: Dmat) -> SpectralDecomposition:
+def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     """Eigendecompose a Dmat, clamping roundoff-negative eigenvalues to zero.
 
     Exactly diagonal matrices take a fast path that keeps the standard basis
@@ -417,11 +409,12 @@ def spectral_decompose(M: Dmat) -> SpectralDecomposition:
     without floating-point surprises.  The result is computed once per Dmat
     and the same read-only object is returned on every later call.  An
     eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
-    computed.
+    computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
+    stacked solve, passes it as `solved` to be used in place of that solve.
     """
     decomp = M._spectral
     if decomp is None:
-        decomp = _decompose(M.matrix)
+        decomp = _decompose(M.matrix, solved)
         object.__setattr__(M, "_spectral", decomp)
     return decomp
 

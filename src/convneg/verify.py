@@ -1,11 +1,12 @@
 """Randomized verification suites for every module-level invariant.
 
-Each suite draws seeded random matrices, checks one family of properties,
-and reports trial/failure counts with the worst residual seen.  The suites
-double as executable statements of the theory: order reversal under the
-support inverse, the reversal identity for the signed eigenvalue ratio on
-its valid spectra families, and the maximally-mixed-support composition
-identity.  The acceptance gate (tests/test_acceptance.py) runs its
+Each suite draws its seeded random matrices up front as stacks (see
+`convneg.sampling`), checks one family of properties per trial through the
+public API, and reports trial/failure counts with the worst residual seen.
+The suites double as executable statements of the theory: order reversal
+under the support inverse, the reversal identity for the signed eigenvalue
+ratio on its valid spectra families, and the maximally-mixed-support
+composition identity.  The acceptance gate (tests/test_acceptance.py) runs its
 randomized criteria through these same suites with pinned seeds.
 
 A note on two fine points the suites make explicit:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import wraps
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -41,24 +43,10 @@ from .experiment import pearson
 from .lexicon import Lexicon, VectorTable, build_density_matrix, load_lexicon, save_lexicon
 from .negation import neg_inv, neg_sub, neg_supp
 from .sampling import (
-    random_commuting_pair,
-    random_diagonal_ordered_pair,
-    random_invertible_pair,
-    random_nested_support_pair,
-    random_normalized,
-    random_ordered_pair,
-    random_orthogonal,
-    random_psd,
-    random_same_support_pair,
+    random_commuting_pair, random_diagonal_ordered_pair, random_invertible_pair, random_nested_support_pair,
+    random_normalized, random_ordered_pair, random_orthogonal, random_psd, random_same_support_pair,
 )
-from .spectral import (
-    Dmat,
-    loewner_leq,
-    normalize_max_eig,
-    rescale_max_eig,
-    spectral_decompose,
-    support_projector,
-)
+from .spectral import Dmat, loewner_leq, normalize_max_eig, rescale_max_eig, spectral_decompose, support_projector
 
 DEFAULT_DIMS = tuple(range(2, 11))
 
@@ -118,8 +106,24 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _dims_cycle(rng: np.random.Generator, dims: Sequence[int], trials: int):
-    return [int(rng.choice(dims)) for _ in range(trials)]
+def _suite(name: str):
+    """Make `body(t, rng, dims, comps)` a suite: it fills `SuiteResult(name)` as `t`, drawing `dims`, one per trial."""
+
+    def wrap(body):
+        @wraps(body)
+        def suite(rng: np.random.Generator, trials: int, dims: Sequence[int], comps) -> SuiteResult:
+            t = SuiteResult(name)
+            body(t, rng, rng.choice(dims, size=trials).tolist(), comps)
+            return t
+
+        return suite
+
+    return wrap
+
+
+def _ranks(rng: np.random.Generator, dims: list[int], full: bool = True) -> list[int]:
+    """A rank per dim, uniform on 1..dim (on 1..dim - 1 unless `full`)."""
+    return rng.integers(1, np.add(dims, int(full))).tolist()
 
 
 # The suites look compositions up here by name; read-only so that a
@@ -133,108 +137,83 @@ COMPOSITIONS: Mapping[str, Callable] = MappingProxyType(
 # spectral core
 # --------------------------------------------------------------------------
 
-def suite_spectral_roundtrip(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("spectral reconstruction round-trip")
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim + 1))
-        m = random_psd(rng, dim, rank=rank, repeat_prob=0.3)
+@_suite("spectral reconstruction round-trip")
+def suite_spectral_roundtrip(t, rng, dims, comps):
+    for m in random_psd(rng, dims, rank=_ranks(rng, dims), repeat_prob=0.3):
         rebuilt = spectral_decompose(m).reconstruct()
         scale = max(1.0, float(np.linalg.norm(m.matrix)))
         t.residual(np.linalg.norm(rebuilt - m.matrix) / scale, 1e-8)
-    return t
 
 
-def suite_spectral_orthonormal(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("eigenvector orthonormality")
-    for dim in _dims_cycle(rng, dims, trials):
-        decomp = spectral_decompose(random_psd(rng, dim, repeat_prob=0.3))
-        v = decomp.eigenvectors
-        t.residual(np.linalg.norm(v.T @ v - np.eye(dim)), 1e-8)
-    return t
+@_suite("eigenvector orthonormality")
+def suite_spectral_orthonormal(t, rng, dims, comps):
+    for m in random_psd(rng, dims, repeat_prob=0.3):
+        v = spectral_decompose(m).eigenvectors
+        t.residual(np.linalg.norm(v.T @ v - np.eye(m.dim)), 1e-8)
 
 
-def suite_loewner_order(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("Loewner order: reflexive, antisymmetric, unitary-invariant")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_ordered_pair(rng, dim, margin=0.05)
+@_suite("Loewner order: reflexive, antisymmetric, unitary-invariant")
+def suite_loewner_order(t, rng, dims, comps):
+    for (a, b), q in zip(random_ordered_pair(rng, dims, margin=0.05), random_orthogonal(rng, dims)):
         t.check(loewner_leq(a, a))
         t.check(loewner_leq(a, b))
         # antisymmetry: a strictly below b cannot also dominate it
         if np.linalg.norm(b.matrix - a.matrix) > 1e-6:
             t.check(not loewner_leq(b, a))
-        q = random_orthogonal(rng, dim)
         qa = Dmat(q @ a.matrix @ q.T)
         qb = Dmat(q @ b.matrix @ q.T)
         t.check(loewner_leq(qa, qb, tol=1e-8))
-    return t
 
 
-def suite_support_projector(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("support projector idempotent")
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim + 1))
-        p = support_projector(random_psd(rng, dim, rank=rank)).matrix
+@_suite("support projector idempotent")
+def suite_support_projector(t, rng, dims, comps):
+    for m in random_psd(rng, dims, rank=_ranks(rng, dims)):
+        p = support_projector(m).matrix
         t.residual(np.linalg.norm(p @ p - p), 1e-10)
-    return t
 
 
-def suite_normalization(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("normalization caps the top eigenvalue at 1")
-    for dim in _dims_cycle(rng, dims, trials):
-        scale = float(rng.uniform(0.1, 5.0))
-        m = Dmat(random_psd(rng, dim).matrix * scale)
-        top = normalize_max_eig(m).max_eigenvalue()
+@_suite("normalization caps the top eigenvalue at 1")
+def suite_normalization(t, rng, dims, comps):
+    for m, scale in zip(random_psd(rng, dims), rng.uniform(0.1, 5.0, size=len(dims)).tolist()):
+        top = normalize_max_eig(Dmat(m.matrix * scale)).max_eigenvalue()
         t.check(top <= 1.0 + 1e-9)
-    return t
 
 
 # --------------------------------------------------------------------------
 # logical negations
 # --------------------------------------------------------------------------
 
-def suite_neg_sub_involution(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("identity-subtraction negation is an involution")
-    for dim in _dims_cycle(rng, dims, trials):
-        x = random_normalized(rng, dim)
+@_suite("identity-subtraction negation is an involution")
+def suite_neg_sub_involution(t, rng, dims, comps):
+    for x in random_normalized(rng, dims):
         t.residual(np.linalg.norm(neg_sub(neg_sub(x)).matrix - x.matrix), 1e-10)
-    return t
 
 
-def suite_neg_supp_involution(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("double support inverse restores the matrix")
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim + 1))
-        x = random_psd(rng, dim, rank=rank)
+@_suite("double support inverse restores the matrix")
+def suite_neg_supp_involution(t, rng, dims, comps):
+    for x in random_psd(rng, dims, rank=_ranks(rng, dims)):
         t.residual(np.linalg.norm(neg_supp(neg_supp(x)).matrix - x.matrix), 1e-8)
-    return t
 
 
-def suite_neg_sub_contrapositive(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("contrapositive under identity-subtraction negation")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_ordered_pair(rng, dim)
+@_suite("contrapositive under identity-subtraction negation")
+def suite_neg_sub_contrapositive(t, rng, dims, comps):
+    draws = zip(random_ordered_pair(rng, dims), random_normalized(rng, dims), random_normalized(rng, dims))
+    for (a, b), c, d in draws:
         t.check(loewner_leq(neg_sub(b), neg_sub(a), tol=1e-8))
         # the two order checks agree on arbitrary normalized pairs as well
-        c = random_normalized(rng, dim)
-        d = random_normalized(rng, dim)
         t.check(loewner_leq(c, d) == loewner_leq(neg_sub(d), neg_sub(c)))
-    return t
 
 
-def suite_neg_sub_kba(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("signed eigenvalue ratio symmetric under identity-subtraction")
-    for dim in _dims_cycle(rng, dims, trials):
-        a = random_normalized(rng, dim)
-        b = random_normalized(rng, dim)
+@_suite("signed eigenvalue ratio symmetric under identity-subtraction")
+def suite_neg_sub_kba(t, rng, dims, comps):
+    for a, b in zip(random_normalized(rng, dims), random_normalized(rng, dims)):
         t.residual(k_ba(neg_sub(b), neg_sub(a)) - k_ba(a, b), 1e-8)
-    return t
 
 
-def suite_negations_preserve_eigenvectors(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("negations act through the input eigenspaces")
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim + 1))
-        x = random_psd(rng, dim, rank=rank, repeat_prob=0.3)
+@_suite("negations act through the input eigenspaces")
+def suite_negations_preserve_eigenvectors(t, rng, dims, comps):
+    ranks = _ranks(rng, dims)
+    for x, rank in zip(random_psd(rng, dims, rank=ranks, repeat_prob=0.3), ranks):
         groups = spectral_decompose(x).eigenspaces()
         cut = spectral_decompose(x).support_cut()
 
@@ -250,57 +229,49 @@ def suite_negations_preserve_eigenvectors(rng, trials, dims, comps) -> SuiteResu
         expect_supp = from_groups(lambda lam: 1.0 / lam if lam > cut else 0.0)
         t.residual(np.linalg.norm(y_supp - expect_supp), 1e-8)
 
-        y_inv = neg_inv(x, 0.5) if rank < dim else Dmat(0.5 * y_supp)
+        y_inv = neg_inv(x, 0.5) if rank < x.dim else Dmat(0.5 * y_supp)
         expect_inv = from_groups(lambda lam: 0.5 / lam if lam > cut else 0.5)
         t.residual(np.linalg.norm(y_inv.matrix - expect_inv), 1e-8)
-    return t
 
 
 # --------------------------------------------------------------------------
 # reversal and flattening identities
 # --------------------------------------------------------------------------
 
-def suite_khyp_reversal(rng, trials, dims, comps) -> SuiteResult:
+@_suite("grading reversed by support inverse (equal rank)")
+def suite_khyp_reversal(t, rng, dims, comps):
     """Support inverse reverses the maximal Loewner grading at equal rank."""
-    t = SuiteResult("grading reversed by support inverse (equal rank)")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_invertible_pair(rng, dim)
+    draws = zip(random_invertible_pair(rng, dims), random_same_support_pair(rng, dims, _ranks(rng, dims)))
+    for (a, b), (sa, sb) in draws:
         t.residual(k_hyp(a, b) - k_hyp(neg_supp(b), neg_supp(a)), 1e-6)
-        rank = int(rng.integers(1, dim + 1))
-        sa, sb = random_same_support_pair(rng, dim, rank)
         t.residual(k_hyp(sa, sb) - k_hyp(neg_supp(sb), neg_supp(sa)), 1e-6)
-    return t
 
 
-def suite_kba_reversal(rng, trials, dims, comps) -> SuiteResult:
+@_suite("signed ratio reversed by inverse (same eigenbasis)")
+def suite_kba_reversal(t, rng, dims, comps):
     """Inversion reverses the signed eigenvalue ratio on its valid families."""
-    t = SuiteResult("signed ratio reversed by inverse (same eigenbasis)")
     worst_free = 0.0
-    for dim in _dims_cycle(rng, dims, trials):
-        family = "ordered" if rng.random() < 0.5 else "constant_product"
-        a, b = random_commuting_pair(rng, dim, family=family)
+    families = np.where(rng.random(len(dims)) < 0.5, "ordered", "constant_product").tolist()
+    draws = zip(random_commuting_pair(rng, dims, family=families), random_commuting_pair(rng, dims, family="free"))
+    for (a, b), (fa, fb) in draws:
         t.residual(k_ba(neg_supp(b), neg_supp(a)) - k_ba(a, b), 1e-8)
-        fa, fb = random_commuting_pair(rng, dim, family="free")
         worst_free = max(worst_free, abs(k_ba(neg_supp(fb), neg_supp(fa)) - k_ba(fa, fb)))
     t.note = f"free-spectra pairs deviate up to {worst_free:.3f}; identity needs sign-uniform or constant-product spectra"
-    return t
 
 
-def suite_maximally_mixed_support(rng, trials, dims, comps) -> SuiteResult:
+@_suite("support-inverse composition gives the support projector")
+def suite_maximally_mixed_support(t, rng, dims, comps):
     """Composing X with its support inverse flattens X onto its support."""
-    t = SuiteResult("support-inverse composition gives the support projector")
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim + 1))
-        x = random_psd(rng, dim, rank=rank, repeat_prob=0.2)
+    for x in random_psd(rng, dims, rank=_ranks(rng, dims), repeat_prob=0.2):
         target = support_projector(x).matrix
         inverse = neg_supp(x)
         for name in ("spider", "fuzz", "phaser"):
             got = comps[name](x, inverse).matrix
             t.residual(np.linalg.norm(got - target), 1e-8)
-    return t
 
 
-def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
+@_suite("mixture-negation composition gives the support projector")
+def suite_mixture_support(t, rng, dims, comps):
     """Same flattening with the convex-mixture negation, after rescaling.
 
     The mixture scales the support part by its support weight, so the raw
@@ -308,53 +279,42 @@ def suite_mixture_support(rng, trials, dims, comps) -> SuiteResult:
     projector.  The structural slot is pinned to the negated matrix; the
     operands commute, so the swapped slot agrees (spot-checked below).
     """
-    t = SuiteResult("mixture-negation composition gives the support projector")
     worst_swapped = 0.0
-    for dim in _dims_cycle(rng, dims, trials):
-        rank = int(rng.integers(1, dim))  # keep a kernel so the mixture is warning-free
-        x = random_psd(rng, dim, rank=rank)
+    xs = random_psd(rng, dims, rank=_ranks(rng, dims, full=False))  # a kernel keeps the mixture warning-free
+    for x, weight in zip(xs, rng.uniform(0.2, 0.8, size=len(dims)).tolist()):
         target = support_projector(x).matrix
-        weight = float(rng.uniform(0.2, 0.8))
         mixture = neg_inv(x, weight)
         for name in ("spider", "fuzz", "phaser"):
-            got = comps[name](x, mixture).matrix
-            top = float(np.linalg.eigvalsh(got)[-1])
-            t.residual(np.linalg.norm(got / top - target), 1e-8)
-            swapped = comps[name](mixture, x).matrix
-            s_top = float(np.linalg.eigvalsh(swapped)[-1])
-            worst_swapped = max(worst_swapped, float(np.linalg.norm(swapped / s_top - target)))
+            got = comps[name](x, mixture)
+            t.residual(np.linalg.norm(got.matrix / got.max_eigenvalue() - target), 1e-8)
+            swapped = comps[name](mixture, x)
+            swapped_residual = np.linalg.norm(swapped.matrix / swapped.max_eigenvalue() - target)
+            worst_swapped = max(worst_swapped, float(swapped_residual))
     t.note = f"swapped-slot residual {worst_swapped:.3e} (recorded, not asserted)"
-    return t
 
 
 # --------------------------------------------------------------------------
 # compositions
 # --------------------------------------------------------------------------
 
-def suite_compositions_psd(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("compositions return symmetric PSD outputs")
-    for dim in _dims_cycle(rng, dims, trials):
-        a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+@_suite("compositions return symmetric PSD outputs")
+def suite_compositions_psd(t, rng, dims, comps):
+    for a, b in zip(random_psd(rng, dims, rank=_ranks(rng, dims)), random_psd(rng, dims, rank=_ranks(rng, dims))):
         for fn in comps.values():
-            out = fn(a, b).matrix
-            t.residual(max(0.0, -float(np.linalg.eigvalsh(out)[0])), 1e-9)
-            t.residual(np.linalg.norm(out - out.T), 1e-9)
-    return t
+            out = fn(a, b)
+            t.residual(max(0.0, -float(out.eigenvalues[0])), 1e-9)
+            t.residual(np.linalg.norm(out.matrix - out.matrix.T), 1e-9)
 
 
-def suite_order_preservation(rng, trials, dims, comps) -> SuiteResult:
+@_suite("order preserved by mult, diag, and fixed-basis spider")
+def suite_order_preservation(t, rng, dims, comps):
     """mult and diag preserve order on generic pairs; spider on its fixed-basis instance."""
-    t = SuiteResult("order preserved by mult, diag, and fixed-basis spider")
-    for dim in _dims_cycle(rng, dims, trials):
-        a1, b1 = random_ordered_pair(rng, dim)
-        a2, b2 = random_ordered_pair(rng, dim)
+    draws = zip(random_ordered_pair(rng, dims), random_ordered_pair(rng, dims), random_diagonal_ordered_pair(rng, dims))
+    for (a1, b1), (a2, b2), (d2, e2) in draws:
         for name in ("mult", "diag"):
             t.check(loewner_leq(comps[name](a1, a2), comps[name](b1, b2), tol=1e-8))
-        d2, e2 = random_diagonal_ordered_pair(rng, dim)
         t.check(loewner_leq(comps["spider"](a1, d2), comps["spider"](b1, e2), tol=1e-8))
     t.note = "floating-basis spider shares fuzz's violations; see the search suite"
-    return t
 
 
 def _format_counterexample(a1, b1, a2, b2) -> str:
@@ -364,7 +324,8 @@ def _format_counterexample(a1, b1, a2, b2) -> str:
     return f"A1={fmt(a1)} B1={fmt(b1)} A2={fmt(a2)} B2={fmt(b2)}"
 
 
-def suite_order_violation_search(rng, trials, dims, comps) -> SuiteResult:
+@_suite("fuzz and phaser violate order preservation")
+def suite_order_violation_search(t, rng, dims, comps):
     """fuzz and phaser must violate order preservation; records a witness each.
 
     Hunts over dim-3 ordered pairs, mixing generic draws with equal-first-pair
@@ -372,10 +333,9 @@ def suite_order_violation_search(rng, trials, dims, comps) -> SuiteResult:
     violation for eigenbasis-floating spider, which coincides with fuzz on
     nondegenerate structural operands.
     """
-    budget = max(200, min(10_000, trials * 50))
+    budget = max(200, min(10_000, len(dims) * 50))
     found: dict[str, str] = {}
     spider_witness = ""
-    t = SuiteResult("fuzz and phaser violate order preservation")
     for name in ("fuzz", "phaser"):
         witness = None
         for trial in range(budget):
@@ -401,25 +361,22 @@ def suite_order_violation_search(rng, trials, dims, comps) -> SuiteResult:
     if spider_witness:
         note_parts.append(spider_witness)
     t.note = "; ".join(note_parts)
-    return t
 
 
-def suite_spider_mult_instance(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("spider equals mult for computational-diagonal structure")
-    for dim in _dims_cycle(rng, dims, trials):
-        a = random_psd(rng, dim)
-        values = rng.uniform(0.0, 1.0, size=dim)
+@_suite("spider equals mult for computational-diagonal structure")
+def suite_spider_mult_instance(t, rng, dims, comps):
+    for a in random_psd(rng, dims):
+        values = rng.uniform(0.0, 1.0, size=a.dim)
         if rng.random() < 0.3:
-            values[: dim // 2 + 1] = values[0]  # repeated diagonal entries
+            values[: a.dim // 2 + 1] = values[0]  # repeated diagonal entries
         b = Dmat(np.diag(values))
         t.residual(np.linalg.norm(comps["spider"](a, b).matrix - comps["mult"](a, b).matrix), 1e-9)
-    return t
 
 
-def suite_commuting_coincidence(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("commuting operands: spider, fuzz, phaser coincide")
-    for dim in _dims_cycle(rng, dims, trials):
-        q = random_orthogonal(rng, dim)
+@_suite("commuting operands: spider, fuzz, phaser coincide")
+def suite_commuting_coincidence(t, rng, dims, comps):
+    for q in random_orthogonal(rng, dims):
+        dim = len(q)
         a_eigs = rng.uniform(0.0, 1.0, size=dim)
         b_eigs = np.linspace(0.2, 1.0, dim) * rng.uniform(0.9, 1.1)  # distinct spectrum
         a = Dmat(_sym((q * a_eigs) @ q.T))
@@ -427,7 +384,6 @@ def suite_commuting_coincidence(rng, trials, dims, comps) -> SuiteResult:
         expected = _sym((q * (a_eigs * b_eigs)) @ q.T)
         for name in ("spider", "fuzz", "phaser"):
             t.residual(np.linalg.norm(comps[name](a, b).matrix - expected), 1e-9)
-    return t
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -438,96 +394,78 @@ def _sym(m: np.ndarray) -> np.ndarray:
 # entailment measures
 # --------------------------------------------------------------------------
 
-def suite_khyp_oracle(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("pseudo-inverse grading matches the bisection oracle")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_nested_support_pair(rng, dim)
+@_suite("pseudo-inverse grading matches the bisection oracle")
+def suite_khyp_oracle(t, rng, dims, comps):
+    for a, b in random_nested_support_pair(rng, dims):
         t.residual(k_hyp(a, b) - k_hyp_oracle(a, b), 1e-6)
-    return t
 
 
-def suite_crisp_measures(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("crisp values when the difference is PSD")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_ordered_pair(rng, dim, margin=0.05)
+@_suite("crisp values when the difference is PSD")
+def suite_crisp_measures(t, rng, dims, comps):
+    for a, b in random_ordered_pair(rng, dims, margin=0.05):
         t.residual(k_e(a, b) - 1.0, 1e-9)
         t.residual(k_ba(a, b) - 1.0, 1e-9)
         if np.linalg.norm(b.matrix - a.matrix) > 1e-6:
             t.residual(k_ba(b, a) + 1.0, 1e-9)
-    return t
 
 
-def suite_khyp_scaling(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("grading scales inversely with the first argument")
-    for dim in _dims_cycle(rng, dims, trials):
-        a, b = random_invertible_pair(rng, dim)
-        c = float(rng.uniform(0.2, 5.0))
+@_suite("grading scales inversely with the first argument")
+def suite_khyp_scaling(t, rng, dims, comps):
+    for (a, b), c in zip(random_invertible_pair(rng, dims), rng.uniform(0.2, 5.0, size=len(dims)).tolist()):
         base = k_hyp(a, b)
         t.residual((k_hyp(Dmat(a.matrix * c), b) - base / c) / max(1.0, base), 1e-8)
-    return t
 
 
-def suite_trace_similarity(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("trace similarity: symmetric, scale-free, rotation-invariant")
-    for dim in _dims_cycle(rng, dims, trials):
-        a = random_psd(rng, dim)
-        b = random_psd(rng, dim)
+@_suite("trace similarity: symmetric, scale-free, rotation-invariant")
+def suite_trace_similarity(t, rng, dims, comps):
+    scales = rng.uniform(0.2, 5.0, size=len(dims)).tolist()
+    for (a, b), c, q in zip(random_invertible_pair(rng, dims), scales, random_orthogonal(rng, dims)):
         t.residual(trace_similarity(a, b) - trace_similarity(b, a), 1e-12)
-        c = float(rng.uniform(0.2, 5.0))
         t.residual(trace_similarity(a, Dmat(a.matrix * c)) - 1.0, 1e-9)
-        q = random_orthogonal(rng, dim)
         qa = Dmat(_sym(q @ a.matrix @ q.T))
         qb = Dmat(_sym(q @ b.matrix @ q.T))
         t.residual(trace_similarity(qa, qb) - trace_similarity(a, b), 1e-9)
         value = trace_similarity(a, b)
         t.check(0.0 <= value <= 1.0)
-    return t
 
 
 # --------------------------------------------------------------------------
 # context, lexicon, pipeline, correlation
 # --------------------------------------------------------------------------
 
-def suite_context_weights(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("hypernym weights: non-increasing, sum to one")
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
+@_suite("hypernym weights: non-increasing, sum to one")
+def suite_context_weights(t, rng, dims, comps):
+    for n, x in zip(rng.integers(2, 9, size=len(dims)).tolist(), rng.uniform(0.0, 6.0, size=len(dims)).tolist()):
         hierarchy = HypernymHierarchy({"w": tuple(f"h{i}" for i in range(n))})
-        x = float(rng.uniform(0.0, 6.0))
         for kind in (WeightKind.POLY, WeightKind.EXP):
             weights = hypernym_weights(WeightFunction(kind, x), "w", hierarchy)
             t.check(bool(np.all(np.diff(weights) <= 1e-12)))
             if weights.sum() > 0:
                 t.residual(weights.sum() - 1.0, 1e-9)
-    return t
 
 
-def suite_context_mixture(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("worldly context: top eigenvalue one, pure-hypernym reduction")
-    for _ in range(trials):
-        dim = int(rng.choice(dims))
-        n = int(rng.integers(1, 4))
+@_suite("worldly context: top eigenvalue one, pure-hypernym reduction")
+def suite_context_mixture(t, rng, dims, comps):
+    counts = rng.integers(1, 4, size=len(dims)).tolist()
+    hypernyms = iter(random_normalized(rng, [d for d, n in zip(dims, counts) for _ in range(n)]))
+    for n, q in zip(counts, random_orthogonal(rng, dims)):
         hierarchy = HypernymHierarchy({"w": tuple(f"h{i}" for i in range(n))})
-        lexicon = {f"h{i}": random_normalized(rng, dim) for i in range(n)}
+        lexicon = {f"h{i}": next(hypernyms) for i in range(n)}
         out = worldly_context_hierarchy("w", hierarchy, lexicon, WeightFunction(WeightKind.EXP, 5.0))
         t.residual(out.max_eigenvalue() - 1.0, 1e-9)
         # all-equal pure hypernyms collapse to that pure state
-        q = random_orthogonal(rng, dim)
         pure = Dmat(np.outer(q[:, 0], q[:, 0]))
         same = {f"h{i}": pure for i in range(n)}
         got = worldly_context_hierarchy("w", hierarchy, same, WeightFunction(WeightKind.EXP, 5.0))
         t.residual(np.linalg.norm(got.matrix - pure.matrix), 1e-9)
-    return t
 
 
-def suite_lexicon_construction(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("lexicon: exact top eigenvalue, permutation-invariant, lossless round-trip")
-    for _ in range(max(1, trials // 10)):
+@_suite("lexicon: exact top eigenvalue, permutation-invariant, lossless round-trip")
+def suite_lexicon_construction(t, rng, dims, comps):
+    for _ in range(max(1, len(dims) // 10)):
         dim = int(rng.integers(3, 7))
         words = [f"w{i}" for i in range(int(rng.integers(2, 6)))]
-        table = VectorTable(
-            vectors={w: rng.normal(size=dim) for w in words}, dim=dim
-        )
+        table = VectorTable(vectors={w: rng.normal(size=dim) for w in words}, dim=dim)
         hyponyms = words[1:]
         built = build_density_matrix(words[0], hyponyms, table)
         t.residual(built.max_eigenvalue() - 1.0, 1e-12)
@@ -541,51 +479,38 @@ def suite_lexicon_construction(rng, trials, dims, comps) -> SuiteResult:
         try:
             save_lexicon(lexicon, path)
             loaded = load_lexicon(path)
-            worst = max(
-                float(np.max(np.abs(loaded[w].matrix - lexicon[w].matrix))) for w in words
-            )
-            t.residual(worst, 0.0)
+            t.residual(max(float(np.max(np.abs(loaded[w].matrix - lexicon[w].matrix))) for w in words), 0.0)
         finally:
             os.unlink(path)
-    return t
 
 
-def suite_pipeline_toy(rng, trials, dims, comps) -> SuiteResult:
+@_suite("pipeline toy regression and slot-insensitive mult/diag")
+def suite_pipeline_toy(t, rng, dims, comps):
     """Deterministic worked example: negate the pure state, apply the toy
     context, and land on the graded mixture of alternatives."""
-    t = SuiteResult("pipeline toy regression and slot-insensitive mult/diag")
-    basis = np.eye(4)
-    apple = Dmat(np.outer(basis[0], basis[0]), normalized=True)
-    orange = Dmat(np.outer(basis[1], basis[1]), normalized=True)
-    fig = Dmat(np.outer(basis[2], basis[2]), normalized=True)
-    movie = Dmat(np.outer(basis[3], basis[3]), normalized=True)
+    apple, orange, fig, movie = (Dmat(np.outer(e, e), normalized=True) for e in np.eye(4))
     fruit = Dmat(apple.matrix / 2 + orange.matrix / 3 + fig.matrix / 6)
     raw = comps["spider"](neg_sub(apple), fruit)
     t.residual(np.linalg.norm(raw.matrix - (orange.matrix / 3 + fig.matrix / 6)), 1e-9)
     normalized = rescale_max_eig(raw)
     scores = [trace_similarity(normalized, alt) for alt in (orange, fig, movie)]
     t.check(scores[0] > scores[1] > scores[2] == 0.0)
-    for _ in range(trials):
-        dim = int(rng.choice(dims))
-        a = random_normalized(rng, dim)
-        b = random_normalized(rng, dim)
+    for a, b in zip(random_normalized(rng, dims), random_normalized(rng, dims)):
         for kind in (CompositionKind.MULT, CompositionKind.DIAG):
             first = compose(a, b, kind, BasisSlot.FIRST_OPERAND).matrix
             second = compose(a, b, kind, BasisSlot.SECOND_OPERAND).matrix
             t.check(bool(np.array_equal(first, second)))
-    return t
 
 
-def suite_pearson_affine(rng, trials, dims, comps) -> SuiteResult:
-    t = SuiteResult("correlation invariant under positive affine transforms")
-    for _ in range(trials):
+@_suite("correlation invariant under positive affine transforms")
+def suite_pearson_affine(t, rng, dims, comps):
+    for _ in dims:
         n = int(rng.integers(4, 20))
         xs = rng.normal(size=n)
         ys = rng.normal(size=n)
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-100.0, 100.0))
         t.residual(pearson(scale * xs + shift, ys) - pearson(xs, ys), 1e-9)
-    return t
 
 
 ALL_SUITES: tuple[Callable, ...] = (

@@ -10,6 +10,14 @@ from convneg.spectral import Dmat
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def identity(dim: int) -> Dmat:
+    return Dmat(np.eye(dim), normalized=True)
+
+
+def from_diagonal(values, normalized: bool = False) -> Dmat:
+    return Dmat(np.diag(np.asarray(values, dtype=float)), normalized=normalized)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

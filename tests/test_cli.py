@@ -78,7 +78,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "7b03c01ed4be55e3871ca479f0bdc6d70a87d7917d76b1d88dbdc73ef725c4b5"
+VERIFY_STDOUT_SHA256 = "cc023555c6d29cc5de54a1a77c17517058af8468faedd2f59e9c5ecf4d6042b0"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

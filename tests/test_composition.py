@@ -18,8 +18,10 @@ from convneg.negation import neg_sub, neg_supp
 from convneg.sampling import random_orthogonal, random_psd
 from convneg.spectral import Dmat, SpectralDecomposition, rescale_max_eig, spectral_decompose, support_projector
 
+from conftest import from_diagonal, identity
+
 PLUS = Dmat(np.full((2, 2), 0.5))  # rank-1 state on the diagonal direction
-B_DIAG = Dmat.from_diagonal([1.0, 0.25])
+B_DIAG = from_diagonal([1.0, 0.25])
 REFERENCE_DIMS = [1, 2, 3, 4, 7, 10, 20, 35, 50]
 
 
@@ -71,12 +73,12 @@ class TestSpider:
     def test_worked_toy_example(self, onb, fruit_raw):
         # negated pure state composed with the fruit context keeps the
         # proportions of the other fruits
-        negated = Dmat.from_diagonal([0.0, 1.0, 1.0, 1.0])
+        negated = from_diagonal([0.0, 1.0, 1.0, 1.0])
         out = spider(negated, fruit_raw)
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1 / 3, 1 / 6, 0.0]), atol=1e-12)
 
     def test_support_inverse_flattens(self):
-        x = Dmat.from_diagonal([0.75, 0.5, 0.0])
+        x = from_diagonal([0.75, 0.5, 0.0])
         out = spider(x, neg_supp(x))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
@@ -90,12 +92,12 @@ class TestSpider:
             values = rng.uniform(0.0, 1.0, size=4)
             if k % 2:
                 values[:3] = values[0]  # a repeated eigenvalue: the tie-break keeps the standard basis
-            b = Dmat.from_diagonal(values)
+            b = from_diagonal(values)
             assert np.linalg.norm(spider(a, b).matrix - mult(a, b).matrix) <= 1e-9
 
     def test_equals_mult_exactly_for_diagonal_repeats(self, rng):
         # a group of equal eigenvalues weighs by their value, not by their mean, which here misses it by an ulp
-        b = Dmat.from_diagonal([0.8132702392002724] * 3 + [0.3])
+        b = from_diagonal([0.8132702392002724] * 3 + [0.3])
         for _ in range(10):
             a = random_psd(rng, 4)
             np.testing.assert_array_equal(spider(a, b).matrix, mult(a, b).matrix)
@@ -159,20 +161,20 @@ class TestFuzz:
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 0.125]), atol=1e-12)
 
     def test_commuting_diagonal(self):
-        a = Dmat.from_diagonal([0.0, 1.0, 1.0, 1.0])
-        b = Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
+        a = from_diagonal([0.0, 1.0, 1.0, 1.0])
+        b = from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
         out = fuzz(a, b)
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1 / 3, 1 / 6, 0.0]), atol=1e-12)
 
     def test_support_inverse_flattens(self):
-        x = Dmat.from_diagonal([0.75, 0.5, 0.0])
+        x = from_diagonal([0.75, 0.5, 0.0])
         out = fuzz(x, neg_supp(x))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_degenerate_grouping_keeps_block(self, rng):
         # a degenerate structural eigenvalue must keep A's within-block structure
         a = random_psd(rng, 3)
-        b = Dmat.from_diagonal([0.5, 0.5, 0.0])
+        b = from_diagonal([0.5, 0.5, 0.0])
         out = fuzz(a, b).matrix
         np.testing.assert_allclose(out[:2, :2], 0.5 * a.matrix[:2, :2], atol=1e-10)
         assert abs(out[2, 2]) <= 1e-12
@@ -193,12 +195,12 @@ class TestFuzz:
         # one group has value 0
         for _ in range(4):
             a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            b = Dmat.from_diagonal(rng.choice([0.0, 0.25, 0.5, 1.0], size=dim))
+            b = from_diagonal(rng.choice([0.0, 0.25, 0.5, 1.0], size=dim))
             _assert_relatively_close(fuzz(a, b).matrix, _fuzz_projector_loop(a, b), a, b)
 
     def test_zero_valued_group_gives_zero_block(self, rng):
         a = random_psd(rng, 6)
-        b = Dmat.from_diagonal([0.0, 0.5, 0.0, 1.0, 0.5, 0.0])
+        b = from_diagonal([0.0, 0.5, 0.0, 1.0, 0.5, 0.0])
         kernel = np.array([0, 2, 5])
         out = fuzz(a, b).matrix
         assert np.count_nonzero(out[kernel]) == 0
@@ -210,7 +212,7 @@ class TestFuzz:
         # neighbour: 1 - 0.6e-8 joins 1, and 1 - 1.2e-8 starts a new group
         # although it is within 1e-8 of 1 - 0.6e-8
         a = random_psd(rng, 3)
-        b = Dmat.from_diagonal([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8])
+        b = from_diagonal([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8])
         out = fuzz(a, b).matrix
         assert out[0, 1] != 0.0
         assert out[0, 2] == 0.0 and out[1, 2] == 0.0
@@ -256,14 +258,14 @@ class TestPhaser:
         )
 
     def test_commuting_diagonal(self):
-        a = Dmat.from_diagonal([0.0, 1.0, 1.0, 1.0])
-        b = Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
+        a = from_diagonal([0.0, 1.0, 1.0, 1.0])
+        b = from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
         np.testing.assert_allclose(
             phaser(a, b).matrix, np.diag([0.0, 1 / 3, 1 / 6, 0.0]), atol=1e-12
         )
 
     def test_support_inverse_flattens(self):
-        x = Dmat.from_diagonal([0.75, 0.5, 0.0])
+        x = from_diagonal([0.75, 0.5, 0.0])
         np.testing.assert_allclose(
             phaser(x, neg_supp(x)).matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-10
         )
@@ -277,7 +279,7 @@ class TestMultDiag:
 
     def test_mult_with_identity_keeps_diagonal(self):
         np.testing.assert_allclose(
-            mult(PLUS, Dmat.identity(2)).matrix, np.diag([0.5, 0.5])
+            mult(PLUS, identity(2)).matrix, np.diag([0.5, 0.5])
         )
 
     def test_mult_with_all_ones_is_identity_element(self):
@@ -291,7 +293,7 @@ class TestMultDiag:
 
     def test_diag_with_identity(self):
         np.testing.assert_allclose(
-            diag_comp(Dmat.identity(2), B_DIAG).matrix, np.diag([1.0, 0.25])
+            diag_comp(identity(2), B_DIAG).matrix, np.diag([1.0, 0.25])
         )
 
     def test_diag_with_unit_diagonal(self):
@@ -324,7 +326,7 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            compose(Dmat.identity(2), Dmat.identity(3), CompositionKind.SPIDER)
+            compose(identity(2), identity(3), CompositionKind.SPIDER)
 
 
 class TestSharedProperties:

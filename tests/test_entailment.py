@@ -28,8 +28,10 @@ from convneg.sampling import (
 )
 from convneg.spectral import Dmat, spectral_decompose
 
-APPLE = Dmat.from_diagonal([1.0, 0.0, 0.0, 0.0])
-FRUIT = Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
+from conftest import from_diagonal, identity
+
+APPLE = from_diagonal([1.0, 0.0, 0.0, 0.0])
+FRUIT = from_diagonal([0.5, 1 / 3, 1 / 6, 0.0])
 
 # trace(apple * fruit) / (|apple| * |fruit|) with |fruit| = sqrt(7/18)
 APPLE_FRUIT_TRACE_SIM = 0.8017837257372732
@@ -50,14 +52,14 @@ class TestKHyp:
         assert k_hyp_oracle(FRUIT, APPLE) == pytest.approx(0.0, abs=1e-6)
 
     def test_orthogonal_supports_unconstrained(self):
-        a = Dmat.from_diagonal([0.0, 1.0])
-        b = Dmat.from_diagonal([1.0, 0.0])
+        a = from_diagonal([0.0, 1.0])
+        b = from_diagonal([1.0, 0.0])
         assert math.isinf(k_hyp(a, b))
         assert k_hyp_clamped(a, b) == 1.0
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
-            k_hyp(Dmat(np.zeros((2, 2))), Dmat.identity(2))
+            k_hyp(Dmat(np.zeros((2, 2))), identity(2))
 
     def test_scale_covariance(self, rng):
         for _ in range(20):
@@ -80,7 +82,7 @@ class TestKBA:
         assert k_ba(APPLE, FRUIT) == pytest.approx(0.0, abs=1e-12)
 
     def test_psd_difference_gives_one(self):
-        assert k_ba(Dmat.from_diagonal([0.5, 0.0]), Dmat.from_diagonal([1.0, 0.5])) == 1.0
+        assert k_ba(from_diagonal([0.5, 0.0]), from_diagonal([1.0, 0.5])) == 1.0
 
     def test_self_comparison_convention(self, rng):
         a = random_psd(rng, 3)
@@ -105,7 +107,7 @@ class TestKE:
         assert k_e(APPLE, FRUIT) == pytest.approx(0.5, abs=1e-12)
 
     def test_psd_difference_gives_one(self):
-        assert k_e(Dmat.from_diagonal([0.5, 0.0]), Dmat.from_diagonal([1.0, 0.5])) == 1.0
+        assert k_e(from_diagonal([0.5, 0.0]), from_diagonal([1.0, 0.5])) == 1.0
 
     def test_pure_versus_zero(self):
         assert k_e(APPLE, Dmat(np.zeros((4, 4)))) == pytest.approx(0.0, abs=1e-12)
@@ -122,7 +124,7 @@ class TestKE:
 
     def test_zero_first_argument_rejected(self):
         with pytest.raises(ZeroMatrixError):
-            k_e(Dmat(np.zeros((2, 2))), Dmat.identity(2))
+            k_e(Dmat(np.zeros((2, 2))), identity(2))
 
     def test_trace_norm_variant(self):
         # trace norm divides the lost eigenvalue mass by the total mass
@@ -152,8 +154,8 @@ class TestTraceSimilarity:
         assert trace_similarity(onb["apple"], onb["apple"]) == pytest.approx(1.0)
 
     def test_orthogonal_pure_states(self):
-        a = Dmat.from_diagonal([1.0, 0.0])
-        b = Dmat.from_diagonal([0.0, 1.0])
+        a = from_diagonal([1.0, 0.0])
+        b = from_diagonal([0.0, 1.0])
         assert trace_similarity(a, b) == 0.0
 
     def test_apple_fruit_value(self):
@@ -189,8 +191,8 @@ class TestTraceSimilarity:
 )
 def test_khyp_scaling_property(diag_a, scale):
     dim = len(diag_a)
-    a = Dmat.from_diagonal(diag_a)
-    b = Dmat.identity(dim)
+    a = from_diagonal(diag_a)
+    b = identity(dim)
     assert k_hyp(Dmat(a.matrix * scale), b) == pytest.approx(k_hyp(a, b) / scale, rel=1e-9)
 
 

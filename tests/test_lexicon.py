@@ -29,6 +29,8 @@ from convneg.lexicon import (
 )
 from convneg.spectral import Dmat, normalize_max_eig
 
+from conftest import identity
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -188,7 +190,7 @@ class TestPersistence:
 
     def test_mixed_dims_rejected_at_construction(self):
         with pytest.raises(DimensionMismatchError):
-            Lexicon({"a": Dmat.identity(2), "b": Dmat.identity(3)})
+            Lexicon({"a": identity(2), "b": identity(3)})
 
 
 def tree_table(tmp_path, rng, dim=64):

@@ -8,10 +8,12 @@ from convneg.negation import neg_inv, neg_ker, neg_sub, neg_supp
 from convneg.sampling import random_psd
 from convneg.spectral import Dmat
 
+from conftest import from_diagonal, identity
+
 
 class TestNegSub:
     def test_pure_state(self):
-        out = neg_sub(Dmat.from_diagonal([1.0, 0.0]))
+        out = neg_sub(from_diagonal([1.0, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]))
 
     def test_toy_apple(self, onb):
@@ -20,26 +22,26 @@ class TestNegSub:
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0, 1.0, 1.0]))
 
     def test_eigenvalue_arithmetic(self):
-        out = neg_sub(Dmat.from_diagonal([0.5, 0.0]))
+        out = neg_sub(from_diagonal([0.5, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 1.0]))
 
     def test_requires_normalized_input(self):
         with pytest.raises(NotNormalizedError):
-            neg_sub(Dmat.from_diagonal([2.0, 0.0]))
+            neg_sub(from_diagonal([2.0, 0.0]))
 
 
 
 class TestNegSupp:
     def test_diagonal(self):
-        out = neg_supp(Dmat.from_diagonal([0.5, 0.0]))
+        out = neg_supp(from_diagonal([0.5, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([2.0, 0.0]))
 
     def test_identity_self_inverse(self):
-        out = neg_supp(Dmat.identity(3))
+        out = neg_supp(identity(3))
         np.testing.assert_allclose(out.matrix, np.eye(3), atol=1e-12)
 
     def test_three_values(self):
-        out = neg_supp(Dmat.from_diagonal([0.5, 0.25, 0.0]))
+        out = neg_supp(from_diagonal([0.5, 0.25, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([2.0, 4.0, 0.0]))
 
     def test_rank_zero_rejected(self):
@@ -53,33 +55,33 @@ class TestNegSupp:
 
     def test_output_unnormalized(self):
         # eigenvalues above 1 are expected; normalization happens downstream
-        out = neg_supp(Dmat.from_diagonal([0.25, 0.0]))
+        out = neg_supp(from_diagonal([0.25, 0.0]))
         assert out.max_eigenvalue() == pytest.approx(4.0)
 
 
 class TestNegKer:
     def test_diagonal(self):
-        out = neg_ker(Dmat.from_diagonal([0.5, 0.0]))
+        out = neg_ker(from_diagonal([0.5, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]))
 
     def test_three_values(self):
-        out = neg_ker(Dmat.from_diagonal([0.5, 0.25, 0.0]))
+        out = neg_ker(from_diagonal([0.5, 0.25, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 0.0, 1.0]))
 
     def test_double_application_flattens_support(self):
         # applying twice lands on the flat state over the original support
-        out = neg_ker(neg_ker(Dmat.from_diagonal([0.5, 0.0])))
+        out = neg_ker(neg_ker(from_diagonal([0.5, 0.0])))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]))
 
     def test_invertible_input_warns_and_returns_zero(self):
         with pytest.warns(EmptyKernelWarning):
-            out = neg_ker(Dmat.identity(2))
+            out = neg_ker(identity(2))
         np.testing.assert_array_equal(out.matrix, np.zeros((2, 2)))
 
 
 class TestNegInv:
     def test_equal_mixture(self):
-        out = neg_inv(Dmat.from_diagonal([0.5, 0.0]), 0.5)
+        out = neg_inv(from_diagonal([0.5, 0.0]), 0.5)
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.5]))
 
     def test_weight_one_is_support_inverse(self, rng):
@@ -87,12 +89,12 @@ class TestNegInv:
         np.testing.assert_allclose(neg_inv(x, 1.0).matrix, neg_supp(x).matrix)
 
     def test_weight_zero_is_kernel_projector(self):
-        out = neg_inv(Dmat.from_diagonal([0.5, 0.0]), 0.0)
+        out = neg_inv(from_diagonal([0.5, 0.0]), 0.0)
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]))
 
     def test_weight_out_of_range(self):
         with pytest.raises(WeightOutOfRangeError):
-            neg_inv(Dmat.identity(2), 1.5)
+            neg_inv(identity(2), 1.5)
 
     def test_invertible_input_no_warning_leaks(self, rng, recwarn):
         neg_inv(random_psd(rng, 3), 0.5)

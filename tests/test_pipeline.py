@@ -30,6 +30,8 @@ from convneg.lexicon import Lexicon, build_lexicon, load_vectors
 from convneg.sampling import random_normalized, random_orthogonal, random_psd
 from convneg.spectral import Dmat, rescale_max_eig
 
+from conftest import from_diagonal
+
 
 @pytest.fixture
 def toy_setup(onb, fruit_raw):
@@ -132,7 +134,7 @@ class TestLogicalNegation:
 
     def test_inv_weights(self, onb):
         cfg = NegationConfig(NegationKind.INV, CompositionKind.SPIDER, support_weight=0.25)
-        out = logical_negation(Dmat.from_diagonal([0.5, 0.0]), cfg)
+        out = logical_negation(from_diagonal([0.5, 0.0]), cfg)
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 0.75]))
 
 

@@ -29,6 +29,8 @@ from convneg.spectral import (
     support_projector,
 )
 
+from conftest import from_diagonal, identity
+
 
 class TestDmatInvariants:
     def test_rejects_asymmetry(self):
@@ -65,19 +67,19 @@ class TestDmatInvariants:
             Dmat(np.zeros((2, 3)))
 
     def test_matrix_is_readonly(self):
-        m = Dmat.identity(3)
+        m = identity(3)
         with pytest.raises(ValueError):
             m.matrix[0, 0] = 2.0
 
 
 class TestSpectralDecompose:
     def test_diagonal_input_keeps_standard_basis(self):
-        decomp = spectral_decompose(Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0]))
+        decomp = spectral_decompose(from_diagonal([0.5, 1 / 3, 1 / 6, 0.0]))
         np.testing.assert_allclose(decomp.eigenvalues, [0.5, 1 / 3, 1 / 6, 0.0])
         assert np.count_nonzero(np.abs(decomp.eigenvectors) > 1e-12) == 4
 
     def test_identity_eigenvalues(self):
-        decomp = spectral_decompose(Dmat.identity(3))
+        decomp = spectral_decompose(identity(3))
         np.testing.assert_allclose(decomp.eigenvalues, [1.0, 1.0, 1.0])
 
     def test_reconstruction_dim8(self, rng):
@@ -113,7 +115,7 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(m.matrix @ decomp.eigenvectors, decomp.eigenvectors * decomp.eigenvalues, atol=1e-12)
 
     def test_diagonal_ties_keep_index_order(self):
-        decomp = spectral_decompose(Dmat.from_diagonal([0.5, 0.5, 0.25, 0.0, 0.5]))
+        decomp = spectral_decompose(from_diagonal([0.5, 0.5, 0.25, 0.0, 0.5]))
         assert decomp.eigenvalues.tolist() == [0.5, 0.5, 0.5, 0.25, 0.0]
         assert decomp.eigenvectors.tobytes() == np.eye(5)[:, [0, 1, 4, 2, 3]].tobytes()
 
@@ -121,7 +123,7 @@ class TestSpectralDecompose:
         # the mean of three copies of this value misses it by an ulp
         value = 0.8132702392002724
         assert float(np.mean([value] * 3)) != value
-        decomp = spectral_decompose(Dmat.from_diagonal([value, value, 0.3, value]))
+        decomp = spectral_decompose(from_diagonal([value, value, 0.3, value]))
         assert decomp.eigenvalue_groups() == [(value, 0, 3), (0.3, 3, 4)]
 
     def test_eigenspaces_sum_to_identity(self, rng):
@@ -193,12 +195,12 @@ class TestDecompositionCache:
 
 class TestNormalize:
     def test_scales_down(self):
-        out = normalize_max_eig(Dmat.from_diagonal([2.0, 0.0]))
+        out = normalize_max_eig(from_diagonal([2.0, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]))
         assert out.normalized
 
     def test_leaves_small_matrices_alone(self):
-        m = Dmat.from_diagonal([0.5, 1 / 3])
+        m = from_diagonal([0.5, 1 / 3])
         out = normalize_max_eig(m)
         np.testing.assert_array_equal(out.matrix, m.matrix)
 
@@ -206,7 +208,7 @@ class TestNormalize:
         # eigenvalues (1/2, 1/4) invert to (2, 4); dividing by 4 gives (1/2, 1)
         from convneg.negation import neg_supp
 
-        out = normalize_max_eig(neg_supp(Dmat.from_diagonal([0.5, 0.25])))
+        out = normalize_max_eig(neg_supp(from_diagonal([0.5, 0.25])))
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_zero_matrix_rejected(self):
@@ -214,7 +216,7 @@ class TestNormalize:
             normalize_max_eig(Dmat(np.zeros((2, 2))))
 
     def test_rescale_scales_up(self):
-        out = rescale_max_eig(Dmat.from_diagonal([0.5, 1 / 3, 1 / 6, 0.0]))
+        out = rescale_max_eig(from_diagonal([0.5, 1 / 3, 1 / 6, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 2 / 3, 1 / 3, 0.0]), atol=1e-12)
 
     def test_output_always_capped(self, rng):
@@ -295,7 +297,7 @@ class TestRescaleWithoutSolve:
 
     def test_non_finite_result_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(NotPSDError, match="non-finite"):
-            _scaled(Dmat.identity(2), 1e-320)
+            _scaled(identity(2), 1e-320)
 
 
 def outcome(build, m):
@@ -425,31 +427,31 @@ class TestCholeskyCertificate:
 
 class TestLoewner:
     def test_diagonal_true(self):
-        assert loewner_leq(Dmat.from_diagonal([0.5, 0.0]), Dmat.from_diagonal([1.0, 0.5]))
+        assert loewner_leq(from_diagonal([0.5, 0.0]), from_diagonal([1.0, 0.5]))
 
     def test_diagonal_false(self):
-        assert not loewner_leq(Dmat.from_diagonal([1.0, 0.0]), Dmat.from_diagonal([0.5, 1.0]))
+        assert not loewner_leq(from_diagonal([1.0, 0.0]), from_diagonal([0.5, 1.0]))
 
     def test_pure_below_identity_scale(self):
         # a pure state sits below the flat state of the same max eigenvalue,
         # and the flat state is not below the pure one
-        pure = Dmat.from_diagonal([1.0, 0.0])
-        flat = Dmat.from_diagonal([1.0, 1.0])
+        pure = from_diagonal([1.0, 0.0])
+        flat = from_diagonal([1.0, 1.0])
         assert loewner_leq(pure, flat)
         assert not loewner_leq(flat, pure)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            loewner_leq(Dmat.identity(2), Dmat.identity(3))
+            loewner_leq(identity(2), identity(3))
 
 
 class TestSupportProjector:
     def test_diagonal(self):
-        out = support_projector(Dmat.from_diagonal([0.5, 0.25, 0.0]))
+        out = support_projector(from_diagonal([0.5, 0.25, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_identity(self):
-        out = support_projector(Dmat.identity(2))
+        out = support_projector(identity(2))
         np.testing.assert_allclose(out.matrix, np.eye(2), atol=1e-12)
 
     def test_rank_one_plus_state(self):
