@@ -116,6 +116,9 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     report = verify_theorems(seed=args.seed, trials=args.trials)
     print(report.render())
     return 0 if report.passed else 1

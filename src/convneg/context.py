@@ -67,15 +67,15 @@ class WeightKind(str, Enum):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Hypernym weight family with its non-negative shape parameter."""
+    """Hypernym weight family with its finite, non-negative shape parameter."""
 
     kind: WeightKind
     x: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", WeightKind(self.kind))
-        if self.x < 0:
-            raise ValueError(f"weight parameter must be non-negative, got {self.x}")
+        if not (math.isfinite(self.x) and self.x >= 0):
+            raise WeightOutOfRangeError(f"weight parameter must be finite and non-negative, got {self.x}")
 
 
 def load_hierarchy(path) -> HypernymHierarchy:

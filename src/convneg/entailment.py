@@ -24,15 +24,17 @@ O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
-route's closed forms.  The grid scores through the measures themselves.
-The entailment graph scores, both ways, every word pair that holds at
-least one of a given set of source words: through
-`k_hyp_clamped_all_pairs`, bit for bit the scalar values, and
-`k_e_all_pairs`, which solves each such unordered pair once in its joint
-support, in stacks of one problem shape that take pairs from as many rows
-as fit, and agrees with `k_e` to roundoff.  With k source words among n,
-that is k(n - 1) - k(k - 1)/2 unordered pairs, against n(n - 1)/2 for
-every pair.
+route's closed forms.  Every pair kernel takes one list of matrices and
+the index of each pair's A and B in it (`_pairs` builds them for a
+measure), and `_stacks` is the one way pairs are grouped into solve
+stacks.  The grid scores through the measures themselves.  The
+entailment graph scores, both ways, every word pair that holds at least
+one of a given set of source words: through `k_hyp_clamped_all_pairs`,
+bit for bit the scalar values, and `k_e_all_pairs`, which solves each
+such unordered pair once in its joint support, in stacks of one problem
+shape and n - 1 pairs that mix rows, and agrees with `k_e` to roundoff.
+With k source words among n, that is k(n - 1) - k(k - 1)/2 unordered
+pairs, against n(n - 1)/2 for every pair.
 """
 
 from __future__ import annotations
@@ -48,34 +50,32 @@ from .spectral import EPS, RANK_TOL, Dmat, _roundoff_cut, _roundoff_rank, check_
 NEWTON_STEPS = 64
 
 
-def _check_pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message="") -> None:
-    """Raise what the first failing call of a loop of scalar calls would raise.
+def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message=""):
+    """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order.
 
-    Two sequences raise TypeError.  The loop visits the (a, b) pairs in
-    sequence order; a pair fails on differing dims, else on a's flag in
-    `zero_a` or b's in `zero_b` (one flag, or an array over the sequence)
-    with ZeroMatrixError(message).
+    First raises what the first failing call of a loop of scalar calls would
+    raise.  Two sequences raise TypeError.  The loop visits the pairs in
+    sequence order; a pair fails on differing dims, else on its A's flag in
+    `zero_a` or its B's in `zero_b` (one flag, or an array over the
+    sequence) with ZeroMatrixError(message).
     """
     if isinstance(A, Dmat):
-        pairs = [(A, B)] if isinstance(B, Dmat) else [(A, b) for b in B]
+        b = [B] if isinstance(B, Dmat) else list(B)
+        mats, ia, ib = [A, *b], [0] * len(b), list(range(1, len(b) + 1))
     elif isinstance(B, Dmat):
-        pairs = [(a, B) for a in A]
+        mats, ia, ib = [*A, B], list(range(len(A))), [len(A)] * len(A)
     else:
         raise TypeError("a measure pairs a matrix with a matrix or a sequence, not two sequences")
-    flags = np.broadcast_to(np.logical_or(zero_a, zero_b), len(pairs))
-    for (a, b), flag in zip(pairs, flags):
-        check_dims(a, b)
+    for i, j, flag in zip(ia, ib, np.broadcast_to(np.logical_or(zero_a, zero_b), len(ia))):
+        check_dims(mats[i], mats[j])
         if flag:
             raise ZeroMatrixError(message)
+    return mats, ia, ib
 
 
 def _each(X: Dmat | Sequence[Dmat], fn: Callable[[Dmat], object]):
-    """fn(X) for one matrix; the stack of fn over a sequence.
-
-    Arrays stack only at one dim: stack per-matrix scalars before
-    `_check_pairs`, matrices and spectra only after it.
-    """
-    return fn(X) if isinstance(X, Dmat) else np.stack([fn(x) for x in X])
+    """fn(X) for one matrix; the array of fn's scalars over a sequence."""
+    return fn(X) if isinstance(X, Dmat) else np.array([fn(x) for x in X])
 
 
 def _result(values, A, B):
@@ -89,6 +89,16 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     for slot, array in enumerate(arrays):
         out[slot] = array
     return out
+
+
+def _stacks(shapes: Sequence, size: int):
+    """(shape, pairs) per stack: each shape's pair indices, first shape seen first, in runs of at most `size`."""
+    groups: dict = {}
+    for k, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(k)
+    for shape, ks in groups.items():
+        for start in range(0, len(ks), size):
+            yield shape, np.array(ks[start : start + size])
 
 
 def _top_eigenvalue(cores: np.ndarray) -> np.ndarray:
@@ -106,44 +116,34 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     matrix.  When A's roundoff rank r_A is below r_B, gamma =
     lambda_max(G^T G) with G = W^T F_A and F_A A's support factor, an
     r_A-square problem.  The result is 1/gamma, or +inf where gamma is at or
-    below RANK_TOL.  Pairs are grouped by their problem's shape and solved a
-    stack at a time, at most len(mats) pairs per stack, so a stack holds no
-    more matrices than `mats` does; every pair rounds the same in any stack,
-    so values do not depend on the batch.
+    below RANK_TOL.  Pairs are grouped by their problem's shape (`_stacks`)
+    and solved a stack at a time, at most len(mats) pairs per stack, so a
+    stack holds no more matrices than `mats` does; every pair rounds the
+    same in any stack, so values do not depend on the batch.
     """
     whitened = {j: spectral_decompose(mats[j]).whitened_support for j in dict.fromkeys(ib)}
     ranks = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) for i in dict.fromkeys(ia)}
     factors: dict[int, np.ndarray] = {}
-    # (r_B, r_A) -> the pairs of that shape; r_A = 0 marks a pair solved in B's support
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (i, j) in enumerate(zip(ia, ib)):
+    # (r_B, r_A) per pair; r_A = 0 marks a pair solved in B's support
+    shapes = []
+    for i, j in zip(ia, ib):
         r_b, r_a = whitened[j].shape[1], 0
         if ranks[i] < r_b:
             if i not in factors:
                 factors[i] = spectral_decompose(mats[i]).support_factor
             r_a = factors[i].shape[1]
-        groups.setdefault((r_b, r_a), []).append(k)
+        shapes.append((r_b, r_a))
     gamma = np.empty(len(ia))
-    for (_, r_a), rows in groups.items():
-        for start in range(0, len(rows), len(mats)):
-            part = rows[start : start + len(mats)]
-            w = _stack([whitened[ib[k]] for k in part])
-            wt = np.swapaxes(w, -1, -2)
-            if r_a == 0:
-                cores = wt @ _stack([mats[ia[k]].matrix for k in part]) @ w
-            else:
-                g = wt @ _stack([factors[ia[k]] for k in part])
-                cores = np.swapaxes(g, -1, -2) @ g
-            gamma[part] = _top_eigenvalue(cores)
+    for (_, r_a), part in _stacks(shapes, len(mats)):
+        w = _stack([whitened[ib[k]] for k in part])
+        wt = np.swapaxes(w, -1, -2)
+        if r_a == 0:
+            cores = wt @ _stack([mats[ia[k]].matrix for k in part]) @ w
+        else:
+            g = wt @ _stack([factors[ia[k]] for k in part])
+            cores = np.swapaxes(g, -1, -2) @ g
+        gamma[part] = _top_eigenvalue(cores)
     return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > RANK_TOL)
-
-
-def _pair_indices(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
-    """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order."""
-    if isinstance(A, Dmat):
-        b = [B] if isinstance(B, Dmat) else list(B)
-        return [A, *b], [0] * len(b), list(range(1, len(b) + 1))
-    return [*A, B], list(range(len(A))), [len(A)] * len(A)
 
 
 def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -155,8 +155,8 @@ def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     places nothing measurable inside B's support; +inf is returned to signal
     the unconstrained case.
     """
-    _check_pairs(A, B, _each(A, Dmat.is_zero), _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
-    return _result(_k_hyp_pairs(*_pair_indices(A, B)), A, B)
+    pairs = _pairs(A, B, _each(A, Dmat.is_zero), _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
+    return _result(_k_hyp_pairs(*pairs), A, B)
 
 
 def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -259,16 +259,8 @@ def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
     return terms
 
 
-def _pure(M: Dmat) -> bool:
-    """Whether M has roundoff rank 1 (`_roundoff_rank`), read off its two largest (ascending) eigenvalues."""
-    eigenvalues = M.eigenvalues
-    top = float(eigenvalues[-1])
-    cut = _roundoff_cut(top, M.dim)
-    return top > cut and (M.dim == 1 or float(eigenvalues[-2]) <= cut)
-
-
-def _by_route(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], from_terms: Callable, from_spectra: Callable):
-    """Each pair's value, in loop order, from the rank-1 route or a d x d solve.
+def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Callable, from_spectra: Callable):
+    """The value of each pair (mats[ia[k]], mats[ib[k]]), from the rank-1 route or a d x d solve.
 
     A pair takes the rank-1 route when its B, else its A, has roundoff rank
     1 (`_roundoff_rank` of its eigenvalues): that side is a a^T, the other
@@ -278,8 +270,7 @@ def _by_route(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], from_terms: Ca
     every other pair, to from_spectra(spectra of B - A, pairs) over one
     `_solve` stack.
     """
-    mats, ia, ib = _pair_indices(A, B)
-    pure = {i: _pure(mats[i]) for i in dict.fromkeys([*ia, *ib])}
+    pure = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) == 1 for i in dict.fromkeys([*ia, *ib])}
     # N's index -> the pairs scored in its eigenbasis; the pairs left to the d x d solve
     groups: dict[int, list[int]] = {}
     rest: list[int] = []
@@ -297,7 +288,7 @@ def _by_route(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], from_terms: Ca
         rest += ks[np.isnan(values[ks])].tolist()
     if rest:
         values[rest] = from_spectra(_solve([(mats[ia[k]], mats[ib[k]]) for k in rest]), np.array(rest))
-    return _result(values, A, B)
+    return values
 
 
 def _ratio(sums: np.ndarray, absolute_sums: np.ndarray) -> np.ndarray:
@@ -317,12 +308,10 @@ def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     matching the limit along B = A + eps*I).  On the rank-1 route, B - A = ±D
     sums to ±tr D, and its absolute sum is tr D + 2t.
     """
-    _check_pairs(A, B)
-
     def from_terms(pairs, flip, t, total, pos_sq, sure):
         return _ratio(np.where(flip, -total, total), total + 2.0 * t)
 
-    return _by_route(A, B, from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra))
+    return _result(_by_route(*_pairs(A, B), from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra)), A, B)
 
 
 def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
@@ -365,7 +354,7 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
         raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
     order = 2 if norm == "fro" else 1
     norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
-    _check_pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
+    pairs = _pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
     norm_of = (lambda pairs: norm_a) if isinstance(A, Dmat) else (lambda pairs: norm_a[pairs])
 
     def from_terms(pairs, flip, t, total, pos_sq, sure):
@@ -373,7 +362,8 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
         values = np.clip(1.0 - np.where(flip, positive, t) / norm_of(pairs), 0.0, 1.0)
         return np.where(flip & ~sure, np.nan, values)
 
-    return _by_route(A, B, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs), order))
+    values = _by_route(*pairs, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs), order))
+    return _result(values, A, B)
 
 
 def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -383,8 +373,7 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """
     norm_a = _each(A, Dmat.frobenius_norm)
     norm_b = _each(B, Dmat.frobenius_norm)
-    _check_pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
-    mats, ia, ib = _pair_indices(A, B)
+    mats, ia, ib = _pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
     traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
 
@@ -396,7 +385,7 @@ def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, eithe
     (on either word's, with `either`).  Any dims mismatch already fails the
     first row, so a later row can only fail on its own flag.
     """
-    _check_pairs(mats[0], mats[1:], zero[0], zero[1:] if either else False, message)
+    _pairs(mats[0], mats[1:], zero[0], zero[1:] if either else False, message)
     if zero.any():
         raise ZeroMatrixError(message)
 
@@ -413,80 +402,46 @@ def k_e_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
     [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
     (r_i + r_j)-square problem.  A pair with r_i + r_j >= dim, or of equal
     matrices (which must score exactly 1), is solved d x d as `k_e` does.
-    Each scored unordered pair is solved once, as M_j - M_i for j > i (row
-    i keeps only the source words among its j unless i is one), and cell
-    (j, i) is read off the negated reversal of its spectrum.  The values
-    agree with `k_e` to roundoff, and a pair's value does not depend on
-    which other pairs are scored.
+    Each scored unordered pair is solved once, as M_j - M_i for j > i, and
+    cell (j, i) is read off the negated reversal of its spectrum.  The
+    values agree with `k_e` to roundoff, and a pair's value does not depend
+    on which other pairs are scored.
 
-    Pairs wait in one queue per problem shape, (r_j, r_i) or d x d, filled
-    row by row; a queue is solved as one stack when it holds n - 1 pairs,
-    and what is left at the end as one more.  A stack thus mixes rows but
-    never holds more matrices than one row has pairs, and each
-    pair rounds the same in any stack, so the values do not depend on the
-    batching.
+    The pairs (i, j) are taken in row order and grouped by problem shape,
+    (r_j, r_i) or d x d; each shape's pairs are solved in stacks of n - 1
+    (`_stacks`).  A stack thus mixes rows but never holds more matrices
+    than one row has pairs, and each pair rounds the same in any stack, so
+    the values do not depend on the batching.
     """
     n, dim = len(mats), mats[0].dim
     norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
     _check_all_pairs(mats, norm_a < 1e-12, "k_e needs a nonzero first argument")
-    stack = np.stack([m.matrix for m in mats])
     factors = [spectral_decompose(m).support_factor for m in mats]
-    ranks = np.array([f.shape[1] for f in factors])
-    # word k's factor is by_rank[ranks[k]][slot[k]]
-    slot, by_rank = np.empty(n, dtype=int), {}
-    for r in sorted(set(ranks.tolist())):
-        members = np.flatnonzero(ranks == r)
-        slot[members] = np.arange(members.size)
-        by_rank[r] = np.stack([factors[k] for k in members])
+    ranks = [f.shape[1] for f in factors]
     # equal matrices hash alike (adding 0.0 makes -0.0 into 0.0); a collision only costs a d x d solve
-    hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
+    hashes = [hash((m.matrix + 0.0).tobytes()) for m in mats]
+    ia, ib = np.nonzero(np.triu(sources[:, None] | sources, 1))
+    # None marks a pair solved d x d
+    shapes = [
+        None if ranks[i] + ranks[j] >= dim or hashes[i] == hashes[j] else (ranks[j], ranks[i])
+        for i, j in zip(ia.tolist(), ib.tolist())
+    ]
     out = np.full((n, n), np.nan)
-
-    def solve(shape, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Cells (i, j) and (j, i) for i, j in zip(rows, cols), pairs of one shape, from one stack of M_j - M_i spectra."""
+    for shape, part in _stacks(shapes, n - 1):
+        rows, cols = ia[part], ib[part]
         if shape is None:
-            # rows come in runs, queued row by row: subtract each M_i in place over its run, with no second stack
-            diffs = stack[cols]
+            # rows come in runs: subtract each M_i in place over its run, with no second stack
+            diffs = _stack([mats[j].matrix for j in cols])
             bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
             for start, stop in zip(bounds, bounds[1:]):
-                diffs[start:stop] -= stack[rows[start]]
+                diffs[start:stop] -= mats[rows[start]].matrix
             spectra = np.linalg.eigvalsh(diffs)
         else:
-            r_j, r_i = shape
-            tri = np.linalg.qr(np.concatenate([by_rank[r_j][slot[cols]], by_rank[r_i][slot[rows]]], axis=-1), "r")
-            signs = np.repeat([1.0, -1.0], [r_j, r_i])
-            spectra = np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2))
+            joint = np.concatenate([_stack([factors[j] for j in cols]), _stack([factors[i] for i in rows])], axis=-1)
+            tri = np.linalg.qr(joint, "r")
+            spectra = np.linalg.eigvalsh((tri * np.repeat([1.0, -1.0], shape)) @ np.swapaxes(tri, -1, -2))
         out[rows, cols] = k_e_from_spectra(spectra, norm_a[rows], dim=dim)
         out[cols, rows] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
-
-    # shape -> (source words, target words, pending count) not yet solved; None is d x d
-    queues: dict[tuple[int, int] | None, tuple[list, list, int]] = {}
-
-    def enqueue(shape, i: int, cols: np.ndarray) -> None:
-        """Queue pairs (i, j) for j in cols; solve the queue's first n - 1 pairs once it holds that many."""
-        if cols.size:
-            rows_q, cols_q, pending = queues.get(shape, ([], [], 0))
-            rows_q.append(np.full(cols.size, i))
-            cols_q.append(cols)
-            pending += cols.size
-            if pending >= n - 1:
-                rows, cols = np.concatenate(rows_q), np.concatenate(cols_q)
-                solve(shape, rows[: n - 1], cols[: n - 1])
-                rows_q, cols_q, pending = [rows[n - 1 :]], [cols[n - 1 :]], pending - (n - 1)
-            queues[shape] = (rows_q, cols_q, pending)
-
-    for i in range(n - 1):
-        later = np.arange(i + 1, n)
-        if not sources[i]:
-            later = later[sources[later]]
-        full = (ranks[later] + ranks[i] >= dim) | (hashes[later] == hashes[i])
-        enqueue(None, i, later[full])
-        joint = later[~full]
-        for r in by_rank:
-            enqueue((r, int(ranks[i])), i, joint[ranks[joint] == r])
-    for shape, (rows_q, cols_q, pending) in queues.items():
-        if pending:
-            solve(shape, np.concatenate(rows_q), np.concatenate(cols_q))
     return out
 
 

@@ -25,7 +25,7 @@ class ZeroMatrixError(ConvNegError):
     pass
 
 
-class WeightOutOfRangeError(ConvNegError):
+class WeightOutOfRangeError(ConvNegError, ValueError):
     pass
 
 

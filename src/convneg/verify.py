@@ -106,6 +106,10 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+# Every suite, appended by `_suite` as it is defined: the report order, and suite k draws from rng [seed, k].
+ALL_SUITES: list[Callable] = []
+
+
 def _suite(name: str):
     """Make `body(t, rng, dims, comps)` a suite: it fills `SuiteResult(name)` as `t`, drawing `dims`, one per trial."""
 
@@ -116,6 +120,7 @@ def _suite(name: str):
             body(t, rng, rng.choice(dims, size=trials).tolist(), comps)
             return t
 
+        ALL_SUITES.append(suite)
         return suite
 
     return wrap
@@ -511,38 +516,6 @@ def suite_pearson_affine(t, rng, dims, comps):
         scale = float(rng.uniform(0.1, 10.0))
         shift = float(rng.uniform(-100.0, 100.0))
         t.residual(pearson(scale * xs + shift, ys) - pearson(xs, ys), 1e-9)
-
-
-ALL_SUITES: tuple[Callable, ...] = (
-    suite_spectral_roundtrip,
-    suite_spectral_orthonormal,
-    suite_loewner_order,
-    suite_support_projector,
-    suite_normalization,
-    suite_neg_sub_involution,
-    suite_neg_supp_involution,
-    suite_neg_sub_contrapositive,
-    suite_neg_sub_kba,
-    suite_negations_preserve_eigenvectors,
-    suite_khyp_reversal,
-    suite_kba_reversal,
-    suite_maximally_mixed_support,
-    suite_mixture_support,
-    suite_compositions_psd,
-    suite_order_preservation,
-    suite_order_violation_search,
-    suite_spider_mult_instance,
-    suite_commuting_coincidence,
-    suite_khyp_oracle,
-    suite_crisp_measures,
-    suite_khyp_scaling,
-    suite_trace_similarity,
-    suite_context_weights,
-    suite_context_mixture,
-    suite_lexicon_construction,
-    suite_pipeline_toy,
-    suite_pearson_affine,
-)
 
 
 def verify_theorems(

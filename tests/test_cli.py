@@ -135,6 +135,24 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--seed", "0", "--trials", "5"]) == 0
     assert "ALL SUITES PASSED" in capsys.readouterr().out
     assert main(["verify", "--seed", "0", "--trials", "0"]) == 2
+    assert main(["verify", "--seed", "-1", "--trials", "5"]) == 2
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["-1", "nan", "inf"])
+def test_negate_rejects_bad_weight_parameter(fixture_paths, tmp_path, capsys, x):
+    lex_path = build(fixture_paths, tmp_path)
+    code = main(
+        [
+            "negate",
+            "--lexicon", str(lex_path),
+            "--hierarchy", str(fixture_paths["hierarchy"]),
+            "--word", "apple",
+            "--x", x,
+        ]
+    )
+    assert code == 2
+    assert "error: weight parameter must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_unknown_word_is_reported(fixture_paths, tmp_path, capsys):
