@@ -38,10 +38,12 @@ from .pipeline import (
     logical_negation,
     plausibility,
 )
-from .spectral import Dmat, rescale_max_eig
+from .spectral import EPS, Dmat, rescale_max_eig
 
 DATASET_HEADER = ("negated", "alternative", "mean_rating")
 MEASURE_COLUMNS = ("k_hyp1", "k_hyp2", "k_E1", "k_E2", "k_BA", "trace")
+# columns whose every value errs by a bound absolute in d (see `_row_from_scores`)
+_ROUNDOFF_BOUNDED = ("k_E1", "k_E2", "k_BA", "trace")
 
 BASELINE_COMPOSITION = "none"
 BASELINE_BASIS = "-"
@@ -265,13 +267,28 @@ def _row_from_scores(
     scores: dict[str, list[float]],
     ratings: list[float],
     skipped: int,
+    dim: int,
 ) -> ResultRow:
+    """One grid row: each column's Pearson r against the ratings, or None.
+
+    r is None where `pearson` finds too few points or no variance, and for a
+    k_E, k_BA or trace column whose values spread (max − min) by at most
+    16·dim·eps: such a column is constant up to roundoff, and its r would
+    be noise.  That is the per-value error bound of the rank-1 route and the
+    d×d solve (16·d·eps·S over the norm a value divides by, S the operands'
+    top eigenvalue) for operands at top eigenvalue 1, as the grid's are: a
+    rescaled negation and normalized lexicon words, whose norms are at
+    least 1.  k_hyp's roundoff grows with its pair's conditioning, so its
+    columns keep `pearson`'s cut, relative to the values.
+    """
     cells: dict[str, Cell] = {}
     for column in MEASURE_COLUMNS:
         xs = scores[column]
         try:
             r = pearson(xs, ratings)
         except (InsufficientDataError, ZeroVarianceError):
+            r = None
+        if column in _ROUNDOFF_BOUNDED and xs and max(xs) - min(xs) <= 16 * dim * EPS:
             r = None
         cells[column] = Cell(r=r, n=len(xs), skipped=skipped)
     return ResultRow(negation=label[0], composition=label[1], basis=label[2], cells=cells)
@@ -298,6 +315,7 @@ def run_grid(
     """
     configs = list(configs)
     groups = _group_pairs(dataset, lexicon)
+    dim = next((alternatives[0].dim for _, alternatives, _ in groups.values() if alternatives), 1)
     jobs: dict[tuple[str, str, str], Callable[[], ResultRow]] = {}
     contexts: dict[str, Dmat] = {}
     negations: dict[tuple[str, NegationKind, float], Dmat] = {}
@@ -319,14 +337,14 @@ def run_grid(
         def run() -> ResultRow:
             negation_of = lambda word: shared_negation(word, cfg)
             negate = lambda word: conversational_negate(word, cfg, lexicon, shared_context, negation_of)
-            return _row_from_scores(label, *_score_pairs(dataset, groups, negate))
+            return _row_from_scores(label, *_score_pairs(dataset, groups, negate), dim)
 
         return run
 
     def baseline_job(label, cfg):
         def run() -> ResultRow:
             negate = lambda word: rescale_max_eig(shared_negation(word, cfg))
-            return _row_from_scores(label, *_score_pairs(dataset, groups, negate))
+            return _row_from_scores(label, *_score_pairs(dataset, groups, negate), dim)
 
         return run
 

@@ -135,6 +135,38 @@ class TestPearson:
             pearson(range(20), [1e30 * v for v in values])
 
 
+class TestConstantByRoundoff:
+    """k_E, k_BA and trace columns within 16 d eps of constant have no r."""
+
+    RATINGS = [float(k % 5 + 1) for k in range(20)]
+
+    def row(self, column, xs, dim):
+        scores = {c: list(range(20)) for c in MEASURE_COLUMNS} | {column: xs}
+        return experiment._row_from_scores(("inv", "none", "-"), scores, self.RATINGS, 0, dim)
+
+    def test_few_ulp_column_at_dim_300_is_null(self):
+        # 1 - sqrt(299/300), as `inv,none,-` k_E1 scores every pure alternative at dim 300, off by a few ulps of 1
+        eps = np.finfo(float).eps
+        xs = [1.0 - np.sqrt(299 / 300) + (k % 7 - 3) * eps for k in range(20)]
+        assert pearson(xs, self.RATINGS) is not None  # the relative cut alone reads noise as a correlation
+        for column in ("k_E1", "k_E2", "k_BA", "trace"):
+            cells = self.row(column, xs, 300).cells
+            assert cells[column].r is None and cells[column].n == 20
+            assert cells["k_hyp1"].r is not None
+
+    def test_spread_of_1e_9_is_scored(self):
+        xs = [0.5 + 1e-9 * (k % 5) for k in range(20)]
+        for column in ("k_E1", "k_E2", "k_BA", "trace"):
+            assert self.row(column, xs, 300).cells[column].r == pytest.approx(1.0)
+
+    def test_k_hyp_keeps_the_relative_cut(self):
+        eps = np.finfo(float).eps
+        xs = [0.5 + (k % 5) * 256 * eps for k in range(20)]  # varies past pearson's cut, within 16 d eps
+        for column in ("k_hyp1", "k_hyp2"):
+            assert self.row(column, xs, 300).cells[column].r == pytest.approx(1.0)
+        assert self.row("k_E1", xs, 300).cells["k_E1"].r is None
+
+
 @pytest.fixture
 def toy_run(fixture_paths):
     vectors = load_vectors(fixture_paths["vectors"])
