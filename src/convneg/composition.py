@@ -13,8 +13,11 @@ Cost at dimension d: the three structural compositions read B's cached
 eigendecomposition (`spectral_decompose`, solved once per B) and then take
 a fixed number of d x d BLAS matmuls (spider 2, phaser 3, fuzz 4), so
 O(d^3) time and O(d^2) memory whatever B's spectrum is.  mult and diag are
-O(d^2) entrywise.  Every result is validated as a `Dmat`, which costs one
-`eigvalsh` of the output for every kind alike.
+O(d^2) entrywise.  Every result but diag's is validated by one `eigh` of
+the output (`spectral._decomposed`), which rescaling and the output's
+`spectral_decompose` reuse, so the output is solved once in all; diag's is
+exactly diagonal, so it is validated by `eigvalsh` and decomposed without
+a solve.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import Dmat, _roundoff_cut, check_dims, spectral_decompose
+from .spectral import Dmat, _decomposed, _roundoff_cut, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -42,7 +45,7 @@ class BasisSlot(str, Enum):
 
 
 def _wrap(matrix: np.ndarray) -> Dmat:
-    return Dmat((matrix + matrix.T) / 2.0)
+    return _decomposed((matrix + matrix.T) / 2.0)
 
 
 def spider(A: Dmat, B: Dmat) -> Dmat:

@@ -3,7 +3,9 @@
 Two sources: an ordered hypernym hierarchy (weighted mixture of hypernym
 matrices, weights decreasing with distance) and a graded-entailment graph
 (weighted mixture over graph neighbors).  Both outputs are rescaled so the
-largest eigenvalue is exactly 1.
+largest eigenvalue is exactly 1, each mixture solved once, by the `eigh`
+that validates it (`spectral._decomposed`) and that rescaling and its
+decomposition reuse.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 from . import entailment
 from .lexicon import lookup_word
-from .spectral import Dmat, rescale_max_eig
+from .spectral import Dmat, _decomposed, rescale_max_eig
 
 logger = logging.getLogger(__name__)
 
@@ -147,7 +149,7 @@ def worldly_context_hierarchy(
     for w, h in zip(weights, path):
         if w > 0.0:
             mix += w * lookup_word(lexicon, h).matrix
-    return rescale_max_eig(Dmat(mix))
+    return rescale_max_eig(_decomposed(mix))
 
 
 @dataclass(frozen=True)
@@ -265,5 +267,5 @@ def worldly_context_graph(word: str, graph: EntailmentGraph, lexicon) -> Dmat:
             total += w
     if total <= 0.0:
         raise ZeroMatrixError(f"all outgoing weights vanish for {word!r}")
-    return rescale_max_eig(Dmat(mix))
+    return rescale_max_eig(_decomposed(mix))
 

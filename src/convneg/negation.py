@@ -4,7 +4,9 @@ Three unary maps, all acting through the spectral decomposition and hence
 preserving eigenvectors: subtraction from the identity, the Moore-Penrose
 support inverse, and the kernel projector, plus the convex mixture of the
 latter two.  Outputs are deliberately left unnormalized; the conversational
-pipeline normalizes once, after composition.
+pipeline normalizes once, after composition.  Each output is validated by
+one `eigh` (`spectral._decomposed`), which its decomposition, needed when
+it is a composition's structural operand, reuses.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
-from .spectral import PSD_TOL, Dmat, spectral_decompose
+from .spectral import PSD_TOL, Dmat, _decomposed, spectral_decompose
 
 
 def neg_sub(X: Dmat) -> Dmat:
@@ -28,7 +30,7 @@ def neg_sub(X: Dmat) -> Dmat:
     if top > 1.0 + PSD_TOL:
         raise NotNormalizedError(f"largest eigenvalue {top:.12g} exceeds 1")
     out = np.eye(X.dim) - X.matrix
-    return Dmat((out + out.T) / 2.0)
+    return _decomposed((out + out.T) / 2.0)
 
 
 def neg_supp(X: Dmat) -> Dmat:
@@ -37,7 +39,7 @@ def neg_supp(X: Dmat) -> Dmat:
     cut = decomp.support_cut()
     if decomp.rank() == 0:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
-    return Dmat(decomp.apply(lambda lam: np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)))
+    return _decomposed(decomp.apply(lambda lam: np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)))
 
 
 def _kernel_projector(X: Dmat) -> np.ndarray:
@@ -57,7 +59,7 @@ def neg_ker(X: Dmat) -> Dmat:
     """
     if spectral_decompose(X).rank() == X.dim:
         warnings.warn("input is invertible; kernel projector is zero", EmptyKernelWarning)
-    return Dmat(_kernel_projector(X))
+    return _decomposed(_kernel_projector(X))
 
 
 def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
@@ -77,4 +79,4 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
         return supp
     ker = _kernel_projector(X)
     mixed = support_weight * supp.matrix + (1.0 - support_weight) * ker
-    return Dmat(mixed)
+    return _decomposed(mixed)

@@ -8,15 +8,19 @@ eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
 read-only on the instance: the eigenvalues on first read (or from validation,
 which solves for them anyway), and the full `SpectralDecomposition` the first
-time `spectral_decompose` is asked for it.  `normalize_max_eig` and
-`rescale_max_eig` read their result's checks off the input's spectrum
-divided by the scale (a scale of at least 1 needs none), a lexicon word loaded at dim CERTIFY_MIN_DIM or above is proved
-PSD and normalized by a pivoted Cholesky of its low-rank matrix, and a word
-being built is validated against the spectrum of its r×r Gram matrix (the
-`spectrum` argument of `Dmat`), so a rescaled matrix or a built or loaded
-word whose eigenvalues are never read never pays for a d×d solve.  Threads
-sharing a `Dmat` may race to fill a cache; the race is benign, because every
-writer stores the same deterministic result.
+time `spectral_decompose` is asked for it.  A matrix built to be decomposed
+(a composition, a logical negation, a worldly context) is validated by one
+`eigh` (`_decomposed`), which its decomposition reuses.  `normalize_max_eig`
+and `rescale_max_eig` read their result's checks off the input's spectrum
+divided by the scale (a scale of at least 1 needs none), and hand the result
+that spectrum, with the input's kept `eigh` and decomposition divided by the
+scale, so a rescaled matrix is never solved again.  A lexicon word loaded at
+dim CERTIFY_MIN_DIM or above is proved PSD and normalized by a pivoted
+Cholesky of its low-rank matrix, and a word being built is validated against
+the spectrum of its r×r Gram matrix (the `spectrum` argument of `Dmat`), so
+a built or loaded word whose eigenvalues are never read never pays for a d×d
+solve.  Threads sharing a `Dmat` may race to fill a cache; the race is
+benign, because every writer stores the same deterministic result.
 """
 
 from __future__ import annotations
@@ -66,15 +70,18 @@ class Dmat:
 
     The read-only ascending `eigenvalues` are `eigvalsh(matrix)`, computed on
     first read and kept.  `Dmat(...)` solves for them to validate, so it keeps
-    them from the start; a matrix made by `normalize_max_eig` or
-    `rescale_max_eig`, or a lexicon word that `load_lexicon` proved by its
-    Cholesky certificate, solves only if they are read.  A caller that knows
+    them from the start; a lexicon word that `load_lexicon` proved by its
+    Cholesky certificate solves only if they are read.  `_decomposed` keeps
+    `eigh`'s instead, with its eigenvectors, and a matrix made by
+    `normalize_max_eig` or `rescale_max_eig` keeps its input's divided by
+    the scale, within roundoff of `eigvalsh`'s.  A caller that knows
     the spectrum more cheaply passes `spectrum`, a function from the array to
     its ascending eigenvalues (default `np.linalg.eigvalsh`); validation
     checks and keeps what it returns, so it must be proved within roundoff of
     the array's own (as `build_density_matrix` proves a word's from its r×r
     Gram matrix).  The spectral decomposition is filled lazily by the first
-    `spectral_decompose` call and reused by every later one.  Concurrent
+    `spectral_decompose` call, from the kept `eigh` where there is one, and
+    reused by every later one.  Concurrent
     first reads may each compute either cache, and whichever identical
     result lands last is kept.
 
@@ -95,6 +102,8 @@ class Dmat:
     _eigenvalues: np.ndarray | None = field(init=False, default=None)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
+    # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`)
+    _solved: tuple | None = field(init=False, default=None)
     # (pure states, terms) of the last rank-1 route scored in this matrix's eigenbasis
     _rank_one_memo: tuple | None = field(init=False, default=None)
 
@@ -167,26 +176,58 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     becomes at most 1.  A smaller s can overflow and widens both, so the
     scaled array is checked again, its PSD and normalized checks reading M's
     spectrum divided by s.  The result is built without `__init__`, whose
-    validation would solve again; its own `eigenvalues` are computed on
-    first read, bit for bit what validation would have kept.
+    validation would solve again.  It keeps M's eigenvalues divided by s, and
+    so its kept `eigh` and its decomposition where M has them, sharing M's
+    read-only eigenvectors: nothing is solved for it again.
     """
     m = M.matrix / s
+    eigenvalues = M.eigenvalues / s
     if s < 1.0:
-        _validate(m, True, lambda _: M.eigenvalues / s)
-    return _unsolved(m)
+        _validate(m, True, lambda _: eigenvalues)
+    spectral, solved = M._spectral, M._solved
+    return _checked(
+        m,
+        _eigenvalues=_read_only(eigenvalues),
+        _spectral=None if spectral is None else SpectralDecomposition(
+            _read_only(spectral.eigenvalues / s), spectral.eigenvectors
+        ),
+        _solved=None if solved is None else (_read_only(solved[0] / s), solved[1]),
+    )
 
 
-def _unsolved(m: np.ndarray) -> Dmat:
+def _checked(m: np.ndarray, **kept) -> Dmat:
     """A `Dmat` flagged normalized around the already checked `m`, without `__init__`.
 
-    Its caches start empty, so `eigenvalues` is `eigvalsh(matrix)` computed
-    on first read.  `m` is made read-only.
+    Its caches are the read-only arrays in `kept`, by field name; the rest
+    start empty, so `eigenvalues` is `eigvalsh(matrix)` computed on first
+    read unless kept.  `m` is made read-only.
     """
     m.setflags(write=False)
     out = object.__new__(Dmat)
-    values = {"matrix": m, "normalized": True}
+    values = {"matrix": m, "normalized": True, **kept}
     for f in fields(Dmat):
         object.__setattr__(out, f.name, values.get(f.name, f.default))
+    return out
+
+
+def _decomposed(matrix) -> Dmat:
+    """`Dmat(matrix)` validated by one `np.linalg.eigh`, whose (w, V) it keeps for `spectral_decompose`.
+
+    For a matrix built to be decomposed later (a composition, a logical
+    negation, a worldly context), so that it is solved once.  `_validate`
+    checks finiteness and symmetry before the solve, as for any `Dmat`, then
+    checks and keeps eigh's eigenvalues.  The decomposition is still built
+    on the first `spectral_decompose` call only: `verify` never decomposes
+    most of its compositions.
+    """
+    solved = []
+
+    def spectrum(m):
+        solved.extend(np.linalg.eigh(m))
+        return solved[0]
+
+    out = Dmat(matrix, spectrum=spectrum)
+    object.__setattr__(out, "_solved", (solved[0], _read_only(solved[1])))
     return out
 
 
@@ -265,7 +306,7 @@ def _certified_normalized(matrix) -> Dmat:
     rho = eps * ((d * d + 5) * n + (2 * d + 7 * r) * t)
     band = 4 * d * eps * float(np.linalg.norm(m))
     if n + rho <= PSD_TOL - band and mu + n + rho <= 1.0 + PSD_TOL - band:
-        return _unsolved(m)
+        return _checked(m)
     return Dmat(m, normalized=True)
 
 
@@ -295,7 +336,8 @@ class SpectralDecomposition:
     `eigenspaces` or `apply`.
 
     Instances come from `spectral_decompose`, which caches one per `Dmat`
-    and shares it with every caller, so both arrays are read-only, as are
+    and shares it with every caller, or from rescaling one (`_scaled`), which
+    shares its eigenvectors, so both arrays are read-only, as are
     the support factor and whitened support, each computed on first read.
     """
 
@@ -410,11 +452,12 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     and the same read-only object is returned on every later call.  An
     eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
     computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
-    stacked solve, passes it as `solved` to be used in place of that solve.
+    stacked solve, passes it as `solved` to be used in place of that solve;
+    otherwise the one `_decomposed` kept, if any, is used.
     """
     decomp = M._spectral
     if decomp is None:
-        decomp = _decompose(M.matrix, solved)
+        decomp = _decompose(M.matrix, M._solved if solved is None else solved)
         object.__setattr__(M, "_spectral", decomp)
     return decomp
 

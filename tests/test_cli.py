@@ -78,7 +78,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "cc023555c6d29cc5de54a1a77c17517058af8468faedd2f59e9c5ecf4d6042b0"
+VERIFY_STDOUT_SHA256 = "ff839f6bf7b872eda48b467623323aaed860fbbe7f563e9378833067b68e435b"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

@@ -3,6 +3,7 @@ import logging
 import struct
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from convneg.lexicon import (
     load_vectors,
     save_lexicon,
 )
-from convneg.spectral import Dmat, normalize_max_eig
+from convneg.spectral import Dmat, _roundoff_cut, normalize_max_eig
 
 from conftest import identity
 
@@ -309,7 +310,7 @@ class TestDim64Load:
         table, hyponyms = tree_table(tmp_path, rng)
         lexicon = build_lexicon(table, hyponyms)
         for word, m in lexicon.matrices.items():
-            assert_scaled_reference(m, old_build_density_matrix(word, hyponyms.get(word, ()), table))
+            assert_scaled_reference(m, word, hyponyms.get(word, ()), table)
         save_lexicon(lexicon, tmp_path / "new.bin")
         old_save_lexicon(lexicon, tmp_path / "old.bin")
         assert sha256((tmp_path / "new.bin").read_bytes()) == sha256((tmp_path / "old.bin").read_bytes())
@@ -348,13 +349,23 @@ class TestDim64Load:
 SCALE_ULPS = 16
 
 
-def assert_scaled_reference(m, old):
-    """m equals the d×d-route matrix `old` up to one scale within SCALE_ULPS."""
+def assert_scaled_reference(m, word, hyponyms, table):
+    """The built word m equals the d×d-route matrix up to one scale within SCALE_ULPS.
+
+    m keeps the spectrum its unscaled sum was validated with, divided by the
+    scale max(1, top) bit for bit, which lies within `_roundoff_cut` of
+    `eigvalsh` of m itself.
+    """
+    old = old_build_density_matrix(word, hyponyms, table)
     nonzero = old.matrix != 0
     assert np.array_equal(m.matrix != 0, nonzero)
     ratio = m.matrix[nonzero] / old.matrix[nonzero]
     assert np.max(np.abs(ratio - 1.0)) <= SCALE_ULPS * np.finfo(float).eps
-    assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.matrix).tobytes()
+    with mock.patch("convneg.lexicon.normalize_max_eig", lambda unscaled: unscaled):
+        unscaled = build_density_matrix(word, hyponyms, table)
+    assert m.eigenvalues.tobytes() == (unscaled.eigenvalues / max(1.0, unscaled.max_eigenvalue())).tobytes()
+    np.testing.assert_allclose(m.eigenvalues, np.linalg.eigvalsh(m.matrix), rtol=0,
+                               atol=_roundoff_cut(m.max_eigenvalue(), m.dim))
 
 
 class TestGramRoute:
@@ -363,7 +374,7 @@ class TestGramRoute:
     def build(self, word, hyponyms, table):
         routes = Counter()
         m = build_density_matrix(word, hyponyms, table, routes=routes)
-        assert_scaled_reference(m, old_build_density_matrix(word, hyponyms, table))
+        assert_scaled_reference(m, word, hyponyms, table)
         return m, routes
 
     def test_full_rank_word_falls_back_to_eigvalsh(self):

@@ -28,7 +28,7 @@ from convneg.pipeline import (
 from convneg.experiment import load_dataset
 from convneg.lexicon import Lexicon, build_lexicon, load_vectors
 from convneg.sampling import random_normalized, random_orthogonal, random_psd
-from convneg.spectral import Dmat, rescale_max_eig
+from convneg.spectral import Dmat, rescale_max_eig, spectral_decompose
 
 from conftest import from_diagonal
 
@@ -110,6 +110,37 @@ class TestConversationalNegate:
         out = conversational_negate("apple", cfg, lexicon, provider)
         assert out.normalized
         assert out.max_eigenvalue() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("negation", list(NegationKind))
+    def test_output_solved_once_through_all_six_columns(self, rng, negation, monkeypatch):
+        # validation, rescaling and every measure share one d x d solve of the output
+        dim = 8
+        word = random_normalized(rng, dim, rank=3)
+        context = random_normalized(rng, dim, rank=5)
+        alternatives = [random_normalized(rng, dim, rank=r) for r in (1, 1, 2, 1)]
+        for m in (context, *alternatives):
+            m.eigenvalues, spectral_decompose(m).support_factor, spectral_decompose(m).whitened_support
+        solves = []
+
+        def counting(real):
+            def solve(a, *args, **kwargs):
+                if np.ndim(a) == 2 and len(a) == dim:
+                    solves.append(a)
+                return real(a, *args, **kwargs)
+
+            return solve
+
+        for cfg in (NegationConfig(negation, kind, basis) for kind in CompositionKind for basis in Basis):
+            negated = logical_negation(word, cfg)
+            spectral_decompose(negated).support_factor, spectral_decompose(negated).whitened_support
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+            solves.clear()
+            out = conversational_negate("w", cfg, {}, lambda w: context, lambda w: negated)
+            for measure, direction in (("k_hyp", 1), ("k_hyp", 2), ("k_E", 1), ("k_E", 2), ("k_BA", 1), ("trace", 1)):
+                plausibility(out, alternatives, measure, direction)
+            monkeypatch.undo()
+            assert len(solves) == 1, cfg
 
 
 class TestNegationConfig:

@@ -21,6 +21,8 @@ from convneg.spectral import (
     PSD_TOL,
     Dmat,
     _certified_normalized,
+    _decomposed,
+    _roundoff_cut,
     _scaled,
     loewner_leq,
     normalize_max_eig,
@@ -193,6 +195,42 @@ class TestDecompositionCache:
             assert spectral_decompose(m).rank() == 2
 
 
+class TestDecomposed:
+    """`_decomposed` validates with one eigh and keeps it for spectral_decompose."""
+
+    def test_one_eigh_serves_validation_and_decomposition(self, rng, monkeypatch):
+        matrix = random_psd(rng, 7, rank=5).matrix
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append("eigvalsh"))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
+        m = _decomposed(matrix)
+        decomp = spectral_decompose(m)
+        assert calls == ["eigh"]
+        w, v = real_eigh(matrix)
+        assert m.eigenvalues.tobytes() == w.tobytes()
+        np.testing.assert_array_equal(decomp.eigenvalues, np.maximum(w[::-1], 0.0))
+        np.testing.assert_array_equal(decomp.eigenvectors, v[:, ::-1])
+        for array in (m.eigenvalues, *m._solved, decomp.eigenvectors):
+            assert not array.flags.writeable
+
+    def test_diagonal_keeps_the_standard_basis(self):
+        m = _decomposed(np.diag([0.25, 1.0, 0.25]))
+        np.testing.assert_array_equal(spectral_decompose(m).eigenvectors, np.eye(3)[:, [1, 0, 2]])
+
+    def test_nan_raises_not_psd(self):
+        with pytest.raises(NotPSDError, match="non-finite"):
+            _decomposed(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_asymmetry_raises_before_the_solve(self):
+        with pytest.raises(NonSymmetricError):
+            _decomposed(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_negative_eigenvalue_raises_not_psd(self):
+        with pytest.raises(NotPSDError):
+            _decomposed(np.diag([1.0, -0.1]))
+
+
 class TestNormalize:
     def test_scales_down(self):
         out = normalize_max_eig(from_diagonal([2.0, 0.0]))
@@ -262,13 +300,39 @@ class TestRescaleWithoutSolve:
             assert checks == ([] if m.max_eigenvalue() >= 1.0 else ["validate"])
 
     def test_lazy_eigenvalues_match_eager_validation_bitwise(self, rng):
+        # the result keeps the input's eigenvalues divided by the scale, bit for bit,
+        # which lie within roundoff of a fresh eigvalsh of the scaled matrix
         for dim in (1, 2, 7, 30):
             for scale in (0.3, 1.0, 4.0):
                 m = Dmat(random_psd(rng, dim, repeat_prob=0.3).matrix * scale)
-                for out in (normalize_max_eig(m), rescale_max_eig(m)):
-                    np.testing.assert_array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+                top = m.max_eigenvalue()
+                for out, s in ((normalize_max_eig(m), max(1.0, top)), (rescale_max_eig(m), top)):
+                    assert out.eigenvalues.tobytes() == (m.eigenvalues / s).tobytes()
+                    np.testing.assert_allclose(out.eigenvalues, np.linalg.eigvalsh(out.matrix), rtol=0,
+                                               atol=_roundoff_cut(out.max_eigenvalue(), dim))
                     assert out.eigenvalues is out.eigenvalues
                     assert not out.eigenvalues.flags.writeable
+
+    def test_carries_the_kept_solve_and_decomposition(self, rng, monkeypatch):
+        # no solve for the result: its eigenvalues, kept eigh and decomposition are M's divided by s
+        m = _decomposed(random_psd(rng, 6).matrix * 3.0)
+        decomposed = _decomposed(random_psd(rng, 6).matrix * 0.5)
+        spectral_decompose(decomposed)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(args))
+        for M in (m, decomposed):
+            s = M.max_eigenvalue()
+            out = rescale_max_eig(M)
+            assert out.eigenvalues.tobytes() == (M.eigenvalues / s).tobytes()
+            w, v = M._solved
+            assert out._solved[0].tobytes() == (w / s).tobytes() and out._solved[1] is v
+            decomp = spectral_decompose(out)
+            assert decomp.eigenvalues.tobytes() == (spectral_decompose(M).eigenvalues / s).tobytes()
+            assert not decomp.eigenvalues.flags.writeable and not out._solved[0].flags.writeable
+            np.testing.assert_array_equal(decomp.eigenvectors, spectral_decompose(M).eigenvectors)
+        assert out._spectral.eigenvectors is decomposed._spectral.eigenvectors
+        assert calls == []
 
     def test_result_is_a_fresh_read_only_dmat(self, rng):
         m = random_psd(rng, 5)
