@@ -35,11 +35,7 @@ def neg_sub(X: Dmat) -> Dmat:
 
 def neg_supp(X: Dmat) -> Dmat:
     """Moore-Penrose inverse: invert eigenvalues on the support, zero the kernel."""
-    decomp = spectral_decompose(X)
-    cut = decomp.support_cut()
-    if decomp.rank() == 0:
-        raise ZeroMatrixError("support inverse of a rank-0 matrix")
-    return _decomposed(decomp.apply(lambda lam: np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cut)))
+    return neg_inv(X, 1.0)
 
 
 def _kernel_projector(X: Dmat) -> np.ndarray:
@@ -66,7 +62,9 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
     """Convex mixture of support inverse and kernel projector.
 
     Equal weighting is the default; `support_weight` in [0, 1] tilts toward
-    the support inverse (1 recovers neg_supp, 0 recovers neg_ker).  An empty
+    the support inverse (1 is neg_supp, 0 recovers neg_ker).  Any other
+    weight w is one spectral function of X: w/lambda on the support, 1 - w
+    on the kernel.  An input of rank 0 raises ZeroMatrixError.  An empty
     kernel contributes zero without a warning, and the process-wide warning
     filters are left alone, so concurrent callers are safe.
     """
@@ -74,9 +72,11 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
         raise WeightOutOfRangeError(f"support_weight {support_weight} not in [0, 1]")
     if support_weight == 0.0:
         return neg_ker(X)
-    supp = neg_supp(X)
-    if support_weight == 1.0:
-        return supp
-    ker = _kernel_projector(X)
-    mixed = support_weight * supp.matrix + (1.0 - support_weight) * ker
+    decomp = spectral_decompose(X)
+    if decomp.rank() == 0:
+        raise ZeroMatrixError("support inverse of a rank-0 matrix")
+    cut = decomp.support_cut()
+    mixed = decomp.apply(
+        lambda lam: np.divide(support_weight, lam, out=np.full_like(lam, 1.0 - support_weight), where=lam > cut)
+    )
     return _decomposed(mixed)

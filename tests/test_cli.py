@@ -78,7 +78,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "ff839f6bf7b872eda48b467623323aaed860fbbe7f563e9378833067b68e435b"
+VERIFY_STDOUT_SHA256 = "6d85b7595568099729a875b3e1083e8b48ccfeae9d3f7c379e55eb16f2408ae3"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
