@@ -3,9 +3,7 @@
 Two sources: an ordered hypernym hierarchy (weighted mixture of hypernym
 matrices, weights decreasing with distance) and a graded-entailment graph
 (weighted mixture over graph neighbors).  Both outputs are rescaled so the
-largest eigenvalue is exactly 1, each mixture solved once, by the `eigh`
-that validates it (`spectral._decomposed`) and that rescaling and its
-decomposition reuse.
+largest eigenvalue is exactly 1.
 """
 
 from __future__ import annotations

@@ -4,9 +4,7 @@ Three unary maps, all acting through the spectral decomposition and hence
 preserving eigenvectors: subtraction from the identity, the Moore-Penrose
 support inverse, and the kernel projector, plus the convex mixture of the
 latter two.  Outputs are deliberately left unnormalized; the conversational
-pipeline normalizes once, after composition.  Each output is validated by
-one `eigh` (`spectral._decomposed`), which its decomposition, needed when
-it is a composition's structural operand, reuses.
+pipeline normalizes once, after composition.
 """
 
 from __future__ import annotations
