@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_build_lexicon(args) -> int:
     vectors = load_vectors(args.vectors)
     hierarchy = load_hierarchy(args.hierarchy)
-    lexicon = build_lexicon(vectors, hierarchy.hyponym_sets(), source_path=args.vectors)
+    lexicon = build_lexicon(vectors, hierarchy.hyponym_sets())
     save_lexicon(lexicon, args.out)
     print(f"wrote {len(lexicon)} matrices of dim {lexicon.dim} to {args.out}")
     return 0

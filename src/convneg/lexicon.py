@@ -4,12 +4,14 @@ A word's density matrix is the mixture of outer products of the unit-length
 vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
 A word of r < d such vectors has rank r, so its spectrum is read off the r×r
 Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
-of a d×d eigensolve.  The on-disk lexicon format is binary for exactness.
+of a d×d eigensolve.  The on-disk lexicon (format DMLX2) stores each word's
+unit vectors, not its d×d matrix, and `load_lexicon` rebuilds the word from
+them by the same construction (`_mixture`), so a reloaded word is bitwise
+the built one and needs no proof beyond the one its build makes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import struct
 from collections import Counter
@@ -26,9 +28,9 @@ from .errors import (
     UnknownWordError,
     ZeroMatrixError,
 )
-from .spectral import PSD_TOL, Dmat, _certified_normalized, normalize_max_eig
+from .spectral import EPS, PSD_TOL, Dmat, normalize_max_eig
 
-MAGIC = b"DMLX1"
+MAGIC = b"DMLX2"
 
 logger = logging.getLogger(__name__)
 
@@ -91,22 +93,20 @@ def load_vectors(path) -> VectorTable:
 
 
 def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTable, *,
-                         routes: Counter | None = None) -> Dmat:
+                         routes: Counter | None = None, rows: dict[str, np.ndarray] | None = None) -> Dmat:
     """Mixture of unit outer products over the word and its known hyponyms.
 
     Hyponyms missing from the vector table, or with a zero vector, are
     skipped; a word with no usable hyponyms yields a pure rank-1 state.  The
-    sum is divided by its largest eigenvalue where that exceeds 1
-    (`normalize_max_eig`).  Its spectrum comes from the r×r Gram matrix of
-    the r unit vectors where `_gram_spectrum` proves it, and from a d×d
-    `eigvalsh` otherwise.  `routes`, if given, counts the word under "gram"
-    or "eigvalsh".
+    unit vectors, the word's own first and then its hyponyms' in sorted
+    order, are summed by `_mixture`.  `routes`, if given, counts the word
+    under "gram" or "eigvalsh"; `rows`, if given, maps the word to its
+    read-only (r, d) array of unit vectors, which is what `save_lexicon`
+    stores.
     """
     if word not in vectors:
         raise UnknownWordError(f"no vector for {word!r}")
     members = [word] + sorted(h for h in set(hyponyms) if h != word and h in vectors)
-    dim = vectors.dim
-    out = np.zeros((dim, dim))
     units = []
     for member in members:
         v = vectors[member]
@@ -115,10 +115,29 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
             if member == word:
                 raise ZeroMatrixError(f"zero vector for {word!r}")
             continue
-        unit = v / norm
+        units.append(v / norm)
+    f = np.array(units)
+    f.setflags(write=False)
+    if rows is not None:
+        rows[word] = f
+    return _mixture(f, routes)
+
+
+def _mixture(f: np.ndarray, routes: Counter | None = None) -> Dmat:
+    """Σ fᵢfᵢᵀ over the r unit rows of f (r×d), divided by its largest eigenvalue where that exceeds 1.
+
+    The one construction behind a built and a loaded word.  The sum is
+    formed row by row in f's order (`out += np.outer(u, u)`, entrywise
+    arithmetic, so it rounds the same on every call) and validated against
+    the spectrum of its r×r Gram matrix where `_gram_spectrum` proves it,
+    and a d×d `eigvalsh` otherwise; `normalize_max_eig` reuses that
+    spectrum.  `routes`, if given, counts the route taken.
+    """
+    dim = f.shape[1]
+    out = np.zeros((dim, dim))
+    for unit in f:
         out += np.outer(unit, unit)
-        units.append(unit)
-    spectrum = _gram_spectrum(np.array(units))
+    spectrum = _gram_spectrum(f)
     if routes is not None:
         routes["eigvalsh" if spectrum is None else "gram"] += 1
     # each outer product is exactly symmetric, and so is their sum in one order
@@ -139,12 +158,16 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
       γ_r·(|F|ᵀ|F|), whose Frobenius norm is at most 0.51·r·eps·‖F‖_F²;
     - the computed F·Fᵀ: each entry a dot product of length d, off by at
       most 0.51·d·eps·‖F‖_F² in Frobenius norm;
-    - `eigvalsh` of that r×r matrix G: off by at most 4·r·eps·‖G‖_F (the
-      assumption `_certified_normalized` makes), with ‖G‖_F <= 1.01·‖F‖_F²;
-    and a row v/‖v‖ rounded has squared norm below 1 + (d + 4)·eps, so
-    ‖F‖_F² <= 1.01·r.  The sum, below 0.6·eps·r·(d + 9r), is under ρ,
-    which leaves room for the rounding of the division by the scale and of
-    the comparisons.  Since FᵀF is PSD, `out` has no eigenvalue below −ρ.
+    - `eigvalsh` of that r×r matrix G: off by at most 4·r·eps·‖G‖_F, with
+      ‖G‖_F <= 1.01·‖F‖_F².  This assumes `eigvalsh` of a k×k matrix A
+      is backward stable with constant 4·k: its eigenvalues are the exact
+      ones of some symmetric A + E with ‖E‖₂ <= 4·k·eps·‖A‖_F, so Weyl's
+      inequality moves none of them by more than that;
+    and a row v/‖v‖ rounded has squared norm below 1 + (d + 4)·eps (as
+    `load_lexicon` checks of every stored row), so ‖F‖_F² <= 1.01·r.  The
+    sum, below 0.6·eps·r·(d + 9r), is under ρ, which leaves room for the
+    rounding of the division by the scale and of the comparisons.  Since
+    FᵀF is PSD, `out` has no eigenvalue below −ρ.
 
     The Gram route is taken for r < d when ρ <= PSD_TOL / 10.  The d×d
     `eigvalsh` it replaces errs by up to 4·d·eps·‖out‖_F <= 3.7·ρ itself,
@@ -154,17 +177,22 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     max(1, top) may differ from the d×d route's by a few ulps.
     """
     r, d = f.shape
-    if r >= d or 1.1 * np.finfo(float).eps * r * (d + 5 * r) > PSD_TOL / 10:
+    if r >= d or 1.1 * EPS * r * (d + 5 * r) > PSD_TOL / 10:
         return None
     return lambda _: np.sort(np.append(np.linalg.eigvalsh(f @ f.T), np.zeros(d - r)))
 
 
 @dataclass
 class Lexicon:
-    """Normalized density matrices per word, with construction provenance."""
+    """Normalized density matrices per word, and the unit rows of each built or loaded word.
+
+    `rows` maps a word to the read-only (r, d) unit vectors its matrix was
+    summed from (`build_density_matrix`); only words that have them can be
+    saved.
+    """
 
     matrices: dict[str, Dmat]
-    provenance: dict[str, str] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         dims = {m.dim for m in self.matrices.values()}
@@ -205,17 +233,8 @@ def lookup_word(lexicon, word: str) -> Dmat:
         raise UnknownWordError(f"no density matrix for {word!r}") from None
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def build_lexicon(vectors: VectorTable, hyponym_sets: Mapping[str, set[str]] | None = None,
-                  source_path=None) -> Lexicon:
-    """Density matrices for every word in the vector table.
+def build_lexicon(vectors: VectorTable, hyponym_sets: Mapping[str, set[str]] | None = None) -> Lexicon:
+    """Density matrices for every word in the vector table, with their unit rows.
 
     `hyponym_sets` typically comes from HypernymHierarchy.hyponym_sets();
     words absent from it get pure states.  One DEBUG line on this module's
@@ -224,83 +243,103 @@ def build_lexicon(vectors: VectorTable, hyponym_sets: Mapping[str, set[str]] | N
     """
     hyponym_sets = hyponym_sets or {}
     routes = Counter()
+    rows: dict[str, np.ndarray] = {}
     matrices = {
-        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors, routes=routes)
+        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors, routes=routes, rows=rows)
         for word in sorted(vectors)
     }
     logger.debug("built %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
                  len(matrices), vectors.dim, routes["gram"], routes["eigvalsh"])
-    provenance = {
-        "recipe": "unit-outer-product mixture of word and hyponym vectors, max-eig normalized",
-        "dim": str(vectors.dim),
-    }
-    if source_path is not None:
-        provenance["vector_file_sha256"] = _file_sha256(source_path)
-    return Lexicon(matrices=matrices, provenance=provenance)
+    return Lexicon(matrices=matrices, rows=rows)
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write the binary format: magic, u32 count, u32 dim, then per-word records.
+    """Write format DMLX2: magic, u32 count, u32 dim, then one record per word, sorted.
 
-    Each record is a u16 UTF-8 byte length, the word bytes, and dim*dim
-    little-endian float64 entries in row-major order.
+    A record is a u16 UTF-8 byte length, the word bytes, a u32 row count r,
+    and the word's r unit rows (`Lexicon.rows`) as r·dim little-endian
+    float64 values, row-major.  A word without rows raises ValueError before
+    anything is written.
     """
     if not lexicon.matrices:
         raise ValueError("refusing to save an empty lexicon")
-    dim = lexicon.dim
+    records = []
+    for word in sorted(lexicon.matrices):
+        encoded = word.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"word too long to encode: {word[:32]!r}...")
+        if word not in lexicon.rows:
+            raise ValueError(f"no unit rows for {word!r}: only built or loaded words can be saved")
+        f = lexicon.rows[word]
+        records += [struct.pack("<H", len(encoded)), encoded, struct.pack("<I", len(f)),
+                    np.ascontiguousarray(f, dtype="<f8").tobytes()]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", len(lexicon.matrices), dim))
-        for word in sorted(lexicon.matrices):
-            encoded = word.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"word too long to encode: {word[:32]!r}...")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(np.ascontiguousarray(lexicon.matrices[word].matrix, dtype="<f8"))
+        fh.write(MAGIC + struct.pack("<II", len(lexicon.matrices), lexicon.dim))
+        fh.writelines(records)
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read the binary format back, re-validating every matrix invariant.
+    """Read format DMLX2 back, rebuilding each word from its rows as `build_density_matrix` does.
 
-    A matrix gets the checks of `Dmat(matrix, normalized=True)`, with the same
-    errors (wrapped in CorruptLexiconError).  At dim CERTIFY_MIN_DIM or above,
-    a word of rank at most dim // 4 is proved PSD and normalized by a pivoted
-    Cholesky certificate instead of a d×d eigensolve, and its eigenvalues are
-    solved only if read; any other word is solved as before.  One DEBUG line
-    on this module's logger counts the words of each kind.
+    Each word goes through `_mixture`, so its matrix, kept eigenvalues and
+    scale are bitwise those of the built word.  Every failure raises
+    CorruptLexiconError, naming the record at fault if any: another format
+    (a file of an earlier format is to be rebuilt with `build-lexicon`), no
+    words or dim 0, truncation or trailing bytes, a word that is not valid
+    UTF-8 or repeats one before it, no rows, a non-finite value, or a row
+    whose computed squared norm is off 1 by more than (1.5·d + 5)·eps: the
+    (d + 4)·eps `_gram_spectrum` assumes of a rounded unit row, plus the
+    rounding of the computed norm.  One DEBUG line on this module's logger
+    counts the words of each route.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
+    magic = blob[: len(MAGIC)]
+    if magic != MAGIC:
+        if magic[:4] == MAGIC[:4]:
+            raise CorruptLexiconError(f"format {magic.decode('ascii', 'replace')} is not "
+                                      f"{MAGIC.decode()}: rebuild the lexicon with `build-lexicon`")
         raise CorruptLexiconError("bad magic bytes")
+    if len(blob) < len(MAGIC) + 8:
+        raise CorruptLexiconError("truncated header")
     count, dim = struct.unpack_from("<II", blob, len(MAGIC))
+    if count == 0 or dim == 0:
+        raise CorruptLexiconError(f"empty lexicon: {count} words of dim {dim}")
     offset = len(MAGIC) + 8
-    matrix_bytes = dim * dim * 8
+    tol = (1.5 * dim + 5) * EPS
+    routes = Counter()
     matrices: dict[str, Dmat] = {}
+    rows: dict[str, np.ndarray] = {}
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise CorruptLexiconError(f"record {index}: truncated")
+        offset += n
+        return blob[offset - n : offset]
+
     for index in range(count):
-        if offset + 2 > len(blob):
-            raise CorruptLexiconError("truncated word header")
-        (word_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if offset + word_len + matrix_bytes > len(blob):
-            raise CorruptLexiconError("truncated record")
+        (word_len,) = struct.unpack("<H", take(2))
         try:
-            word = blob[offset : offset + word_len].decode("utf-8")
+            word = take(word_len).decode("utf-8")
         except UnicodeDecodeError:
             raise CorruptLexiconError(f"record {index}: word bytes are not valid UTF-8") from None
         if word in matrices:
             raise CorruptLexiconError(f"record {index}: duplicate record for {word!r}")
-        offset += word_len
-        flat = np.frombuffer(blob, dtype="<f8", count=dim * dim, offset=offset)
-        offset += matrix_bytes
-        try:
-            matrices[word] = _certified_normalized(flat.reshape(dim, dim))
-        except Exception as exc:
-            raise CorruptLexiconError(f"invalid matrix for {word!r}: {exc}") from exc
+        (r,) = struct.unpack("<I", take(4))
+        if r == 0:
+            raise CorruptLexiconError(f"record {index}: {word!r} has no rows")
+        f = np.frombuffer(take(r * dim * 8), dtype="<f8").reshape(r, dim)  # a read-only view of the bytes
+        if not np.isfinite(f).all():
+            raise CorruptLexiconError(f"record {index}: {word!r} has non-finite values")
+        off = np.abs(np.einsum("ij,ij->i", f, f) - 1.0)
+        if off.max() > tol:
+            raise CorruptLexiconError(f"record {index}: row {int(off.argmax())} of {word!r} has "
+                                      f"squared norm off 1 by {off.max():.3e}, beyond {tol:.3e}")
+        rows[word] = f
+        matrices[word] = _mixture(f, routes)
     if offset != len(blob):
         raise CorruptLexiconError(f"{len(blob) - offset} trailing bytes")
-    certified = sum(m._eigenvalues is None for m in matrices.values())
-    logger.debug("loaded %d words at dim %d: %d certified by Cholesky, %d solved by eigvalsh",
-                 count, dim, certified, count - certified)
-    return Lexicon(matrices=matrices, provenance={"loaded_from": str(path)})
+    logger.debug("loaded %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
+                 count, dim, routes["gram"], routes["eigvalsh"])
+    return Lexicon(matrices=matrices, rows=rows)

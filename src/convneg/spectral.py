@@ -6,21 +6,20 @@ exceeds 1; `rescale_max_eig` additionally scales upward so the largest
 eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
-read-only on the instance: the eigenvalues on first read (or from validation,
-which solves for them anyway), and the full `SpectralDecomposition` the first
-time `spectral_decompose` is asked for it.  A matrix built to be decomposed
+read-only on the instance: the eigenvalues from validation, which solves for
+them anyway, and the full `SpectralDecomposition` the first time
+`spectral_decompose` is asked for it.  A matrix built to be decomposed
 (a composition, a logical negation, a worldly context) is validated by one
 `eigh` (`_decomposed`), which its decomposition reuses.  `normalize_max_eig`
 and `rescale_max_eig` read their result's checks off the input's spectrum
 divided by the scale (a scale of at least 1 needs none), and hand the result
 that spectrum, with the input's kept `eigh` and decomposition divided by the
-scale, so a rescaled matrix is never solved again.  A lexicon word loaded at
-dim CERTIFY_MIN_DIM or above is proved PSD and normalized by a pivoted
-Cholesky of its low-rank matrix, and a word being built is validated against
-the spectrum of its r×r Gram matrix (the `spectrum` argument of `Dmat`), so
-a built or loaded word whose eigenvalues are never read never pays for a d×d
-solve.  Threads sharing a `Dmat` may race to fill a cache; the race is
-benign, because every writer stores the same deterministic result.
+scale, so a rescaled matrix is never solved again.  A lexicon word, built or
+loaded, is validated against the spectrum of its r×r Gram matrix (the
+`spectrum` argument of `Dmat`), so it never pays for a d×d solve unless it
+is decomposed.  Threads sharing a `Dmat` may race to fill its decomposition;
+the race is benign, because every writer stores the same deterministic
+result.
 """
 
 from __future__ import annotations
@@ -50,15 +49,6 @@ EPS = np.finfo(float).eps
 # eigenspace when grouping projectors.
 EIGENVALUE_GROUP_TOL = 1e-8
 
-# From this dim up, a loaded lexicon word is proved by a pivoted Cholesky
-# certificate (`_certified_normalized`) rather than a d×d eigvalsh.  Measured
-# with 1 BLAS thread on a 2-vCPU Xeon: for a rank-1 word the two cost about
-# the same at dims 24-32 (36 vs 34 µs, 58 vs 63 µs) and 61 vs 129 µs at dim 50;
-# a word at the budget of dim // 4 steps costs about twice the eigvalsh up to
-# dim 64, 0.8× at dim 100 and 0.4× at dim 300.
-CERTIFY_MIN_DIM = 32
-
-
 @dataclass(frozen=True, eq=False)
 class Dmat:
     """Real symmetric PSD matrix representing a word or context meaning.
@@ -68,22 +58,19 @@ class Dmat:
     `normalized` must additionally have largest eigenvalue <= 1 + PSD_TOL.
     Instances are immutable; the wrapped array is read-only.
 
-    The read-only ascending `eigenvalues` are `eigvalsh(matrix)`, computed on
-    first read and kept.  `Dmat(...)` solves for them to validate, so it keeps
-    them from the start; a lexicon word that `load_lexicon` proved by its
-    Cholesky certificate solves only if they are read.  `_decomposed` keeps
-    `eigh`'s instead, with its eigenvectors, and a matrix made by
-    `normalize_max_eig` or `rescale_max_eig` keeps its input's divided by
-    the scale, within roundoff of `eigvalsh`'s.  A caller that knows
+    The read-only ascending `eigenvalues` are the ones validation checked,
+    kept from construction: `eigvalsh(matrix)` by default, `eigh`'s for a
+    matrix made by `_decomposed` (which keeps its eigenvectors too), and the
+    input's divided by the scale for one made by `normalize_max_eig` or
+    `rescale_max_eig`, within roundoff of `eigvalsh`'s.  A caller that knows
     the spectrum more cheaply passes `spectrum`, a function from the array to
     its ascending eigenvalues (default `np.linalg.eigvalsh`); validation
     checks and keeps what it returns, so it must be proved within roundoff of
-    the array's own (as `build_density_matrix` proves a word's from its r×r
-    Gram matrix).  The spectral decomposition is filled lazily by the first
-    `spectral_decompose` call, from the kept `eigh` where there is one, and
-    reused by every later one.  Concurrent
-    first reads may each compute either cache, and whichever identical
-    result lands last is kept.
+    the array's own (as a lexicon word's is from its r×r Gram matrix).  The
+    spectral decomposition is filled lazily by the first `spectral_decompose`
+    call, from the kept `eigh` where there is one, and reused by every later
+    one.  Concurrent first calls may each compute it, and whichever
+    identical result lands last is kept.
 
     A matrix that pure states were scored against in its eigenbasis (the
     rank-1 route of k_e and k_ba) keeps a one-slot memo of the terms for
@@ -98,8 +85,8 @@ class Dmat:
     normalized: bool = False
     # how validation finds the ascending eigenvalues; None is np.linalg.eigvalsh
     spectrum: InitVar[Callable[[np.ndarray], np.ndarray] | None] = None
-    # filled by validation or the first read of `eigenvalues`
-    _eigenvalues: np.ndarray | None = field(init=False, default=None)
+    # the read-only ascending eigenvalues validation checked
+    eigenvalues: np.ndarray = field(init=False)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
     # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`)
@@ -115,16 +102,7 @@ class Dmat:
         m.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_eigenvalues", eigenvalues)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        eigenvalues = self._eigenvalues
-        if eigenvalues is None:
-            eigenvalues = np.linalg.eigvalsh(self.matrix)
-            eigenvalues.setflags(write=False)
-            object.__setattr__(self, "_eigenvalues", eigenvalues)
-        return eigenvalues
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -178,33 +156,24 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     spectrum divided by s.  The result is built without `__init__`, whose
     validation would solve again.  It keeps M's eigenvalues divided by s, and
     so its kept `eigh` and its decomposition where M has them, sharing M's
-    read-only eigenvectors: nothing is solved for it again.
+    read-only eigenvectors: nothing is solved for it again.  Its rank-1 memo
+    starts empty.
     """
     m = M.matrix / s
     eigenvalues = M.eigenvalues / s
     if s < 1.0:
         _validate(m, True, lambda _: eigenvalues)
     spectral, solved = M._spectral, M._solved
-    return _checked(
-        m,
-        _eigenvalues=_read_only(eigenvalues),
-        _spectral=None if spectral is None else SpectralDecomposition(
+    values = {
+        "matrix": _read_only(m),
+        "normalized": True,
+        "eigenvalues": _read_only(eigenvalues),
+        "_spectral": None if spectral is None else SpectralDecomposition(
             _read_only(spectral.eigenvalues / s), spectral.eigenvectors
         ),
-        _solved=None if solved is None else (_read_only(solved[0] / s), solved[1]),
-    )
-
-
-def _checked(m: np.ndarray, **kept) -> Dmat:
-    """A `Dmat` flagged normalized around the already checked `m`, without `__init__`.
-
-    Its caches are the read-only arrays in `kept`, by field name; the rest
-    start empty, so `eigenvalues` is `eigvalsh(matrix)` computed on first
-    read unless kept.  `m` is made read-only.
-    """
-    m.setflags(write=False)
+        "_solved": None if solved is None else (_read_only(solved[0] / s), solved[1]),
+    }
     out = object.__new__(Dmat)
-    values = {"matrix": m, "normalized": True, **kept}
     for f in fields(Dmat):
         object.__setattr__(out, f.name, values.get(f.name, f.default))
     return out
@@ -229,85 +198,6 @@ def _decomposed(matrix) -> Dmat:
     out = Dmat(matrix, spectrum=spectrum)
     object.__setattr__(out, "_solved", (solved[0], _read_only(solved[1])))
     return out
-
-
-def _certified_normalized(matrix) -> Dmat:
-    """`Dmat(matrix, normalized=True)`, proved by a pivoted Cholesky where it pays.
-
-    A matrix of dim d >= CERTIFY_MIN_DIM that is finite and exactly
-    symmetric (`eigvalsh` reads one triangle, so a matrix asymmetric within
-    SYMMETRY_TOL is left to it) is factored as M ~ L·Lᵀ by a left-looking,
-    diagonally pivoted Cholesky: each step takes the largest remaining
-    diagonal as pivot and stops once none exceeds 4·d·eps times the largest
-    diagonal of M, the roundoff of a matrix that is exactly of rank r.  It
-    gives up after d // 4 steps.  With R = M − L·Lᵀ, Weyl's inequality gives
-    λ_min(M) >= −‖R‖₂ and λ_max(M) <= λ_max(LᵀL) + ‖R‖₂, and ‖R‖₂ <= ‖R‖_F.
-    So M is accepted, with its eigenvalues left to be solved on first read,
-    when
-
-        n + ρ <= PSD_TOL − β   and   μ + n + ρ <= 1 + PSD_TOL − β,
-
-    where n is the computed ‖R‖_F, μ the largest computed eigenvalue of the
-    r×r Gram matrix LᵀL, and β = 4·d·eps·‖M‖_F a band kept for the error
-    of `eigvalsh` on M itself, so that an accepted M is one `eigvalsh`
-    accepts too unless its extreme eigenvalue lies within β of a threshold.
-
-    ρ = eps·((d² + 5)·n + (2d + 7r)·t) bounds the rounding of the
-    certificate, with t the computed ‖L‖_F² (eps is machine epsilon, twice
-    the unit roundoff, and d²·eps <= 0.1 for any d that fits in memory):
-    - L·Lᵀ is a sum of r products per entry, off by at most
-      γ_r·(|L||L|ᵀ) <= 1.1·r·eps·|L||L|ᵀ, whose Frobenius norm is at most
-      ‖L‖_F²; the subtraction adds eps·n;
-    - n is a sum of d² squares and a square root: the exact norm of the
-      computed R is at most (1 + (d² + 2)·eps)·n;
-    - t is a sum of d·r squares: ‖L‖_F² <= 1.1·t;
-    - the computed LᵀL is off by at most 1.1·d·eps·‖L‖_F² in 2-norm, and
-      `eigvalsh` of it by at most 4·r·eps times its Frobenius norm, which is
-      at most 1.1·‖L‖_F² (β makes the same assumption: `eigvalsh` of a k×k
-      matrix A errs by at most 4·k·eps·‖A‖_F).
-    These add up to (d² + 3.1)·eps·n + (1.21·d + 6.05·r)·eps·t; the
-    rounded-up coefficients leave room for the rounding of the two
-    comparisons themselves, a few ulps of their sides.
-
-    Anything else (another shape, dim below CERTIFY_MIN_DIM, NaN, any
-    asymmetry, rank above the budget, a residual beyond the bounds) goes to
-    `Dmat(matrix, normalized=True)`, which raises what it always raises.
-    """
-    m = np.array(matrix, dtype=float)
-    d = m.shape[0] if m.ndim == 2 else 0
-    if m.shape != (d, d) or d < CERTIFY_MIN_DIM or not np.all(np.isfinite(m)) or not (m == m.T).all():
-        return Dmat(m, normalized=True)
-    eps = np.finfo(float).eps
-    budget = d // 4
-    factors = np.empty((budget, d))  # the rows of Lᵀ
-    remaining = np.diagonal(m).copy()
-    cut = 4 * d * eps * max(float(remaining.max()), 0.0)
-    r = 0
-    while True:
-        p = int(np.argmax(remaining))
-        pivot = float(remaining[p])
-        if pivot <= cut:
-            break
-        if r == budget:
-            return Dmat(m, normalized=True)
-        # m is exactly symmetric, so its row p is its column p
-        column = m[p] - factors[:r, p] @ factors[:r]
-        column /= np.sqrt(pivot)
-        factors[r] = column
-        remaining -= column * column
-        remaining[p] = 0.0
-        r += 1
-    lt = factors[:r]
-    residual = lt.T @ lt
-    np.subtract(m, residual, out=residual)
-    n = float(np.linalg.norm(residual))
-    t = float(np.vdot(lt, lt))
-    mu = float(np.linalg.eigvalsh(lt @ lt.T).max(initial=0.0))
-    rho = eps * ((d * d + 5) * n + (2 * d + 7 * r) * t)
-    band = 4 * d * eps * float(np.linalg.norm(m))
-    if n + rho <= PSD_TOL - band and mu + n + rho <= 1.0 + PSD_TOL - band:
-        return _checked(m)
-    return Dmat(m, normalized=True)
 
 
 def _roundoff_cut(scale, dim: int):

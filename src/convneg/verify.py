@@ -40,7 +40,7 @@ from .composition import BasisSlot, CompositionKind, compose, diag_comp, fuzz, m
 from .context import HypernymHierarchy, WeightFunction, WeightKind, hypernym_weights, worldly_context_hierarchy
 from .entailment import k_ba, k_e, k_hyp, k_hyp_oracle, trace_similarity
 from .experiment import pearson
-from .lexicon import Lexicon, VectorTable, build_density_matrix, load_lexicon, save_lexicon
+from .lexicon import VectorTable, build_density_matrix, build_lexicon, load_lexicon, save_lexicon
 from .negation import neg_inv, neg_sub, neg_supp
 from .sampling import (
     random_commuting_pair, random_diagonal_ordered_pair, random_invertible_pair, random_nested_support_pair,
@@ -478,13 +478,15 @@ def suite_lexicon_construction(t, rng, dims, comps):
         rng.shuffle(shuffled)
         again = build_density_matrix(words[0], shuffled, table)
         t.check(bool(np.array_equal(built.matrix, again.matrix)))
-        lexicon = Lexicon({w: build_density_matrix(w, [], table) for w in words})
+        # words[0] is the mixture above, the others pure states
+        lexicon = build_lexicon(table, {words[0]: set(hyponyms)})
         handle, path = tempfile.mkstemp(suffix=".lex")
         os.close(handle)
         try:
             save_lexicon(lexicon, path)
             loaded = load_lexicon(path)
-            t.residual(max(float(np.max(np.abs(loaded[w].matrix - lexicon[w].matrix))) for w in words), 0.0)
+            t.residual(max(float(np.max(np.abs(getattr(loaded[w], a) - getattr(lexicon[w], a))))
+                           for w in words for a in ("matrix", "eigenvalues")), 0.0)
         finally:
             os.unlink(path)
 

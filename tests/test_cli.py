@@ -1,11 +1,11 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from convneg.cli import main
-from convneg.lexicon import Lexicon, load_lexicon, save_lexicon
-from convneg.spectral import Dmat
+from convneg.lexicon import MAGIC, load_lexicon
 
 
 def build(fixture_paths, tmp_path):
@@ -209,12 +209,9 @@ def test_evaluate_rejects_bad_config_at_parse_time(fixture_paths, tmp_path, caps
     assert "Traceback" not in err
 
 
-def test_evaluate_reports_corrupt_lexicon_word(fixture_paths, tmp_path, capsys):
-    lex_path = build(fixture_paths, tmp_path)
+def evaluate_exit(lex_path, fixture_paths, tmp_path, capsys):
+    """`evaluate` over the fixture files with the given lexicon: its exit code and stderr."""
     capsys.readouterr()
-    blob = bytearray(lex_path.read_bytes())
-    blob[5 + 8 + 2] = 0xFF  # first byte of record 0's word
-    lex_path.write_bytes(bytes(blob))
     code = main(
         [
             "evaluate",
@@ -225,33 +222,38 @@ def test_evaluate_reports_corrupt_lexicon_word(fixture_paths, tmp_path, capsys):
             "--out", str(tmp_path / "results.csv"),
         ]
     )
-    assert code == 2
-    assert capsys.readouterr().err == "error: record 0: word bytes are not valid UTF-8\n"
+    return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("measure, message", [
-    ("k_E", "k_e needs a nonzero first argument"),
-    ("k_hyp", "k_hyp needs two nonzero matrices"),
-])
-def test_evaluate_graph_context_rejects_zero_word_outside_dataset(fixture_paths, tmp_path, capsys, measure, message):
-    # the graph is scored around the dataset's negated words, yet every lexicon word is still checked
-    lexicon = load_lexicon(build(fixture_paths, tmp_path))
-    save_lexicon(Lexicon({**lexicon.matrices, "void": Dmat(np.zeros((4, 4)))}), tmp_path / "zero.lex")
-    grid = tmp_path / "graph.cfg"
-    grid.write_text(f"context = graph\ngraph_measure = {measure}\n", encoding="utf-8")
-    capsys.readouterr()
-    code = main(
-        [
-            "evaluate",
-            "--lexicon", str(tmp_path / "zero.lex"),
-            "--hierarchy", str(fixture_paths["hierarchy"]),
-            "--dataset", str(fixture_paths["dataset"]),
-            "--grid", str(grid),
-            "--out", str(tmp_path / "results.csv"),
-        ]
+def test_evaluate_reports_corrupt_lexicon_word(fixture_paths, tmp_path, capsys):
+    lex_path = build(fixture_paths, tmp_path)
+    blob = bytearray(lex_path.read_bytes())
+    blob[len(MAGIC) + 8 + 2] = 0xFF  # first byte of record 0's word
+    lex_path.write_bytes(bytes(blob))
+    assert evaluate_exit(lex_path, fixture_paths, tmp_path, capsys) == (
+        2, "error: record 0: word bytes are not valid UTF-8\n"
     )
+
+
+def test_evaluate_rejects_a_zero_row_at_load(fixture_paths, tmp_path, capsys):
+    # a word outside the dataset whose only row is zero: its file record is rejected before any run
+    blob = build(fixture_paths, tmp_path).read_bytes()
+    count, dim = struct.unpack_from("<II", blob, len(MAGIC))
+    void = struct.pack("<H", 4) + b"void" + struct.pack("<I", 1) + bytes(8 * dim)
+    lex_path = tmp_path / "zero.lex"
+    lex_path.write_bytes(MAGIC + struct.pack("<II", count + 1, dim) + blob[len(MAGIC) + 8 :] + void)
+    code, err = evaluate_exit(lex_path, fixture_paths, tmp_path, capsys)
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert err.startswith(f"error: record {count}: row 0 of 'void' has squared norm off 1 by 1.000e+00, beyond ")
+
+
+def test_evaluate_rejects_an_empty_lexicon(fixture_paths, tmp_path, capsys):
+    lex_path = tmp_path / "empty.lex"
+    lex_path.write_bytes(MAGIC + struct.pack("<II", 0, 4))
+    code, err = evaluate_exit(lex_path, fixture_paths, tmp_path, capsys)
+    assert code == 2
+    assert err == "error: empty lexicon: 0 words of dim 4\n"
+    assert not (tmp_path / "results.csv").exists()
 
 
 def assert_missing_input_reported(argv, flag, tmp_path, capsys):

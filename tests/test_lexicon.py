@@ -1,27 +1,27 @@
-import hashlib
 import logging
 import struct
+import tempfile
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convneg.context import load_hierarchy
 from convneg.errors import (
     CorruptLexiconError,
     DimensionMismatchError,
     DuplicateWordError,
-    NonSymmetricError,
-    NotNormalizedError,
-    NotPSDError,
     ParseError,
     UnknownWordError,
 )
 from convneg.lexicon import (
     MAGIC,
     Lexicon,
+    VectorTable,
     build_density_matrix,
     build_lexicon,
     load_lexicon,
@@ -131,10 +131,23 @@ class TestBuildDensityMatrix:
         assert out.max_eigenvalue() == pytest.approx(1.0, abs=1e-12)
 
 
+def pack(records, count=None, dim=2, magic=MAGIC):
+    """A lexicon file of `(word bytes, rows)` records, with `count` defaulting to their number.
+
+    `rows` is an (r, dim) array, or a flat one of r·dim values.
+    """
+    blob = magic + struct.pack("<II", len(records) if count is None else count, dim)
+    for word, rows in records:
+        rows = np.asarray(rows, dtype="<f8")
+        rows = rows if rows.ndim == 2 else rows.reshape(-1, dim)
+        blob += struct.pack("<H", len(word)) + word + struct.pack("<I", len(rows)) + rows.tobytes()
+    return blob
+
+
 class TestPersistence:
     def make_lexicon(self, tmp_path):
         table = load_vectors(write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.6 0.8\n"))
-        return build_lexicon(table, {"a": {"b"}}, source_path=tmp_path / "v.txt")
+        return build_lexicon(table, {"a": {"b"}})
 
     def test_round_trip_bit_exact(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)
@@ -165,9 +178,9 @@ class TestPersistence:
         path = tmp_path / "lex.bin"
         save_lexicon(lexicon, path)
         blob = bytearray(path.read_bytes())
-        blob[-8:] = np.array([5.0]).tobytes()  # breaks the normalized invariant
+        blob[-8:] = np.array([5.0]).tobytes()  # record 1's only row is no longer a unit vector
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptLexiconError):
+        with pytest.raises(CorruptLexiconError, match="record 1: row 0 of 'b' has squared norm off 1"):
             load_lexicon(path)
 
     def test_invalid_utf8_word_rejected_with_record_index(self, tmp_path):
@@ -175,7 +188,7 @@ class TestPersistence:
         path = tmp_path / "lex.bin"
         save_lexicon(lexicon, path)
         blob = bytearray(path.read_bytes())
-        second = len(MAGIC) + 8 + 2 + 1 + 2 * 2 * 8 + 2  # word bytes of record 1 ("b")
+        second = len(MAGIC) + 8 + 2 + 1 + 4 + 2 * 2 * 8 + 2  # word bytes of record 1 ("b"); "a" has 2 rows
         assert blob[second : second + 1] == b"b"
         blob[second] = 0xFF
         path.write_bytes(bytes(blob))
@@ -183,11 +196,67 @@ class TestPersistence:
             load_lexicon(path)
 
     def test_duplicate_word_rejected(self, tmp_path):
-        record = struct.pack("<H", 1) + b"a" + np.eye(2).astype("<f8").tobytes()
         path = tmp_path / "lex.bin"
-        path.write_bytes(MAGIC + struct.pack("<II", 2, 2) + record + record)
+        path.write_bytes(pack([(b"a", [1.0, 0.0]), (b"a", [1.0, 0.0])]))
         with pytest.raises(CorruptLexiconError, match="record 1: duplicate record for 'a'"):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (pack([(b"a", [1.0, 0.0])])[:-1], "record 0: truncated"),
+        (pack([(b"a", [1.0, 0.0])], count=2), "record 1: truncated"),
+        (pack([(b"a", [1.0, 0.0])])[:8], "truncated header"),
+        (pack([(b"a", [1.0, 0.0])]) + b"\x00", "1 trailing bytes"),
+        (pack([(b"a", [1.0, 0.0]), (b"\xff", [1.0, 0.0])]), "record 1: word bytes are not valid UTF-8"),
+        (pack([(b"a", [1.0, 0.0]), (b"a", [0.0, 1.0])]), "record 1: duplicate record for 'a'"),
+        (pack([(b"a", np.zeros((0, 2)))]), "record 0: 'a' has no rows"),
+        (pack([(b"a", [1.0, 0.0, np.nan, 1.0])]), "record 0: 'a' has non-finite values"),
+        (pack([(b"a", [1.0, 0.0, np.inf, 0.0])]), "record 0: 'a' has non-finite values"),
+        (pack([(b"a", [1.0, 0.0, 0.0, 0.0])]), "record 0: row 1 of 'a' has squared norm off 1 by 1.000e+00"),
+        # (1.5·2 + 5)·eps = 1.8e-15 at dim 2
+        (pack([(b"a", [1.0 + 2e-15, 0.0])]), "record 0: row 0 of 'a' has squared norm off 1 by 3.997e-15"),
+        (pack([]), "empty lexicon: 0 words of dim 2"),
+        (pack([(b"a", np.zeros((1, 0)))], dim=0), "empty lexicon: 1 words of dim 0"),
+        (pack([(b"a", [1.0, 0.0])], magic=b"DMLX1"), "format DMLX1 is not DMLX2: rebuild the lexicon with `build-lexicon`"),
+    ])
+    def test_corrupt_record_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "lex.bin"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptLexiconError) as err:
+            load_lexicon(path)
+        assert str(err.value).startswith(message)
+
+    def test_rows_within_the_norm_bound_accepted(self, tmp_path):
+        path = tmp_path / "lex.bin"
+        path.write_bytes(pack([(b"a", [1.0 + 2 * np.finfo(float).eps, 0.0])]))
+        assert load_lexicon(path)["a"].max_eigenvalue() == 1.0
+
+    def test_word_without_rows_not_saved(self, tmp_path):
+        lexicon = self.make_lexicon(tmp_path)
+        path = tmp_path / "lex.bin"
+        with pytest.raises(ValueError, match="no unit rows for 'c'"):
+            save_lexicon(Lexicon({**lexicon.matrices, "c": identity(2)}, rows=lexicon.rows), path)
+        assert not path.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 64), n=st.integers(1, 68))
+    def test_reload_is_the_built_word(self, seed, dim, n):
+        # w0 takes every word, so it has r >= d when n >= dim; the others random subsets
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(n)]
+        scales = 10.0 ** rng.uniform(-3, 3, size=len(words))
+        table = VectorTable({w: s * rng.normal(size=dim) for w, s in zip(words, scales)}, dim)
+        hyponyms = {w: {h for h in words if rng.random() < 0.3} for w in words}
+        hyponyms["w0"] = set(words)
+        lexicon = build_lexicon(table, hyponyms)
+        with tempfile.TemporaryDirectory() as scratch:
+            save_lexicon(lexicon, Path(scratch) / "lex.bin")
+            loaded = load_lexicon(Path(scratch) / "lex.bin")
+        assert list(loaded.keys()) == sorted(words)
+        for w in words:
+            assert loaded[w].matrix.tobytes() == lexicon[w].matrix.tobytes()
+            assert loaded[w].eigenvalues.tobytes() == lexicon[w].eigenvalues.tobytes()
+            assert loaded.rows[w].tobytes() == lexicon.rows[w].tobytes()
+            assert not loaded.rows[w].flags.writeable
 
     def test_mixed_dims_rejected_at_construction(self):
         with pytest.raises(DimensionMismatchError):
@@ -197,8 +266,7 @@ class TestPersistence:
 def tree_table(tmp_path, rng, dim=64):
     """Vectors for a tree `root -> a, b -> a0..a9, b0..b9` and its hyponym sets.
 
-    Ranks: root 23 (above the certificate's budget of dim // 4 = 16 at dim
-    64), `a` and `b` 11, the leaves 1.
+    Ranks: root 23, `a` and `b` 11, the leaves 1; all take the Gram route.
     """
     words = ["root", "a", "b"] + [f"{p}{i}" for p in "ab" for i in range(10)]
     lines = [f"{w} " + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) for w in words]
@@ -219,24 +287,8 @@ def old_build_density_matrix(word, hyponyms, vectors):
     return normalize_max_eig(Dmat((out + out.T) / 2.0))
 
 
-def old_save_lexicon(lexicon, path):
-    """The writer before the `astype("<f8")` copy was dropped."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", len(lexicon.matrices), lexicon.dim))
-        for word in sorted(lexicon.matrices):
-            encoded = word.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(lexicon.matrices[word].matrix.astype("<f8").tobytes(order="C"))
-
-
-def sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 class TestDim64Load:
-    """Loading at a dim where words are proved by the Cholesky certificate."""
+    """Building, saving and loading at dim 64, where every word of the tree takes the Gram route."""
 
     def saved_tree(self, tmp_path, rng):
         table, hyponyms = tree_table(tmp_path, rng)
@@ -245,60 +297,24 @@ class TestDim64Load:
         save_lexicon(lexicon, path)
         return lexicon, path
 
-    def test_solves_only_words_beyond_the_budget(self, tmp_path, rng, monkeypatch):
+    def test_reload_keeps_matrix_and_eigenvalue_bytes(self, tmp_path, rng):
         lexicon, path = self.saved_tree(tmp_path, rng)
-        eager = {w: Dmat(m.matrix, normalized=True).eigenvalues for w, m in lexicon.matrices.items()}
-        shapes = []
-        real_eigvalsh = np.linalg.eigvalsh
-
-        def counting_eigvalsh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real_eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         loaded = load_lexicon(path)
-        assert shapes.count((64, 64)) == 1  # root, rank 23 > 16, falls back
-        assert [w for w, m in loaded.matrices.items() if m._eigenvalues is not None] == ["root"]
-        monkeypatch.undo()
+        assert list(loaded.keys()) == sorted(lexicon.keys())
         for word, m in loaded.matrices.items():
-            assert m.eigenvalues.tobytes() == real_eigvalsh(m.matrix).tobytes()
-            assert m.eigenvalues.tobytes() == eager[word].tobytes()
+            assert m.matrix.tobytes() == lexicon[word].matrix.tobytes()
+            assert m.eigenvalues.tobytes() == lexicon[word].eigenvalues.tobytes()
             assert not m.eigenvalues.flags.writeable
+        assert path.stat().st_size == len(MAGIC) + 8 + sum(
+            2 + len(w) + 4 + f.nbytes for w, f in lexicon.rows.items()
+        )
 
-    @pytest.mark.parametrize(
-        "corrupt, error",
-        [
-            (lambda m: m * 2.0, NotNormalizedError),
-            (lambda m: m - 1e-6 * np.eye(64), NotPSDError),
-            (lambda m: np.where(np.eye(64, k=3, dtype=bool), np.nan, m), NotPSDError),
-            (lambda m: m + 1e-6 * np.eye(64, k=3), NonSymmetricError),
-            (lambda m: m + 1e-12 * np.eye(64, k=3), None),  # within SYMMETRY_TOL: solved, kept
-        ],
-    )
-    def test_corrupted_record_rejected_like_dmat(self, tmp_path, rng, corrupt, error):
-        lexicon, path = self.saved_tree(tmp_path, rng)
-        bad = corrupt(lexicon["a3"].matrix)
-        blob = path.read_bytes()
-        start = blob.index(lexicon["a3"].matrix.tobytes())
-        path.write_bytes(blob[:start] + bad.astype("<f8").tobytes() + blob[start + bad.nbytes :])
-        if error is None:
-            loaded = load_lexicon(path)
-            assert loaded["a3"].matrix.tobytes() == bad.tobytes()
-            assert loaded["a3"]._eigenvalues is not None
-            return
-        with pytest.raises(error) as expected:
-            Dmat(bad, normalized=True)
-        with pytest.raises(CorruptLexiconError) as err:
-            load_lexicon(path)
-        assert str(err.value) == f"invalid matrix for 'a3': {expected.value}"
-        assert type(err.value.__cause__) is error
-
-    def test_logs_certified_and_solved_counts(self, tmp_path, rng, caplog):
+    def test_logs_loaded_gram_and_solved_counts(self, tmp_path, rng, caplog):
         _, path = self.saved_tree(tmp_path, rng)
         with caplog.at_level(logging.DEBUG, logger="convneg.lexicon"):
             load_lexicon(path)
         assert [r.getMessage() for r in caplog.records] == [
-            "loaded 23 words at dim 64: 22 certified by Cholesky, 1 solved by eigvalsh"
+            "loaded 23 words at dim 64: 23 proved by Gram spectrum, 0 solved by eigvalsh"
         ]
 
     def test_silent_by_default(self, tmp_path, rng, caplog):
@@ -311,9 +327,10 @@ class TestDim64Load:
         lexicon = build_lexicon(table, hyponyms)
         for word, m in lexicon.matrices.items():
             assert_scaled_reference(m, word, hyponyms.get(word, ()), table)
-        save_lexicon(lexicon, tmp_path / "new.bin")
-        old_save_lexicon(lexicon, tmp_path / "old.bin")
-        assert sha256((tmp_path / "new.bin").read_bytes()) == sha256((tmp_path / "old.bin").read_bytes())
+        # saving a reloaded lexicon writes the same bytes
+        save_lexicon(lexicon, tmp_path / "lex.bin")
+        save_lexicon(load_lexicon(tmp_path / "lex.bin"), tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "lex.bin").read_bytes()
 
     def test_no_d_by_d_solve_for_low_rank_words(self, tmp_path, rng, monkeypatch):
         table, hyponyms = tree_table(tmp_path, rng)
@@ -325,9 +342,12 @@ class TestDim64Load:
             return real_eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        build_lexicon(table, hyponyms)
-        # every word has rank below 64: one r×r Gram solve each, none 64×64
+        save_lexicon(build_lexicon(table, hyponyms), tmp_path / "lex.bin")
+        # every word has rank below 64: one r×r Gram solve each, none 64×64, on build and on load
         ranks = [1 + len(hyponyms.get(w, ())) for w in table]
+        assert sorted(shapes) == sorted((r, r) for r in ranks)
+        shapes.clear()
+        load_lexicon(tmp_path / "lex.bin")
         assert sorted(shapes) == sorted((r, r) for r in ranks)
 
     def test_logs_gram_and_solved_counts(self, tmp_path, rng, caplog):
@@ -429,8 +449,3 @@ class TestLexiconLookup:
         lexicon = TestPersistence().make_lexicon(tmp_path)
         with pytest.raises(UnknownWordError):
             lexicon["zzz"]
-
-    def test_provenance_recorded(self, tmp_path):
-        lexicon = TestPersistence().make_lexicon(tmp_path)
-        assert "vector_file_sha256" in lexicon.provenance
-        assert lexicon.provenance["dim"] == "2"

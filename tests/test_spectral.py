@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from convneg.negation import _kernel_projector, neg_supp
 
@@ -17,10 +15,7 @@ from convneg.errors import (
 from convneg.sampling import random_orthogonal, random_psd
 from convneg import spectral
 from convneg.spectral import (
-    CERTIFY_MIN_DIM,
-    PSD_TOL,
     Dmat,
-    _certified_normalized,
     _decomposed,
     _roundoff_cut,
     _scaled,
@@ -362,131 +357,6 @@ class TestRescaleWithoutSolve:
     def test_non_finite_result_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(NotPSDError, match="non-finite"):
             _scaled(identity(2), 1e-320)
-
-
-def outcome(build, m):
-    """("ok", matrix bytes) or (exception type, message) of `build(m)`."""
-    try:
-        return "ok", build(m).matrix.tobytes()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def word_with_spectrum(rng, dim, values):
-    """Q·diag(values)·Qᵀ for a random orthogonal Q, made exactly symmetric."""
-    q = random_orthogonal(rng, dim)
-    m = (q * values) @ q.T
-    return (m + m.T) / 2.0
-
-
-def near_threshold(m):
-    """True when eigvalsh's extreme eigenvalue lies within 4·d·eps·‖M‖_F of a threshold."""
-    values = np.linalg.eigvalsh(m)
-    band = 4 * m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
-    return abs(values[0] + PSD_TOL) <= band or abs(values[-1] - 1.0 - PSD_TOL) <= band
-
-
-class TestCholeskyCertificate:
-    """`_certified_normalized` accepts and rejects exactly as `Dmat(m, normalized=True)`."""
-
-    def assert_same_as_dmat(self, m):
-        got = outcome(_certified_normalized, m)
-        assert got == outcome(lambda a: Dmat(a, normalized=True), m)
-        return got
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(CERTIFY_MIN_DIM, 64),
-        rank_frac=st.floats(0.0, 1.0),
-        repeated=st.booleans(),
-        top=st.sampled_from([1.0, 0.5]),
-        side=st.sampled_from(["min", "max", None]),
-        c=st.sampled_from([0.5, 0.99, 1.01, 2.0]),
-    )
-    def test_agrees_with_eigvalsh_rule(self, seed, dim, rank_frac, repeated, top, side, c):
-        rng = np.random.default_rng(seed)
-        rank = 1 + int(rank_frac * (dim // 4 - 1))
-        values = np.zeros(dim)
-        values[:rank] = 0.25 if repeated else rng.uniform(0.05, top, rank)
-        values[0] = top + c * PSD_TOL if side == "max" else top
-        if side == "min":
-            values[rank] = -c * PSD_TOL
-        m = word_with_spectrum(rng, dim, values)
-        if near_threshold(m):
-            return
-        kind, _ = self.assert_same_as_dmat(m)
-        assert (kind == "ok") == (c < 1.0 or side is None or (side == "max" and top < 1.0))
-        if side != "min" and kind == "ok":
-            word = _certified_normalized(m)
-            assert word._eigenvalues is None  # certified, so nothing was solved
-            np.testing.assert_array_equal(word.eigenvalues, Dmat(m, normalized=True).eigenvalues)
-
-    def test_certifies_every_rank_within_the_budget(self, rng):
-        dim = 64
-        for rank in range(1, dim // 4 + 1):
-            values = np.zeros(dim)
-            values[:rank] = rng.uniform(0.05, 1.0, rank)
-            values[0] = 1.0
-            word = _certified_normalized(word_with_spectrum(rng, dim, values))
-            assert word.normalized and word._eigenvalues is None
-        values[: dim // 4 + 1] = 1.0
-        assert _certified_normalized(word_with_spectrum(rng, dim, values))._eigenvalues is not None
-
-    def test_full_rank_and_small_dims_are_solved(self, rng):
-        for dim in (CERTIFY_MIN_DIM - 1, CERTIFY_MIN_DIM, 64):
-            full = word_with_spectrum(rng, dim, np.linspace(0.1, 1.0, dim))
-            assert _certified_normalized(full)._eigenvalues is not None
-        values = np.zeros(CERTIFY_MIN_DIM - 1)
-        values[0] = 1.0
-        below = word_with_spectrum(rng, CERTIFY_MIN_DIM - 1, values)
-        assert _certified_normalized(below)._eigenvalues is not None
-
-    def test_zero_matrix_certified(self):
-        word = _certified_normalized(np.zeros((CERTIFY_MIN_DIM, CERTIFY_MIN_DIM)))
-        assert word._eigenvalues is None
-        np.testing.assert_array_equal(word.eigenvalues, np.zeros(CERTIFY_MIN_DIM))
-
-    def test_non_finite_rejected_like_dmat(self, rng):
-        m = word_with_spectrum(rng, 40, np.r_[1.0, np.zeros(39)])
-        for bad in (np.nan, np.inf):
-            corrupt = m.copy()
-            corrupt[3, 5] = corrupt[5, 3] = bad
-            assert self.assert_same_as_dmat(corrupt)[0] is NotPSDError
-
-    def test_asymmetry_beyond_tolerance_rejected_like_dmat(self, rng):
-        m = word_with_spectrum(rng, 40, np.r_[1.0, np.zeros(39)])
-        m[3, 5] += 1e-6
-        assert self.assert_same_as_dmat(m)[0] is NonSymmetricError
-
-    def test_asymmetry_within_tolerance_falls_back(self, rng):
-        m = word_with_spectrum(rng, 40, np.r_[1.0, np.zeros(39)])
-        m[3, 5] += 1e-12
-        assert self.assert_same_as_dmat(m)[0] == "ok"
-        word = _certified_normalized(m)
-        assert word._eigenvalues is not None
-        np.testing.assert_array_equal(word.eigenvalues, Dmat(m, normalized=True).eigenvalues)
-
-    def test_indefinite_matrices_rejected_like_dmat(self, rng):
-        dim = 48
-        values = np.zeros(dim)
-        values[:3] = (1.0, 0.4, -1e-3)  # a negative pivot is never taken
-        assert self.assert_same_as_dmat(word_with_spectrum(rng, dim, values))[0] is NotPSDError
-        hollow = np.zeros((dim, dim))
-        hollow[0, 1] = hollow[1, 0] = 1e-6  # zero diagonal, eigenvalues ±1e-6
-        assert self.assert_same_as_dmat(hollow)[0] is NotPSDError
-
-    def test_bad_shapes_rejected_like_dmat(self):
-        for shape in ((0, 0), (40, 41), (40,)):
-            assert self.assert_same_as_dmat(np.zeros(shape))[0] is DimensionMismatchError
-
-    def test_result_owns_a_read_only_copy(self, rng):
-        m = word_with_spectrum(rng, 40, np.r_[1.0, np.zeros(39)])
-        word = _certified_normalized(m)
-        assert word._eigenvalues is None and word.matrix is not m
-        np.testing.assert_array_equal(word.matrix, m)
-        with pytest.raises(ValueError):
-            word.matrix[0, 0] = 2.0
 
 
 class TestLoewner:
