@@ -166,26 +166,40 @@ def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
 
 def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> float:
     """Largest k with B - kA PSD, by plain bisection.  Independent of k_hyp."""
-    check_dims(A, B)
-    eigs_a = np.linalg.eigvalsh(A.matrix)
-    positive = eigs_a[eigs_a > tol]
-    if positive.size == 0:
-        raise ZeroMatrixError("oracle needs a nonzero first argument")
-    top_b = float(np.linalg.eigvalsh(B.matrix)[-1])
-    lo, hi = 0.0, top_b / float(positive.min()) + 1.0
+    return float(_k_hyp_oracle_pairs([(A, B)], tol, iterations)[0])
 
-    def psd_at(k: float) -> bool:
-        return float(np.linalg.eigvalsh(B.matrix - k * A.matrix)[0]) >= -tol
 
-    if not psd_at(lo):
-        return 0.0
+def _k_hyp_oracle_pairs(pairs: Sequence[tuple[Dmat, Dmat]], tol: float = 1e-9, iterations: int = 60) -> np.ndarray:
+    """`k_hyp_oracle` of each (A, B) in `pairs`, all bisected at once; raises what a loop of calls would.
+
+    A pair's bracket [0, top(B) / (A's least eigenvalue above tol) + 1] is
+    read off the kept eigenvalues; a B not PSD within tol gives 0.  Each
+    step tests every pair's B - k A in one stacked `eigvalsh` per dim
+    (`_stacks`), in which each matrix rounds as it would alone.
+    """
+    for a, b in pairs:
+        check_dims(a, b)
+        if not (a.eigenvalues > tol).any():
+            raise ZeroMatrixError("oracle needs a nonzero first argument")
+    lo = np.zeros(len(pairs))
+    hi = np.array([b.eigenvalues[-1] / a.eigenvalues[a.eigenvalues > tol].min() for a, b in pairs]) + 1.0
+    stacks = [
+        (part, _stack([pairs[k][0].matrix for k in part]), _stack([pairs[k][1].matrix for k in part]))
+        for _, part in _stacks([a.dim for a, _ in pairs], len(pairs))
+    ]
+
+    def psd_at(k: np.ndarray) -> np.ndarray:
+        ok = np.empty(len(pairs), dtype=bool)
+        for part, a, b in stacks:
+            ok[part] = np.linalg.eigvalsh(b - k[part, None, None] * a)[:, 0] >= -tol
+        return ok
+
+    feasible = psd_at(lo)
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        if psd_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        ok = psd_at(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(feasible, lo, 0.0)
 
 
 def _flipped(spectra: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
 A word of r < d such vectors has rank r, so its spectrum is read off the r×r
 Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
 of a d×d eigensolve.  The on-disk lexicon (format DMLX2) stores each word's
-unit vectors, not its d×d matrix, and `load_lexicon` rebuilds the word from
-them by the same construction (`_mixture`), so a reloaded word is bitwise
-the built one and needs no proof beyond the one its build makes.
+unit vectors, not its d×d matrix.  `load_lexicon` checks every record, then
+leaves each word to be built from its rows on its first read, by the same
+construction (`_mixture`) as `build_density_matrix`: a reloaded word is
+bitwise the built one, and a run pays only for the words it reads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import logging
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -127,16 +128,19 @@ def _mixture(f: np.ndarray, routes: Counter | None = None) -> Dmat:
     """Σ fᵢfᵢᵀ over the r unit rows of f (r×d), divided by its largest eigenvalue where that exceeds 1.
 
     The one construction behind a built and a loaded word.  The sum is
-    formed row by row in f's order (`out += np.outer(u, u)`, entrywise
-    arithmetic, so it rounds the same on every call) and validated against
-    the spectrum of its r×r Gram matrix where `_gram_spectrum` proves it,
-    and a d×d `eigvalsh` otherwise; `normalize_max_eig` reuses that
-    spectrum.  `routes`, if given, counts the route taken.
+    formed row by row in f's order (each row's outer product, `np.outer`'s
+    entrywise products written into one reused buffer, added to the sum, so
+    it rounds the same on every call) and validated against the spectrum of
+    its r×r Gram matrix where `_gram_spectrum` proves it, and a d×d
+    `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.
+    `routes`, if given, counts the route taken.
     """
     dim = f.shape[1]
     out = np.zeros((dim, dim))
+    product = np.empty((dim, dim))
     for unit in f:
-        out += np.outer(unit, unit)
+        out += np.multiply(unit[:, None], unit, out=product)
+    del product  # freed before `Dmat` copies the sum and the scaling divides it
     spectrum = _gram_spectrum(f)
     if routes is not None:
         routes["eigvalsh" if spectrum is None else "gram"] += 1
@@ -177,52 +181,73 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     max(1, top) may differ from the d×d route's by a few ulps.
     """
     r, d = f.shape
-    if r >= d or 1.1 * EPS * r * (d + 5 * r) > PSD_TOL / 10:
+    if not _gram_route(r, d):
         return None
     return lambda _: np.sort(np.append(np.linalg.eigvalsh(f @ f.T), np.zeros(d - r)))
 
 
-@dataclass
-class Lexicon:
+def _gram_route(r: int, d: int) -> bool:
+    """Whether `_gram_spectrum` proves the spectrum of r unit rows at dim d: r < d and ρ <= PSD_TOL / 10."""
+    return r < d and 1.1 * EPS * r * (d + 5 * r) <= PSD_TOL / 10
+
+
+def _validation_proved(r: int, d: int) -> bool:
+    """Whether `_mixture` of r rows that pass `load_lexicon`'s checks at dim d is proved to validate (see there)."""
+    return _gram_route(r, d) or EPS * r * (0.52 * r + 4.1 * d) <= PSD_TOL / 2
+
+
+class Lexicon(Mapping[str, Dmat]):
     """Normalized density matrices per word, and the unit rows of each built or loaded word.
 
-    `rows` maps a word to the read-only (r, d) unit vectors its matrix was
+    `rows` maps a word to the read-only (r, d) unit vectors its matrix is
     summed from (`build_density_matrix`); only words that have them can be
-    saved.
+    saved.  The lexicon is a mapping over the words of both arguments (also
+    as `matrices`).  A word given in `matrices` (built, or made by hand) is
+    kept as given; a word with rows only is built from them by `_mixture` on
+    its first read, and kept.  `in`, `len`, iteration and `dim`, read off
+    the rows and the given matrices, which must agree, build nothing.  Two
+    threads reading a word at once may both build it; the race is benign,
+    since `dict.setdefault` keeps the first object stored, and every reader
+    gets that one (either build is bitwise the same).
     """
 
-    matrices: dict[str, Dmat]
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        dims = {m.dim for m in self.matrices.values()}
+    def __init__(self, matrices: Mapping[str, Dmat], rows: dict[str, np.ndarray] | None = None):
+        self.rows = {} if rows is None else rows
+        self._built = dict(matrices)
+        self._words = dict.fromkeys([*self._built, *self.rows])
+        dims = {f.shape[1] for f in self.rows.values()} | {m.dim for m in self._built.values()}
         if len(dims) > 1:
             raise DimensionMismatchError(f"mixed matrix dimensions {sorted(dims)}")
+        self._dim = dims.pop() if dims else None
+
+    @property
+    def matrices(self) -> Mapping[str, Dmat]:
+        """Every word's matrix: the lexicon itself."""
+        return self
 
     @property
     def dim(self) -> int:
-        if not self.matrices:
+        if self._dim is None:
             raise ValueError("empty lexicon has no dimension")
-        return next(iter(self.matrices.values())).dim
+        return self._dim
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self._words)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.matrices)
+        return iter(self._words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.matrices
+    def __contains__(self, word) -> bool:
+        return word in self._words
 
     def __getitem__(self, word: str) -> Dmat:
         """Exact-match lookup; words differing only in case are distinct."""
-        try:
-            return self.matrices[word]
-        except KeyError:
-            raise UnknownWordError(f"no density matrix for {word!r}") from None
-
-    def keys(self):
-        return self.matrices.keys()
+        m = self._built.get(word)
+        if m is None:
+            if word not in self.rows:
+                raise UnknownWordError(f"no density matrix for {word!r}")
+            m = self._built.setdefault(word, _mixture(self.rows[word]))
+        return m
 
 
 def lookup_word(lexicon, word: str) -> Dmat:
@@ -279,18 +304,34 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read format DMLX2 back, rebuilding each word from its rows as `build_density_matrix` does.
+    """Read format DMLX2 back: check every record, and build each word from its rows on its first read.
 
-    Each word goes through `_mixture`, so its matrix, kept eigenvalues and
-    scale are bitwise those of the built word.  Every failure raises
-    CorruptLexiconError, naming the record at fault if any: another format
-    (a file of an earlier format is to be rebuilt with `build-lexicon`), no
-    words or dim 0, truncation or trailing bytes, a word that is not valid
-    UTF-8 or repeats one before it, no rows, a non-finite value, or a row
-    whose computed squared norm is off 1 by more than (1.5·d + 5)·eps: the
-    (d + 4)·eps `_gram_spectrum` assumes of a rounded unit row, plus the
-    rounding of the computed norm.  One DEBUG line on this module's logger
-    counts the words of each route.
+    Every failure raises CorruptLexiconError, naming the record at fault if
+    any: another format (a file of an earlier format is to be rebuilt with
+    `build-lexicon`), no words or dim 0, truncation or trailing bytes, a
+    word that is not valid UTF-8 or repeats one before it, no rows, a
+    non-finite value, or a row whose computed squared norm is off 1 by more
+    than (1.5·d + 5)·eps: the (d + 4)·eps `_gram_spectrum` assumes of a
+    rounded unit row, plus the rounding of the computed norm.
+
+    A word is built by `_mixture` when the returned lexicon first reads it
+    (see `Lexicon`), as `build_density_matrix` built it, so its matrix, kept
+    eigenvalues and scale are bitwise those of the built word.  Waiting
+    moves no error from the load to that first read (`_validation_proved`):
+    - rows that pass these checks are finite unit rows within
+      (1.5·d + 5)·eps, so ‖F‖_F² <= 1.01·r, and their sum is finite and
+      exactly symmetric;
+    - a unit row cannot make a zero matrix: the sum's trace is about r;
+    - on the Gram route, `_gram_spectrum`'s proof puts the mixture's
+      eigenvalues in [−ρ, top + ρ], with ρ <= PSD_TOL / 10;
+    - on the d×d route, the sum's rounding (below 0.51·r·eps·‖F‖_F²) and
+      `eigvalsh`'s (below 4·d·eps·‖out‖_F, ‖out‖_F <= 1.02·r) keep the
+      lowest eigenvalue above −eps·r·(0.52·r + 4.1·d), which is within
+      −PSD_TOL / 2 for r up to 1 210 at dim 300;
+    and a scale of at least 1 needs no further check.  A word of more rows
+    than that is built here, so that its failure, if any, is the load's.
+    One DEBUG line on this module's logger counts the words of each route,
+    read off each word's (r, d) with nothing solved.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -307,8 +348,6 @@ def load_lexicon(path) -> Lexicon:
         raise CorruptLexiconError(f"empty lexicon: {count} words of dim {dim}")
     offset = len(MAGIC) + 8
     tol = (1.5 * dim + 5) * EPS
-    routes = Counter()
-    matrices: dict[str, Dmat] = {}
     rows: dict[str, np.ndarray] = {}
 
     def take(n: int) -> bytes:
@@ -324,7 +363,7 @@ def load_lexicon(path) -> Lexicon:
             word = take(word_len).decode("utf-8")
         except UnicodeDecodeError:
             raise CorruptLexiconError(f"record {index}: word bytes are not valid UTF-8") from None
-        if word in matrices:
+        if word in rows:
             raise CorruptLexiconError(f"record {index}: duplicate record for {word!r}")
         (r,) = struct.unpack("<I", take(4))
         if r == 0:
@@ -337,9 +376,10 @@ def load_lexicon(path) -> Lexicon:
             raise CorruptLexiconError(f"record {index}: row {int(off.argmax())} of {word!r} has "
                                       f"squared norm off 1 by {off.max():.3e}, beyond {tol:.3e}")
         rows[word] = f
-        matrices[word] = _mixture(f, routes)
     if offset != len(blob):
         raise CorruptLexiconError(f"{len(blob) - offset} trailing bytes")
+    gram = sum(_gram_route(len(f), dim) for f in rows.values())
     logger.debug("loaded %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
-                 count, dim, routes["gram"], routes["eigvalsh"])
-    return Lexicon(matrices=matrices, rows=rows)
+                 count, dim, gram, count - gram)
+    unproved = {word: _mixture(f) for word, f in rows.items() if not _validation_proved(len(f), dim)}
+    return Lexicon(matrices=unproved, rows=rows)

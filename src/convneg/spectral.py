@@ -68,9 +68,10 @@ class Dmat:
     checks and keeps what it returns, so it must be proved within roundoff of
     the array's own (as a lexicon word's is from its r×r Gram matrix).  The
     spectral decomposition is filled lazily by the first `spectral_decompose`
-    call, from the kept `eigh` where there is one, and reused by every later
-    one.  Concurrent first calls may each compute it, and whichever
-    identical result lands last is kept.
+    call, from the kept `eigh` where there is one (which it then drops, so
+    the eigenvectors are held once), and reused by every later one.
+    Concurrent first calls may each compute it, and whichever identical
+    result lands last is kept.
 
     A matrix that pure states were scored against in its eigenbasis (the
     rank-1 route of k_e and k_ba) keeps a one-slot memo of the terms for
@@ -89,7 +90,8 @@ class Dmat:
     eigenvalues: np.ndarray = field(init=False)
     # filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
-    # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`)
+    # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`),
+    # until spectral_decompose builds the decomposition from it
     _solved: tuple | None = field(init=False, default=None)
     # (pure states, terms) of the last rank-1 route scored in this matrix's eigenbasis
     _rank_one_memo: tuple | None = field(init=False, default=None)
@@ -145,6 +147,10 @@ def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
     return eigenvalues
 
 
+# each Dmat field's default, for the instances `_scaled` builds without `__init__`
+_DMAT_DEFAULTS = {f.name: f.default for f in fields(Dmat)}
+
+
 def _scaled(M: Dmat, s: float) -> Dmat:
     """`M.matrix / s` flagged normalized, without a new eigensolve; s is at least M's top eigenvalue, or below 1.
 
@@ -155,27 +161,27 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     scaled array is checked again, its PSD and normalized checks reading M's
     spectrum divided by s.  The result is built without `__init__`, whose
     validation would solve again.  It keeps M's eigenvalues divided by s, and
-    so its kept `eigh` and its decomposition where M has them, sharing M's
+    so its kept `eigh` or its decomposition where M has one, sharing M's
     read-only eigenvectors: nothing is solved for it again.  Its rank-1 memo
-    starts empty.
+    starts empty.  A scale of exactly 1 divides nothing (x / 1 is x, bit for
+    bit), so the result shares M's read-only arrays.
     """
-    m = M.matrix / s
-    eigenvalues = M.eigenvalues / s
+
+    def divided(array: np.ndarray) -> np.ndarray:
+        return array if s == 1.0 else _read_only(array / s)
+
+    m, eigenvalues = divided(M.matrix), divided(M.eigenvalues)
     if s < 1.0:
         _validate(m, True, lambda _: eigenvalues)
-    spectral, solved = M._spectral, M._solved
-    values = {
-        "matrix": _read_only(m),
-        "normalized": True,
-        "eigenvalues": _read_only(eigenvalues),
-        "_spectral": None if spectral is None else SpectralDecomposition(
-            _read_only(spectral.eigenvalues / s), spectral.eigenvectors
-        ),
-        "_solved": None if solved is None else (_read_only(solved[0] / s), solved[1]),
-    }
+    solved, spectral = M._solved, M._spectral  # in this order: spectral_decompose sets one, then clears the other
     out = object.__new__(Dmat)
-    for f in fields(Dmat):
-        object.__setattr__(out, f.name, values.get(f.name, f.default))
+    vars(out).update(
+        _DMAT_DEFAULTS, matrix=m, normalized=True, eigenvalues=eigenvalues,
+        _spectral=None if spectral is None else SpectralDecomposition(
+            divided(spectral.eigenvalues), spectral.eigenvectors
+        ),
+        _solved=None if solved is None else (divided(solved[0]), solved[1]),
+    )
     return out
 
 
@@ -345,10 +351,11 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     stacked solve, passes it as `solved` to be used in place of that solve;
     otherwise the one `_decomposed` kept, if any, is used.
     """
-    decomp = M._spectral
+    kept, decomp = M._solved, M._spectral  # in this order, as `_scaled` reads them
     if decomp is None:
-        decomp = _decompose(M.matrix, M._solved if solved is None else solved)
+        decomp = _decompose(M.matrix, kept if solved is None else solved)
         object.__setattr__(M, "_spectral", decomp)
+        object.__setattr__(M, "_solved", None)  # the decomposition holds its own copy of the eigenvectors
     return decomp
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convneg.entailment import (
+    _k_hyp_oracle_pairs,
     _solve,
     k_ba,
     k_ba_from_spectra,
@@ -21,6 +22,7 @@ from convneg.entailment import (
 from convneg.errors import DimensionMismatchError, ZeroMatrixError
 from convneg.sampling import (
     random_invertible_pair,
+    random_nested_support_pair,
     random_ordered_pair,
     random_orthogonal,
     random_psd,
@@ -74,6 +76,31 @@ class TestKHypOracle:
     def test_identical(self, rng):
         a = random_psd(rng, 3)
         assert k_hyp_oracle(a, a) == pytest.approx(1.0, abs=1e-6)
+
+    def test_pairs_bisected_at_once_match_a_scalar_loop_bitwise(self, rng):
+        def bisect(A, B, tol=1e-9):
+            eigs_a = np.linalg.eigvalsh(A.matrix)
+            lo, hi = 0.0, float(np.linalg.eigvalsh(B.matrix)[-1]) / float(eigs_a[eigs_a > tol].min()) + 1.0
+            psd_at = lambda k: float(np.linalg.eigvalsh(B.matrix - k * A.matrix)[0]) >= -tol
+            if not psd_at(lo):
+                return 0.0
+            for _ in range(60):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if psd_at(mid) else (lo, mid)
+            return lo
+
+        pairs = random_nested_support_pair(rng, rng.integers(2, 9, size=40).tolist())
+        pairs.append((FRUIT, APPLE))  # k = 0: A leaves B's support
+        got = _k_hyp_oracle_pairs(pairs)
+        assert got.tobytes() == np.array([bisect(a, b) for a, b in pairs]).tobytes()
+        assert got[-1] == pytest.approx(0.0, abs=1e-6)
+
+    def test_pairs_raise_what_the_first_failing_pair_raises(self):
+        zero = Dmat(np.zeros((2, 2)))
+        with pytest.raises(ZeroMatrixError):
+            _k_hyp_oracle_pairs([(APPLE, FRUIT), (zero, identity(2)), (APPLE, identity(2))])
+        with pytest.raises(DimensionMismatchError):
+            _k_hyp_oracle_pairs([(APPLE, identity(2)), (zero, identity(2))])
 
 
 class TestKBA:

@@ -1,7 +1,11 @@
 import logging
 import struct
+import sys
 import tempfile
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convneg.context import load_hierarchy
+from convneg import lexicon as lexicon_module
+from convneg.cli import main
+from convneg.context import WeightFunction, WeightKind, load_hierarchy, worldly_context_hierarchy
 from convneg.errors import (
     CorruptLexiconError,
     DimensionMismatchError,
@@ -18,6 +24,7 @@ from convneg.errors import (
     ParseError,
     UnknownWordError,
 )
+from convneg.experiment import load_dataset, parse_grid_config, run_grid
 from convneg.lexicon import (
     MAGIC,
     Lexicon,
@@ -343,12 +350,18 @@ class TestDim64Load:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         save_lexicon(build_lexicon(table, hyponyms), tmp_path / "lex.bin")
-        # every word has rank below 64: one r×r Gram solve each, none 64×64, on build and on load
+        # every word has rank below 64: one r×r Gram solve each, none 64×64, on build and on first read
         ranks = [1 + len(hyponyms.get(w, ())) for w in table]
         assert sorted(shapes) == sorted((r, r) for r in ranks)
         shapes.clear()
-        load_lexicon(tmp_path / "lex.bin")
-        assert sorted(shapes) == sorted((r, r) for r in ranks)
+        loaded = load_lexicon(tmp_path / "lex.bin")
+        assert shapes == []  # the load solves nothing
+        for word, r in zip(table, ranks):
+            loaded[word]
+            assert shapes == [(r, r)]
+            loaded[word]  # kept: a second read solves nothing
+            assert shapes == [(r, r)]
+            shapes.clear()
 
     def test_logs_gram_and_solved_counts(self, tmp_path, rng, caplog):
         table, hyponyms = tree_table(tmp_path, rng)
@@ -449,3 +462,167 @@ class TestLexiconLookup:
         lexicon = TestPersistence().make_lexicon(tmp_path)
         with pytest.raises(UnknownWordError):
             lexicon["zzz"]
+
+
+def hier_grid_inputs(tmp_path, seed, dim=20):
+    """`evaluate` inputs shaped like the `grid_hier` benchmark: tree 4×4×11, 4 negated leaves × 5 alternatives.
+
+    Writes v.txt, h.tsv, d.tsv, g.cfg and the built lexicon lex.bin into
+    tmp_path; returns lex.bin's path and the words the run reads: the
+    negated leaves, their alternatives, and the two nearest hypernyms of
+    each negated leaf (`poly` x = 2 gives the root weight 0).
+    """
+    rng = np.random.default_rng(seed)
+    paths = {}
+    for i in range(4):
+        paths[f"c{i}"] = ["entity"]
+        for j in range(4):
+            paths[f"c{i}s{j}"] = [f"c{i}", "entity"]
+            for k in range(11):
+                paths[f"c{i}s{j}l{k}"] = [f"c{i}s{j}", f"c{i}", "entity"]
+    words = ["entity", *paths]
+    write(tmp_path, "v.txt", "".join(f"{w} " + " ".join(repr(float(x)) for x in rng.normal(size=dim)) + "\n"
+                                     for w in words))
+    write(tmp_path, "h.tsv", "".join(f"{w}\t{','.join(p)}\n" for w, p in paths.items()))
+    leaves = [w for w, p in paths.items() if len(p) == 3]
+    negated = rng.choice(leaves, size=4, replace=False).tolist()
+    pairs = [(n, a) for n in negated for a in rng.choice([w for w in leaves if w != n], size=5, replace=False)]
+    write(tmp_path, "d.tsv", "negated\talternative\tmean_rating\n" + "".join(
+        f"{n}\t{a}\t{rng.uniform(1, 5):.2f}\n" for n, a in pairs))
+    write(tmp_path, "g.cfg", "negations = sub, inv\ncompositions = spider, fuzz, phaser, mult, diag\n"
+                             "bases = w, c\nsupport_weight = 0.5\ncontext = hierarchy\ncontext_fn = poly\nx = 2\n")
+    read = {w for pair in pairs for w in pair} | {h for n in negated for h in paths[n][:2]}
+    table = load_vectors(tmp_path / "v.txt")
+    hyponyms = load_hierarchy(tmp_path / "h.tsv").hyponym_sets()
+    save_lexicon(build_lexicon(table, hyponyms), tmp_path / "lex.bin")
+    return tmp_path / "lex.bin", read
+
+
+def counting_mixture(monkeypatch):
+    """Patch `_mixture` to record each call's rows; return the list of their bytes."""
+    calls = []
+    real = lexicon_module._mixture
+
+    def counting(f, *args):
+        calls.append(f.tobytes())
+        return real(f, *args)
+
+    monkeypatch.setattr(lexicon_module, "_mixture", counting)
+    return calls
+
+
+class TestLazyLoad:
+    """A loaded word is built from its rows on its first read, once, and kept."""
+
+    def test_evaluate_builds_each_word_it_reads_once(self, tmp_path, monkeypatch):
+        path, read = hier_grid_inputs(tmp_path, seed=5)
+        rows = load_lexicon(path).rows
+        calls = counting_mixture(monkeypatch)
+        code = main(["evaluate", "--lexicon", str(path), "--hierarchy", str(tmp_path / "h.tsv"),
+                     "--dataset", str(tmp_path / "d.tsv"), "--grid", str(tmp_path / "g.cfg"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert sorted(calls) == sorted(rows[w].tobytes() for w in read)
+        assert len(read) < len(rows) == 197
+
+    def test_load_builds_nothing_and_saves_the_same_bytes(self, tmp_path, monkeypatch):
+        path, _ = hier_grid_inputs(tmp_path, seed=1)
+        calls = counting_mixture(monkeypatch)
+        loaded = load_lexicon(path)
+        assert len(loaded) == 197 and loaded.dim == 20 and "c0s0l0" in loaded and "zzz" not in loaded
+        assert list(loaded) == list(loaded.keys()) == sorted(loaded.rows)
+        save_lexicon(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        assert calls == []
+        with pytest.raises(UnknownWordError):
+            loaded["zzz"]
+        assert calls == []
+
+    def test_grid_with_two_workers_matches_one_and_keeps_one_object_per_word(self, tmp_path, monkeypatch):
+        path, read = hier_grid_inputs(tmp_path, seed=2)
+        hierarchy = load_hierarchy(tmp_path / "h.tsv")
+        dataset = load_dataset(tmp_path / "d.tsv")
+        configs = parse_grid_config(tmp_path / "g.cfg").configs()
+        fn = WeightFunction(WeightKind.POLY, 2.0)
+        seen = []
+        real_getitem = Lexicon.__getitem__
+
+        def recording(self, word):
+            m = real_getitem(self, word)
+            seen.append((word, m))
+            return m
+
+        for workers in (1, 2):
+            loaded = load_lexicon(path)
+            provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=loaded, fn=fn)
+            if workers == 2:
+                monkeypatch.setattr(Lexicon, "__getitem__", recording)
+            run_grid(dataset, loaded, provider, configs, out=tmp_path / f"w{workers}.csv", workers=workers)
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+        objects = {}
+        for word, m in seen:
+            objects.setdefault(word, set()).add(id(m))
+        assert set(objects) == read and all(len(ids) == 1 for ids in objects.values())
+
+    def test_racing_first_reads_share_one_object(self, tmp_path, monkeypatch):
+        path = tmp_path / "lex.bin"
+        path.write_bytes(pack([(b"a", [0.6, 0.8])]))
+        loaded = load_lexicon(path)
+        barrier = threading.Barrier(2, timeout=10)
+        calls = []
+        real = lexicon_module._mixture
+
+        def both_build(f, *args):
+            calls.append(f)
+            barrier.wait()  # both threads have missed the cache before either stores
+            return real(f, *args)
+
+        monkeypatch.setattr(lexicon_module, "_mixture", both_build)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda _: loaded["a"], range(2)))
+        assert len(calls) == 2 and got[0] is got[1] is loaded["a"]
+
+    def test_many_threads_reading_every_word_see_one_object_each(self, tmp_path):
+        path, _ = hier_grid_inputs(tmp_path, seed=3, dim=6)
+        loaded = load_lexicon(path)
+        words = list(loaded)
+
+        def read_all(seed):
+            order = np.random.default_rng(seed).permutation(words)
+            return {w: id(loaded[w]) for w in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read_all, seed) for seed in range(8)]
+                seen = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        kept = {w: id(loaded[w]) for w in words}
+        assert all(ids == kept for ids in seen)
+
+    def test_word_beyond_the_validation_proof_built_at_load(self, tmp_path, monkeypatch, caplog):
+        # at dim 2 the d×d route's bound proves validation up to 2 073 rows
+        big = np.tile([0.6, 0.8], (2100, 1))
+        path = tmp_path / "lex.bin"
+        path.write_bytes(pack([(b"big", big), (b"small", [[1.0, 0.0]])]))
+        calls = counting_mixture(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="convneg.lexicon"):
+            loaded = load_lexicon(path)
+        assert calls == [big.tobytes()]
+        assert [r.getMessage() for r in caplog.records] == [
+            "loaded 2 words at dim 2: 1 proved by Gram spectrum, 1 solved by eigvalsh"
+        ]
+        assert loaded["big"].max_eigenvalue() == pytest.approx(1.0)
+        assert calls == [big.tobytes()]
+        loaded["small"]
+        assert len(calls) == 2
+
+    def test_hand_built_and_row_words_share_one_mapping(self, tmp_path):
+        lexicon = TestPersistence().make_lexicon(tmp_path)
+        extended = Lexicon({"c": identity(2)}, rows=lexicon.rows)
+        assert list(extended) == ["c", "a", "b"] and len(extended.matrices) == 3 and extended.dim == 2
+        assert extended["a"].matrix.tobytes() == lexicon["a"].matrix.tobytes()
+        with pytest.raises(DimensionMismatchError):
+            Lexicon({"c": identity(3)}, rows=lexicon.rows)

@@ -200,14 +200,17 @@ class TestDecomposed:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append("eigvalsh"))
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
         m = _decomposed(matrix)
+        kept = m._solved
         decomp = spectral_decompose(m)
         assert calls == ["eigh"]
         w, v = real_eigh(matrix)
         assert m.eigenvalues.tobytes() == w.tobytes()
         np.testing.assert_array_equal(decomp.eigenvalues, np.maximum(w[::-1], 0.0))
         np.testing.assert_array_equal(decomp.eigenvectors, v[:, ::-1])
-        for array in (m.eigenvalues, *m._solved, decomp.eigenvectors):
+        for array in (m.eigenvalues, *kept, decomp.eigenvectors):
             assert not array.flags.writeable
+        # the decomposition's contiguous copy is the one eigenvector array kept
+        assert m._solved is None and decomp.eigenvectors.flags.c_contiguous
 
     def test_diagonal_keeps_the_standard_basis(self):
         m = _decomposed(np.diag([0.25, 1.0, 0.25]))
@@ -316,15 +319,19 @@ class TestRescaleWithoutSolve:
         calls = []
         for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(args))
-        for M in (m, decomposed):
+        w, v = m._solved
+        out = rescale_max_eig(m)
+        s = m.max_eigenvalue()
+        assert out.eigenvalues.tobytes() == (m.eigenvalues / s).tobytes()
+        assert out._solved[0].tobytes() == (w / s).tobytes() and out._solved[1] is v
+        assert not out._solved[0].flags.writeable
+        for M, out in ((m, out), (decomposed, rescale_max_eig(decomposed))):
             s = M.max_eigenvalue()
-            out = rescale_max_eig(M)
             assert out.eigenvalues.tobytes() == (M.eigenvalues / s).tobytes()
-            w, v = M._solved
-            assert out._solved[0].tobytes() == (w / s).tobytes() and out._solved[1] is v
             decomp = spectral_decompose(out)
+            assert out._solved is None  # the decomposition holds the eigenvectors, once
             assert decomp.eigenvalues.tobytes() == (spectral_decompose(M).eigenvalues / s).tobytes()
-            assert not decomp.eigenvalues.flags.writeable and not out._solved[0].flags.writeable
+            assert not decomp.eigenvalues.flags.writeable
             np.testing.assert_array_equal(decomp.eigenvectors, spectral_decompose(M).eigenvectors)
         assert out._spectral.eigenvectors is decomposed._spectral.eigenvectors
         assert calls == []
@@ -357,6 +364,16 @@ class TestRescaleWithoutSolve:
     def test_non_finite_result_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(NotPSDError, match="non-finite"):
             _scaled(identity(2), 1e-320)
+
+    def test_scale_of_one_shares_the_arrays(self, rng):
+        # x / 1 is x bit for bit, so nothing is divided; the result is still a fresh normalized Dmat
+        m = _decomposed(random_psd(rng, 5).matrix / 2.0)
+        spectral_decompose(m)
+        out = normalize_max_eig(m)
+        assert out is not m and out.normalized and not m.normalized and out._rank_one_memo is None
+        assert out.matrix is m.matrix and out.eigenvalues is m.eigenvalues
+        assert out._spectral.eigenvalues is m._spectral.eigenvalues
+        assert out._spectral.eigenvectors is m._spectral.eigenvectors
 
 
 class TestLoewner:
