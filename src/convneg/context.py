@@ -121,10 +121,9 @@ def hypernym_weights(fn: WeightFunction, word: str, hierarchy: HypernymHierarchy
     else:
         if lexicon is None:
             raise MissingMatrixError("hyp weights need a lexicon")
-        word_mat = lookup_word(lexicon, word)
-        raw = np.empty(n)
-        for j, h in enumerate(path):
-            raw[j] = (n - i[j]) ** (fn.x / 2.0) * entailment.k_e(word_mat, lookup_word(lexicon, h))
+        graded = entailment.k_e(lookup_word(lexicon, word), [lookup_word(lexicon, h) for h in path])
+        # a scalar power per weight: numpy's SIMD array power can round an ulp away from it
+        raw = np.array([k ** (fn.x / 2.0) for k in n - i]) * graded
     total = float(raw.sum())
     if total <= 0.0:
         return np.zeros(n)

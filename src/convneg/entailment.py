@@ -8,19 +8,19 @@ included as an independent cross-check of k_hyp.
 
 Each measure takes a `Dmat` or a non-empty sequence of `Dmat`s in either
 argument, but not two sequences (TypeError).  Two matrices give a float.
-Otherwise the matrix pairs with every member of the sequence, and the values
-come back as an array in sequence order, equal bit for bit to a loop of
-scalar calls and raising what the first failing call of that loop would
-raise: how a pair is solved, and how it rounds, depends on the pair alone.
-k_hyp solves one stack per problem shape and reads a 1 x 1 problem off
-without one.  k_E and k_BA are read off the spectrum of B - A.  When one
-side of a pair is a pure state a a^T (roundoff rank 1, as every lexicon
-leaf is), the few terms they need come from the other side's cached
-eigenbasis in O(d^2), with no d x d solve (`_rank_one_terms`), and that
-side keeps them, so k_E both ways and k_BA against one sequence of pure
-states share one evaluation; every other pair is solved d x d (`_solve`),
-one stack per call.  Trace similarity is the sum of the entrywise product,
-O(d^2) for any rank.
+Otherwise the matrix pairs with every member of the sequence, and the
+values come back as an array in sequence order, equal bit for bit to a
+loop of scalar calls and raising what the first failing call of that loop
+would raise: how a pair is solved, and how it rounds, depends on the pair
+alone.  k_hyp solves one stack per problem shape and reads a 1 x 1 problem
+off without one.  k_E and k_BA are read off the spectrum of B - A.  When
+one side of a pair is a pure state a a^T (roundoff rank 1, as every
+lexicon leaf is), the few terms they need come from the other side's
+cached eigenbasis in O(d^2), with no d x d solve: one Newton loop per call
+scores every such pair (`_rank_one_terms`), and its one-slot cache lets
+k_E both ways and k_BA of one batch of pairs share one evaluation.  Every
+other pair is solved d x d (`_solve`), one stack per call.  Trace
+similarity is the sum of the entrywise product, O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
@@ -39,12 +39,13 @@ pairs, against n(n - 1)/2 for every pair.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ZeroMatrixError
-from .spectral import EPS, RANK_TOL, Dmat, _roundoff_cut, _roundoff_rank, check_dims, spectral_decompose
+from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, _roundoff_rank, check_dims, spectral_decompose
 
 # Newton steps allowed for a rank-1 pair's root; a pair not converged by then is solved d x d
 NEWTON_STEPS = 64
@@ -212,8 +213,9 @@ def _solve(pairs: Sequence[tuple[Dmat, Dmat]]) -> np.ndarray:
     return np.linalg.eigvalsh(_stack([b.matrix - a.matrix for a, b in pairs]))
 
 
-def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
-    """Terms of the spectrum of D = N - a a^T for each pure state a a^T in `pure`, from N's cached eigenbasis.
+@lru_cache(maxsize=1)
+def _rank_one_terms(pairs: tuple[tuple[Dmat, Dmat], ...]):
+    """Terms of the spectrum of D = N - a a^T for each (N, a a^T) in `pairs`, each from its N's cached eigenbasis.
 
     With N = V Lambda V^T and w = V^T a, D is Lambda - w w^T in N's
     eigenbasis, so it has at most one negative eigenvalue, -t, the root of
@@ -224,8 +226,9 @@ def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
     top eigenvalue, and the lower bounds sum_{j>=i} w_j^2 - lambda_i (over
     eigenvalues in descending order); phi(cut) <= 1 puts the root within
     roundoff of zero, where t is 0, as the d x d route counts such an
-    eigenvalue.  A root is frozen once its step falls below 2 eps t, so its
-    iterates do not depend on the other members.  Returns per member:
+    eigenvalue.  Every pair's root is found in one loop, each frozen once
+    its step falls below 2 eps t, so its iterates do not depend on the
+    other pairs.  Returns per pair:
 
     - t;
     - tr D;
@@ -236,24 +239,24 @@ def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
       by about as much as the d x d route's;
     - whether t was still moving after NEWTON_STEPS.
 
-    a is the first column of the member's support factor, taken as a
-    (d, 1) column so that w = V^T a rounds the same in any batch.  The
-    terms are kept on N for the last `pure` sequence (`Dmat._rank_one_memo`),
-    so both k_E directions and k_BA against it share one evaluation.
+    a is the first column of the pure state's support factor, and w = V^T a
+    is one (d, d) by (1, d, 1) product per pair, which rounds as that pair's
+    row of a stacked product would.  The one cache slot keeps the terms of
+    the last `pairs` (matrices compare by identity), so k_E both ways and
+    k_BA of one batch share one evaluation; another batch replaces it.
+    Every caller gets the same read-only arrays.  Threads share the slot
+    safely: the cache locks its own bookkeeping, and a miss only recomputes.
     """
-    pure = tuple(pure)
-    memo = N._rank_one_memo
-    if memo is not None and memo[0] == pure:
-        return memo[1]
-    decomp = spectral_decompose(N)
-    lam, dim = decomp.eigenvalues, N.dim
-    u = np.square((decomp.eigenvectors.T @ _stack([spectral_decompose(p).support_factor[:, :1] for p in pure]))[..., 0])
+    decomps = [spectral_decompose(n) for n, _ in pairs]
+    lam, dim = _stack([decomp.eigenvalues for decomp in decomps]), pairs[0][0].dim
+    columns = _stack([spectral_decompose(p).support_factor[:, :1] for _, p in pairs])
+    u = np.square(np.concatenate([decomp.eigenvectors.T @ columns[k : k + 1] for k, decomp in enumerate(decomps)])[..., 0])
     # sum_{j>=i} u_j: phi(t) >= sum_{j>=i} u_j / (lambda_i + t), so the root is at least sum_{j>=i} u_j - lambda_i
     suffix = np.cumsum(u[:, ::-1], axis=-1)[:, ::-1]
     norm_sq = suffix[:, 0]
-    cut = _roundoff_cut(lam[0], dim)
+    cut = _roundoff_cut(lam[:, 0], dim)
     t = np.maximum(cut, (suffix - lam).max(axis=-1))
-    active = np.ones(len(pure), dtype=bool)
+    active = np.ones(len(pairs), dtype=bool)
     for _ in range(NEWTON_STEPS):
         r = 1.0 / (lam + t[:, None])
         q = u * r
@@ -267,10 +270,8 @@ def _rank_one_terms(N: Dmat, pure: Sequence[Dmat]):
     # ||Lambda - w w^T||_F^2: sum_i (lambda_i - u_i)^2 on the diagonal, 2 sum_i u_i sum_{j>i} u_j off it
     fro_sq = np.square(lam - u).sum(axis=-1) + 2.0 * (u[:, :-1] * suffix[:, 1:]).sum(axis=-1)
     pos_sq = fro_sq - np.square(t)
-    sure = (4.0 * pos_sq >= fro_sq) & (fro_sq > np.square(_roundoff_cut(np.maximum(lam[0], norm_sq), dim)))
-    terms = (t, lam.sum() - norm_sq, pos_sq, sure, active)
-    object.__setattr__(N, "_rank_one_memo", (pure, terms))
-    return terms
+    sure = (4.0 * pos_sq >= fro_sq) & (fro_sq > np.square(_roundoff_cut(np.maximum(lam[:, 0], norm_sq), dim)))
+    return tuple(map(_read_only, (t, lam.sum(axis=-1) - norm_sq, pos_sq, sure, active)))
 
 
 def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Callable, from_spectra: Callable):
@@ -280,28 +281,21 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
     1 (`_roundoff_rank` of its eigenvalues): that side is a a^T, the other
     N, and B - A is D = N - a a^T, or -D where a a^T is B (`flip`).  Its
     value is from_terms(pairs, flip, t, tr D, pos_sq, sure) over the terms
-    of `_rank_one_terms`, and NaN leaves it, with any unconverged root and
-    every other pair, to from_spectra(spectra of B - A, pairs) over one
-    `_solve` stack.
+    of one `_rank_one_terms` call for all such pairs, and NaN leaves it,
+    with any unconverged root and every other pair, to from_spectra(spectra
+    of B - A, pairs) over one `_solve` stack.
     """
     pure = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) == 1 for i in dict.fromkeys([*ia, *ib])}
-    # N's index -> the pairs scored in its eigenbasis; the pairs left to the d x d solve
-    groups: dict[int, list[int]] = {}
-    rest: list[int] = []
-    for k, (i, j) in enumerate(zip(ia, ib)):
-        if pure[i] or pure[j]:
-            groups.setdefault(i if pure[j] else j, []).append(k)
-        else:
-            rest.append(k)
-    values = np.empty(len(ia))
-    for n, ks in groups.items():
-        flip = np.array([ia[k] == n for k in ks])
-        t, total, pos_sq, sure, moving = _rank_one_terms(mats[n], [mats[ib[k] if ia[k] == n else ia[k]] for k in ks])
-        ks = np.array(ks)
+    ks = [k for k, (i, j) in enumerate(zip(ia, ib)) if pure[i] or pure[j]]
+    values = np.full(len(ia), np.nan)
+    if ks:
+        flip = np.array([pure[ib[k]] for k in ks])
+        pairs = tuple((mats[ia[k]], mats[ib[k]]) if f else (mats[ib[k]], mats[ia[k]]) for k, f in zip(ks, flip))
+        t, total, pos_sq, sure, moving = _rank_one_terms(pairs)
         values[ks] = np.where(moving, np.nan, from_terms(ks, flip, t, total, pos_sq, sure))
-        rest += ks[np.isnan(values[ks])].tolist()
-    if rest:
-        values[rest] = from_spectra(_solve([(mats[ia[k]], mats[ib[k]]) for k in rest]), np.array(rest))
+    rest = np.flatnonzero(np.isnan(values))
+    if rest.size:
+        values[rest] = from_spectra(_solve([(mats[ia[k]], mats[ib[k]]) for k in rest]), rest)
     return values
 
 
@@ -328,18 +322,16 @@ def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     return _result(_by_route(*_pairs(A, B), from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra)), A, B)
 
 
-def spectrum_norms(spectra: np.ndarray, order: int = 2) -> np.ndarray:
-    """Norm of each spectrum along the last axis: Euclidean (2) or absolute sum (1).
+def spectrum_norms(spectra: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each spectrum along the last axis.
 
-    The Euclidean norm is the root of a per-row `@` dot product, which rounds
-    exactly as `np.linalg.norm` does on each row; `np.einsum` does not.
+    It is the root of a per-row `@` dot product, which rounds exactly as
+    `np.linalg.norm` does on each row; `np.einsum` does not.
     """
-    if order == 1:
-        return np.abs(spectra).sum(axis=-1)
     return np.sqrt((spectra[..., None, :] @ spectra[..., :, None])[..., 0, 0])
 
 
-def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2, dim: int | None = None) -> np.ndarray:
+def k_e_from_spectra(spectra: np.ndarray, norm_a, dim: int | None = None) -> np.ndarray:
     """k_E from ascending spectra of B - A (last axis) and the norms of A's spectra.
 
     The formula behind `k_e`: the error norm is the norm of the negative part
@@ -350,33 +342,28 @@ def k_e_from_spectra(spectra: np.ndarray, norm_a, order: int = 2, dim: int | Non
     """
     dim = spectra.shape[-1] if dim is None else dim
     cut = _roundoff_cut(np.maximum(-spectra[..., :1], spectra[..., -1:]), dim)
-    error = spectrum_norms(np.where(spectra < -cut, -spectra, 0.0), order)
+    error = spectrum_norms(np.where(spectra < -cut, -spectra, 0.0))
     return np.clip(1.0 - error / norm_a, 0.0, 1.0)
 
 
-def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], norm: str = "fro"):
+def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """One minus the relative size of the entailment error term.
 
     The error term collects the negative part of B - A with flipped signs;
-    it vanishes exactly when B - A is PSD.  Clamped to [0, 1].  The norm is
-    Frobenius by default; "trace" uses the absolute eigenvalue sum instead.
-    On the rank-1 route the error is t where a a^T is A, and otherwise the
-    norm of D's positive part: sqrt(pos_sq), or tr D + t for the trace norm,
-    left to the d x d solve unless `sure`.
+    it vanishes exactly when B - A is PSD.  Its Frobenius norm over A's is
+    clamped to [0, 1].  On the rank-1 route the error is t where a a^T is A,
+    and otherwise the norm of D's positive part, sqrt(pos_sq), left to the
+    d x d solve unless `sure`.
     """
-    if norm not in ("fro", "trace"):
-        raise ValueError(f"norm must be 'fro' or 'trace', got {norm!r}")
-    order = 2 if norm == "fro" else 1
-    norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues, order))
+    norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues))
     pairs = _pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
     norm_of = (lambda pairs: norm_a) if isinstance(A, Dmat) else (lambda pairs: norm_a[pairs])
 
     def from_terms(pairs, flip, t, total, pos_sq, sure):
-        positive = np.sqrt(np.maximum(pos_sq, 0.0)) if order == 2 else total + t
-        values = np.clip(1.0 - np.where(flip, positive, t) / norm_of(pairs), 0.0, 1.0)
+        values = np.clip(1.0 - np.where(flip, np.sqrt(np.maximum(pos_sq, 0.0)), t) / norm_of(pairs), 0.0, 1.0)
         return np.where(flip & ~sure, np.nan, values)
 
-    values = _by_route(*pairs, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs), order))
+    values = _by_route(*pairs, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs)))
     return _result(values, A, B)
 
 

@@ -36,42 +36,32 @@ def neg_supp(X: Dmat) -> Dmat:
     return neg_inv(X, 1.0)
 
 
-def _kernel_projector(X: Dmat) -> np.ndarray:
-    """Projector onto the kernel of X; exactly zero when X is invertible."""
-    decomp = spectral_decompose(X)
-    if decomp.rank() == X.dim:
-        return np.zeros((X.dim, X.dim))
-    cut = decomp.support_cut()
-    return decomp.apply(lambda lam: np.where(lam > cut, 0.0, 1.0))
-
-
 def neg_ker(X: Dmat) -> Dmat:
-    """Projector onto the kernel.
+    """Projector onto the kernel: `neg_inv` at support weight 0.
 
     An invertible input has an empty kernel; the zero matrix is returned with
     an EmptyKernelWarning so that the convex mixture below stays total.
     """
     if spectral_decompose(X).rank() == X.dim:
         warnings.warn("input is invertible; kernel projector is zero", EmptyKernelWarning)
-    return _decomposed(_kernel_projector(X))
+    return neg_inv(X, 0.0)
 
 
 def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
     """Convex mixture of support inverse and kernel projector.
 
     Equal weighting is the default; `support_weight` in [0, 1] tilts toward
-    the support inverse (1 is neg_supp, 0 recovers neg_ker).  Any other
-    weight w is one spectral function of X: w/lambda on the support, 1 - w
-    on the kernel.  An input of rank 0 raises ZeroMatrixError.  An empty
-    kernel contributes zero without a warning, and the process-wide warning
-    filters are left alone, so concurrent callers are safe.
+    the support inverse (1 is neg_supp, 0 the kernel projector).  Every
+    weight w is one spectral function of X: w/lambda on the support (+0.0
+    at w = 0), 1 - w on the kernel.  An input of rank 0 raises
+    ZeroMatrixError when w > 0.  An empty kernel contributes zero without a
+    warning, and the process-wide warning filters are left alone, so
+    concurrent callers are safe.
     """
     if not 0.0 <= support_weight <= 1.0:
         raise WeightOutOfRangeError(f"support_weight {support_weight} not in [0, 1]")
-    if support_weight == 0.0:
-        return neg_ker(X)
     decomp = spectral_decompose(X)
-    if decomp.rank() == 0:
+    if support_weight > 0.0 and decomp.rank() == 0:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
     cut = decomp.support_cut()
     mixed = decomp.apply(

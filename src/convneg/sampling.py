@@ -56,9 +56,9 @@ def _rotated(eigs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _sym((q * eigs[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _dmats(stack: np.ndarray, normalized: bool = False) -> list[Dmat]:
+def _dmats(stack: np.ndarray) -> list[Dmat]:
     """A `Dmat` per matrix of an exactly symmetric stack, validated by its row of one `eigvalsh`."""
-    return [Dmat(m, normalized, spectrum=lambda _, s=s: s) for m, s in zip(stack, np.linalg.eigvalsh(stack))]
+    return [Dmat(m, spectrum=lambda _, s=s: s) for m, s in zip(stack, np.linalg.eigvalsh(stack))]
 
 
 def _psd(eigs, normals) -> list[Dmat]:
@@ -118,7 +118,7 @@ def random_ordered_pair(rng: np.random.Generator, dim, margin: float = 0.0):
         bs = [rescale_max_eig(b) for b in _psd(b_eigs, b_normals)]
         k = np.stack([m.matrix / (m.max_eigenvalue() * (1.0 + margin)) for m in _psd(k_eigs, k_normals)])
         root = np.stack([decomp.apply(np.sqrt) for decomp in _decompositions(bs)])
-        return zip(_dmats(_sym(root @ k @ root), normalized=True), bs)
+        return zip(_dmats(_sym(root @ k @ root)), bs)
 
     return _sample(dim, lambda d: _psd_draw(rng, d) + _psd_draw(rng, d), build)
 

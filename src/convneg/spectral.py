@@ -8,8 +8,10 @@ eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
 read-only on the instance: the eigenvalues from validation, which solves for
 them anyway, and the full `SpectralDecomposition` the first time
-`spectral_decompose` is asked for it.  A matrix built to be decomposed
-(a composition, a logical negation, a worldly context) is validated by one
+`spectral_decompose` is asked for it.  Nothing else is kept on a `Dmat`: a
+measure that reuses work across calls keeps it in its own module (the rank-1
+route's one-slot cache in `entailment`).  A matrix built to be decomposed (a
+composition, a logical negation, a worldly context) is validated by one
 `eigh` (`_decomposed`), which its decomposition reuses.  `normalize_max_eig`
 and `rescale_max_eig` read their result's checks off the input's spectrum
 divided by the scale (a scale of at least 1 needs none), and hand the result
@@ -24,7 +26,7 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -33,7 +35,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonSymmetricError,
-    NotNormalizedError,
     NotPSDError,
     ZeroMatrixError,
 )
@@ -54,9 +55,9 @@ class Dmat:
     """Real symmetric PSD matrix representing a word or context meaning.
 
     Construction validates symmetry (within SYMMETRY_TOL) and positive
-    semidefiniteness (eigenvalues >= -PSD_TOL).  A matrix flagged
-    `normalized` must additionally have largest eigenvalue <= 1 + PSD_TOL.
-    Instances are immutable; the wrapped array is read-only.
+    semidefiniteness (eigenvalues >= -PSD_TOL).  Instances are immutable;
+    the wrapped array is read-only.  An operation that needs a top
+    eigenvalue of at most 1 checks it itself (`neg_sub`).
 
     The read-only ascending `eigenvalues` are the ones validation checked,
     kept from construction: `eigvalsh(matrix)` by default, `eigh`'s for a
@@ -72,18 +73,9 @@ class Dmat:
     the eigenvectors are held once), and reused by every later one.
     Concurrent first calls may each compute it, and whichever identical
     result lands last is kept.
-
-    A matrix that pure states were scored against in its eigenbasis (the
-    rank-1 route of k_e and k_ba) keeps a one-slot memo of the terms for
-    that sequence of pure states (held by identity), so both k_E directions
-    and k_BA share one evaluation.  Another sequence replaces it.  Threads
-    may race to replace it; the race is benign, because the slot is one
-    tuple, stored whole and checked against the caller's own sequence on
-    every read.
     """
 
     matrix: np.ndarray
-    normalized: bool = False
     # how validation finds the ascending eigenvalues; None is np.linalg.eigvalsh
     spectrum: InitVar[Callable[[np.ndarray], np.ndarray] | None] = None
     # the read-only ascending eigenvalues validation checked
@@ -93,14 +85,12 @@ class Dmat:
     # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`),
     # until spectral_decompose builds the decomposition from it
     _solved: tuple | None = field(init=False, default=None)
-    # (pure states, terms) of the last rank-1 route scored in this matrix's eigenbasis
-    _rank_one_memo: tuple | None = field(init=False, default=None)
 
     def __post_init__(self, spectrum):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        eigenvalues = _validate(m, self.normalized, spectrum or np.linalg.eigvalsh)
+        eigenvalues = _validate(m, spectrum or np.linalg.eigvalsh)
         m.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -120,15 +110,14 @@ class Dmat:
         return self.frobenius_norm() < ZERO_NORM_TOL
 
     def __repr__(self) -> str:
-        return f"Dmat(dim={self.dim}, normalized={self.normalized})"
+        return f"Dmat(dim={self.dim})"
 
 
-def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
+def _validate(m: np.ndarray, spectrum) -> np.ndarray:
     """Check a square float array as a Dmat; return `spectrum(m)`.
 
-    The checks: finite entries, symmetry within SYMMETRY_TOL, ascending
-    eigenvalues `spectrum(m)` at least -PSD_TOL, and, when `normalized`, a
-    largest eigenvalue of at most 1 + PSD_TOL.  `spectrum` runs only on a
+    The checks: finite entries, symmetry within SYMMETRY_TOL, and ascending
+    eigenvalues `spectrum(m)` at least -PSD_TOL.  `spectrum` runs only on a
     finite symmetric `m`.
     """
     if not np.all(np.isfinite(m)):
@@ -140,31 +129,23 @@ def _validate(m: np.ndarray, normalized: bool, spectrum) -> np.ndarray:
     eigenvalues = spectrum(m)
     if eigenvalues[0] < -PSD_TOL:
         raise NotPSDError(f"eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL:.0e}")
-    if normalized and eigenvalues[-1] > 1.0 + PSD_TOL:
-        raise NotNormalizedError(
-            f"flagged normalized but largest eigenvalue is {eigenvalues[-1]:.12g}"
-        )
     return eigenvalues
 
 
-# each Dmat field's default, for the instances `_scaled` builds without `__init__`
-_DMAT_DEFAULTS = {f.name: f.default for f in fields(Dmat)}
-
-
 def _scaled(M: Dmat, s: float) -> Dmat:
-    """`M.matrix / s` flagged normalized, without a new eigensolve; s is at least M's top eigenvalue, or below 1.
+    """`M.matrix / s` without a new eigensolve; s is at least M's top eigenvalue, or below 1.
 
     Dividing by a positive s divides each eigenvalue by s.  For s >= 1 every
     check holds by construction: the entries stay finite, the asymmetry and
     a roundoff-negative eigenvalue only shrink, and the top eigenvalue
     becomes at most 1.  A smaller s can overflow and widens both, so the
-    scaled array is checked again, its PSD and normalized checks reading M's
-    spectrum divided by s.  The result is built without `__init__`, whose
-    validation would solve again.  It keeps M's eigenvalues divided by s, and
-    so its kept `eigh` or its decomposition where M has one, sharing M's
-    read-only eigenvectors: nothing is solved for it again.  Its rank-1 memo
-    starts empty.  A scale of exactly 1 divides nothing (x / 1 is x, bit for
-    bit), so the result shares M's read-only arrays.
+    scaled array is checked again, its PSD check reading M's spectrum
+    divided by s.  The result is built without `__init__`, whose validation
+    would solve again.  It keeps M's eigenvalues divided by s, and so its
+    kept `eigh` or its decomposition where M has one, sharing M's read-only
+    eigenvectors: nothing is solved for it again.  A scale of exactly 1
+    divides nothing (x / 1 is x, bit for bit), so the result shares M's
+    read-only arrays.
     """
 
     def divided(array: np.ndarray) -> np.ndarray:
@@ -172,11 +153,11 @@ def _scaled(M: Dmat, s: float) -> Dmat:
 
     m, eigenvalues = divided(M.matrix), divided(M.eigenvalues)
     if s < 1.0:
-        _validate(m, True, lambda _: eigenvalues)
+        _validate(m, lambda _: eigenvalues)
     solved, spectral = M._solved, M._spectral  # in this order: spectral_decompose sets one, then clears the other
     out = object.__new__(Dmat)
     vars(out).update(
-        _DMAT_DEFAULTS, matrix=m, normalized=True, eigenvalues=eigenvalues,
+        matrix=m, eigenvalues=eigenvalues,
         _spectral=None if spectral is None else SpectralDecomposition(
             divided(spectral.eigenvalues), spectral.eigenvectors
         ),
@@ -400,4 +381,4 @@ def support_projector(M: Dmat) -> Dmat:
     decomp = spectral_decompose(M)
     cut = decomp.support_cut()
     proj = decomp.apply(lambda lam: np.where(lam > cut, 1.0, 0.0))
-    return Dmat(proj, normalized=True)
+    return Dmat(proj)

@@ -43,7 +43,7 @@ from .experiment import pearson
 from .lexicon import VectorTable, build_density_matrix, build_lexicon, load_lexicon, save_lexicon
 from .negation import neg_inv, neg_sub, neg_supp
 from .sampling import (
-    random_commuting_pair, random_diagonal_ordered_pair, random_invertible_pair, random_nested_support_pair,
+    _sym, random_commuting_pair, random_diagonal_ordered_pair, random_invertible_pair, random_nested_support_pair,
     random_normalized, random_ordered_pair, random_orthogonal, random_psd, random_same_support_pair,
 )
 from .spectral import Dmat, loewner_leq, normalize_max_eig, rescale_max_eig, spectral_decompose, support_projector
@@ -391,10 +391,6 @@ def suite_commuting_coincidence(t, rng, dims, comps):
             t.residual(np.linalg.norm(comps[name](a, b).matrix - expected), 1e-9)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
-
-
 # --------------------------------------------------------------------------
 # entailment measures
 # --------------------------------------------------------------------------
@@ -496,7 +492,7 @@ def suite_lexicon_construction(t, rng, dims, comps):
 def suite_pipeline_toy(t, rng, dims, comps):
     """Deterministic worked example: negate the pure state, apply the toy
     context, and land on the graded mixture of alternatives."""
-    apple, orange, fig, movie = (Dmat(np.outer(e, e), normalized=True) for e in np.eye(4))
+    apple, orange, fig, movie = (Dmat(np.outer(e, e)) for e in np.eye(4))
     fruit = Dmat(apple.matrix / 2 + orange.matrix / 3 + fig.matrix / 6)
     raw = comps["spider"](neg_sub(apple), fruit)
     t.residual(np.linalg.norm(raw.matrix - (orange.matrix / 3 + fig.matrix / 6)), 1e-9)

@@ -11,11 +11,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def identity(dim: int) -> Dmat:
-    return Dmat(np.eye(dim), normalized=True)
+    return Dmat(np.eye(dim))
 
 
-def from_diagonal(values, normalized: bool = False) -> Dmat:
-    return Dmat(np.diag(np.asarray(values, dtype=float)), normalized=normalized)
+def from_diagonal(values) -> Dmat:
+    return Dmat(np.diag(np.asarray(values, dtype=float)))
 
 
 @pytest.fixture
@@ -28,10 +28,10 @@ def onb():
     """Pure states on the standard basis: apple, orange, fig, movie."""
     basis = np.eye(4)
     return {
-        "apple": Dmat(np.outer(basis[0], basis[0]), normalized=True),
-        "orange": Dmat(np.outer(basis[1], basis[1]), normalized=True),
-        "fig": Dmat(np.outer(basis[2], basis[2]), normalized=True),
-        "movie": Dmat(np.outer(basis[3], basis[3]), normalized=True),
+        "apple": Dmat(np.outer(basis[0], basis[0])),
+        "orange": Dmat(np.outer(basis[1], basis[1])),
+        "fig": Dmat(np.outer(basis[2], basis[2])),
+        "movie": Dmat(np.outer(basis[3], basis[3])),
     }
 
 
@@ -43,7 +43,7 @@ def fruit_raw(onb):
         + onb["orange"].matrix / 3.0
         + onb["fig"].matrix / 6.0
     )
-    return Dmat(mix, normalized=True)
+    return Dmat(mix)
 
 
 @pytest.fixture

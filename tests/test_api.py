@@ -1,7 +1,10 @@
 """The public surface: tolerances are module constants, not per-call options."""
 
+import dataclasses
 import inspect
 import types
+
+import numpy as np
 
 import convneg
 
@@ -51,6 +54,18 @@ def test_no_tolerance_parameters():
 
 def test_is_zero_takes_no_tolerance():
     assert list(inspect.signature(convneg.Dmat.is_zero).parameters) == ["self"]
+
+
+def test_dmat_keeps_only_its_matrix_and_spectrum():
+    # a measure keeps its own caches; nothing else is set on a Dmat, even after it is scored
+    fields = ["matrix", "eigenvalues", "_spectral", "_solved"]
+    assert [f.name for f in dataclasses.fields(convneg.Dmat)] == fields
+    assert list(inspect.signature(convneg.Dmat).parameters) == ["matrix", "spectrum"]
+    mixed, pure = convneg.Dmat(np.diag([1.0, 0.5, 0.0])), convneg.Dmat(np.diag([0.0, 1.0, 0.0]))
+    for fn in (convneg.k_e, convneg.k_ba, convneg.k_hyp):
+        fn(mixed, [pure])
+        fn([pure], mixed)
+    assert [sorted(vars(m)) for m in (mixed, pure)] == [sorted(fields)] * 2
 
 
 def test_removed_names_are_not_exported():

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from convneg.entailment import (
     _k_hyp_oracle_pairs,
+    _rank_one_terms,
     _solve,
     k_ba,
     k_ba_from_spectra,
@@ -152,12 +155,6 @@ class TestKE:
         with pytest.raises(ZeroMatrixError):
             k_e(Dmat(np.zeros((2, 2))), identity(2))
 
-    def test_trace_norm_variant(self):
-        # trace norm divides the lost eigenvalue mass by the total mass
-        assert k_e(FRUIT, APPLE, norm="trace") == pytest.approx(0.5, abs=1e-12)
-        with pytest.raises(ValueError):
-            k_e(APPLE, FRUIT, norm="spectral")
-
     def test_range_clamped(self, rng):
         for _ in range(30):
             a = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
@@ -222,11 +219,11 @@ def test_khyp_scaling_property(diag_a, scale):
     assert k_hyp(Dmat(a.matrix * scale), b) == pytest.approx(k_hyp(a, b) / scale, rel=1e-9)
 
 
-def loop_k_e(A, B, order):
+def loop_k_e(A, B):
     """k_E as a plain per-pair formula over `np.linalg.norm`."""
     eigs = np.linalg.eigvalsh(B.matrix - A.matrix)
-    error = float(np.linalg.norm(np.where(eigs < 0.0, -eigs, 0.0), ord=order))
-    return float(np.clip(1.0 - error / float(np.linalg.norm(A.eigenvalues, ord=order)), 0.0, 1.0))
+    error = float(np.linalg.norm(np.where(eigs < 0.0, -eigs, 0.0)))
+    return float(np.clip(1.0 - error / float(np.linalg.norm(A.eigenvalues)), 0.0, 1.0))
 
 
 def loop_k_hyp(A, B):
@@ -252,8 +249,7 @@ def test_array_kernels_match_loop_formulas_bitwise():
         for _ in range(12):
             A = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)), repeat_prob=0.2)
             B = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            assert k_e(A, B) == pytest.approx(loop_k_e(A, B, 2), rel=1e-12, abs=0)
-            assert k_e(A, B, norm="trace") == pytest.approx(loop_k_e(A, B, 1), rel=1e-12, abs=0)
+            assert k_e(A, B) == pytest.approx(loop_k_e(A, B), rel=1e-12, abs=0)
             assert k_hyp(A, B) == pytest.approx(loop_k_hyp(A, B), rel=1e-12, abs=0)
 
 
@@ -356,7 +352,6 @@ MEASURES = {
     "k_hyp": k_hyp,
     "k_hyp_clamped": k_hyp_clamped,
     "k_e": k_e,
-    "k_e_trace": lambda a, b: k_e(a, b, norm="trace"),
     "k_ba": k_ba,
     "trace_similarity": trace_similarity,
 }
@@ -437,12 +432,12 @@ class TestStackedMeasures:
 
     def test_one_solve_for_both_k_e_directions_and_k_ba(self, monkeypatch):
         # against pure states, both k_E directions and k_BA share one evaluation of the
-        # rank-1 route's terms, kept on the other operand, and no d x d solve
+        # rank-1 route's terms, and no d x d solve
         rng = np.random.default_rng(5)
         a = random_psd(rng, 12, rank=4)
         seq = [random_psd(rng, 12, rank=1) for _ in range(6)]
         calls = [lambda x: k_e(x, seq), lambda x: k_e(seq, x), lambda x: k_ba(x, seq), lambda x: k_ba(seq, x)]
-        # each call alone, on its own copy of a with no memo
+        # each call alone, on its own copy of a, so that no call reuses another's terms
         fresh = [call(Dmat(a.matrix)).tobytes() for call in calls]
         real = np.linalg.eigvalsh
         solves = []
@@ -450,16 +445,56 @@ class TestStackedMeasures:
         for first in range(len(calls)):
             x = Dmat(a.matrix)
             solves.clear()
+            misses = _rank_one_terms.cache_info().misses
             got = {first: calls[first](x).tobytes()}
-            memo = x._rank_one_memo
             for k in range(len(calls)):
                 got.setdefault(k, calls[k](x).tobytes())
-            assert x._rank_one_memo is memo and memo[0] == tuple(seq)
+            assert _rank_one_terms.cache_info().misses == misses + 1
             assert solves == []
             assert [got[k] for k in range(len(calls))] == fresh
-        # a different sequence replaces the memo
+        # another sequence is evaluated afresh, and replaces the cached one
         k_e(x, seq[::-1])
-        assert x._rank_one_memo[0] == tuple(seq[::-1])
+        k_e(x, seq)
+        assert _rank_one_terms.cache_info().misses == misses + 3
+
+    def test_pure_state_against_mixed_states_shares_one_evaluation(self):
+        # one call scores every pair in its own mixed operand's eigenbasis, in one Newton
+        # loop; both argument orders and k_BA reuse it, bit for bit the scalar loop
+        rng = np.random.default_rng(61)
+        for dim in (2, 3, 7, 12, 30):
+            p = random_psd(rng, dim, rank=1)
+            seq = [random_psd(rng, dim, rank=int(rng.integers(2, dim + 1))) for _ in range(5)]
+            seq.append(seq[0])
+            calls = {
+                "k_e(p, seq)": (lambda: k_e(p, seq), [k_e(p, s) for s in seq]),
+                "k_e(seq, p)": (lambda: k_e(seq, p), [k_e(s, p) for s in seq]),
+                "k_ba(p, seq)": (lambda: k_ba(p, seq), [k_ba(p, s) for s in seq]),
+                "k_ba(seq, p)": (lambda: k_ba(seq, p), [k_ba(s, p) for s in seq]),
+            }
+            misses = _rank_one_terms.cache_info().misses
+            for name, (call, want) in calls.items():
+                assert call().tobytes() == np.array(want).tobytes(), (name, dim)
+            assert _rank_one_terms.cache_info().misses == misses + 1, dim
+
+    def test_threads_sharing_the_rank_one_cache_get_their_own_values(self):
+        # four threads score each batch, so the one slot keeps changing hands under readers of its key
+        rng = np.random.default_rng(67)
+        batches = [(random_psd(rng, 9, rank=3), [random_psd(rng, 9, rank=1) for _ in range(4)]) for _ in range(2)]
+        calls = (lambda n, seq: k_e(n, seq), lambda n, seq: k_e(seq, n), lambda n, seq: k_ba(n, seq))
+        want = [[call(n, seq).tobytes() for call in calls] for n, seq in batches]
+
+        def score(b):
+            n, seq = batches[b]
+            return all([call(n, seq).tobytes() for call in calls] == want[b] for _ in range(200))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(score, b % len(batches)) for b in range(8)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rank_one_heavy_sequences_match_scalar_loop_bitwise(self):
         # pure members of every kind the rank-1 route meets, mixed with full-rank ones, so
@@ -496,11 +531,10 @@ def pure_state(vector: np.ndarray) -> Dmat:
 
 
 def d_by_d_values(A: Dmat, B: Dmat) -> dict[str, float]:
-    """k_E both norms and k_BA of (A, B) from `_solve`, the d x d spectrum of B - A, through the same formulas."""
+    """k_E and k_BA of (A, B) from `_solve`, the d x d spectrum of B - A, through the same formulas."""
     spectra = _solve([(A, B)])
     return {
-        "k_e": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues), 2)[0],
-        "k_e_trace": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues, 1), 1)[0],
+        "k_e": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues))[0],
         "k_ba": k_ba_from_spectra(spectra)[0],
     }
 
@@ -552,10 +586,10 @@ def test_rank_one_route_matches_d_by_d_solve(dim, case, seed):
     scale = max(N.max_eigenvalue(), A.max_eigenvalue())
     for X, Y in ((A, N), (N, A)):
         want = d_by_d_values(X, Y)
-        got = {"k_e": k_e(X, Y), "k_e_trace": k_e(X, Y, norm="trace"), "k_ba": k_ba(X, Y)}
+        got = {"k_e": k_e(X, Y), "k_ba": k_ba(X, Y)}
         # an absolute sum below 1e-12 gives 1 on both routes
         absolute_sum = max(np.abs(_solve([(X, Y)])).sum(), 1e-12)
-        divisors = {"k_e": spectrum_norms(X.eigenvalues), "k_e_trace": spectrum_norms(X.eigenvalues, 1), "k_ba": absolute_sum}
+        divisors = {"k_e": spectrum_norms(X.eigenvalues), "k_ba": absolute_sum}
         for name, value in got.items():
             assert abs(value - want[name]) <= 16 * dim * np.finfo(float).eps * scale / divisors[name], (name, X is A)
     if case == "equal":

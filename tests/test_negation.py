@@ -92,6 +92,14 @@ class TestNegInv:
         out = neg_inv(from_diagonal([0.5, 0.0]), 0.0)
         np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]))
 
+    def test_weight_zero_is_neg_ker_without_its_warning(self, rng, recwarn):
+        for x in (identity(3), random_psd(rng, 4), random_psd(rng, 4, rank=2), Dmat(np.zeros((2, 2)))):
+            out = neg_inv(x, 0.0)
+            assert not recwarn.list
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyKernelWarning)
+                assert out.matrix.tobytes() == neg_ker(x).matrix.tobytes()
+
     def test_weight_out_of_range(self):
         with pytest.raises(WeightOutOfRangeError):
             neg_inv(identity(2), 1.5)

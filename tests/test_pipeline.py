@@ -60,7 +60,7 @@ class TestConversationalNegate:
         cfg = NegationConfig(NegationKind.SUB, composition, Basis.W)
         out = conversational_negate("apple", cfg, lexicon, provider)
         np.testing.assert_allclose(out.matrix, WORKED_OUTPUT, atol=1e-10)
-        assert out.normalized
+        assert out.max_eigenvalue() == 1.0
 
     def test_basis_flag_irrelevant_for_commuting_toy(self, toy_setup):
         lexicon, provider = toy_setup
@@ -108,7 +108,6 @@ class TestConversationalNegate:
         lexicon, provider = toy_setup
         cfg = NegationConfig(NegationKind.INV, CompositionKind.SPIDER, Basis.W, support_weight=0.5)
         out = conversational_negate("apple", cfg, lexicon, provider)
-        assert out.normalized
         assert out.max_eigenvalue() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("negation", list(NegationKind))
@@ -171,21 +170,21 @@ class TestLogicalNegation:
 
 class TestPlausibility:
     def test_trace_on_worked_output(self, onb):
-        negated = Dmat(WORKED_OUTPUT, normalized=True)
+        negated = Dmat(WORKED_OUTPUT)
         value = plausibility(negated, onb["orange"], "trace")
         assert value == pytest.approx(1.0 / np.sqrt(1.25), abs=1e-12)
 
     def test_orthogonal_alternative_scores_zero(self, onb):
-        negated = Dmat(WORKED_OUTPUT, normalized=True)
+        negated = Dmat(WORKED_OUTPUT)
         assert plausibility(negated, onb["movie"], "trace") == 0.0
 
     def test_k_e_direction_two(self, onb):
         # the worked output dominates the orange state, so reverse entailment is full
-        negated = Dmat(WORKED_OUTPUT, normalized=True)
+        negated = Dmat(WORKED_OUTPUT)
         assert plausibility(negated, onb["orange"], "k_E", direction=2) == 1.0
 
     def test_k_e_direction_one_differs(self, onb):
-        negated = Dmat(WORKED_OUTPUT, normalized=True)
+        negated = Dmat(WORKED_OUTPUT)
         forward = plausibility(negated, onb["orange"], "k_E", direction=1)
         assert forward < 1.0
 
@@ -199,14 +198,14 @@ class TestPlausibility:
 
     def test_graded_alternative_ordering(self, onb):
         # closer alternatives score higher; the orthogonal one scores zero
-        negated = Dmat(WORKED_OUTPUT, normalized=True)
+        negated = Dmat(WORKED_OUTPUT)
         orange = plausibility(negated, onb["orange"], "trace")
         fig = plausibility(negated, onb["fig"], "trace")
         movie = plausibility(negated, onb["movie"], "trace")
         assert orange > fig > movie == 0.0
 
     def test_alternatives_scored_at_once_match_scalar_loop(self, onb, rng):
-        cases = [(Dmat(WORKED_OUTPUT, normalized=True), list(onb.values()))]
+        cases = [(Dmat(WORKED_OUTPUT), list(onb.values()))]
         for dim in (2, 7, 20):
             negated = random_normalized(rng, dim, rank=max(1, dim - 2))
             alternatives = [random_psd(rng, dim, rank=r, repeat_prob=0.3) for r in range(1, dim + 1, 3)]
@@ -265,7 +264,7 @@ def test_rotating_the_lexicon_leaves_basis_free_scores(seed):
     turned = {}
     for word, m in lexicon.matrices.items():
         r = q @ m.matrix @ q.T
-        turned[word] = Dmat((r + r.T) / 2.0, normalized=True)
+        turned[word] = Dmat((r + r.T) / 2.0)
     want = _basis_free_scores(lexicon, hierarchy, dataset)
     got = _basis_free_scores(Lexicon(turned), hierarchy, dataset)
     for comp in ("fuzz", "phaser", "none"):

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from convneg.negation import _kernel_projector, neg_supp
+from convneg.negation import neg_ker, neg_supp
 
 from convneg.errors import (
     DimensionMismatchError,
     NonSymmetricError,
-    NotNormalizedError,
     NotPSDError,
     ZeroMatrixError,
 )
@@ -54,10 +53,6 @@ class TestDmatInvariants:
     def test_tolerates_roundoff_negativity(self):
         m = Dmat(np.diag([1.0, -1e-10]))
         assert m.dim == 2
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(NotNormalizedError):
-            Dmat(np.diag([2.0, 0.0]), normalized=True)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
@@ -158,7 +153,7 @@ def test_spectral_functions_match_per_eigenvalue_loop(rng):
             (decomp.apply(np.sqrt), math.sqrt),
         ]
         if decomp.rank() < dim:
-            cases.append((_kernel_projector(X), lambda lam: 0.0 if lam > cut else 1.0))
+            cases.append((neg_ker(X).matrix, lambda lam: 0.0 if lam > cut else 1.0))
         for got, fn in cases:
             assert got.tobytes() == loop_apply(decomp, fn).tobytes(), dim
 
@@ -233,7 +228,7 @@ class TestNormalize:
     def test_scales_down(self):
         out = normalize_max_eig(from_diagonal([2.0, 0.0]))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]))
-        assert out.normalized
+        assert out.max_eigenvalue() == 1.0
 
     def test_leaves_small_matrices_alone(self):
         m = from_diagonal([0.5, 1 / 3])
@@ -340,7 +335,7 @@ class TestRescaleWithoutSolve:
         m = random_psd(rng, 5)
         parent_decomp = spectral_decompose(m)
         out = rescale_max_eig(m)
-        assert out.normalized and out.dim == 5
+        assert out.max_eigenvalue() == 1.0 and out.dim == 5
         np.testing.assert_array_equal(out.matrix, m.matrix / m.max_eigenvalue())
         with pytest.raises(ValueError):
             out.matrix[0, 0] = 2.0
@@ -366,11 +361,11 @@ class TestRescaleWithoutSolve:
             _scaled(identity(2), 1e-320)
 
     def test_scale_of_one_shares_the_arrays(self, rng):
-        # x / 1 is x bit for bit, so nothing is divided; the result is still a fresh normalized Dmat
+        # x / 1 is x bit for bit, so nothing is divided; the result is still a fresh Dmat
         m = _decomposed(random_psd(rng, 5).matrix / 2.0)
         spectral_decompose(m)
         out = normalize_max_eig(m)
-        assert out is not m and out.normalized and not m.normalized and out._rank_one_memo is None
+        assert out is not m and m.max_eigenvalue() <= 1.0
         assert out.matrix is m.matrix and out.eigenvalues is m.eigenvalues
         assert out._spectral.eigenvalues is m._spectral.eigenvalues
         assert out._spectral.eigenvectors is m._spectral.eigenvectors
