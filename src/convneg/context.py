@@ -195,11 +195,10 @@ class EntailmentGraph:
         return len(self.edges)
 
 
-# each scorer fills an n x n array of the scores of the ordered pairs that hold a
-# source word (a boolean mask over the n words), NaN in every other cell
+# each measure scores a matrix against a sequence of matrices, either way round
 GRAPH_MEASURES = MappingProxyType({
-    "k_E": entailment.k_e_all_pairs,
-    "k_hyp": entailment.k_hyp_clamped_all_pairs,
+    "k_E": entailment.k_e,
+    "k_hyp": entailment.k_hyp_clamped,
 })
 
 
@@ -207,39 +206,42 @@ def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: floa
     """Graded entailment, both ways, between each of `words` and every other lexicon word; weak edges dropped.
 
     Only the edges incident to `words` are scored, so the graph knows the
-    neighbors of those words alone (`EntailmentGraph.scored`); their edges
-    are those of the graph over every word pair, bit for bit.  With k of
+    neighbors of those words alone (`EntailmentGraph.scored`).  With k of
     the n lexicon words in `words`, that is k(n - 1) - k(k - 1)/2 unordered
     pairs, against n(n - 1)/2 for every word.  A word of `words` that is not
     in the lexicon has no edges.
 
-    Scored with no thread pool by `entailment.k_e_all_pairs` (each pair's
-    spectrum solved in the pair's joint support, equal to `k_e` to roundoff)
-    or `entailment.k_hyp_clamped_all_pairs` (each pair solved in the smaller
-    support, equal to `k_hyp_clamped` bit for bit).  Every lexicon word is
-    checked, in `words` or not: a bad lexicon raises what the first failing
-    scalar call over every word pair, in sorted (u, v) order, would raise.
-    Edges are inserted in sorted (u, v) order; non-finite scores and scores
-    below `threshold` are dropped.  One DEBUG line on this module's logger
-    counts the words, the pairs scored and the edges kept.
+    Each source word s is scored by two calls of its measure
+    (`GRAPH_MEASURES`), score(M_s, others) and score(others, M_s), with
+    `others` the other n - 1 lexicon words, so every edge is the scalar
+    measure's value bit for bit, and a bad lexicon word raises as those
+    calls do.  With no source word in the lexicon nothing is scored or
+    checked.  Edges are inserted in sorted (u, v) order; non-finite scores
+    and scores below `threshold` are dropped.  One DEBUG line on this
+    module's logger counts the words, the pairs scored and the edges kept.
     """
     if measure not in GRAPH_MEASURES:
         raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}")
+    score = GRAPH_MEASURES[measure]
     scored = frozenset(words)
     lexicon_words = sorted(lexicon)
     n = len(lexicon_words)
-    sources = np.array([w in scored for w in lexicon_words], dtype=bool)
-    edges = {}
-    if n >= 2:
-        weights = GRAPH_MEASURES[measure]([lookup_word(lexicon, w) for w in lexicon_words], sources)
-        keep = np.isfinite(weights) & (weights >= threshold)
-        rows, cols = np.nonzero(keep)
-        edges = {
-            (lexicon_words[i], lexicon_words[j]): w
-            for i, j, w in zip(rows.tolist(), cols.tolist(), weights[keep].tolist())
-        }
+    sources = [i for i, w in enumerate(lexicon_words) if w in scored]
+    weights = np.full((n, n), np.nan)
+    if n >= 2 and sources:
+        mats = [lookup_word(lexicon, w) for w in lexicon_words]
+        for i in sources:
+            others, rest = mats[:i] + mats[i + 1 :], np.arange(n) != i
+            weights[i, rest] = score(mats[i], others)
+            weights[rest, i] = score(others, mats[i])
+    keep = np.isfinite(weights) & (weights >= threshold)
+    rows, cols = np.nonzero(keep)
+    edges = {
+        (lexicon_words[i], lexicon_words[j]): w
+        for i, j, w in zip(rows.tolist(), cols.tolist(), weights[keep].tolist())
+    }
     graph = EntailmentGraph(edges=edges, scored=scored)
-    k = int(sources.sum())
+    k = len(sources)
     logger.debug("%s graph over %d words around %d source words: %d of %d word pairs scored, %d edges kept",
                  measure, n, k, k * (n - 1) - k * (k - 1) // 2, n * (n - 1) // 2, len(graph))
     return graph

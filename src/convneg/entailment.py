@@ -27,14 +27,8 @@ The k_hyp, k_E and k_BA formulas each live in one array kernel
 route's closed forms.  Every pair kernel takes one list of matrices and
 the index of each pair's A and B in it (`_pairs` builds them for a
 measure), and `_stacks` is the one way pairs are grouped into solve
-stacks.  The grid scores through the measures themselves.  The
-entailment graph scores, both ways, every word pair that holds at least
-one of a given set of source words: through `k_hyp_clamped_all_pairs`,
-bit for bit the scalar values, and `k_e_all_pairs`, which solves each
-such unordered pair once in its joint support, in stacks of one problem
-shape and n - 1 pairs that mix rows, and agrees with `k_e` to roundoff.
-With k source words among n, that is k(n - 1) - k(k - 1)/2 unordered
-pairs, against n(n - 1)/2 for every pair.
+stacks.  The grid and the entailment graph score through the measures
+themselves.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ZeroMatrixError
-from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, _roundoff_rank, check_dims, spectral_decompose
+from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, check_dims, spectral_decompose
 
 # Newton steps allowed for a rank-1 pair's root; a pair not converged by then is solved d x d
 NEWTON_STEPS = 64
@@ -92,6 +86,13 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _ranks(mats: Sequence[Dmat]) -> list[int]:
+    """`_roundoff_rank` of each of mats, all of one dim, in one stacked comparison of their kept eigenvalues."""
+    eigenvalues = _stack([m.eigenvalues for m in mats])
+    cut = _roundoff_cut(eigenvalues.max(axis=-1, keepdims=True), mats[0].dim)
+    return np.count_nonzero(eigenvalues > cut, axis=-1).tolist()
+
+
 def _stacks(shapes: Sequence, size: int):
     """(shape, pairs) per stack: each shape's pair indices, first shape seen first, in runs of at most `size`."""
     groups: dict = {}
@@ -109,7 +110,7 @@ def _top_eigenvalue(cores: np.ndarray) -> np.ndarray:
 
 
 def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarray:
-    """k_hyp(mats[ia[k]], mats[ib[k]]) for every k: the one kernel behind `k_hyp` and the graph.
+    """k_hyp(mats[ia[k]], mats[ib[k]]) for every k: the one kernel behind `k_hyp`.
 
     gamma, the top eigenvalue of pinv(B) A, is solved in the smaller support.
     With W the whitened support of B (`whitened_support`, rank r_B),
@@ -123,7 +124,7 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     same in any stack, so values do not depend on the batch.
     """
     whitened = {j: spectral_decompose(mats[j]).whitened_support for j in dict.fromkeys(ib)}
-    ranks = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) for i in dict.fromkeys(ia)}
+    ranks = _ranks(mats)
     factors: dict[int, np.ndarray] = {}
     # (r_B, r_A) per pair; r_A = 0 marks a pair solved in B's support
     shapes = []
@@ -203,11 +204,6 @@ def _k_hyp_oracle_pairs(pairs: Sequence[tuple[Dmat, Dmat]], tol: float = 1e-9, i
     return np.where(feasible, lo, 0.0)
 
 
-def _flipped(spectra: np.ndarray) -> np.ndarray:
-    """Ascending spectra of -M from ascending spectra of M (last axis); the negation is a contiguous copy."""
-    return -spectra[..., ::-1]
-
-
 def _solve(pairs: Sequence[tuple[Dmat, Dmat]]) -> np.ndarray:
     """Ascending spectra of B - A for each (A, B) in `pairs`: one stacked d x d eigvalsh."""
     return np.linalg.eigvalsh(_stack([b.matrix - a.matrix for a, b in pairs]))
@@ -278,14 +274,14 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
     """The value of each pair (mats[ia[k]], mats[ib[k]]), from the rank-1 route or a d x d solve.
 
     A pair takes the rank-1 route when its B, else its A, has roundoff rank
-    1 (`_roundoff_rank` of its eigenvalues): that side is a a^T, the other
-    N, and B - A is D = N - a a^T, or -D where a a^T is B (`flip`).  Its
-    value is from_terms(pairs, flip, t, tr D, pos_sq, sure) over the terms
-    of one `_rank_one_terms` call for all such pairs, and NaN leaves it,
-    with any unconverged root and every other pair, to from_spectra(spectra
-    of B - A, pairs) over one `_solve` stack.
+    1 (`_ranks`): that side is a a^T, the other N, and B - A is D =
+    N - a a^T, or -D where a a^T is B (`flip`).  Its value is
+    from_terms(pairs, flip, t, tr D, pos_sq, sure) over the terms of one
+    `_rank_one_terms` call for all such pairs, and NaN leaves it, with any
+    unconverged root and every other pair, to from_spectra(spectra of
+    B - A, pairs) over one `_solve` stack.
     """
-    pure = {i: _roundoff_rank(mats[i].eigenvalues, mats[i].dim) == 1 for i in dict.fromkeys([*ia, *ib])}
+    pure = [rank == 1 for rank in _ranks(mats)]
     ks = [k for k, (i, j) in enumerate(zip(ia, ib)) if pure[i] or pure[j]]
     values = np.full(len(ia), np.nan)
     if ks:
@@ -331,17 +327,16 @@ def spectrum_norms(spectra: np.ndarray) -> np.ndarray:
     return np.sqrt((spectra[..., None, :] @ spectra[..., :, None])[..., 0, 0])
 
 
-def k_e_from_spectra(spectra: np.ndarray, norm_a, dim: int | None = None) -> np.ndarray:
+def k_e_from_spectra(spectra: np.ndarray, norm_a) -> np.ndarray:
     """k_E from ascending spectra of B - A (last axis) and the norms of A's spectra.
 
     The formula behind `k_e`: the error norm is the norm of the negative part
     of the spectrum, and the result is 1 - error / norm_a clamped to [0, 1].
     A negative eigenvalue within roundoff of zero (`_roundoff_cut` of the
-    largest magnitude, at the matrices' `dim`, by default the spectrum
-    length) counts as zero, so a crisply entailed pair scores exactly 1.
+    largest magnitude, at the spectrum's length) counts as zero, so a
+    crisply entailed pair scores exactly 1.
     """
-    dim = spectra.shape[-1] if dim is None else dim
-    cut = _roundoff_cut(np.maximum(-spectra[..., :1], spectra[..., -1:]), dim)
+    cut = _roundoff_cut(np.maximum(-spectra[..., :1], spectra[..., -1:]), spectra.shape[-1])
     error = spectrum_norms(np.where(spectra < -cut, -spectra, 0.0))
     return np.clip(1.0 - error / norm_a, 0.0, 1.0)
 
@@ -377,87 +372,3 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     mats, ia, ib = _pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
     traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
-
-
-def _check_all_pairs(mats: Sequence[Dmat], zero: np.ndarray, message: str, either: bool = False) -> None:
-    """Raise what the first failing scalar call over every ordered pair, row by row, would raise.
-
-    A pair fails on differing dims, else on its first word's flag in `zero`
-    (on either word's, with `either`).  Any dims mismatch already fails the
-    first row, so a later row can only fail on its own flag.
-    """
-    _pairs(mats[0], mats[1:], zero[0], zero[1:] if either else False, message)
-    if zero.any():
-        raise ZeroMatrixError(message)
-
-
-def k_e_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
-    """`k_e(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words with a source word.
-
-    `sources` is a boolean mask over `mats`: a pair is scored, both ways,
-    when at least one of its words is a source, and every other cell is NaN,
-    the diagonal included.  Every word is checked, source or not: a bad word
-    raises what the first failing `k_e` call over every ordered pair, in row
-    order, would raise.  M_j - M_i vanishes outside span[F_j F_i]
-    (support factors, F F^T = M), so with R the triangular factor of
-    [F_j F_i] its nonzero spectrum is that of R diag(+1.., -1..) R^T, an
-    (r_i + r_j)-square problem.  A pair with r_i + r_j >= dim, or of equal
-    matrices (which must score exactly 1), is solved d x d as `k_e` does.
-    Each scored unordered pair is solved once, as M_j - M_i for j > i, and
-    cell (j, i) is read off the negated reversal of its spectrum.  The
-    values agree with `k_e` to roundoff, and a pair's value does not depend
-    on which other pairs are scored.
-
-    The pairs (i, j) are taken in row order and grouped by problem shape,
-    (r_j, r_i) or d x d; each shape's pairs are solved in stacks of n - 1
-    (`_stacks`).  A stack thus mixes rows but never holds more matrices
-    than one row has pairs, and each pair rounds the same in any stack, so
-    the values do not depend on the batching.
-    """
-    n, dim = len(mats), mats[0].dim
-    norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
-    _check_all_pairs(mats, norm_a < 1e-12, "k_e needs a nonzero first argument")
-    factors = [spectral_decompose(m).support_factor for m in mats]
-    ranks = [f.shape[1] for f in factors]
-    # equal matrices hash alike (adding 0.0 makes -0.0 into 0.0); a collision only costs a d x d solve
-    hashes = [hash((m.matrix + 0.0).tobytes()) for m in mats]
-    ia, ib = np.nonzero(np.triu(sources[:, None] | sources, 1))
-    # None marks a pair solved d x d
-    shapes = [
-        None if ranks[i] + ranks[j] >= dim or hashes[i] == hashes[j] else (ranks[j], ranks[i])
-        for i, j in zip(ia.tolist(), ib.tolist())
-    ]
-    out = np.full((n, n), np.nan)
-    for shape, part in _stacks(shapes, n - 1):
-        rows, cols = ia[part], ib[part]
-        if shape is None:
-            # rows come in runs: subtract each M_i in place over its run, with no second stack
-            diffs = _stack([mats[j].matrix for j in cols])
-            bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
-            for start, stop in zip(bounds, bounds[1:]):
-                diffs[start:stop] -= mats[rows[start]].matrix
-            spectra = np.linalg.eigvalsh(diffs)
-        else:
-            joint = np.concatenate([_stack([factors[j] for j in cols]), _stack([factors[i] for i in rows])], axis=-1)
-            tri = np.linalg.qr(joint, "r")
-            spectra = np.linalg.eigvalsh((tri * np.repeat([1.0, -1.0], shape)) @ np.swapaxes(tri, -1, -2))
-        out[rows, cols] = k_e_from_spectra(spectra, norm_a[rows], dim=dim)
-        out[cols, rows] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
-    return out
-
-
-def k_hyp_clamped_all_pairs(mats: Sequence[Dmat], sources: np.ndarray) -> np.ndarray:
-    """`k_hyp_clamped(mats[i], mats[j])` in cell (i, j) for every ordered pair of two or more words with a source word.
-
-    `sources` is a boolean mask over `mats`, read as by `k_e_all_pairs`:
-    pairs without a source word, and the diagonal, are NaN, and every word
-    is checked, so a bad word raises what the first failing call over every
-    ordered pair, in row order, would raise.  Every scored pair goes through
-    the kernel of `k_hyp`, so the values are the scalar ones bit for bit.
-    """
-    n = len(mats)
-    _check_all_pairs(mats, np.array([m.is_zero() for m in mats]), "k_hyp needs two nonzero matrices", either=True)
-    ia, ib = np.nonzero((sources[:, None] | sources) & ~np.eye(n, dtype=bool))
-    out = np.full((n, n), np.nan)
-    out[ia, ib] = np.minimum(_k_hyp_pairs(mats, ia.tolist(), ib.tolist()), 1.0)
-    return out

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg
+from convneg import context
 from convneg.context import (
+    GRAPH_MEASURES,
     EntailmentGraph,
     HypernymHierarchy,
     WeightFunction,
@@ -23,14 +25,7 @@ from convneg.context import (
     worldly_context_graph,
     worldly_context_hierarchy,
 )
-from convneg.entailment import (
-    _flipped,
-    k_e,
-    k_e_all_pairs,
-    k_e_from_spectra,
-    k_hyp_clamped,
-    spectrum_norms,
-)
+from convneg.entailment import k_e, k_hyp_clamped
 from convneg.errors import (
     ConvNegError,
     DimensionMismatchError,
@@ -47,7 +42,7 @@ from convneg.errors import (
 from convneg.lexicon import Lexicon
 from convneg.pipeline import NegationConfig, conversational_negate
 from convneg.sampling import random_orthogonal, random_psd
-from convneg.spectral import Dmat, spectral_decompose
+from convneg.spectral import Dmat
 
 
 def write(tmp_path, name, text):
@@ -80,13 +75,8 @@ def per_pair_graph(lexicon, measure, threshold):
 
 
 def assert_matches_per_pair(graph, lexicon, measure, threshold):
-    """k_hyp edges are the scalar calls' bit for bit; k_E edges have the same keys, in order, within 1e-12."""
-    expected = per_pair_graph(lexicon, measure, threshold)
-    if measure == "k_hyp":
-        assert list(graph.edges.items()) == list(expected.items())
-    else:
-        assert list(graph.edges) == list(expected)
-        np.testing.assert_allclose(list(graph.edges.values()), list(expected.values()), rtol=0.0, atol=1e-12)
+    """The edges are the scalar calls', in order and bit for bit."""
+    assert list(graph.edges.items()) == list(per_pair_graph(lexicon, measure, threshold).items())
 
 
 def near_copy(rng, word, scale):
@@ -97,52 +87,6 @@ def near_copy(rng, word, scale):
     factor = factor + scale * rng.normal(size=factor.shape)
     m = factor @ factor.T
     return Dmat((m + m.T) / 2.0)
-
-
-def per_row_k_e(mats):
-    """Reference k_E weights: the all-pairs kernel with each source row solving its own stacks.
-
-    Row i solves M_j - M_i over j > i: one d x d stack (r_i + r_j >= dim, or
-    equal matrices), then one joint-support stack per target rank, and fills
-    both cells of each pair.
-    """
-    n, dim = len(mats), mats[0].dim
-    norm_a = np.array([spectrum_norms(m.eigenvalues) for m in mats])
-    stack = np.stack([m.matrix for m in mats])
-    factors = [spectral_decompose(m).support_factor for m in mats]
-    ranks = np.array([f.shape[1] for f in factors])
-    hashes = np.array([hash((m.matrix + 0.0).tobytes()) for m in mats])
-    out = np.full((n, n), np.nan)
-
-    def fill(i, cols, spectra):
-        out[i, cols] = k_e_from_spectra(spectra, norm_a[i], dim=dim)
-        out[cols, i] = k_e_from_spectra(_flipped(spectra), norm_a[cols], dim=dim)
-
-    for i, fi in enumerate(factors):
-        later = np.arange(n) > i
-        full = later & ((ranks + ranks[i] >= dim) | (hashes == hashes[i]))
-        if full.any():
-            fill(i, full, np.linalg.eigvalsh(stack[full] - stack[i]))
-        for r in sorted(set(ranks[later & ~full].tolist())):
-            cols = later & ~full & (ranks == r)
-            fj = np.stack([factors[j] for j in np.flatnonzero(cols)])
-            tri = np.linalg.qr(np.concatenate([fj, np.broadcast_to(fi, (len(fj), *fi.shape))], axis=-1), "r")
-            signs = np.repeat([1.0, -1.0], [r, fi.shape[1]])
-            fill(i, cols, np.linalg.eigvalsh((tri * signs) @ np.swapaxes(tri, -1, -2)))
-    return out
-
-
-def record_shapes(monkeypatch, name):
-    """Patch np.linalg.<name> to record the shape of its first argument; returns the list."""
-    shapes = []
-    real = getattr(np.linalg, name)
-
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, recording)
-    return shapes
 
 
 class TestLoadHierarchy:
@@ -354,36 +298,9 @@ class TestEntailmentGraph:
         with pytest.raises(ValueError):
             build_entailment_graph({"apple": onb["apple"]}, ["apple"], "k_BA")
 
-    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
-    def test_full_size_solves_at_most_one_per_word(self, monkeypatch, measure):
-        # call counts repeat exactly, so they guard the batching where timings cannot:
-        # the dim-square solves come in at most one call per word, as when each row
-        # solved alone; k_E's joint-support stacks are smaller than dim and come on top
-        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
-        calls = record_shapes(monkeypatch, "eigvalsh")
-        build_entailment_graph(lexicon, lexicon, measure)
-        assert 0 < sum(shape[-1] == 6 for shape in calls) <= len(lexicon)
 
-    def test_k_e_solves_each_unordered_pair_once(self, monkeypatch):
-        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
-        calls = record_shapes(monkeypatch, "eigvalsh")
-        build_entailment_graph(lexicon, lexicon, "k_E")
-        n = len(lexicon)
-        assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= n * (n - 1) // 2
-
-    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
-    def test_words_checked_once(self, monkeypatch, measure):
-        # the zero check takes one Frobenius norm per word, not one per pair
-        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
-        norms = []
-        real = Dmat.frobenius_norm
-        monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: norms.append(m) or real(m))
-        build_entailment_graph(lexicon, lexicon, measure)
-        assert len(norms) <= len(lexicon)
-
-
-class TestJointSupportKE:
-    """k_E graph edges solved in each pair's joint support stay at the per-pair d x d values."""
+class TestHardKEPairs:
+    """k_E graph edges of pairs that are hard to solve are the scalar values bit for bit."""
 
     def test_tiny_eigenvalues_stay_in_the_support(self):
         # a support cut at RANK_TOL would drop the 3e-9 and 1e-10 eigenvalues and move edges by ~4e-10
@@ -418,31 +335,6 @@ class TestJointSupportKE:
         assert set(graph.edges) == {(u, v) for group in equal for u in group for v in group if u != v}
         assert set(graph.edges.values()) == {1.0}
 
-    def test_no_stack_holds_every_word(self, monkeypatch):
-        # stacks span source rows but hold at most n - 1 pairs, the most one row has;
-        # stacking every pair at once costs memory for no speed
-        lexicon = sampled_lexicon(np.random.default_rng(4), 9, 12)
-        solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
-        build_entailment_graph(lexicon, lexicon, "k_E")
-        shapes = solves + factorizations
-        assert factorizations and all(len(shape) == 3 and shape[0] < len(lexicon) for shape in shapes)
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("dim", [3, 8, 12])
-    def test_matches_per_row_kernel_bitwise(self, monkeypatch, seed, dim):
-        # mixed ranks, full-rank words and equal copies; the rank-1 leaves give a
-        # shape with more than n - 1 pairs, so some stack mixes source rows
-        rng = np.random.default_rng(seed)
-        lexicon = sampled_lexicon(rng, dim, 8)
-        lexicon.update({f"leaf{i}": random_psd(rng, dim, rank=1) for i in range(10)})
-        lexicon["full"] = random_psd(rng, dim)
-        lexicon["full_copy"] = Dmat(lexicon["full"].matrix.copy())
-        mats = [lexicon[w] for w in sorted(lexicon)]
-        expected = per_row_k_e(mats)
-        solves, factorizations = record_shapes(monkeypatch, "eigvalsh"), record_shapes(monkeypatch, "qr")
-        assert np.array_equal(k_e_all_pairs(mats, np.ones(len(mats), dtype=bool)), expected, equal_nan=True)
-        assert max(shape[0] for shape in solves + factorizations) == len(mats) - 1
-
     def test_build_imports_no_masked_arrays(self):
         # np.unique imports numpy.ma, about 1 MB of resident memory
         code = (
@@ -462,8 +354,8 @@ class TestJointSupportKE:
     @given(dim=st.integers(1, 20), size=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_matches_per_pair_reference(self, dim, size, seed, scale):
-        # mixed ranks cover both r_i + r_j < dim and the d x d fallback; a near copy
-        # gives near-dependent supports, and an equal copy must stay at exactly 1
+        # mixed ranks cover the rank-1 route and the d x d solve; a near copy gives
+        # near-dependent supports, and an equal copy must stay at exactly 1
         rng = np.random.default_rng(seed)
         lexicon = {f"w{i}": random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))) for i in range(size)}
         lexicon["full"] = random_psd(rng, dim)
@@ -509,19 +401,37 @@ class TestGraphAroundWords:
                     got, want = context_or_error(word, graph, lexicon), context_or_error(word, full, lexicon)
                     assert got is want if isinstance(want, type) else np.array_equal(got, want)
 
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_k_e_solves_only_incident_pairs(self, monkeypatch, k):
-        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
-        n = len(lexicon)
-        calls = record_shapes(monkeypatch, "eigvalsh")
-        build_entailment_graph(lexicon, sorted(lexicon)[::-1][:k], "k_E")
-        assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= k * (n - 1) - k * (k - 1) // 2
-
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_zero_word_outside_the_sources_still_rejected(self, onb, measure):
         lexicon = {"apple": onb["apple"], "zero": Dmat(np.zeros((4, 4))), "fig": onb["fig"]}
         with pytest.raises(ZeroMatrixError):
             build_entailment_graph(lexicon, ["apple"], measure)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_two_measure_calls_per_source(self, monkeypatch, measure, k):
+        # each source, in sorted order, is scored against the other n - 1 words, then they against it
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        words = sorted(lexicon)
+        sources = words[::-1][:k]
+        calls = []
+        score = GRAPH_MEASURES[measure]
+        monkeypatch.setattr(context, "GRAPH_MEASURES", {measure: lambda a, b: calls.append((a, b)) or score(a, b)})
+        build_entailment_graph(lexicon, [*sources, "ghost"], measure)
+        ids = lambda x: id(x) if isinstance(x, Dmat) else [id(m) for m in x]
+        expected = []
+        for s in sorted(sources):
+            others = [lexicon[w] for w in words if w != s]
+            expected += [(ids(lexicon[s]), ids(others)), (ids(others), ids(lexicon[s]))]
+        assert [(ids(a), ids(b)) for a, b in calls] == expected
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_no_source_in_the_lexicon_checks_nothing(self, onb, measure):
+        # no word meets a measure call, so neither the zero word nor the mixed dims raise
+        lexicon = {"apple": onb["apple"], "zero": Dmat(np.zeros((4, 4))), "small": Dmat(np.eye(3))}
+        for words in ([], ["ghost"]):
+            graph = build_entailment_graph(lexicon, words, measure)
+            assert len(graph) == 0 and graph.scored == set(words)
 
     def test_unscored_word_raises(self, onb):
         lexicon = dict(onb)
