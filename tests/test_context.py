@@ -89,6 +89,19 @@ def near_copy(rng, word, scale):
     return Dmat((m + m.T) / 2.0)
 
 
+def record_shapes(monkeypatch, name):
+    """Patch np.linalg.<name> to record the shape of its first argument; returns the list."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 class TestLoadHierarchy:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path, "h.tsv", "apple\tfruit,food,entity\n")
@@ -335,6 +348,27 @@ class TestHardKEPairs:
         assert set(graph.edges) == {(u, v) for group in equal for u in group for v in group if u != v}
         assert set(graph.edges.values()) == {1.0}
 
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_no_stack_holds_every_word(self, monkeypatch, measure):
+        # a stack holds at most the n - 1 pairs of one measure call;
+        # stacking every pair at once costs memory for no speed
+        lexicon = sampled_lexicon(np.random.default_rng(4), 9, 12)
+        solves = record_shapes(monkeypatch, "eigvalsh")
+        build_entailment_graph(lexicon, lexicon, measure)
+        assert solves and all(len(shape) == 2 or shape[0] < len(lexicon) for shape in solves)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [3, 8, 12])
+    def test_mixed_lexicon_matches_per_pair_bitwise(self, seed, dim):
+        # mixed ranks, full-rank words, equal copies and many rank-1 leaves,
+        # so both the rank-1 route and the d x d solve fill each source's row
+        rng = np.random.default_rng(seed)
+        lexicon = sampled_lexicon(rng, dim, 8)
+        lexicon.update({f"leaf{i}": random_psd(rng, dim, rank=1) for i in range(10)})
+        lexicon["full"] = random_psd(rng, dim)
+        lexicon["full_copy"] = Dmat(lexicon["full"].matrix.copy())
+        assert_matches_per_pair(build_entailment_graph(lexicon, lexicon, "k_E"), lexicon, "k_E", 0.0)
+
     def test_build_imports_no_masked_arrays(self):
         # np.unique imports numpy.ma, about 1 MB of resident memory
         code = (
@@ -400,6 +434,16 @@ class TestGraphAroundWords:
                     assert graph.neighbors(word) == full.neighbors(word)
                     got, want = context_or_error(word, graph, lexicon), context_or_error(word, full, lexicon)
                     assert got is want if isinstance(want, type) else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_solves_only_incident_pairs(self, monkeypatch, measure, k):
+        # k sources meet at most 2k(n - 1) ordered pairs, against n(n - 1) for every word
+        lexicon = sampled_lexicon(np.random.default_rng(4), 6, 12)
+        n = len(lexicon)
+        calls = record_shapes(monkeypatch, "eigvalsh")
+        build_entailment_graph(lexicon, sorted(lexicon)[:k], measure)
+        assert 0 < sum(shape[0] if len(shape) == 3 else 1 for shape in calls) <= 2 * k * (n - 1)
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     def test_zero_word_outside_the_sources_still_rejected(self, onb, measure):
