@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ZeroMatrixError
-from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, check_dims, spectral_decompose
+from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, _roundoff_rank, check_dims, spectral_decompose
 
 # Newton steps allowed for a rank-1 pair's root; a pair not converged by then is solved d x d
 NEWTON_STEPS = 64
@@ -86,13 +86,6 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _ranks(mats: Sequence[Dmat]) -> list[int]:
-    """`_roundoff_rank` of each of mats, all of one dim, in one stacked comparison of their kept eigenvalues."""
-    eigenvalues = _stack([m.eigenvalues for m in mats])
-    cut = _roundoff_cut(eigenvalues.max(axis=-1, keepdims=True), mats[0].dim)
-    return np.count_nonzero(eigenvalues > cut, axis=-1).tolist()
-
-
 def _stacks(shapes: Sequence, size: int):
     """(shape, pairs) per stack: each shape's pair indices, first shape seen first, in runs of at most `size`."""
     groups: dict = {}
@@ -124,7 +117,8 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     same in any stack, so values do not depend on the batch.
     """
     whitened = {j: spectral_decompose(mats[j]).whitened_support for j in dict.fromkeys(ib)}
-    ranks = _ranks(mats)
+    a_side = list(dict.fromkeys(ia))
+    ranks = dict(zip(a_side, _roundoff_rank(_stack([mats[i].eigenvalues for i in a_side]), mats[0].dim).tolist()))
     factors: dict[int, np.ndarray] = {}
     # (r_B, r_A) per pair; r_A = 0 marks a pair solved in B's support
     shapes = []
@@ -274,14 +268,14 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
     """The value of each pair (mats[ia[k]], mats[ib[k]]), from the rank-1 route or a d x d solve.
 
     A pair takes the rank-1 route when its B, else its A, has roundoff rank
-    1 (`_ranks`): that side is a a^T, the other N, and B - A is D =
+    1 (`_roundoff_rank`): that side is a a^T, the other N, and B - A is D =
     N - a a^T, or -D where a a^T is B (`flip`).  Its value is
     from_terms(pairs, flip, t, tr D, pos_sq, sure) over the terms of one
     `_rank_one_terms` call for all such pairs, and NaN leaves it, with any
     unconverged root and every other pair, to from_spectra(spectra of
     B - A, pairs) over one `_solve` stack.
     """
-    pure = [rank == 1 for rank in _ranks(mats)]
+    pure = (_roundoff_rank(_stack([m.eigenvalues for m in mats]), mats[0].dim) == 1).tolist()
     ks = [k for k, (i, j) in enumerate(zip(ia, ib)) if pure[i] or pure[j]]
     values = np.full(len(ia), np.nan)
     if ks:

@@ -192,9 +192,9 @@ def _roundoff_cut(scale, dim: int):
     return 4 * dim * EPS * scale
 
 
-def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> int:
-    """How many eigenvalues exceed roundoff (`_roundoff_cut` of the largest)."""
-    return int(np.count_nonzero(eigenvalues > _roundoff_cut(eigenvalues.max(), dim)))
+def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> np.ndarray:
+    """How many eigenvalues (last axis, so one spectrum or a stack) exceed roundoff (`_roundoff_cut` of the largest)."""
+    return np.count_nonzero(eigenvalues > _roundoff_cut(eigenvalues.max(axis=-1, keepdims=True), dim), axis=-1)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ class SpectralDecomposition:
     @cached_property
     def roundoff_rank(self) -> int:
         """How many eigenvalues exceed roundoff (`_roundoff_rank`)."""
-        return _roundoff_rank(self.eigenvalues, self.dim)
+        return int(_roundoff_rank(self.eigenvalues, self.dim))
 
     @cached_property
     def support_factor(self) -> np.ndarray:

@@ -451,6 +451,15 @@ class TestGraphAroundWords:
         with pytest.raises(ZeroMatrixError):
             build_entailment_graph(lexicon, ["apple"], measure)
 
+    @pytest.mark.parametrize("measure, error", [("k_E", DimensionMismatchError), ("k_hyp", ZeroMatrixError)])
+    def test_zero_word_outside_the_sources_raises_as_the_source_calls_do(self, measure, error):
+        # a loop over every sorted pair would meet the zero word first, at ("a", "b");
+        # the calls around "b" meet ("b", "a"), which only k_hyp rejects, then ("b", "c")
+        lexicon = {"a": Dmat(np.zeros((4, 4))), "b": Dmat(np.eye(4)), "c": Dmat(np.eye(3))}
+        with pytest.raises(ConvNegError) as raised:
+            build_entailment_graph(lexicon, ["b", "c"], measure)
+        assert type(raised.value) is error
+
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_two_measure_calls_per_source(self, monkeypatch, measure, k):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from convneg.entailment import (
     _k_hyp_oracle_pairs,
     _rank_one_terms,
-    _ranks,
     _solve,
     k_ba,
     k_ba_from_spectra,
@@ -250,20 +249,6 @@ def test_array_kernels_match_loop_formulas_bitwise():
             B = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
             assert k_e(A, B) == pytest.approx(loop_k_e(A, B), rel=1e-12, abs=0)
             assert k_hyp(A, B) == pytest.approx(loop_k_hyp(A, B), rel=1e-12, abs=0)
-
-
-def test_stacked_ranks_match_roundoff_rank():
-    # the routing ranks of one call come from one stacked comparison; eigenvalues
-    # one ulp either side of the roundoff cut must count as `_roundoff_rank` counts them
-    rng = np.random.default_rng(32)
-    for dim in (1, 2, 3, 7, 20):
-        mats = []
-        for scale in rng.uniform(0.1, 10.0, size=6):
-            cut = 4 * dim * np.finfo(float).eps * scale
-            near = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf), 0.0, 1e-3 * scale]
-            mats.append(from_diagonal(np.r_[scale, rng.choice(near, size=dim - 1)]))
-        mats.append(random_psd(rng, dim, rank=1))
-        assert _ranks(mats) == [_roundoff_rank(m.eigenvalues, m.dim) for m in mats]
 
 
 def psd_from_spectrum(basis, eigenvalues):
