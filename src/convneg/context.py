@@ -228,7 +228,7 @@ def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: floa
     n = len(lexicon_words)
     sources = [i for i, w in enumerate(lexicon_words) if w in scored]
     weights = np.full((n, n), np.nan)
-    if n >= 2 and sources:  # a measure pairs a matrix with a non-empty sequence
+    if sources:
         mats = [lookup_word(lexicon, w) for w in lexicon_words]
         for i in sources:
             others, rest = mats[:i] + mats[i + 1 :], np.arange(n) != i

@@ -6,21 +6,22 @@ measure, and trace similarity the density-operator analog of cosine
 similarity.  A slow binary-search oracle for the maximal Loewner grading is
 included as an independent cross-check of k_hyp.
 
-Each measure takes a `Dmat` or a non-empty sequence of `Dmat`s in either
-argument, but not two sequences (TypeError).  Two matrices give a float.
-Otherwise the matrix pairs with every member of the sequence, and the
-values come back as an array in sequence order, equal bit for bit to a
-loop of scalar calls and raising what the first failing call of that loop
-would raise: how a pair is solved, and how it rounds, depends on the pair
-alone.  k_hyp solves one stack per problem shape and reads a 1 x 1 problem
-off without one.  k_E and k_BA are read off the spectrum of B - A.  When
-one side of a pair is a pure state a a^T (roundoff rank 1, as every
-lexicon leaf is), the few terms they need come from the other side's
-cached eigenbasis in O(d^2), with no d x d solve: one Newton loop per call
-scores every such pair (`_rank_one_terms`), and its one-slot cache lets
-k_E both ways and k_BA of one batch of pairs share one evaluation.  Every
-other pair is solved d x d (`_solve`), one stack per call.  Trace
-similarity is the sum of the entrywise product, O(d^2) for any rank.
+Each measure takes a `Dmat` or a sequence of `Dmat`s in either argument,
+but not two sequences (TypeError).  Two matrices give a float.  Otherwise
+the matrix pairs with every member of the sequence, and the values come
+back as an array in sequence order (empty for an empty sequence), equal
+bit for bit to a loop of scalar calls and raising what the first failing
+call of that loop would raise: how a pair is solved, and how it rounds,
+depends on the pair alone.  k_hyp solves one stack per problem shape and
+reads a 1 x 1 problem off without one.  k_E and k_BA are read off the
+spectrum of B - A.  When one side of a pair is a pure state a a^T
+(roundoff rank 1, as every lexicon leaf is), the few terms they need come
+from the other side's cached eigenbasis in O(d^2), with no d x d solve:
+one Newton loop per call scores every such pair (`_rank_one_terms`), and
+its one-slot cache lets k_E both ways and k_BA of one batch of pairs
+share one evaluation.  Every other pair is solved d x d (`_solve`), one
+stack per call.  Trace similarity is the sum of the entrywise product,
+O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
@@ -43,6 +44,8 @@ from .spectral import EPS, RANK_TOL, Dmat, _read_only, _roundoff_cut, _roundoff_
 
 # Newton steps allowed for a rank-1 pair's root; a pair not converged by then is solved d x d
 NEWTON_STEPS = 64
+ORACLE_TOL = 1e-9  # the k_hyp oracle's PSD tolerance
+ORACLE_STEPS = 60  # and its bisection steps
 
 
 def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message=""):
@@ -86,14 +89,13 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _stacks(shapes: Sequence, size: int):
-    """(shape, pairs) per stack: each shape's pair indices, first shape seen first, in runs of at most `size`."""
+def _stacks(shapes: Sequence):
+    """(shape, pairs) per stack: each shape's pair indices, first shape seen first."""
     groups: dict = {}
     for k, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(k)
     for shape, ks in groups.items():
-        for start in range(0, len(ks), size):
-            yield shape, np.array(ks[start : start + size])
+        yield shape, np.array(ks)
 
 
 def _top_eigenvalue(cores: np.ndarray) -> np.ndarray:
@@ -112,10 +114,11 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     lambda_max(G^T G) with G = W^T F_A and F_A A's support factor, an
     r_A-square problem.  The result is 1/gamma, or +inf where gamma is at or
     below RANK_TOL.  Pairs are grouped by their problem's shape (`_stacks`)
-    and solved a stack at a time, at most len(mats) pairs per stack, so a
-    stack holds no more matrices than `mats` does; every pair rounds the
-    same in any stack, so values do not depend on the batch.
+    and solved a stack at a time; every pair rounds the same in any stack,
+    so values do not depend on the batch.
     """
+    if not ia:
+        return np.empty(0)
     whitened = {j: spectral_decompose(mats[j]).whitened_support for j in dict.fromkeys(ib)}
     a_side = list(dict.fromkeys(ia))
     ranks = dict(zip(a_side, _roundoff_rank(_stack([mats[i].eigenvalues for i in a_side]), mats[0].dim).tolist()))
@@ -130,7 +133,7 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
             r_a = factors[i].shape[1]
         shapes.append((r_b, r_a))
     gamma = np.empty(len(ia))
-    for (_, r_a), part in _stacks(shapes, len(mats)):
+    for (_, r_a), part in _stacks(shapes):
         w = _stack([whitened[ib[k]] for k in part])
         wt = np.swapaxes(w, -1, -2)
         if r_a == 0:
@@ -160,38 +163,38 @@ def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     return _result(np.minimum(k_hyp(A, B), 1.0), A, B)
 
 
-def k_hyp_oracle(A: Dmat, B: Dmat, tol: float = 1e-9, iterations: int = 60) -> float:
+def k_hyp_oracle(A: Dmat, B: Dmat) -> float:
     """Largest k with B - kA PSD, by plain bisection.  Independent of k_hyp."""
-    return float(_k_hyp_oracle_pairs([(A, B)], tol, iterations)[0])
+    return float(_k_hyp_oracle_pairs([(A, B)])[0])
 
 
-def _k_hyp_oracle_pairs(pairs: Sequence[tuple[Dmat, Dmat]], tol: float = 1e-9, iterations: int = 60) -> np.ndarray:
+def _k_hyp_oracle_pairs(pairs: Sequence[tuple[Dmat, Dmat]]) -> np.ndarray:
     """`k_hyp_oracle` of each (A, B) in `pairs`, all bisected at once; raises what a loop of calls would.
 
-    A pair's bracket [0, top(B) / (A's least eigenvalue above tol) + 1] is
-    read off the kept eigenvalues; a B not PSD within tol gives 0.  Each
-    step tests every pair's B - k A in one stacked `eigvalsh` per dim
+    A pair's bracket [0, top(B) / (A's least eigenvalue above ORACLE_TOL) + 1]
+    is read off the kept eigenvalues; a B not PSD within ORACLE_TOL gives 0.
+    Each step tests every pair's B - k A in one stacked `eigvalsh` per dim
     (`_stacks`), in which each matrix rounds as it would alone.
     """
     for a, b in pairs:
         check_dims(a, b)
-        if not (a.eigenvalues > tol).any():
+        if not (a.eigenvalues > ORACLE_TOL).any():
             raise ZeroMatrixError("oracle needs a nonzero first argument")
     lo = np.zeros(len(pairs))
-    hi = np.array([b.eigenvalues[-1] / a.eigenvalues[a.eigenvalues > tol].min() for a, b in pairs]) + 1.0
+    hi = np.array([b.eigenvalues[-1] / a.eigenvalues[a.eigenvalues > ORACLE_TOL].min() for a, b in pairs]) + 1.0
     stacks = [
         (part, _stack([pairs[k][0].matrix for k in part]), _stack([pairs[k][1].matrix for k in part]))
-        for _, part in _stacks([a.dim for a, _ in pairs], len(pairs))
+        for _, part in _stacks([a.dim for a, _ in pairs])
     ]
 
     def psd_at(k: np.ndarray) -> np.ndarray:
         ok = np.empty(len(pairs), dtype=bool)
         for part, a, b in stacks:
-            ok[part] = np.linalg.eigvalsh(b - k[part, None, None] * a)[:, 0] >= -tol
+            ok[part] = np.linalg.eigvalsh(b - k[part, None, None] * a)[:, 0] >= -ORACLE_TOL
         return ok
 
     feasible = psd_at(lo)
-    for _ in range(iterations):
+    for _ in range(ORACLE_STEPS):
         mid = (lo + hi) / 2.0
         ok = psd_at(mid)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
@@ -345,7 +348,7 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     d x d solve unless `sure`.
     """
     norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues))
-    pairs = _pairs(A, B, norm_a < 1e-12, message="k_e needs a nonzero first argument")
+    pairs = _pairs(A, B, _each(A, Dmat.is_zero), message="k_e needs a nonzero first argument")
     norm_of = (lambda pairs: norm_a) if isinstance(A, Dmat) else (lambda pairs: norm_a[pairs])
 
     def from_terms(pairs, flip, t, total, pos_sq, sure):
@@ -361,8 +364,8 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
 
     trace(A B) of symmetric matrices is the sum of their entrywise product.
     """
-    norm_a = _each(A, Dmat.frobenius_norm)
-    norm_b = _each(B, Dmat.frobenius_norm)
-    mats, ia, ib = _pairs(A, B, norm_a < 1e-12, norm_b < 1e-12, "trace similarity needs two nonzero matrices")
+    norm_a, norm_b = _each(A, Dmat.frobenius_norm), _each(B, Dmat.frobenius_norm)
+    zero_a, zero_b = _each(A, Dmat.is_zero), _each(B, Dmat.is_zero)
+    mats, ia, ib = _pairs(A, B, zero_a, zero_b, "trace similarity needs two nonzero matrices")
     traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)

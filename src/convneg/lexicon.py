@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -94,14 +93,13 @@ def load_vectors(path) -> VectorTable:
 
 
 def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTable, *,
-                         routes: Counter | None = None, rows: dict[str, np.ndarray] | None = None) -> Dmat:
+                         rows: dict[str, np.ndarray] | None = None) -> Dmat:
     """Mixture of unit outer products over the word and its known hyponyms.
 
     Hyponyms missing from the vector table, or with a zero vector, are
     skipped; a word with no usable hyponyms yields a pure rank-1 state.  The
     unit vectors, the word's own first and then its hyponyms' in sorted
-    order, are summed by `_mixture`.  `routes`, if given, counts the word
-    under "gram" or "eigvalsh"; `rows`, if given, maps the word to its
+    order, are summed by `_mixture`.  `rows`, if given, maps the word to its
     read-only (r, d) array of unit vectors, which is what `save_lexicon`
     stores.
     """
@@ -121,10 +119,10 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
     f.setflags(write=False)
     if rows is not None:
         rows[word] = f
-    return _mixture(f, routes)
+    return _mixture(f)
 
 
-def _mixture(f: np.ndarray, routes: Counter | None = None) -> Dmat:
+def _mixture(f: np.ndarray) -> Dmat:
     """Σ fᵢfᵢᵀ over the r unit rows of f (r×d), divided by its largest eigenvalue where that exceeds 1.
 
     The one construction behind a built and a loaded word.  The sum is
@@ -133,7 +131,6 @@ def _mixture(f: np.ndarray, routes: Counter | None = None) -> Dmat:
     it rounds the same on every call) and validated against the spectrum of
     its r×r Gram matrix where `_gram_spectrum` proves it, and a d×d
     `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.
-    `routes`, if given, counts the route taken.
     """
     dim = f.shape[1]
     out = np.zeros((dim, dim))
@@ -141,11 +138,8 @@ def _mixture(f: np.ndarray, routes: Counter | None = None) -> Dmat:
     for unit in f:
         out += np.multiply(unit[:, None], unit, out=product)
     del product  # freed before `Dmat` copies the sum and the scaling divides it
-    spectrum = _gram_spectrum(f)
-    if routes is not None:
-        routes["eigvalsh" if spectrum is None else "gram"] += 1
     # each outer product is exactly symmetric, and so is their sum in one order
-    return normalize_max_eig(Dmat(out, spectrum=spectrum))
+    return normalize_max_eig(Dmat(out, spectrum=_gram_spectrum(f)))
 
 
 def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -189,6 +183,13 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
 def _gram_route(r: int, d: int) -> bool:
     """Whether `_gram_spectrum` proves the spectrum of r unit rows at dim d: r < d and ρ <= PSD_TOL / 10."""
     return r < d and 1.1 * EPS * r * (d + 5 * r) <= PSD_TOL / 10
+
+
+def _log_routes(action: str, rows: Mapping[str, np.ndarray], dim: int) -> None:
+    """One DEBUG line counting the words whose rows take the Gram route (`_gram_route`) and the rest."""
+    gram = sum(_gram_route(len(f), dim) for f in rows.values())
+    logger.debug("%s %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
+                 action, len(rows), dim, gram, len(rows) - gram)
 
 
 def _validation_proved(r: int, d: int) -> bool:
@@ -264,17 +265,15 @@ def build_lexicon(vectors: VectorTable, hyponym_sets: Mapping[str, set[str]] | N
     `hyponym_sets` typically comes from HypernymHierarchy.hyponym_sets();
     words absent from it get pure states.  One DEBUG line on this module's
     logger counts the words whose spectrum came from their Gram matrix and
-    those solved by a d×d `eigvalsh` (see `build_density_matrix`).
+    those solved by a d×d `eigvalsh` (`_log_routes`).
     """
     hyponym_sets = hyponym_sets or {}
-    routes = Counter()
     rows: dict[str, np.ndarray] = {}
     matrices = {
-        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors, routes=routes, rows=rows)
+        word: build_density_matrix(word, hyponym_sets.get(word, ()), vectors, rows=rows)
         for word in sorted(vectors)
     }
-    logger.debug("built %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
-                 len(matrices), vectors.dim, routes["gram"], routes["eigvalsh"])
+    _log_routes("built", rows, vectors.dim)
     return Lexicon(matrices=matrices, rows=rows)
 
 
@@ -378,8 +377,6 @@ def load_lexicon(path) -> Lexicon:
         rows[word] = f
     if offset != len(blob):
         raise CorruptLexiconError(f"{len(blob) - offset} trailing bytes")
-    gram = sum(_gram_route(len(f), dim) for f in rows.values())
-    logger.debug("loaded %d words at dim %d: %d proved by Gram spectrum, %d solved by eigvalsh",
-                 count, dim, gram, count - gram)
+    _log_routes("loaded", rows, dim)
     unproved = {word: _mixture(f) for word, f in rows.items() if not _validation_proved(len(f), dim)}
     return Lexicon(matrices=unproved, rows=rows)

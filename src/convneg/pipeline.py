@@ -17,7 +17,7 @@ from .entailment import k_ba, k_e, k_hyp_clamped, trace_similarity
 from .errors import WeightOutOfRangeError, ZeroMatrixError
 from .lexicon import lookup_word
 from .negation import neg_inv, neg_sub
-from .spectral import ZERO_NORM_TOL, Dmat, rescale_max_eig
+from .spectral import Dmat, rescale_max_eig
 
 
 class NegationKind(str, Enum):
@@ -80,8 +80,7 @@ def conversational_negate(
     context = context_provider(word)
     slot = BasisSlot.FIRST_OPERAND if cfg.basis is Basis.W else BasisSlot.SECOND_OPERAND
     raw = compose(negated, context, cfg.composition, slot)
-    # a top eigenvalue above ZERO_NORM_TOL bounds the Frobenius norm from below
-    if raw.max_eigenvalue() <= ZERO_NORM_TOL and raw.is_zero():
+    if raw.is_zero():
         raise ZeroMatrixError(f"composition annihilated the meaning of not-{word!r}")
     return rescale_max_eig(raw)
 

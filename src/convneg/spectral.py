@@ -107,7 +107,8 @@ class Dmat:
         return float(np.linalg.norm(self.matrix))
 
     def is_zero(self) -> bool:
-        return self.frobenius_norm() < ZERO_NORM_TOL
+        """The one zero-matrix rule, Frobenius norm below ZERO_NORM_TOL; a top eigenvalue above it answers alone."""
+        return self.max_eigenvalue() <= ZERO_NORM_TOL and self.frobenius_norm() < ZERO_NORM_TOL
 
     def __repr__(self) -> str:
         return f"Dmat(dim={self.dim})"
@@ -342,11 +343,9 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
 
 def normalize_max_eig(M: Dmat) -> Dmat:
     """Divide by the largest eigenvalue when it exceeds 1; never scale upward."""
-    top = M.max_eigenvalue()
-    # a top eigenvalue above ZERO_NORM_TOL bounds the Frobenius norm from below
-    if top <= ZERO_NORM_TOL and M.is_zero():
+    if M.is_zero():
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    return _scaled(M, max(1.0, top))
+    return _scaled(M, max(1.0, M.max_eigenvalue()))
 
 
 def rescale_max_eig(M: Dmat) -> Dmat:

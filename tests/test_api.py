@@ -56,6 +56,11 @@ def test_is_zero_takes_no_tolerance():
     assert list(inspect.signature(convneg.Dmat.is_zero).parameters) == ["self"]
 
 
+def test_oracle_takes_no_options():
+    # its tolerance and step count are the module constants ORACLE_TOL and ORACLE_STEPS
+    assert list(inspect.signature(convneg.k_hyp_oracle).parameters) == ["A", "B"]
+
+
 def test_dmat_keeps_only_its_matrix_and_spectrum():
     # a measure keeps its own caches; nothing else is set on a Dmat, even after it is scored
     fields = ["matrix", "eigenvalues", "_spectral", "_solved"]

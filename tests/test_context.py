@@ -413,6 +413,16 @@ class TestGraphAroundWords:
     """A graph built around some words holds the full graph's edges at those words, bit for bit, and no others."""
 
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
+    def test_takes_no_frobenius_norm(self, measure, monkeypatch):
+        # the zero checks read each word's kept top eigenvalue (`Dmat.is_zero`)
+        lexicon = sampled_lexicon(np.random.default_rng(15), 6, 12)  # 15 words
+        norms = []
+        real = Dmat.frobenius_norm
+        monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: norms.append(m) or real(m))
+        assert len(build_entailment_graph(lexicon, lexicon, measure)) > 0
+        assert len(lexicon) == 15 and norms == []
+
+    @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     @pytest.mark.parametrize("seed", range(3))
     def test_incident_edges_and_contexts_match_full_graph_bitwise(self, measure, seed):
         # mixed ranks, rank-1 leaves (a queue shape that outgrows one row), equal copies and a full-rank word

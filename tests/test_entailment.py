@@ -516,12 +516,39 @@ class TestStackedMeasures:
                         assert got.tobytes() == np.array(want).tobytes(), (name, dim)
                         assert np.all(np.isfinite(got)), (name, dim)
 
+    @pytest.mark.parametrize("name", MEASURES)
+    @pytest.mark.parametrize("matrix_first", [True, False])
+    def test_empty_sequence_gives_empty_array(self, rng, name, matrix_first):
+        a, fn = random_psd(rng, 3), MEASURES[name]
+        got = fn(a, []) if matrix_first else fn([], a)
+        assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
+
     def test_two_sequences_raise_type_error(self, rng):
         seq = [random_psd(rng, 3) for _ in range(3)]
         for name, fn in MEASURES.items():
             for other in (seq, seq[:2], [Dmat(np.zeros((3, 3)))], [random_psd(rng, 2)]):
                 with pytest.raises(TypeError):
                     fn(seq, other)
+
+
+@pytest.mark.parametrize(
+    "fn, side, message",
+    [
+        (k_e, "A", "k_e needs a nonzero first argument"),
+        (k_hyp, "A", "k_hyp needs two nonzero matrices"),
+        (k_hyp, "B", "k_hyp needs two nonzero matrices"),
+        (trace_similarity, "A", "trace similarity needs two nonzero matrices"),
+        (trace_similarity, "B", "trace similarity needs two nonzero matrices"),
+    ],
+)
+@pytest.mark.parametrize("scale", [0.0, 1e-13])
+def test_zero_operand_raises_the_measures_message(fn, side, message, scale):
+    # a matrix is zero by `Dmat.is_zero` alone: 1e-13 I is, on either side a measure checks
+    zero, other = Dmat(scale * np.eye(3)), identity(3)
+    calls = [(zero, other), ([other, zero], other), (zero, [other])]
+    for a, b in calls if side == "A" else [(b, a) for a, b in calls]:
+        with pytest.raises(ZeroMatrixError, match=f"^{message}$"):
+            fn(a, b)
 
 
 def pure_state(vector: np.ndarray) -> Dmat:

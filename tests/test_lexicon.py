@@ -3,7 +3,6 @@ import struct
 import sys
 import tempfile
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -324,6 +323,15 @@ class TestDim64Load:
             "loaded 23 words at dim 64: 23 proved by Gram spectrum, 0 solved by eigvalsh"
         ]
 
+    def test_logs_built_gram_and_solved_counts(self, caplog):
+        # at dim 4 the toy hierarchy's "fruit" (4 vectors) and "entity" (6) are solved d×d
+        table = load_vectors(FIXTURES / "toy_vectors.txt")
+        with caplog.at_level(logging.DEBUG, logger="convneg.lexicon"):
+            build_lexicon(table, load_hierarchy(FIXTURES / "toy_hierarchy.tsv").hyponym_sets())
+        assert [r.getMessage() for r in caplog.records] == [
+            "built 6 words at dim 4: 4 proved by Gram spectrum, 2 solved by eigvalsh"
+        ]
+
     def test_silent_by_default(self, tmp_path, rng, caplog):
         _, path = self.saved_tree(tmp_path, rng)
         load_lexicon(path)
@@ -404,17 +412,23 @@ def assert_scaled_reference(m, word, hyponyms, table):
 class TestGramRoute:
     """Words of rank r < d take their spectrum from the r×r Gram matrix."""
 
+    def record(self, word, hyponyms, table):
+        """The built word and the shape of each matrix `eigvalsh` solved for it."""
+        shapes, real = [], np.linalg.eigvalsh
+        with mock.patch.object(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a)):
+            return build_density_matrix(word, hyponyms, table), shapes
+
     def build(self, word, hyponyms, table):
-        routes = Counter()
-        m = build_density_matrix(word, hyponyms, table, routes=routes)
+        """`record`, with the word checked against the reference construction."""
+        m, shapes = self.record(word, hyponyms, table)
         assert_scaled_reference(m, word, hyponyms, table)
-        return m, routes
+        return m, shapes
 
     def test_full_rank_word_falls_back_to_eigvalsh(self):
         table = load_vectors(FIXTURES / "toy_vectors.txt")
         hyponyms = load_hierarchy(FIXTURES / "toy_hierarchy.tsv").hyponym_sets()["entity"]
-        m, routes = self.build("entity", hyponyms, table)  # 6 members at dim 4
-        assert routes == Counter(eigvalsh=1)
+        m, shapes = self.build("entity", hyponyms, table)  # 6 members at dim 4
+        assert shapes == [(4, 4)]
         assert m.matrix.tobytes() == old_build_density_matrix("entity", hyponyms, table).matrix.tobytes()
 
     def test_parallel_and_duplicate_vectors(self, tmp_path, rng):
@@ -422,17 +436,16 @@ class TestGramRoute:
         rows = {"a": a, "twice": 2.0 * a, "copy": a, "negated": -a, "b": b}
         text = "".join(f"{w} " + " ".join(repr(float(x)) for x in v) + "\n" for w, v in rows.items())
         table = load_vectors(write(tmp_path, "v.txt", text))
-        m, routes = self.build("a", set(rows) - {"a"}, table)  # Gram rank 2 of r = 5
-        assert routes == Counter(gram=1)
+        m, shapes = self.build("a", set(rows) - {"a"}, table)  # Gram rank 2 of r = 5
+        assert shapes == [(5, 5)]
         assert m.eigenvalues[-1] == pytest.approx(1.0, abs=1e-12)
         assert m.eigenvalues[0] >= -4 * 6 * np.finfo(float).eps  # eigvalsh's roundoff at dim 6
         assert np.sum(m.eigenvalues > 1e-12) == 2
 
     def test_zero_vector_hyponym_skipped(self, tmp_path):
         table = load_vectors(write(tmp_path, "v.txt", "a 1.0 0.2 0.0\nb 0.1 1.0 0.3\nz 0.0 0.0 0.0\n"))
-        routes = Counter()
-        m = build_density_matrix("a", {"b", "z"}, table, routes=routes)
-        assert routes == Counter(gram=1)
+        m, shapes = self.record("a", {"b", "z"}, table)
+        assert shapes == [(2, 2)]
         assert m.matrix.tobytes() == self.build("a", {"b"}, table)[0].matrix.tobytes()
 
     def test_rank_one_scale_exactly_one_when_gram_top_at_most_one(self, tmp_path, rng):
@@ -441,8 +454,8 @@ class TestGramRoute:
         table = load_vectors(write(tmp_path, "v.txt", text))
         exact = 0
         for i, v in enumerate(vectors):
-            m, routes = self.build(f"w{i}", set(), table)
-            assert routes == Counter(gram=1)
+            m, shapes = self.build(f"w{i}", set(), table)
+            assert shapes == [(1, 1)]
             unit = (v / np.linalg.norm(v))[None, :]
             top = np.linalg.eigvalsh(unit @ unit.T)[-1]
             outer = np.outer(unit, unit)

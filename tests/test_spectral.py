@@ -224,6 +224,32 @@ class TestDecomposed:
             _decomposed(np.diag([1.0, -0.1]))
 
 
+class TestIsZero:
+    """`Dmat.is_zero` is the Frobenius rule, read off the kept top eigenvalue where that settles it."""
+
+    def test_no_norm_when_the_top_eigenvalue_is_above_the_cut(self, rng, monkeypatch):
+        norms = []
+        real = Dmat.frobenius_norm
+        monkeypatch.setattr(Dmat, "frobenius_norm", lambda m: norms.append(m) or real(m))
+        for m in [random_psd(rng, 5) for _ in range(3)] + [from_diagonal([2e-12, 0.0]), Dmat(1e-10 * np.eye(4))]:
+            assert not m.is_zero()
+        assert norms == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((3, 3)),
+            1e-13 * np.eye(2),
+            np.diag([1e-12, 0.0]),
+            5e-13 * np.eye(10),  # top 5e-13, norm 1.6e-12
+            None,  # a normalized word
+        ],
+    )
+    def test_agrees_with_the_frobenius_rule(self, rng, matrix):
+        m = normalize_max_eig(Dmat(3.0 * random_psd(rng, 4).matrix)) if matrix is None else Dmat(matrix)
+        assert m.is_zero() == (m.frobenius_norm() < spectral.ZERO_NORM_TOL)
+
+
 class TestNormalize:
     def test_scales_down(self):
         out = normalize_max_eig(from_diagonal([2.0, 0.0]))
