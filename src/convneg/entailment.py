@@ -6,15 +6,16 @@ measure, and trace similarity the density-operator analog of cosine
 similarity.  A slow binary-search oracle for the maximal Loewner grading is
 included as an independent cross-check of k_hyp.
 
-Each measure takes a `Dmat` or a sequence of `Dmat`s in either argument,
-but not two sequences (TypeError).  Two matrices give a float.  Otherwise
-the matrix pairs with every member of the sequence, and the values come
-back as an array in sequence order (empty for an empty sequence), equal
-bit for bit to a loop of scalar calls and raising what the first failing
-call of that loop would raise: how a pair is solved, and how it rounds,
-depends on the pair alone.  k_hyp solves one stack per problem shape and
-reads a 1 x 1 problem off without one.  k_E and k_BA are read off the
-spectrum of B - A.  When one side of a pair is a pure state a a^T
+Each measure takes a `Dmat` or a sequence of `Dmat`s in either argument.
+Two matrices give a float.  A matrix and a sequence pair the matrix with
+every member of the sequence; two sequences pair elementwise, and raise
+ValueError if their lengths differ.  The values come back as an array in
+sequence order (empty for empty sequences), equal bit for bit to a loop
+of scalar calls and raising what the first failing call of that loop
+would raise: how a pair is solved, and how it rounds, depends on the pair
+alone.  k_hyp solves one stack per problem shape and reads a 1 x 1
+problem off without one.  k_E and k_BA are read off the spectrum of
+B - A.  When one side of a pair is a pure state a a^T
 (roundoff rank 1, as every lexicon leaf is), the few terms they need come
 from the other side's cached eigenbasis in O(d^2), with no d x d solve:
 one Newton loop per call scores every such pair (`_rank_one_terms`), and
@@ -51,8 +52,9 @@ ORACLE_STEPS = 60  # and its bisection steps
 def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message=""):
     """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order.
 
-    First raises what the first failing call of a loop of scalar calls would
-    raise.  Two sequences raise TypeError.  The loop visits the pairs in
+    Two sequences pair elementwise, (A[k], B[k]), and raise ValueError
+    first if their lengths differ.  Then raises what the first failing call
+    of a loop of scalar calls would raise.  The loop visits the pairs in
     sequence order; a pair fails on differing dims, else on its A's flag in
     `zero_a` or its B's in `zero_b` (one flag, or an array over the
     sequence) with ZeroMatrixError(message).
@@ -62,8 +64,10 @@ def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zer
         mats, ia, ib = [A, *b], [0] * len(b), list(range(1, len(b) + 1))
     elif isinstance(B, Dmat):
         mats, ia, ib = [*A, B], list(range(len(A))), [len(A)] * len(A)
+    elif len(A) != len(B):
+        raise ValueError(f"two sequences pair elementwise, but have lengths {len(A)} and {len(B)}")
     else:
-        raise TypeError("a measure pairs a matrix with a matrix or a sequence, not two sequences")
+        mats, ia, ib = [*A, *B], list(range(len(A))), list(range(len(A), 2 * len(A)))
     for i, j, flag in zip(ia, ib, np.broadcast_to(np.logical_or(zero_a, zero_b), len(ia))):
         check_dims(mats[i], mats[j])
         if flag:
@@ -72,8 +76,11 @@ def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zer
 
 
 def _each(X: Dmat | Sequence[Dmat], fn: Callable[[Dmat], object]):
-    """fn(X) for one matrix; the array of fn's scalars over a sequence."""
-    return fn(X) if isinstance(X, Dmat) else np.array([fn(x) for x in X])
+    """fn(X) for one matrix; the array of fn's scalars over a sequence, one call per distinct member."""
+    if isinstance(X, Dmat):
+        return fn(X)
+    values = {x: fn(x) for x in dict.fromkeys(X)}
+    return np.array([values[x] for x in X])
 
 
 def _result(values, A, B):
@@ -236,9 +243,11 @@ def _rank_one_terms(pairs: tuple[tuple[Dmat, Dmat], ...]):
     is one (d, d) by (1, d, 1) product per pair, which rounds as that pair's
     row of a stacked product would.  The one cache slot keeps the terms of
     the last `pairs` (matrices compare by identity), so k_E both ways and
-    k_BA of one batch share one evaluation; another batch replaces it.
-    Every caller gets the same read-only arrays.  Threads share the slot
-    safely: the cache locks its own bookkeeping, and a miss only recomputes.
+    k_BA of one batch share one evaluation; another batch replaces it.  A
+    grid row is one batch: its negations repeated once per alternative,
+    paired with the alternatives.  Every caller gets the same read-only
+    arrays.  Threads share the slot safely: the cache locks its own
+    bookkeeping, and a miss only recomputes.
     """
     decomps = [spectral_decompose(n) for n, _ in pairs]
     lam, dim = _stack([decomp.eigenvalues for decomp in decomps]), pairs[0][0].dim
@@ -278,6 +287,8 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
     unconverged root and every other pair, to from_spectra(spectra of
     B - A, pairs) over one `_solve` stack.
     """
+    if not ia:
+        return np.empty(0)
     pure = (_roundoff_rank(_stack([m.eigenvalues for m in mats]), mats[0].dim) == 1).tolist()
     ks = [k for k, (i, j) in enumerate(zip(ia, ib)) if pure[i] or pure[j]]
     values = np.full(len(ia), np.nan)

@@ -235,27 +235,27 @@ def _score_pairs(
     groups: _Groups,
     negate: Callable[[str], Dmat],
 ) -> tuple[dict[str, list[float]], list[float], int]:
-    """Negate every w_N once and score all its alternatives at once per measure.
+    """Negate every w_N once, then score all of the row's pairs at once per measure.
 
-    Scores and ratings come back in dataset order, so the correlations sum
-    in the same order as a record-by-record loop would.
+    Each measure column is one `plausibility` call over two lists: each
+    negation repeated once per alternative, and the alternatives.  Scores
+    and ratings come back in dataset order, so the correlations sum in the
+    same order as a record-by-record loop would.
     """
-    by_record: dict[int, tuple[float, ...]] = {}
+    indices, negations, alternatives = [], [], []
     skipped = 0
-    for word, (indices, alternatives, missing) in groups.items():
+    for word, (word_indices, word_alternatives, missing) in groups.items():
         try:
             negated = negate(word)
         except _SKIP_ERRORS:
-            skipped += len(indices) + len(missing)
+            skipped += len(word_indices) + len(missing)
             continue
         skipped += len(missing)
-        if not indices:
-            continue
-        columns = [
-            plausibility(negated, alternatives, *_measure_and_direction(column)).tolist()
-            for column in MEASURE_COLUMNS
-        ]
-        by_record.update(zip(indices, zip(*columns)))
+        indices += word_indices
+        negations += [negated] * len(word_alternatives)
+        alternatives += word_alternatives
+    columns = [plausibility(negations, alternatives, *_measure_and_direction(column)).tolist() for column in MEASURE_COLUMNS]
+    by_record = dict(zip(indices, zip(*columns)))
     order = sorted(by_record)
     scores = {column: [by_record[i][k] for i in order] for k, column in enumerate(MEASURE_COLUMNS)}
     ratings = [dataset.records[i].mean_rating for i in order]
@@ -306,12 +306,12 @@ def run_grid(
 
     Rows for mult/diag collapse across bases (their basis column is '-'), so
     duplicate labels are evaluated once.  Records are grouped by negated word
-    once, and each row scores a word's alternatives in one batch per
-    measure.  A word's worldly context does not depend on the row, and its
-    logical negation depends only on the negation kind and support weight,
-    so each is built once and shared by every row that needs it (with the
-    decomposition it caches); rows running in parallel may both build one,
-    and all then share whichever is stored first.
+    once, and each row negates its words, then scores all its pairs in one
+    batch per measure column.  A word's worldly context does not depend on
+    the row, and its logical negation depends only on the negation kind and
+    support weight, so each is built once and shared by every row that
+    needs it (with the decomposition it caches); rows running in parallel
+    may both build one, and all then share whichever is stored first.
     """
     configs = list(configs)
     groups = _group_pairs(dataset, lexicon)

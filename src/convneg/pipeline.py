@@ -93,15 +93,16 @@ _MEASURES = {
 }
 
 
-def plausibility(negated: Dmat, alternative: Dmat | Sequence[Dmat], measure: str, direction: int = 1):
+def plausibility(negated: Dmat | Sequence[Dmat], alternative: Dmat | Sequence[Dmat], measure: str, direction: int = 1):
     """Score an alternative against a conversational-negation output.
 
     Direction 1 runs the asymmetric measures from the negation output to the
     alternative; direction 2 runs them the other way.  k_BA and trace are
     direction-insensitive by convention here (k_BA flips sign structure
     rather than direction, trace is symmetric).  A sequence of alternatives
-    is scored at once, into an array in sequence order (see `entailment`);
-    one alternative gives a float.
+    is scored at once against one output, or two sequences of equal length
+    pair by pair, into an array in sequence order (see `entailment`); two
+    matrices give a float.
     """
     try:
         fn = _MEASURES[measure]

@@ -1,9 +1,14 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convneg
 from convneg.cli import main
 from convneg.lexicon import MAGIC, load_lexicon
 
@@ -124,6 +129,56 @@ def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
     )
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GRAPH_FIXTURE_CSV_SHA256[measure]
+
+
+def write_synthetic_grid(out_dir, dim=64):
+    """A 23-word hypernym tree at `dim` and a rating set of 3 negated leaves with 5 alternatives each."""
+    rng = np.random.default_rng(79)
+    paths = {}
+    for i in range(2):
+        paths[f"c{i}"] = ("entity",)
+        for j in range(2):
+            paths[f"c{i}s{j}"] = (f"c{i}", "entity")
+            for k in range(4):
+                paths[f"c{i}s{j}l{k}"] = (f"c{i}s{j}", f"c{i}", "entity")
+    words = ["entity", *paths]
+    leaves = [w for w, path in paths.items() if len(path) == 3]
+    rows = ["negated\talternative\tmean_rating"]
+    for n in rng.choice(leaves, size=3, replace=False):
+        alternatives = rng.choice([w for w in leaves if w != n], size=5, replace=False)
+        rows += [f"{n}\t{a}\t{rng.uniform(1.0, 5.0):.2f}" for a in alternatives]
+    files = {
+        "vectors": "\n".join(f"{w} " + " ".join(f"{x:.9g}" for x in rng.normal(size=dim)) for w in words),
+        "hierarchy": "\n".join(f"{w}\t{','.join(path)}" for w, path in paths.items()),
+        "dataset": "\n".join(rows),
+        "grid": "context_fn = poly\nx = 2\n",
+    }
+    for name, text in files.items():
+        (out_dir / name).write_text(text + "\n", encoding="utf-8")
+    return {name: out_dir / name for name in files}
+
+
+@pytest.mark.parametrize("inputs", ["toy", "synthetic"])
+def test_evaluate_csv_does_not_depend_on_blas_threads(fixture_paths, tmp_path, inputs):
+    # each thread count is set in a child's environment only, before numpy loads
+    paths = fixture_paths if inputs == "toy" else write_synthetic_grid(tmp_path)
+    lex_path = build(paths, tmp_path)
+    src = str(Path(convneg.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out_csv = tmp_path / f"threads{threads}.csv"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        child = "import sys; from convneg.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["evaluate", "--lexicon", str(lex_path), "--out", str(out_csv)]
+        args += [f"--{name}={paths[name]}" for name in ("hierarchy", "dataset", "grid")]
+        subprocess.run([sys.executable, "-c", child, *args], env=env, check=True, capture_output=True)
+        csvs.append(out_csv.read_bytes())
+    assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 19
 
 
 def test_verify_report_digest(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convneg import entailment
 from convneg.entailment import (
     _k_hyp_oracle_pairs,
     _rank_one_terms,
@@ -523,12 +524,59 @@ class TestStackedMeasures:
         got = fn(a, []) if matrix_first else fn([], a)
         assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
 
-    def test_two_sequences_raise_type_error(self, rng):
+    def test_two_sequences_pair_elementwise_bitwise(self, monkeypatch):
+        # mixed ranks, pure states and one Dmat repeated on a side, so that one call takes the
+        # rank-1 route, falls back from it to d x d (equal pure states) and solves d x d outright
+        rng = np.random.default_rng(71)
+        solved = []
+        real_solve = entailment._solve
+        monkeypatch.setattr(entailment, "_solve", lambda pairs: solved.append(len(pairs)) or real_solve(pairs))
+        for dim in range(2, 31):
+            n = random_psd(rng, dim, rank=int(rng.integers(2, dim + 1)))
+            pure = [random_psd(rng, dim, rank=1) for _ in range(3)]
+            mixed = [random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))) for _ in range(2)]
+            A = [n, n, n, pure[0], mixed[0], n, pure[1]]
+            B = [*pure, Dmat(pure[0].matrix), mixed[1], n, pure[1]]
+            for name, fn in MEASURES.items():
+                for X, Y in ((A, B), (B, A)):
+                    solved.clear()
+                    misses = _rank_one_terms.cache_info().misses
+                    got = fn(X, Y)
+                    if name in ("k_e", "k_ba"):
+                        assert _rank_one_terms.cache_info().misses == misses + 1 and solved, (name, dim)
+                    assert got.tobytes() == np.array([fn(x, y) for x, y in zip(X, Y)]).tobytes(), (name, dim)
+
+    def test_two_sequences_of_unequal_length_raise_value_error(self, rng):
         seq = [random_psd(rng, 3) for _ in range(3)]
+        zero, small = Dmat(np.zeros((3, 3))), random_psd(rng, 2)
         for name, fn in MEASURES.items():
-            for other in (seq, seq[:2], [Dmat(np.zeros((3, 3)))], [random_psd(rng, 2)]):
-                with pytest.raises(TypeError):
-                    fn(seq, other)
+            for other in (seq[:2], [zero], [small], [*seq, zero], []):
+                for X, Y in ((seq, other), (other, seq)):
+                    with pytest.raises(ValueError, match="pair elementwise"):
+                        fn(X, Y)
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_two_empty_sequences_give_empty_array(self, name):
+        got = MEASURES[name]([], ())
+        assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize("mismatch_first", [True, False])
+    def test_two_sequences_raise_the_first_failing_pair_s_error(self, rng, mismatch_first):
+        ok, zero, small = random_psd(rng, 3), Dmat(np.zeros((3, 3))), random_psd(rng, 2)
+        pairs = [(ok, ok), (ok, small), (zero, zero)] if mismatch_first else [(ok, ok), (zero, zero), (ok, small)]
+        A, B = [a for a, _ in pairs], [b for _, b in pairs]
+        for name, fn in MEASURES.items():
+            for a, b in pairs:
+                try:
+                    fn(a, b)
+                except (ZeroMatrixError, DimensionMismatchError) as exc:
+                    want = (type(exc), str(exc))
+                    break
+            with pytest.raises(want[0]) as raised:
+                fn(A, B)
+            assert str(raised.value) == want[1], name
+            if mismatch_first or name == "k_ba":
+                assert want[0] is DimensionMismatchError, name
 
 
 @pytest.mark.parametrize(

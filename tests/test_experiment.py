@@ -17,6 +17,7 @@ from convneg.context import (
     worldly_context_graph,
     worldly_context_hierarchy,
 )
+from convneg.entailment import _rank_one_terms
 from convneg.errors import (
     DuplicatePairError,
     InsufficientDataError,
@@ -363,7 +364,7 @@ def test_grid_scores_keep_dataset_order(shuffled_grid, monkeypatch):
     assert seen == expected
 
 
-def test_grid_batches_measure_solves_per_negated_word(monkeypatch):
+def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
     # rank-1 words, as the lexicon's leaves are
     dataset, lexicon, provider, _ = make_shuffled_grid(rank=1)
     measure_solves = Counter()
@@ -373,12 +374,41 @@ def test_grid_batches_measure_solves_per_negated_word(monkeypatch):
         measure_solves[sys._getframe(1).f_globals["__name__"]] += 1
         return real_eigvalsh(a, *args, **kwargs)
 
+    calls = []
+    real_plausibility = experiment.plausibility
+
+    def counting_plausibility(negated, alternative, *args):
+        calls.append(len(alternative))
+        return real_plausibility(negated, alternative, *args)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    run_grid(dataset, lexicon, provider, GridSpec().configs())
+    monkeypatch.setattr(experiment, "plausibility", counting_plausibility)
+    misses = _rank_one_terms.cache_info().misses
+    table = run_grid(dataset, lexicon, provider, GridSpec().configs())
+    # every row scores all of its pairs in one call per column, and k_E both ways and k_BA
+    # share one evaluation of the rank-1 terms per row
+    assert calls == [len(dataset) - 1] * len(MEASURE_COLUMNS) * len(table.rows)
+    assert _rank_one_terms.cache_info().misses == misses + len(table.rows)
     # k_E both ways and k_BA against a rank-1 word are read off the negation's cached eigenbasis,
     # k_hyp against one is a 1 x 1 problem, and trace similarity needs no solve
     assert measure_solves["convneg.entailment"] == 0
     assert measure_solves["convneg.spectral"] > 0
+
+
+def test_grid_cells_do_not_depend_on_record_order(shuffled_grid):
+    dataset, lexicon, provider, _ = shuffled_grid
+    want = run_grid(dataset, lexicon, provider, GridSpec().configs()).sorted_rows()
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        permuted = PlausibilityDataset(tuple(dataset.records[i] for i in rng.permutation(len(dataset))))
+        got = run_grid(permuted, lexicon, provider, GridSpec().configs()).sorted_rows()
+        assert [row.key for row in got] == [row.key for row in want]
+        for row, expected in zip(got, want):
+            for column in MEASURE_COLUMNS:
+                cell, reference = row.cells[column], expected.cells[column]
+                assert (cell.n, cell.skipped, cell.r is None) == (reference.n, reference.skipped, reference.r is None)
+                if cell.r is not None:
+                    assert abs(cell.r - reference.r) <= 1e-12, (row.key, column)
 
 
 def test_grid_negates_each_word_once_per_kind(shuffled_grid, monkeypatch):
