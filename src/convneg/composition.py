@@ -14,10 +14,10 @@ eigendecomposition (`spectral_decompose`, solved once per B) and then take
 a fixed number of d x d BLAS matmuls (spider 2, phaser 3, fuzz 4), so
 O(d^3) time and O(d^2) memory whatever B's spectrum is.  mult and diag are
 O(d^2) entrywise.  Every result but diag's is validated by one `eigh` of
-the output (`spectral._decomposed`), which rescaling and the output's
-`spectral_decompose` reuse, so the output is solved once in all; diag's is
-exactly diagonal, so it is validated by `eigvalsh` and decomposed without
-a solve.
+the output (`spectral._decomposed`), which also gives its decomposition at
+construction, divided by the scale on rescaling, so the output is solved
+once in all; diag's is exactly diagonal, so it is validated by `eigvalsh`
+and decomposed without a solve.
 """
 
 from __future__ import annotations

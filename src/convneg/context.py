@@ -97,6 +97,9 @@ def load_hierarchy(path) -> HypernymHierarchy:
                 raise ParseError("empty hypernym list or blank entry", lineno)
             if word in hypernyms:
                 raise SelfReferenceError(f"{word!r} appears in its own hypernym list", lineno)
+            repeated = next((h for i, h in enumerate(hypernyms) if h in hypernyms[:i]), None)
+            if repeated is not None:
+                raise DuplicateWordError(f"{repeated!r} repeats in the hypernym list of {word!r}", lineno)
             if word in paths:
                 raise DuplicateWordError(f"duplicate record for {word!r}", lineno)
             paths[word] = hypernyms
@@ -109,7 +112,7 @@ def hypernym_weights(fn: WeightFunction, word: str, hierarchy: HypernymHierarchy
     poly: (n - i)^x.  exp: (1 + x/10)^(n - i).  hyp: (n - i)^(x/2) scaled by
     the graded entailment from the word to each hypernym (needs the lexicon).
     A path whose weights all vanish is returned as zeros; callers treat that
-    as an empty context.
+    as an empty context.  Weights that overflow raise WeightOutOfRangeError.
     """
     path = hierarchy.hypernyms(word)
     n = len(path)
@@ -125,6 +128,8 @@ def hypernym_weights(fn: WeightFunction, word: str, hierarchy: HypernymHierarchy
         # a scalar power per weight: numpy's SIMD array power can round an ulp away from it
         raw = np.array([k ** (fn.x / 2.0) for k in n - i]) * graded
     total = float(raw.sum())
+    if not math.isfinite(total):
+        raise WeightOutOfRangeError(f"{fn.kind.value} weights with x = {fn.x} overflow on the path of {word!r}")
     if total <= 0.0:
         return np.zeros(n)
     return raw / total

@@ -7,19 +7,19 @@ eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
 read-only on the instance: the eigenvalues from validation, which solves for
-them anyway, and the full `SpectralDecomposition` the first time
-`spectral_decompose` is asked for it.  Nothing else is kept on a `Dmat`: a
-measure that reuses work across calls keeps it in its own module (the rank-1
-route's one-slot cache in `entailment`).  A matrix built to be decomposed (a
-composition, a logical negation, a worldly context) is validated by one
-`eigh` (`_decomposed`), which its decomposition reuses.  `normalize_max_eig`
+them anyway, and the full `SpectralDecomposition`, the only other field.
+Nothing else is kept on a `Dmat`: a measure that reuses work across calls
+keeps it in its own module (the rank-1 route's one-slot cache in
+`entailment`).  A matrix built to be decomposed (a composition, a logical
+negation, a worldly context) is validated by one `eigh` (`_decomposed`),
+which also gives its decomposition at construction.  `normalize_max_eig`
 and `rescale_max_eig` read their result's checks off the input's spectrum
 divided by the scale (a scale of at least 1 needs none), and hand the result
-that spectrum, with the input's kept `eigh` and decomposition divided by the
-scale, so a rescaled matrix is never solved again.  A lexicon word, built or
-loaded, is validated against the spectrum of its r×r Gram matrix (the
-`spectrum` argument of `Dmat`), so it never pays for a d×d solve unless it
-is decomposed.  Threads sharing a `Dmat` may race to fill its decomposition;
+that spectrum, with the input's decomposition divided by the scale, so a
+rescaled matrix is never solved again.  A lexicon word, built or loaded, is
+validated against the spectrum of its r×r Gram matrix (the `spectrum`
+argument of `Dmat`), so it never pays for a d×d solve unless it is
+decomposed.  Threads sharing a `Dmat` may race to fill its decomposition;
 the race is benign, because every writer stores the same deterministic
 result.
 """
@@ -61,18 +61,17 @@ class Dmat:
 
     The read-only ascending `eigenvalues` are the ones validation checked,
     kept from construction: `eigvalsh(matrix)` by default, `eigh`'s for a
-    matrix made by `_decomposed` (which keeps its eigenvectors too), and the
-    input's divided by the scale for one made by `normalize_max_eig` or
-    `rescale_max_eig`, within roundoff of `eigvalsh`'s.  A caller that knows
-    the spectrum more cheaply passes `spectrum`, a function from the array to
-    its ascending eigenvalues (default `np.linalg.eigvalsh`); validation
-    checks and keeps what it returns, so it must be proved within roundoff of
-    the array's own (as a lexicon word's is from its r×r Gram matrix).  The
-    spectral decomposition is filled lazily by the first `spectral_decompose`
-    call, from the kept `eigh` where there is one (which it then drops, so
-    the eigenvectors are held once), and reused by every later one.
-    Concurrent first calls may each compute it, and whichever identical
-    result lands last is kept.
+    matrix made by `_decomposed`, and the input's divided by the scale for
+    one made by `normalize_max_eig` or `rescale_max_eig`, within roundoff of
+    `eigvalsh`'s.  A caller that knows the spectrum more cheaply passes
+    `spectrum`, a function from the array to its ascending eigenvalues
+    (default `np.linalg.eigvalsh`); validation checks and keeps what it
+    returns, so it must be proved within roundoff of the array's own (as a
+    lexicon word's is from its r×r Gram matrix).  The spectral decomposition
+    is set at construction by `_decomposed` and carried by rescaling;
+    otherwise the first `spectral_decompose` call fills it, and every later
+    one reuses it.  Concurrent first calls may each compute it, and whichever
+    identical result lands last is kept.
     """
 
     matrix: np.ndarray
@@ -80,11 +79,8 @@ class Dmat:
     spectrum: InitVar[Callable[[np.ndarray], np.ndarray] | None] = None
     # the read-only ascending eigenvalues validation checked
     eigenvalues: np.ndarray = field(init=False)
-    # filled by the first spectral_decompose call
+    # set by _decomposed or rescaling, else filled by the first spectral_decompose call
     _spectral: SpectralDecomposition | None = field(init=False, default=None)
-    # (ascending eigenvalues, eigenvectors) of the eigh that validated the matrix (`_decomposed`),
-    # until spectral_decompose builds the decomposition from it
-    _solved: tuple | None = field(init=False, default=None)
 
     def __post_init__(self, spectrum):
         m = np.array(self.matrix, dtype=float)
@@ -121,7 +117,7 @@ def _validate(m: np.ndarray, spectrum) -> np.ndarray:
     eigenvalues `spectrum(m)` at least -PSD_TOL.  `spectrum` runs only on a
     finite symmetric `m`.
     """
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotPSDError("matrix has non-finite entries")
     # most inputs are exactly symmetric, and comparing is far cheaper than forming m - m.T
     asym = 0.0 if (m == m.T).all() else float(np.max(np.abs(m - m.T)))
@@ -142,8 +138,8 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     becomes at most 1.  A smaller s can overflow and widens both, so the
     scaled array is checked again, its PSD check reading M's spectrum
     divided by s.  The result is built without `__init__`, whose validation
-    would solve again.  It keeps M's eigenvalues divided by s, and so its
-    kept `eigh` or its decomposition where M has one, sharing M's read-only
+    would solve again.  It keeps M's eigenvalues divided by s, and M's
+    decomposition, if it has one, divided by s and sharing M's read-only
     eigenvectors: nothing is solved for it again.  A scale of exactly 1
     divides nothing (x / 1 is x, bit for bit), so the result shares M's
     read-only arrays.
@@ -152,30 +148,26 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     def divided(array: np.ndarray) -> np.ndarray:
         return array if s == 1.0 else _read_only(array / s)
 
-    m, eigenvalues = divided(M.matrix), divided(M.eigenvalues)
+    m, eigenvalues, spectral = divided(M.matrix), divided(M.eigenvalues), M._spectral
     if s < 1.0:
         _validate(m, lambda _: eigenvalues)
-    solved, spectral = M._solved, M._spectral  # in this order: spectral_decompose sets one, then clears the other
     out = object.__new__(Dmat)
     vars(out).update(
         matrix=m, eigenvalues=eigenvalues,
         _spectral=None if spectral is None else SpectralDecomposition(
             divided(spectral.eigenvalues), spectral.eigenvectors
         ),
-        _solved=None if solved is None else (divided(solved[0]), solved[1]),
     )
     return out
 
 
 def _decomposed(matrix) -> Dmat:
-    """`Dmat(matrix)` validated by one `np.linalg.eigh`, whose (w, V) it keeps for `spectral_decompose`.
+    """`Dmat(matrix)` validated by one `np.linalg.eigh`, whose (w, V) also give its decomposition.
 
-    For a matrix built to be decomposed later (a composition, a logical
-    negation, a worldly context), so that it is solved once.  `_validate`
-    checks finiteness and symmetry before the solve, as for any `Dmat`, then
-    checks and keeps eigh's eigenvalues.  The decomposition is still built
-    on the first `spectral_decompose` call only: `verify` never decomposes
-    most of its compositions.
+    For a matrix built to be decomposed (a composition, a logical negation,
+    a worldly context), so that it is solved once.  `_validate` checks
+    finiteness and symmetry before the solve, as for any `Dmat`, then checks
+    and keeps eigh's eigenvalues.
     """
     solved = []
 
@@ -184,7 +176,7 @@ def _decomposed(matrix) -> Dmat:
         return solved[0]
 
     out = Dmat(matrix, spectrum=spectrum)
-    object.__setattr__(out, "_solved", (solved[0], _read_only(solved[1])))
+    spectral_decompose(out, solved)
     return out
 
 
@@ -307,16 +299,15 @@ class SpectralDecomposition:
 
 
 def _decompose(m: np.ndarray, solved=None) -> SpectralDecomposition:
-    if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
-        diagonal = np.diagonal(m)
+    diagonal = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
         order = np.argsort(-diagonal, kind="stable")
         eigenvalues, vectors = diagonal[order], np.eye(m.shape[0])[:, order]
     else:
         ascending, vectors = np.linalg.eigh(m) if solved is None else solved
         eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
-    lowest = float(eigenvalues.min())
-    if lowest < -PSD_TOL:
-        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{PSD_TOL:.0e}")
+    if eigenvalues[-1] < -PSD_TOL:
+        raise NotPSDError(f"eigenvalue {eigenvalues[-1]:.3e} below -{PSD_TOL:.0e}")
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 
@@ -330,14 +321,12 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     and the same read-only object is returned on every later call.  An
     eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
     computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
-    stacked solve, passes it as `solved` to be used in place of that solve;
-    otherwise the one `_decomposed` kept, if any, is used.
+    stacked solve, passes it as `solved` to be used in place of that solve.
     """
-    kept, decomp = M._solved, M._spectral  # in this order, as `_scaled` reads them
+    decomp = M._spectral
     if decomp is None:
-        decomp = _decompose(M.matrix, kept if solved is None else solved)
+        decomp = _decompose(M.matrix, solved)
         object.__setattr__(M, "_spectral", decomp)
-        object.__setattr__(M, "_solved", None)  # the decomposition holds its own copy of the eigenvectors
     return decomp
 
 

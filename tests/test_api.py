@@ -63,7 +63,7 @@ def test_oracle_takes_no_options():
 
 def test_dmat_keeps_only_its_matrix_and_spectrum():
     # a measure keeps its own caches; nothing else is set on a Dmat, even after it is scored
-    fields = ["matrix", "eigenvalues", "_spectral", "_solved"]
+    fields = ["matrix", "eigenvalues", "_spectral"]
     assert [f.name for f in dataclasses.fields(convneg.Dmat)] == fields
     assert list(inspect.signature(convneg.Dmat).parameters) == ["matrix", "spectrum"]
     mixed, pure = convneg.Dmat(np.diag([1.0, 0.5, 0.0])), convneg.Dmat(np.diag([0.0, 1.0, 0.0]))

@@ -128,6 +128,13 @@ class TestLoadHierarchy:
             load_hierarchy(path)
         assert err.value.line_number == 2
 
+    def test_repeated_hypernym_rejected(self, tmp_path):
+        # a repeat would count the hypernym's weight twice in the context mixture
+        path = write(tmp_path, "h.tsv", "cat\tanimal\ndog\tanimal,animal,entity\n")
+        with pytest.raises(DuplicateWordError, match="'animal'") as err:
+            load_hierarchy(path)
+        assert err.value.line_number == 2
+
     def test_unknown_word_lookup(self, tmp_path):
         hierarchy = load_hierarchy(write(tmp_path, "h.tsv", "a\tb\n"))
         with pytest.raises(UnknownWordError):
@@ -168,6 +175,21 @@ class TestHypernymWeights:
     def test_hyp_requires_lexicon(self):
         with pytest.raises(MissingMatrixError):
             hypernym_weights(WeightFunction(WeightKind.HYP, 1.0), "w", HIERARCHY)
+
+    @pytest.mark.parametrize("kind, x", [(WeightKind.POLY, 330.0), (WeightKind.EXP, 1e40), (WeightKind.HYP, 660.0)])
+    def test_overflowing_weights_rejected(self, kind, x):
+        # 9**330 is inf, and inf / inf would be a NaN weight; the pair would be skipped as empty
+        hierarchy = HypernymHierarchy({"w": tuple(f"h{i}" for i in range(10))})
+        lexicon = {"w": Dmat(np.eye(2) / 2.0), **{f"h{i}": Dmat(np.eye(2)) for i in range(10)}}
+        with np.errstate(over="ignore"), pytest.raises(WeightOutOfRangeError, match="overflow"):
+            hypernym_weights(WeightFunction(kind, x), "w", hierarchy, lexicon)
+
+    def test_large_finite_weights_keep_the_nearest_hypernym_limit(self):
+        hierarchy = HypernymHierarchy({"w": tuple(f"h{i}" for i in range(10))})
+        weights = hypernym_weights(WeightFunction(WeightKind.POLY, 300.0), "w", hierarchy)
+        raw = np.arange(9.0, -1.0, -1.0) ** 300.0
+        assert weights.tobytes() == (raw / raw.sum()).tobytes()
+        assert weights[0] == pytest.approx(1.0) and np.all(np.isfinite(weights))
 
     def test_negative_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from convneg.sampling import random_orthogonal, random_psd
 from convneg import spectral
 from convneg.spectral import (
     Dmat,
+    _decompose,
     _decomposed,
     _roundoff_cut,
     _scaled,
@@ -186,7 +187,7 @@ class TestDecompositionCache:
 
 
 class TestDecomposed:
-    """`_decomposed` validates with one eigh and keeps it for spectral_decompose."""
+    """`_decomposed` validates with one eigh and builds the decomposition from it at construction."""
 
     def test_one_eigh_serves_validation_and_decomposition(self, rng, monkeypatch):
         matrix = random_psd(rng, 7, rank=5).matrix
@@ -195,17 +196,17 @@ class TestDecomposed:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append("eigvalsh"))
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
         m = _decomposed(matrix)
-        kept = m._solved
-        decomp = spectral_decompose(m)
+        decomp = m._spectral
+        assert calls == ["eigh"] and decomp is not None
+        assert spectral_decompose(m) is decomp
         assert calls == ["eigh"]
         w, v = real_eigh(matrix)
         assert m.eigenvalues.tobytes() == w.tobytes()
         np.testing.assert_array_equal(decomp.eigenvalues, np.maximum(w[::-1], 0.0))
         np.testing.assert_array_equal(decomp.eigenvectors, v[:, ::-1])
-        for array in (m.eigenvalues, *kept, decomp.eigenvectors):
+        for array in (m.eigenvalues, decomp.eigenvalues, decomp.eigenvectors):
             assert not array.flags.writeable
-        # the decomposition's contiguous copy is the one eigenvector array kept
-        assert m._solved is None and decomp.eigenvectors.flags.c_contiguous
+        assert decomp.eigenvectors.flags.c_contiguous
 
     def test_diagonal_keeps_the_standard_basis(self):
         m = _decomposed(np.diag([0.25, 1.0, 0.25]))
@@ -222,6 +223,55 @@ class TestDecomposed:
     def test_negative_eigenvalue_raises_not_psd(self):
         with pytest.raises(NotPSDError):
             _decomposed(np.diag([1.0, -0.1]))
+
+
+class TestDecomposeThenRescale:
+    """Decomposing at construction, then rescaling, gives the bits of rescaling, then decomposing.
+
+    Dividing by the scale commutes with the clamp of roundoff-negative
+    eigenvalues and with the descending order, as long as no quotient
+    underflows or rounds two distinct diagonal entries together; no case
+    here does.
+    """
+
+    @staticmethod
+    def cases(rng):
+        full = [random_psd(rng, dim).matrix * scale for dim in (2, 7, 20) for scale in (0.3, 1.0, 4.0)]
+        draws = [random_psd(rng, 9, rank=4).matrix * 2.5 for _ in range(20)]
+        # ones whose lowest kernel eigenvalue rounds negative, so it is clamped
+        deficient = [matrix for matrix in draws if np.linalg.eigh(matrix)[0][0] < 0.0]
+        assert len(deficient) >= 4
+        diagonal = [np.diag([0.5, 2.0, 0.5, 2.0, 0.0]), np.diag([0.25, 0.25, 0.25]), 3.0 * np.diag([1.0, 0.0, 1.0])]
+        return full + deficient + diagonal
+
+    @pytest.mark.parametrize("rescale, scale", [
+        (rescale_max_eig, lambda top: top),
+        (normalize_max_eig, lambda top: max(1.0, top)),
+    ])
+    def test_matches_the_rescale_first_route(self, rng, rescale, scale):
+        for matrix in self.cases(rng):
+            rescaled = rescale(_decomposed(matrix))
+            w, v = np.linalg.eigh(matrix)
+            s = scale(w[-1])
+            before = _decompose(rescaled.matrix, (w / s, v))
+            after = spectral_decompose(rescaled)
+            assert after.eigenvalues.tobytes() == before.eigenvalues.tobytes()
+            assert after.eigenvectors.tobytes() == before.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([0.5, 0.0, 0.5]),
+        np.array([[1.0, -0.0], [-0.0, 0.5]]),
+        np.array([[1.0, 5e-324], [5e-324, 0.5]]),
+        np.array([[0.0, 5e-324], [5e-324, 0.0]]),
+        np.array([[1.0, 0.0], [5e-324, 0.5]]),
+    ])
+    def test_diagonal_rule_matches_the_off_diagonal_difference(self, matrix, monkeypatch):
+        # the fast path is taken exactly when m - diag(diagonal(m)) has no nonzero entry
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real_eigh(a))
+        _decompose(matrix)
+        assert (calls == []) == (np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0)
 
 
 class TestIsZero:
@@ -332,29 +382,22 @@ class TestRescaleWithoutSolve:
                     assert out.eigenvalues is out.eigenvalues
                     assert not out.eigenvalues.flags.writeable
 
-    def test_carries_the_kept_solve_and_decomposition(self, rng, monkeypatch):
-        # no solve for the result: its eigenvalues, kept eigh and decomposition are M's divided by s
-        m = _decomposed(random_psd(rng, 6).matrix * 3.0)
-        decomposed = _decomposed(random_psd(rng, 6).matrix * 0.5)
-        spectral_decompose(decomposed)
+    def test_carries_the_decomposition(self, rng, monkeypatch):
+        # no LAPACK call for the result: its eigenvalues and decomposition are M's divided by s,
+        # sharing M's read-only eigenvectors
+        inputs = [_decomposed(random_psd(rng, 6).matrix * 3.0), _decomposed(random_psd(rng, 6).matrix * 0.5)]
         calls = []
-        for name in ("eigvalsh", "eigh"):
+        for name in ("eigvalsh", "eigh", "eig", "svd", "cholesky"):
             monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(args))
-        w, v = m._solved
-        out = rescale_max_eig(m)
-        s = m.max_eigenvalue()
-        assert out.eigenvalues.tobytes() == (m.eigenvalues / s).tobytes()
-        assert out._solved[0].tobytes() == (w / s).tobytes() and out._solved[1] is v
-        assert not out._solved[0].flags.writeable
-        for M, out in ((m, out), (decomposed, rescale_max_eig(decomposed))):
+        for M in inputs:
+            out = rescale_max_eig(M)
             s = M.max_eigenvalue()
             assert out.eigenvalues.tobytes() == (M.eigenvalues / s).tobytes()
             decomp = spectral_decompose(out)
-            assert out._solved is None  # the decomposition holds the eigenvectors, once
-            assert decomp.eigenvalues.tobytes() == (spectral_decompose(M).eigenvalues / s).tobytes()
+            assert decomp is out._spectral
+            assert decomp.eigenvalues.tobytes() == (M._spectral.eigenvalues / s).tobytes()
             assert not decomp.eigenvalues.flags.writeable
-            np.testing.assert_array_equal(decomp.eigenvectors, spectral_decompose(M).eigenvectors)
-        assert out._spectral.eigenvectors is decomposed._spectral.eigenvectors
+            assert decomp.eigenvectors is M._spectral.eigenvectors and not decomp.eigenvectors.flags.writeable
         assert calls == []
 
     def test_result_is_a_fresh_read_only_dmat(self, rng):
