@@ -12,12 +12,13 @@ structural slot.
 Cost at dimension d: the three structural compositions read B's cached
 eigendecomposition (`spectral_decompose`, solved once per B) and then take
 a fixed number of d x d BLAS matmuls (spider 2, phaser 3, fuzz 4), so
-O(d^3) time and O(d^2) memory whatever B's spectrum is.  mult and diag are
-O(d^2) entrywise.  Every result but diag's is validated by one `eigh` of
-the output (`spectral._decomposed`), which also gives its decomposition at
-construction, divided by the scale on rescaling, so the output is solved
-once in all; diag's is exactly diagonal, so it is validated by `eigvalsh`
-and decomposed without a solve.
+O(d^3) time and O(d^2) memory whatever B's spectrum is.  Each gives its
+output's eigenpairs (`spectral._born`), so the output is never solved: past
+spider's group rotations, only fuzz's blocks of size > 1 and phaser's r x r
+core (B's roundoff rank r) take an `eigh`.  mult and diag are O(d^2) entrywise.  mult's output is validated
+by one `eigh` (`spectral._decomposed`), which also gives its decomposition;
+diag's is exactly diagonal, so it is validated by `eigvalsh` and decomposed
+without a solve.  Rescaling divides a decomposition, and solves nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import Dmat, _decomposed, _roundoff_cut, check_dims, spectral_decompose
+from .spectral import Dmat, _born, _decomposed, _roundoff_cut, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -44,8 +45,8 @@ class BasisSlot(str, Enum):
     SECOND_OPERAND = "second_operand"
 
 
-def _wrap(matrix: np.ndarray) -> Dmat:
-    return _decomposed((matrix + matrix.T) / 2.0)
+def _symmetric(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + matrix.T) / 2.0
 
 
 def spider(A: Dmat, B: Dmat) -> Dmat:
@@ -64,7 +65,8 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     its group's value, as in `fuzz`.
 
     Cost: A's diagonal in that basis, diag(Vᵀ A V), is the column sums of
-    V * (A V), so the whole update is two d x d matmuls.
+    V * (A V), so the whole update is two d x d matmuls.  Its eigenpairs
+    are those weighted diagonal entries with the columns of V.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
@@ -77,8 +79,8 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
         if stop - start > 1 and value > cut:
             block = v[:, start:stop]
             v[:, start:stop] = block @ np.linalg.eigh((block.T * index) @ block)[1]
-    a_diag = np.sum(v * (A.matrix @ v), axis=0)
-    return _wrap((v * (weights * a_diag)) @ v.T)
+    values = weights * np.sum(v * (A.matrix @ v), axis=0)
+    return _born(_symmetric((v * values) @ v.T), np.sort(values), lambda: (values, v))
 
 
 def fuzz(A: Dmat, B: Dmat) -> Dmat:
@@ -94,15 +96,28 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
     of the groups is dropped, each block is scaled by its group's value (a
     zero-valued group leaves a zero block), and the result is turned back:
     four d x d matmuls and a few d x d arrays, however many groups there are.
+    The output's eigenpairs are the blocks', turned back: a block of size 1
+    is its own eigenvalue, and a block of size > 1 valued above roundoff
+    (`_roundoff_cut` of B's top) is solved by `eigh`, rotating its columns;
+    one within roundoff (B's kernel) keeps its diagonal, off by at most that
+    cut times A's top eigenvalue.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
     v = decomp.eigenvectors
-    weights = np.zeros((A.dim, A.dim))
-    for value, start, stop in decomp.eigenvalue_groups():
-        weights[start:stop, start:stop] = value
-    core = v.T @ A.matrix @ v
-    return _wrap(v @ (core * weights) @ v.T)
+    groups = decomp.eigenvalue_groups()
+    blocks = np.zeros((A.dim, A.dim))
+    for value, start, stop in groups:
+        blocks[start:stop, start:stop] = value
+    blocks *= v.T @ A.matrix @ v
+    values, vectors = np.diagonal(blocks).copy(), v
+    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
+    for value, start, stop in groups:
+        if stop - start > 1 and value > cut:
+            vectors = v.copy() if vectors is v else vectors
+            values[start:stop], rotation = np.linalg.eigh(blocks[start:stop, start:stop])
+            vectors[:, start:stop] = v[:, start:stop] @ rotation
+    return _born(_symmetric(v @ blocks @ v.T), np.sort(values), lambda: (values, vectors))
 
 
 def phaser(A: Dmat, B: Dmat) -> Dmat:
@@ -112,18 +127,27 @@ def phaser(A: Dmat, B: Dmat) -> Dmat:
     top, where `SpectralDecomposition.support_factor` cuts) are zeroed
     before the root: the square root would turn a kernel eigenvalue of
     1e-17 into a weight of 3e-9 on an eigenvector that roundoff picks.
+
+    With V_r B's r support eigenvectors and S their roots, the output is
+    V_r C V_rᵀ for C = S V_rᵀ A V_r S = U M Uᵀ, one r x r `eigh`: its
+    eigenpairs are M with V_r U, and 0 with B's kernel.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
-    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
+    lam, v, rank = decomp.eigenvalues, decomp.eigenvectors, decomp.roundoff_rank
+    cut = _roundoff_cut(lam[0], B.dim)
     root = decomp.apply(lambda lam: np.sqrt(np.where(lam > cut, lam, 0.0)))
-    return _wrap(root @ A.matrix @ root)
+    support, s = v[:, :rank], np.sqrt(lam[:rank])
+    core, rotation = np.linalg.eigh((support.T @ A.matrix @ support) * s * s[:, None])
+    values = np.concatenate([core, np.zeros(B.dim - rank)])
+    return _born(_symmetric(root @ A.matrix @ root), np.sort(values),
+                 lambda: (values, np.concatenate([support @ rotation, v[:, rank:]], axis=1)))
 
 
 def mult(A: Dmat, B: Dmat) -> Dmat:
     """Entrywise product in the computational basis (Schur product)."""
     check_dims(A, B)
-    return _wrap(A.matrix * B.matrix)
+    return _decomposed(_symmetric(A.matrix * B.matrix))
 
 
 def diag_comp(A: Dmat, B: Dmat) -> Dmat:

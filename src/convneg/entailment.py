@@ -303,27 +303,33 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
     return values
 
 
-def _ratio(sums: np.ndarray, absolute_sums: np.ndarray) -> np.ndarray:
-    """k_BA from the sum and absolute sum of a spectrum of B - A; an absolute sum below 1e-12 (equal matrices, 0/0) gives 1."""
-    return np.divide(sums, absolute_sums, out=np.ones_like(absolute_sums), where=absolute_sums >= 1e-12)
+def _ratio(sums: np.ndarray, absolute_sums: np.ndarray, tops: np.ndarray, dim: int) -> np.ndarray:
+    """k_BA from the sum and absolute sum of a spectrum of B - A; an absolute sum within
+    `_roundoff_cut` of the operands' top eigenvalue `tops` (equal matrices, 0/0) gives 1."""
+    return np.divide(sums, absolute_sums, out=np.ones_like(absolute_sums), where=absolute_sums > _roundoff_cut(tops, dim))
 
 
-def k_ba_from_spectra(spectra: np.ndarray) -> np.ndarray:
-    """k_BA from spectra of B - A (last axis): their sum over their absolute sum (see `_ratio`)."""
-    return _ratio(spectra.sum(axis=-1), np.abs(spectra).sum(axis=-1))
+def k_ba_from_spectra(spectra: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """k_BA from spectra of B - A (last axis) and the top eigenvalue of each pair's operands (see `_ratio`)."""
+    return _ratio(spectra.sum(axis=-1), np.abs(spectra).sum(axis=-1), tops, spectra.shape[-1])
 
 
 def k_ba(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     """Signed eigenvalue ratio of B - A, in [-1, 1].
 
     Equal matrices give 0/0; that case is defined as 1 (full self-entailment,
-    matching the limit along B = A + eps*I).  On the rank-1 route, B - A = ±D
-    sums to ±tr D, and its absolute sum is tr D + 2t.
+    matching the limit along B = A + eps*I), and so is any B - A within
+    roundoff of the operands' scale.  On the rank-1 route, B - A = ±D sums
+    to ±tr D, and its absolute sum is tr D + 2t.
     """
-    def from_terms(pairs, flip, t, total, pos_sq, sure):
-        return _ratio(np.where(flip, -total, total), total + 2.0 * t)
+    mats, ia, ib = _pairs(A, B)
+    top = np.array([m.max_eigenvalue() for m in mats])
+    tops = np.maximum(top[ia], top[ib])
 
-    return _result(_by_route(*_pairs(A, B), from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra)), A, B)
+    def from_terms(pairs, flip, t, total, pos_sq, sure):
+        return _ratio(np.where(flip, -total, total), total + 2.0 * t, tops[pairs], mats[0].dim)
+
+    return _result(_by_route(mats, ia, ib, from_terms, lambda spectra, pairs: k_ba_from_spectra(spectra, tops[pairs])), A, B)
 
 
 def spectrum_norms(spectra: np.ndarray) -> np.ndarray:

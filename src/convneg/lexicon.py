@@ -4,11 +4,13 @@ A word's density matrix is the mixture of outer products of the unit-length
 vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
 A word of r < d such vectors has rank r, so its spectrum is read off the r×r
 Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
-of a d×d eigensolve.  The on-disk lexicon (format DMLX2) stores each word's
-unit vectors, not its d×d matrix.  `load_lexicon` checks every record, then
-leaves each word to be built from its rows on its first read, by the same
-construction (`_mixture`) as `build_density_matrix`: a reloaded word is
-bitwise the built one, and a run pays only for the words it reads.
+of a d×d eigensolve, and so does its decomposition, left to its first
+`spectral_decompose` (`_gram_decomposition`).  The on-disk lexicon (format
+DMLX2) stores each word's unit vectors, not its d×d matrix.  `load_lexicon`
+checks every record, then leaves each word to be built from its rows on its
+first read, by the same construction (`_mixture`) as `build_density_matrix`:
+a reloaded word is bitwise the built one, and a run pays only for the words
+it reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     UnknownWordError,
     ZeroMatrixError,
 )
-from .spectral import EPS, PSD_TOL, Dmat, normalize_max_eig
+from .spectral import EPS, PSD_TOL, Dmat, SpectralDecomposition, _deferred, _read_only, _roundoff_rank, normalize_max_eig
 
 MAGIC = b"DMLX2"
 
@@ -130,16 +132,19 @@ def _mixture(f: np.ndarray) -> Dmat:
     entrywise products written into one reused buffer, added to the sum, so
     it rounds the same on every call) and validated against the spectrum of
     its r×r Gram matrix where `_gram_spectrum` proves it, and a d×d
-    `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.
+    `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.  On the
+    Gram route the decomposition is deferred to `_gram_decomposition`, and
+    divided by the same scale; otherwise it is solved on first use.
     """
-    dim = f.shape[1]
+    r, dim = f.shape
     out = np.zeros((dim, dim))
     product = np.empty((dim, dim))
     for unit in f:
         out += np.multiply(unit[:, None], unit, out=product)
     del product  # freed before `Dmat` copies the sum and the scaling divides it
     # each outer product is exactly symmetric, and so is their sum in one order
-    return normalize_max_eig(Dmat(out, spectrum=_gram_spectrum(f)))
+    word = Dmat(out, spectrum=_gram_spectrum(f))
+    return normalize_max_eig(_deferred(word, lambda: _gram_decomposition(f)) if _gram_route(r, dim) else word)
 
 
 def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -180,6 +185,25 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     return lambda _: np.sort(np.append(np.linalg.eigvalsh(f @ f.T), np.zeros(d - r)))
 
 
+def _gram_decomposition(f: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of Σ fᵢfᵢᵀ over the r unit rows of f (r×d, r < d), from its r×r Gram matrix.
+
+    With F·Fᵀ = U Σ Uᵀ (a 1×1 one needs no solve), the support eigenvectors
+    are Fᵀ U Σ^{-1/2} over the σ above roundoff (`_roundoff_rank` at dim d);
+    the rest are 0.  One complete QR orthonormalizes them in descending
+    order and completes the kernel: a column's error, about eps·‖F‖/√σ,
+    enters FᵀF weighted by σ, so the result is orthonormal and reconstructs
+    FᵀF within a few d·eps.  O(d²·r), against a d×d solve's O(d³).
+    """
+    r, d = f.shape
+    gram = f @ f.T
+    sigma, u = (gram[0], np.ones((1, 1))) if r == 1 else np.linalg.eigh(gram)
+    sigma, u = sigma[::-1], u[:, ::-1]
+    k = int(_roundoff_rank(sigma, d))
+    q = np.linalg.qr((f.T @ u[:, :k]) / np.sqrt(sigma[:k]), mode="complete")[0]
+    return SpectralDecomposition(_read_only(np.concatenate([sigma[:k], np.zeros(d - k)])), _read_only(q))
+
+
 def _gram_route(r: int, d: int) -> bool:
     """Whether `_gram_spectrum` proves the spectrum of r unit rows at dim d: r < d and ρ <= PSD_TOL / 10."""
     return r < d and 1.1 * EPS * r * (d + 5 * r) <= PSD_TOL / 10
@@ -205,11 +229,13 @@ class Lexicon(Mapping[str, Dmat]):
     saved.  The lexicon is a mapping over the words of both arguments (also
     as `matrices`).  A word given in `matrices` (built, or made by hand) is
     kept as given; a word with rows only is built from them by `_mixture` on
-    its first read, and kept.  `in`, `len`, iteration and `dim`, read off
-    the rows and the given matrices, which must agree, build nothing.  Two
-    threads reading a word at once may both build it; the race is benign,
-    since `dict.setdefault` keeps the first object stored, and every reader
-    gets that one (either build is bitwise the same).
+    its first read, and kept.  A word built from rows on the Gram route is
+    decomposed from its Gram matrix when first decomposed.  `in`, `len`,
+    iteration and `dim`, read off the rows and the given matrices, which
+    must agree, build nothing.  Two threads reading a word at once may both
+    build it; the race is benign, since `dict.setdefault` keeps the first
+    object stored, and every reader gets that one (either build is bitwise
+    the same).
     """
 
     def __init__(self, matrices: Mapping[str, Dmat], rows: dict[str, np.ndarray] | None = None):

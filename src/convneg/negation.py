@@ -5,6 +5,9 @@ preserving eigenvectors: subtraction from the identity, the Moore-Penrose
 support inverse, and the kernel projector, plus the convex mixture of the
 latter two.  Outputs are deliberately left unnormalized; the conversational
 pipeline normalizes once, after composition.
+Each output is f(X) = V f(Λ) Vᵀ, so its decomposition (f(Λ), V) is given
+at construction (`spectral._born`), and only X is ever decomposed: by
+`neg_inv` to form its output, by `neg_sub` only once its output is.
 """
 
 from __future__ import annotations
@@ -19,16 +22,21 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
-from .spectral import PSD_TOL, Dmat, _decomposed, spectral_decompose
+from .spectral import PSD_TOL, Dmat, _born, spectral_decompose
 
 
 def neg_sub(X: Dmat) -> Dmat:
-    """Identity minus X.  Requires largest eigenvalue <= 1 so the result stays PSD."""
+    """Identity minus X, with eigenvalues 1 - λ.  Requires largest eigenvalue <= 1 so the result stays PSD."""
     top = X.max_eigenvalue()
     if top > 1.0 + PSD_TOL:
         raise NotNormalizedError(f"largest eigenvalue {top:.12g} exceeds 1")
     out = np.eye(X.dim) - X.matrix
-    return _decomposed((out + out.T) / 2.0)
+
+    def eigenpairs():
+        decomp = spectral_decompose(X)
+        return 1.0 - decomp.eigenvalues, decomp.eigenvectors
+
+    return _born((out + out.T) / 2.0, 1.0 - X.eigenvalues[::-1], eigenpairs)
 
 
 def neg_supp(X: Dmat) -> Dmat:
@@ -63,8 +71,6 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
     decomp = spectral_decompose(X)
     if support_weight > 0.0 and decomp.rank() == 0:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
-    cut = decomp.support_cut()
-    mixed = decomp.apply(
-        lambda lam: np.divide(support_weight, lam, out=np.full_like(lam, 1.0 - support_weight), where=lam > cut)
-    )
-    return _decomposed(mixed)
+    lam = decomp.eigenvalues
+    mapped = np.divide(support_weight, lam, out=np.full_like(lam, 1.0 - support_weight), where=lam > decomp.support_cut())
+    return _born(decomp.apply(lambda _: mapped), np.sort(mapped), lambda: (mapped, decomp.eigenvectors))

@@ -6,22 +6,23 @@ exceeds 1; `rescale_max_eig` additionally scales upward so the largest
 eigenvalue is exactly 1 (used for worldly contexts and pipeline outputs).
 
 A `Dmat` is immutable, so its eigen-data is computed at most once and kept
-read-only on the instance: the eigenvalues from validation, which solves for
-them anyway, and the full `SpectralDecomposition`, the only other field.
-Nothing else is kept on a `Dmat`: a measure that reuses work across calls
-keeps it in its own module (the rank-1 route's one-slot cache in
-`entailment`).  A matrix built to be decomposed (a composition, a logical
-negation, a worldly context) is validated by one `eigh` (`_decomposed`),
-which also gives its decomposition at construction.  `normalize_max_eig`
-and `rescale_max_eig` read their result's checks off the input's spectrum
-divided by the scale (a scale of at least 1 needs none), and hand the result
-that spectrum, with the input's decomposition divided by the scale, so a
-rescaled matrix is never solved again.  A lexicon word, built or loaded, is
-validated against the spectrum of its r×r Gram matrix (the `spectrum`
-argument of `Dmat`), so it never pays for a d×d solve unless it is
-decomposed.  Threads sharing a `Dmat` may race to fill its decomposition;
-the race is benign, because every writer stores the same deterministic
-result.
+read-only on the instance: the eigenvalues from validation, and the full
+`SpectralDecomposition`, the only other field.  Nothing else is kept on a
+`Dmat`: a measure that reuses work across calls keeps it in its own module
+(the rank-1 route's one-slot cache in `entailment`).  A construction that
+holds its output's eigenbasis (both logical negations, spider, fuzz,
+phaser) gives it (`_born`): validation reads that spectrum, the eigenpairs
+are formed on first use, and nothing is solved.  A lexicon word is
+validated against the spectrum of its r×r Gram matrix, and decomposed from
+it on first use (`_deferred`).  The rest (mult, the worldly contexts) are
+validated by one `eigh` (`_decomposed`), which also gives their
+decomposition.  `normalize_max_eig` and `rescale_max_eig`
+read their result's checks off the input's spectrum divided by the scale
+(a scale of at least 1 needs none), and hand the result that spectrum, with
+the input's decomposition, held or deferred, divided by the scale, so a
+rescaled matrix is never solved again.  Threads sharing a `Dmat` may race
+to fill its decomposition; the race is benign, because every writer stores
+the same deterministic result.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class Dmat:
     (default `np.linalg.eigvalsh`); validation checks and keeps what it
     returns, so it must be proved within roundoff of the array's own (as a
     lexicon word's is from its r×r Gram matrix).  The spectral decomposition
-    is set at construction by `_decomposed` and carried by rescaling;
-    otherwise the first `spectral_decompose` call fills it, and every later
-    one reuses it.  Concurrent first calls may each compute it, and whichever
-    identical result lands last is kept.
+    is set at construction by `_decomposed`, deferred to a function by
+    `_born` or `_deferred`, and carried by rescaling; otherwise the first
+    `spectral_decompose` call solves for it.  Every later call reuses it.
+    Concurrent first calls may each compute it, and whichever identical
+    result lands last is kept.
     """
 
     matrix: np.ndarray
@@ -79,8 +81,9 @@ class Dmat:
     spectrum: InitVar[Callable[[np.ndarray], np.ndarray] | None] = None
     # the read-only ascending eigenvalues validation checked
     eigenvalues: np.ndarray = field(init=False)
-    # set by _decomposed or rescaling, else filled by the first spectral_decompose call
-    _spectral: SpectralDecomposition | None = field(init=False, default=None)
+    # set at construction or by rescaling, else filled by the first spectral_decompose call;
+    # a function (`_deferred`) is called by that first call in place of a solve
+    _spectral: SpectralDecomposition | Callable[[], SpectralDecomposition] | None = field(init=False, default=None)
 
     def __post_init__(self, spectrum):
         m = np.array(self.matrix, dtype=float)
@@ -140,7 +143,8 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     divided by s.  The result is built without `__init__`, whose validation
     would solve again.  It keeps M's eigenvalues divided by s, and M's
     decomposition, if it has one, divided by s and sharing M's read-only
-    eigenvectors: nothing is solved for it again.  A scale of exactly 1
+    eigenvectors: nothing is solved for it again.  A decomposition M defers
+    is deferred again, divided by s once computed.  A scale of exactly 1
     divides nothing (x / 1 is x, bit for bit), so the result shares M's
     read-only arrays.
     """
@@ -148,26 +152,27 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     def divided(array: np.ndarray) -> np.ndarray:
         return array if s == 1.0 else _read_only(array / s)
 
-    m, eigenvalues, spectral = divided(M.matrix), divided(M.eigenvalues), M._spectral
+    m, eigenvalues, source = divided(M.matrix), divided(M.eigenvalues), M._spectral
     if s < 1.0:
         _validate(m, lambda _: eigenvalues)
+
+    def spectral():
+        decomp = source() if callable(source) else source
+        return SpectralDecomposition(divided(decomp.eigenvalues), decomp.eigenvectors)
+
     out = object.__new__(Dmat)
-    vars(out).update(
-        matrix=m, eigenvalues=eigenvalues,
-        _spectral=None if spectral is None else SpectralDecomposition(
-            divided(spectral.eigenvalues), spectral.eigenvectors
-        ),
-    )
+    vars(out).update(matrix=m, eigenvalues=eigenvalues,
+                     _spectral=None if source is None else spectral if callable(source) else spectral())
     return out
 
 
 def _decomposed(matrix) -> Dmat:
     """`Dmat(matrix)` validated by one `np.linalg.eigh`, whose (w, V) also give its decomposition.
 
-    For a matrix built to be decomposed (a composition, a logical negation,
-    a worldly context), so that it is solved once.  `_validate` checks
-    finiteness and symmetry before the solve, as for any `Dmat`, then checks
-    and keeps eigh's eigenvalues.
+    For a matrix whose eigenbasis no construction gives (mult, a worldly
+    context), so that it is solved once.  `_validate` checks finiteness and
+    symmetry before the solve, as for any `Dmat`, then checks and keeps
+    eigh's eigenvalues.
     """
     solved = []
 
@@ -178,6 +183,33 @@ def _decomposed(matrix) -> Dmat:
     out = Dmat(matrix, spectrum=spectrum)
     spectral_decompose(out, solved)
     return out
+
+
+def _born(matrix, spectrum: np.ndarray, eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]) -> Dmat:
+    """`Dmat(matrix)` whose construction gives its ascending `spectrum`, and its eigenpairs on first use, so it is never solved.
+
+    Validation checks and keeps `spectrum`.  `eigenpairs()` returns (values,
+    vectors), `values[i]` with column i of `vectors`, in any order; the first
+    `spectral_decompose` (`_deferred`) sorts them as `eigh` returns them and
+    builds the decomposition by `_decompose`'s rule (an exactly diagonal
+    matrix keeps the standard basis).  Both must be `matrix`'s within
+    roundoff: orthonormal columns, values within a few d·eps of the top.
+    """
+    out = Dmat(matrix, spectrum=lambda _: spectrum)
+    m = out.matrix
+
+    def decompose():
+        values, vectors = eigenpairs()
+        order = np.argsort(values, kind="stable")
+        return _decompose(m, (values[order], vectors[:, order]))
+
+    return _deferred(out, decompose)
+
+
+def _deferred(M: Dmat, decompose: Callable[[], SpectralDecomposition]) -> Dmat:
+    """M, whose first `spectral_decompose` calls `decompose()`, M's decomposition by a cheaper route, in place of a solve."""
+    object.__setattr__(M, "_spectral", decompose)
+    return M
 
 
 def _roundoff_cut(scale, dim: int):
@@ -199,15 +231,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (descending, kernel clamped to 0) with orthonormal eigenvectors.
 
-    The columns are LAPACK's (`eigh`) in descending order, or the standard
+    The columns are in descending order: LAPACK's (`eigh`), the ones the
+    matrix's construction gives (`_born`, `_deferred`), or the standard
     basis for an exactly diagonal matrix.  Only eigenspaces are stable: a
     column's sign, and the basis of a repeated eigenvalue's eigenspace, may
     change with roundoff, so read them through `eigenvalue_groups`,
     `eigenspaces` or `apply`.
 
     Instances come from `spectral_decompose`, which caches one per `Dmat`
-    and shares it with every caller, or from rescaling one (`_scaled`), which
-    shares its eigenvectors, so both arrays are read-only, as are
+    and shares it with every caller, from a construction that gives one, or
+    from rescaling one (`_scaled`), which shares its eigenvectors, so both
+    arrays are read-only, as are
     the support factor and whitened support, each computed on first read.
     """
 
@@ -322,10 +356,12 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
     computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
     stacked solve, passes it as `solved` to be used in place of that solve.
+    A decomposition deferred by `_born` or `_deferred` is computed by its
+    function instead.
     """
     decomp = M._spectral
-    if decomp is None:
-        decomp = _decompose(M.matrix, solved)
+    if not isinstance(decomp, SpectralDecomposition):
+        decomp = _decompose(M.matrix, solved) if decomp is None else decomp()
         object.__setattr__(M, "_spectral", decomp)
     return decomp
 

@@ -83,7 +83,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "6d85b7595568099729a875b3e1083e8b48ccfeae9d3f7c379e55eb16f2408ae3"
+VERIFY_STDOUT_SHA256 = "b82f2bb02c436df6a7de24972e8cf0f82353bf1642d3804c93a5ed6060b69d97"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

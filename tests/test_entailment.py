@@ -117,6 +117,21 @@ class TestKBA:
         a = random_psd(rng, 3)
         assert k_ba(a, a) == 1.0
 
+    def test_equal_and_zero_pairs_give_one(self):
+        zero = Dmat(np.zeros((3, 3)))
+        tiny = Dmat(1e-300 * np.eye(3))
+        assert k_ba(zero, zero) == k_ba(tiny, Dmat(tiny.matrix.copy())) == k_ba(APPLE, Dmat(APPLE.matrix.copy())) == 1.0
+
+    @pytest.mark.parametrize("rank_a", [1, 3])
+    def test_invariant_under_joint_scaling(self, rng, rank_a):
+        # the equal-matrices cut is relative to the operands' scale: an absolute
+        # 1e-12 cut returned 1 for the rank-3/rank-8 pair below s = 1e-14
+        a, b = random_psd(rng, 20, rank=rank_a), random_psd(rng, 20, rank=8)
+        want = k_ba(a, b)
+        assert abs(want) < 0.99
+        for s in 10.0 ** np.arange(-20, 5):
+            assert k_ba(Dmat(s * a.matrix), Dmat(s * b.matrix)) == pytest.approx(want, rel=1e-12, abs=1e-12), s
+
     def test_reversed_pair_gives_minus_one(self, rng):
         for _ in range(10):
             a, b = random_ordered_pair(rng, 4, margin=0.05)
@@ -608,7 +623,7 @@ def d_by_d_values(A: Dmat, B: Dmat) -> dict[str, float]:
     spectra = _solve([(A, B)])
     return {
         "k_e": k_e_from_spectra(spectra, spectrum_norms(A.eigenvalues))[0],
-        "k_ba": k_ba_from_spectra(spectra)[0],
+        "k_ba": k_ba_from_spectra(spectra, np.array([max(A.max_eigenvalue(), B.max_eigenvalue())]))[0],
     }
 
 
@@ -660,7 +675,7 @@ def test_rank_one_route_matches_d_by_d_solve(dim, case, seed):
     for X, Y in ((A, N), (N, A)):
         want = d_by_d_values(X, Y)
         got = {"k_e": k_e(X, Y), "k_ba": k_ba(X, Y)}
-        # an absolute sum below 1e-12 gives 1 on both routes
+        # floored, so the bound stays finite where an absolute sum within roundoff gives 1 on both routes
         absolute_sum = max(np.abs(_solve([(X, Y)])).sum(), 1e-12)
         divisors = {"k_e": spectrum_norms(X.eigenvalues), "k_ba": absolute_sum}
         for name, value in got.items():

@@ -38,7 +38,7 @@ from convneg.experiment import (
     pearson,
     run_grid,
 )
-from convneg.lexicon import build_lexicon, load_vectors
+from convneg.lexicon import VectorTable, build_lexicon, load_vectors
 from convneg.pipeline import NegationConfig, conversational_negate, logical_negation, plausibility
 from convneg.sampling import random_normalized
 from convneg.spectral import rescale_max_eig
@@ -298,6 +298,45 @@ def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
     # each Dmat owns its matrix array, so one solve per array is one per Dmat
     assert solved and len({id(a) for a in solved}) == len(solved)
     assert builds == {word: 1 for word in negated}
+
+
+def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
+    # Every word is built from its unit rows with r < d, so it is decomposed from
+    # its Gram matrix.  Negations, spider, fuzz and phaser give their outputs'
+    # eigenpairs.  So an eigh at size d - 1 or more is only: the validation of
+    # a mult output or a context (`_decomposed`), a phaser core over B's
+    # roundoff rank, a spider group rotation, or a fuzz block of size > 1.
+    rng = np.random.default_rng(5)
+    dim = 12
+    leaves = {f"c{i}l{j}": f"c{i}" for i in range(2) for j in range(4)}
+    paths = {leaf: (parent, "entity") for leaf, parent in leaves.items()} | {"c0": ("entity",), "c1": ("entity",)}
+    hierarchy = HypernymHierarchy(paths=paths)
+    vectors = VectorTable({w: rng.normal(size=dim) for w in ["entity", "c0", "c1", *leaves]}, dim)
+    lexicon = build_lexicon(vectors, hierarchy.hyponym_sets())
+    assert max(len(f) for f in lexicon.rows.values()) == dim - 1  # entity's 11 rows
+    negated = ("c0l0", "c1l1", "c0l2")
+    records = tuple(PlausibilityRecord(n, a, float(rng.uniform(1.0, 5.0))) for n in negated for a in leaves if a != n)
+    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
+    sites = Counter()
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if len(a) >= dim - 1:
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            if names[0] == "spectrum" and names[1:3] == ["_validate", "__post_init__"]:
+                # a `_decomposed` validation: name the construction that asked for it
+                names = [name for name in names if name in ("mult", "worldly_context_hierarchy")] or names
+            sites[names[0]] += 1
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    table = run_grid(PlausibilityDataset(records), lexicon, provider, GridSpec().configs())
+    assert all(cell.skipped == 0 for row in table.rows for cell in row.cells.values())
+    assert set(sites) <= {"mult", "worldly_context_hierarchy", "phaser", "spider", "fuzz"}, sites
+    assert sites["mult"] == 2 * len(negated) and sites["worldly_context_hierarchy"] == len(negated)
 
 
 def make_shuffled_grid(rank=None):
