@@ -12,13 +12,14 @@ structural slot.
 Cost at dimension d: the three structural compositions read B's cached
 eigendecomposition (`spectral_decompose`, solved once per B) and then take
 a fixed number of d x d BLAS matmuls (spider 2, phaser 3, fuzz 4), so
-O(d^3) time and O(d^2) memory whatever B's spectrum is.  Each gives its
-output's eigenpairs (`spectral._born`), so the output is never solved: past
-spider's group rotations, only fuzz's blocks of size > 1 and phaser's r x r
-core (B's roundoff rank r) take an `eigh`.  mult and diag are O(d^2) entrywise.  mult's output is validated
-by one `eigh` (`spectral._decomposed`), which also gives its decomposition;
-diag's is exactly diagonal, so it is validated by `eigvalsh` and decomposed
-without a solve.  Rescaling divides a decomposition, and solves nothing.
+O(d^3) time and O(d^2) memory whatever B's spectrum is.  spider and fuzz
+give their output's eigenpairs (`spectral._born`), so it is never solved:
+past spider's group rotations, only fuzz's blocks of size > 1 take an
+`eigh`.  mult and diag are O(d^2) entrywise.  phaser's and mult's outputs
+are validated by one `eigh` (`spectral._decomposed`), which also gives
+their decomposition; diag's is exactly diagonal, so it is validated by
+`eigvalsh` and decomposed without a solve.  Rescaling divides a
+decomposition, and solves nothing.
 """
 
 from __future__ import annotations
@@ -127,21 +128,12 @@ def phaser(A: Dmat, B: Dmat) -> Dmat:
     top, where `SpectralDecomposition.support_factor` cuts) are zeroed
     before the root: the square root would turn a kernel eigenvalue of
     1e-17 into a weight of 3e-9 on an eigenvector that roundoff picks.
-
-    With V_r B's r support eigenvectors and S their roots, the output is
-    V_r C V_rᵀ for C = S V_rᵀ A V_r S = U M Uᵀ, one r x r `eigh`: its
-    eigenpairs are M with V_r U, and 0 with B's kernel.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
-    lam, v, rank = decomp.eigenvalues, decomp.eigenvectors, decomp.roundoff_rank
-    cut = _roundoff_cut(lam[0], B.dim)
+    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
     root = decomp.apply(lambda lam: np.sqrt(np.where(lam > cut, lam, 0.0)))
-    support, s = v[:, :rank], np.sqrt(lam[:rank])
-    core, rotation = np.linalg.eigh((support.T @ A.matrix @ support) * s * s[:, None])
-    values = np.concatenate([core, np.zeros(B.dim - rank)])
-    return _born(_symmetric(root @ A.matrix @ root), np.sort(values),
-                 lambda: (values, np.concatenate([support @ rotation, v[:, rank:]], axis=1)))
+    return _decomposed(_symmetric(root @ A.matrix @ root))
 
 
 def mult(A: Dmat, B: Dmat) -> Dmat:

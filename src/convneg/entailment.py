@@ -304,9 +304,10 @@ def _by_route(mats: Sequence[Dmat], ia: list[int], ib: list[int], from_terms: Ca
 
 
 def _ratio(sums: np.ndarray, absolute_sums: np.ndarray, tops: np.ndarray, dim: int) -> np.ndarray:
-    """k_BA from the sum and absolute sum of a spectrum of B - A; an absolute sum within
-    `_roundoff_cut` of the operands' top eigenvalue `tops` (equal matrices, 0/0) gives 1."""
-    return np.divide(sums, absolute_sums, out=np.ones_like(absolute_sums), where=absolute_sums > _roundoff_cut(tops, dim))
+    """k_BA from the sum and absolute sum of a spectrum of B - A; an absolute sum within roundoff
+    of the operands' top eigenvalue `tops` (equal matrices, 0/0) gives 1: dim eigenvalues, each
+    within `_roundoff_cut`, so dim times that cut."""
+    return np.divide(sums, absolute_sums, out=np.ones_like(absolute_sums), where=absolute_sums > dim * _roundoff_cut(tops, dim))
 
 
 def k_ba_from_spectra(spectra: np.ndarray, tops: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
 A word of r < d such vectors has rank r, so its spectrum is read off the r×r
 Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
 of a d×d eigensolve, and so does its decomposition, left to its first
-`spectral_decompose` (`_gram_decomposition`).  The on-disk lexicon (format
+`spectral_decompose` (`_gram_eigenpairs`).  The on-disk lexicon (format
 DMLX2) stores each word's unit vectors, not its d×d matrix.  `load_lexicon`
 checks every record, then leaves each word to be built from its rows on its
 first read, by the same construction (`_mixture`) as `build_density_matrix`:
@@ -30,7 +30,7 @@ from .errors import (
     UnknownWordError,
     ZeroMatrixError,
 )
-from .spectral import EPS, PSD_TOL, Dmat, SpectralDecomposition, _deferred, _read_only, _roundoff_rank, normalize_max_eig
+from .spectral import EPS, PSD_TOL, Dmat, _deferred, _roundoff_rank, normalize_max_eig
 
 MAGIC = b"DMLX2"
 
@@ -133,8 +133,8 @@ def _mixture(f: np.ndarray) -> Dmat:
     it rounds the same on every call) and validated against the spectrum of
     its r×r Gram matrix where `_gram_spectrum` proves it, and a d×d
     `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.  On the
-    Gram route the decomposition is deferred to `_gram_decomposition`, and
-    divided by the same scale; otherwise it is solved on first use.
+    Gram route the scaled word's decomposition is deferred to
+    `_gram_eigenpairs`; otherwise it is solved on first use.
     """
     r, dim = f.shape
     out = np.zeros((dim, dim))
@@ -144,7 +144,10 @@ def _mixture(f: np.ndarray) -> Dmat:
     del product  # freed before `Dmat` copies the sum and the scaling divides it
     # each outer product is exactly symmetric, and so is their sum in one order
     word = Dmat(out, spectrum=_gram_spectrum(f))
-    return normalize_max_eig(_deferred(word, lambda: _gram_decomposition(f)) if _gram_route(r, dim) else word)
+    if not _gram_route(r, dim):
+        return normalize_max_eig(word)
+    scale = max(1.0, word.max_eigenvalue())  # what normalize_max_eig divides by
+    return _deferred(normalize_max_eig(word), lambda: _gram_eigenpairs(f, scale))
 
 
 def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -185,8 +188,8 @@ def _gram_spectrum(f: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     return lambda _: np.sort(np.append(np.linalg.eigvalsh(f @ f.T), np.zeros(d - r)))
 
 
-def _gram_decomposition(f: np.ndarray) -> SpectralDecomposition:
-    """The decomposition of Σ fᵢfᵢᵀ over the r unit rows of f (r×d, r < d), from its r×r Gram matrix.
+def _gram_eigenpairs(f: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenpairs of Σ fᵢfᵢᵀ / scale over the r unit rows of f (r×d, r < d), from its r×r Gram matrix.
 
     With F·Fᵀ = U Σ Uᵀ (a 1×1 one needs no solve), the support eigenvectors
     are Fᵀ U Σ^{-1/2} over the σ above roundoff (`_roundoff_rank` at dim d);
@@ -201,7 +204,7 @@ def _gram_decomposition(f: np.ndarray) -> SpectralDecomposition:
     sigma, u = sigma[::-1], u[:, ::-1]
     k = int(_roundoff_rank(sigma, d))
     q = np.linalg.qr((f.T @ u[:, :k]) / np.sqrt(sigma[:k]), mode="complete")[0]
-    return SpectralDecomposition(_read_only(np.concatenate([sigma[:k], np.zeros(d - k)])), _read_only(q))
+    return (np.concatenate([sigma[:k], np.zeros(d - k)]) / scale)[::-1], q[:, ::-1]
 
 
 def _gram_route(r: int, d: int) -> bool:

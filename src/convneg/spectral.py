@@ -10,17 +10,18 @@ read-only on the instance: the eigenvalues from validation, and the full
 `SpectralDecomposition`, the only other field.  Nothing else is kept on a
 `Dmat`: a measure that reuses work across calls keeps it in its own module
 (the rank-1 route's one-slot cache in `entailment`).  A construction that
-holds its output's eigenbasis (both logical negations, spider, fuzz,
-phaser) gives it (`_born`): validation reads that spectrum, the eigenpairs
-are formed on first use, and nothing is solved.  A lexicon word is
-validated against the spectrum of its r×r Gram matrix, and decomposed from
-it on first use (`_deferred`).  The rest (mult, the worldly contexts) are
-validated by one `eigh` (`_decomposed`), which also gives their
-decomposition.  `normalize_max_eig` and `rescale_max_eig`
-read their result's checks off the input's spectrum divided by the scale
-(a scale of at least 1 needs none), and hand the result that spectrum, with
-the input's decomposition, held or deferred, divided by the scale, so a
-rescaled matrix is never solved again.  Threads sharing a `Dmat` may race
+holds its output's eigenbasis (both logical negations, spider, fuzz)
+gives it (`_born`): validation reads that spectrum, the eigenpairs are
+formed on first use, and nothing is solved.  A lexicon word is validated
+against the spectrum of its r×r Gram matrix, and its eigenpairs are formed
+from it on first use (`_deferred`, which `_born` uses too).  The rest
+(phaser, mult, the worldly contexts) are validated by one `eigh`
+(`_decomposed`), which also gives their decomposition.
+`normalize_max_eig` and `rescale_max_eig` read their result's checks off
+the input's spectrum divided by the scale (a scale of at least 1 needs
+none), and hand the result that spectrum, with the input's decomposition,
+held or deferred, divided by the scale, so a rescaled matrix is never
+solved again.  Threads sharing a `Dmat` may race
 to fill its decomposition; the race is benign, because every writer stores
 the same deterministic result.
 """
@@ -144,35 +145,35 @@ def _scaled(M: Dmat, s: float) -> Dmat:
     would solve again.  It keeps M's eigenvalues divided by s, and M's
     decomposition, if it has one, divided by s and sharing M's read-only
     eigenvectors: nothing is solved for it again.  A decomposition M defers
-    is deferred again, divided by s once computed.  A scale of exactly 1
-    divides nothing (x / 1 is x, bit for bit), so the result shares M's
-    read-only arrays.
+    is deferred again: the result's first decomposition decomposes M, which
+    keeps it, and divides that by s.  A scale of exactly 1 divides nothing
+    (x / 1 is x, bit for bit), so the result shares M's read-only arrays.
     """
 
     def divided(array: np.ndarray) -> np.ndarray:
         return array if s == 1.0 else _read_only(array / s)
 
-    m, eigenvalues, source = divided(M.matrix), divided(M.eigenvalues), M._spectral
+    m, eigenvalues, held = divided(M.matrix), divided(M.eigenvalues), M._spectral
     if s < 1.0:
         _validate(m, lambda _: eigenvalues)
 
     def spectral():
-        decomp = source() if callable(source) else source
+        decomp = spectral_decompose(M)
         return SpectralDecomposition(divided(decomp.eigenvalues), decomp.eigenvectors)
 
     out = object.__new__(Dmat)
     vars(out).update(matrix=m, eigenvalues=eigenvalues,
-                     _spectral=None if source is None else spectral if callable(source) else spectral())
+                     _spectral=None if held is None else spectral() if isinstance(held, SpectralDecomposition) else spectral)
     return out
 
 
 def _decomposed(matrix) -> Dmat:
     """`Dmat(matrix)` validated by one `np.linalg.eigh`, whose (w, V) also give its decomposition.
 
-    For a matrix whose eigenbasis no construction gives (mult, a worldly
-    context), so that it is solved once.  `_validate` checks finiteness and
-    symmetry before the solve, as for any `Dmat`, then checks and keeps
-    eigh's eigenvalues.
+    For a matrix whose construction does not give its eigenbasis (phaser,
+    mult, a worldly context), so that it is solved once.  `_validate`
+    checks finiteness and symmetry before the solve, as for any `Dmat`,
+    then checks and keeps eigh's eigenvalues.
     """
     solved = []
 
@@ -186,28 +187,29 @@ def _decomposed(matrix) -> Dmat:
 
 
 def _born(matrix, spectrum: np.ndarray, eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]) -> Dmat:
-    """`Dmat(matrix)` whose construction gives its ascending `spectrum`, and its eigenpairs on first use, so it is never solved.
+    """`Dmat(matrix)` whose construction gives its ascending `spectrum`, and its eigenpairs on first use (`_deferred`), so it is never solved.
 
-    Validation checks and keeps `spectrum`.  `eigenpairs()` returns (values,
-    vectors), `values[i]` with column i of `vectors`, in any order; the first
-    `spectral_decompose` (`_deferred`) sorts them as `eigh` returns them and
-    builds the decomposition by `_decompose`'s rule (an exactly diagonal
-    matrix keeps the standard basis).  Both must be `matrix`'s within
-    roundoff: orthonormal columns, values within a few d·eps of the top.
+    Validation checks and keeps `spectrum`.
     """
-    out = Dmat(matrix, spectrum=lambda _: spectrum)
-    m = out.matrix
+    return _deferred(Dmat(matrix, spectrum=lambda _: spectrum), eigenpairs)
+
+
+def _deferred(M: Dmat, eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]) -> Dmat:
+    """M, whose first `spectral_decompose` builds its decomposition from `eigenpairs()`, a cheaper route than a solve.
+
+    `eigenpairs()` returns (values, vectors), `values[i]` with column i of
+    `vectors`, in any order; they are sorted as `eigh` returns them and the
+    decomposition is built by `_decompose`'s rule (an exactly diagonal matrix
+    keeps the standard basis).  Both must be M's within roundoff:
+    orthonormal columns, values within a few d·eps of the top.
+    """
+    m = M.matrix
 
     def decompose():
         values, vectors = eigenpairs()
         order = np.argsort(values, kind="stable")
         return _decompose(m, (values[order], vectors[:, order]))
 
-    return _deferred(out, decompose)
-
-
-def _deferred(M: Dmat, decompose: Callable[[], SpectralDecomposition]) -> Dmat:
-    """M, whose first `spectral_decompose` calls `decompose()`, M's decomposition by a cheaper route, in place of a solve."""
     object.__setattr__(M, "_spectral", decompose)
     return M
 
@@ -239,10 +241,9 @@ class SpectralDecomposition:
     `eigenspaces` or `apply`.
 
     Instances come from `spectral_decompose`, which caches one per `Dmat`
-    and shares it with every caller, from a construction that gives one, or
-    from rescaling one (`_scaled`), which shares its eigenvectors, so both
-    arrays are read-only, as are
-    the support factor and whitened support, each computed on first read.
+    and shares it with every caller, or from rescaling one (`_scaled`),
+    which shares its eigenvectors, so both arrays are read-only, as are the
+    support factor and whitened support, each computed on first read.
     """
 
     eigenvalues: np.ndarray
@@ -356,8 +357,8 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
     computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
     stacked solve, passes it as `solved` to be used in place of that solve.
-    A decomposition deferred by `_born` or `_deferred` is computed by its
-    function instead.
+    A deferred decomposition (`_deferred`, or a rescaled one) is computed
+    by its function instead.
     """
     decomp = M._spectral
     if not isinstance(decomp, SpectralDecomposition):

@@ -1,9 +1,10 @@
 """Eigenpairs given at construction, checked against the matrices they decompose.
 
-Both logical negations, spider, fuzz and phaser give their output's
-eigenpairs (`spectral._born`), and a lexicon word of r < d rows is
-decomposed from its r×r Gram matrix (`lexicon._gram_decomposition`), in
-place of a d×d solve.  Each decomposition (Λ, V) is held to C·d·eps·S,
+Both logical negations, spider and fuzz give their output's eigenpairs
+(`spectral._born`), and a lexicon word of r < d rows is decomposed from its
+r×r Gram matrix (`lexicon._gram_eigenpairs`), in place of a d×d solve;
+phaser's output, solved by `eigh`, is held to the same checks.  Each
+decomposition (Λ, V) is held to C·d·eps·S,
 where S is the construction's scale: 1 for a word and for neg_sub, the
 output's top eigenvalue for neg_inv, and for a composition the larger of
 the output's top eigenvalue and the product of its operands' tops, which
@@ -88,7 +89,7 @@ def test_negations(dim, from_rows, seed):
 @given(dim=DIMS, seed=SEEDS)
 def test_structural_compositions(dim, seed):
     # B repeats eigenvalues (spider's rotated groups, fuzz's blocks of size > 1)
-    # and is rank deficient (phaser's r x r core) in most draws
+    # and is rank deficient in most draws
     rng = np.random.default_rng(seed)
     a, b = operand(rng, dim), operand(rng, dim, repeat_prob=0.5)
     for fn in (spider, fuzz, phaser):
@@ -98,7 +99,9 @@ def test_structural_compositions(dim, seed):
 
 def test_exactly_diagonal_outputs_keep_the_standard_basis():
     a, b = from_diagonal([0.5, 0.25, 0.5, 0.0]), from_diagonal([1.0, 0.5, 0.5, 0.25])
-    for out in (neg_sub(a), neg_inv(a, 0.5), spider(a, b), fuzz(a, b), phaser(a, b)):
+    word = _mixture(np.eye(4)[[3, 3, 1]])  # one-hot rows, on the Gram route: diag(0, 1/2, 0, 1)
+    assert callable(word._spectral)
+    for out in (word, neg_sub(a), neg_inv(a, 0.5), spider(a, b), fuzz(a, b), phaser(a, b)):
         diagonal = np.diagonal(out.matrix)
         assert np.count_nonzero(out.matrix - np.diag(diagonal)) == 0
         decomp = spectral_decompose(out)

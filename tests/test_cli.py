@@ -83,7 +83,7 @@ GRAPH_FIXTURE_CSV_SHA256 = {
     "k_hyp": "5c992204960dab56637aeced0f1fbc619db0f083b8ad25df3b26e0caa12bd16c",
 }
 # Digest of the `verify --seed 0 --trials 200` report.
-VERIFY_STDOUT_SHA256 = "b82f2bb02c436df6a7de24972e8cf0f82353bf1642d3804c93a5ed6060b69d97"
+VERIFY_STDOUT_SHA256 = "0a258a02d2f4b9cf25225303225c844a15d50ca1b7245c0e60301f8ded048a47"
 
 
 def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):

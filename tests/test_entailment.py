@@ -30,7 +30,7 @@ from convneg.sampling import (
     random_orthogonal,
     random_psd,
 )
-from convneg.spectral import Dmat, _roundoff_rank, spectral_decompose
+from convneg.spectral import EPS, Dmat, _roundoff_rank, spectral_decompose
 
 from conftest import from_diagonal, identity
 
@@ -121,6 +121,20 @@ class TestKBA:
         zero = Dmat(np.zeros((3, 3)))
         tiny = Dmat(1e-300 * np.eye(3))
         assert k_ba(zero, zero) == k_ba(tiny, Dmat(tiny.matrix.copy())) == k_ba(APPLE, Dmat(APPLE.matrix.copy())) == 1.0
+
+    @pytest.mark.parametrize("s", [1.0, 1e-15])
+    def test_pairs_equal_up_to_rounding_give_one(self, rng, s):
+        # A against V Λ Vᵀ from A's own decomposition: each of B - A's 50
+        # eigenvalues is within roundoff of A's top, and their absolute sum
+        # passes one eigenvalue's roundoff (4·d·eps·top) in about half the draws
+        sums = []
+        for _ in range(10):
+            a = Dmat(s * random_psd(rng, 50).matrix)
+            b = spectral_decompose(a).reconstruct()
+            b = Dmat((b + b.T) / 2.0)
+            sums.append(np.abs(np.linalg.eigvalsh(b.matrix - a.matrix)).sum() / (4 * 50 * EPS * a.max_eigenvalue()))
+            assert k_ba(a, b) == k_ba(b, a) == 1.0
+        assert max(sums) > 1.0
 
     @pytest.mark.parametrize("rank_a", [1, 3])
     def test_invariant_under_joint_scaling(self, rng, rank_a):

@@ -302,10 +302,10 @@ def test_grid_decomposes_each_matrix_once(rng, monkeypatch):
 
 def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
     # Every word is built from its unit rows with r < d, so it is decomposed from
-    # its Gram matrix.  Negations, spider, fuzz and phaser give their outputs'
+    # its Gram matrix.  Negations, spider and fuzz give their outputs'
     # eigenpairs.  So an eigh at size d - 1 or more is only: the validation of
-    # a mult output or a context (`_decomposed`), a phaser core over B's
-    # roundoff rank, a spider group rotation, or a fuzz block of size > 1.
+    # a phaser or mult output or a context (`_decomposed`), a spider group
+    # rotation, or a fuzz block of size > 1.
     rng = np.random.default_rng(5)
     dim = 12
     leaves = {f"c{i}l{j}": f"c{i}" for i in range(2) for j in range(4)}
@@ -328,7 +328,7 @@ def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
                 frame = frame.f_back
             if names[0] == "spectrum" and names[1:3] == ["_validate", "__post_init__"]:
                 # a `_decomposed` validation: name the construction that asked for it
-                names = [name for name in names if name in ("mult", "worldly_context_hierarchy")] or names
+                names = [name for name in names if name in ("phaser", "mult", "worldly_context_hierarchy")] or names
             sites[names[0]] += 1
         return real_eigh(a, *args, **kwargs)
 
@@ -337,6 +337,7 @@ def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
     assert all(cell.skipped == 0 for row in table.rows for cell in row.cells.values())
     assert set(sites) <= {"mult", "worldly_context_hierarchy", "phaser", "spider", "fuzz"}, sites
     assert sites["mult"] == 2 * len(negated) and sites["worldly_context_hierarchy"] == len(negated)
+    assert sites["phaser"] == 4 * len(negated)  # both negations at both bases
 
 
 def make_shuffled_grid(rank=None):

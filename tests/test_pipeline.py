@@ -113,11 +113,9 @@ class TestConversationalNegate:
     @pytest.mark.parametrize("negation", list(NegationKind))
     def test_output_solves_through_all_six_columns(self, rng, negation, monkeypatch):
         # validation, rescaling and every measure share the output's decomposition;
-        # spider, fuzz and phaser give it at construction, so the only d x d solves
-        # are mult's validating eigh, diag's eigvalsh, and phaser's core where B
-        # has full roundoff rank: at basis w, neg_inv's 0.5/λ and 0.5 (neg_sub's
-        # I - X loses X's top eigenvector, and the context has rank 5).  spider's
-        # and fuzz's groups of size > 1 here are smaller than d.
+        # spider and fuzz give it at construction, so the only d x d solves are
+        # phaser's and mult's validating eigh and diag's eigvalsh.  spider's and
+        # fuzz's groups of size > 1 here are smaller than d.
         dim = 8
         word = random_normalized(rng, dim, rank=3)
         context = random_normalized(rng, dim, rank=5)
@@ -144,8 +142,7 @@ class TestConversationalNegate:
             for measure, direction in (("k_hyp", 1), ("k_hyp", 2), ("k_E", 1), ("k_E", 2), ("k_BA", 1), ("trace", 1)):
                 plausibility(out, alternatives, measure, direction)
             monkeypatch.undo()
-            full_rank_core = cfg.composition is CompositionKind.PHASER and cfg.basis is Basis.W and negation is NegationKind.INV
-            expected = 1 if cfg.composition in (CompositionKind.MULT, CompositionKind.DIAG) or full_rank_core else 0
+            expected = 1 if cfg.composition in (CompositionKind.PHASER, CompositionKind.MULT, CompositionKind.DIAG) else 0
             assert len(solves) == expected, cfg
 
 

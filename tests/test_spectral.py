@@ -15,6 +15,7 @@ from convneg.sampling import random_orthogonal, random_psd
 from convneg import spectral
 from convneg.spectral import (
     Dmat,
+    _born,
     _decompose,
     _decomposed,
     _roundoff_cut,
@@ -399,6 +400,20 @@ class TestRescaleWithoutSolve:
             assert not decomp.eigenvalues.flags.writeable
             assert decomp.eigenvectors is M._spectral.eigenvectors and not decomp.eigenvectors.flags.writeable
         assert calls == []
+
+    @pytest.mark.parametrize("result_first", [True, False])
+    def test_defers_a_deferred_decomposition_to_the_input(self, rng, result_first):
+        # the eigenpairs are built once, kept on M, and shared divided by s, whichever is decomposed first
+        built = []
+        M = _born(np.diag([3.0, 1.5, 0.0]), np.array([0.0, 1.5, 3.0]),
+                  lambda: built.append(1) or (np.array([3.0, 1.5, 0.0]), np.eye(3)))
+        out = rescale_max_eig(M)
+        assert callable(out._spectral) and not built
+        first, second = (out, M) if result_first else (M, out)
+        spectral_decompose(first), spectral_decompose(second)
+        assert built == [1]
+        assert spectral_decompose(out).eigenvectors is spectral_decompose(M).eigenvectors
+        assert spectral_decompose(out).eigenvalues.tolist() == [1.0, 0.5, 0.0]
 
     def test_result_is_a_fresh_read_only_dmat(self, rng):
         m = random_psd(rng, 5)
