@@ -14,12 +14,16 @@ eigendecomposition (`spectral_decompose`, solved once per B) and then take
 a fixed number of d x d BLAS matmuls (spider 2, phaser 3, fuzz 4), so
 O(d^3) time and O(d^2) memory whatever B's spectrum is.  spider and fuzz
 give their output's eigenpairs (`spectral._born`), so it is never solved:
-past spider's group rotations, only fuzz's blocks of size > 1 take an
-`eigh`.  mult and diag are O(d^2) entrywise.  phaser's and mult's outputs
-are validated by one `eigh` (`spectral._decomposed`), which also gives
-their decomposition; diag's is exactly diagonal, so it is validated by
-`eigvalsh` and decomposed without a solve.  Rescaling divides a
-decomposition, and solves nothing.
+past spider's rotations of groups smaller than d, only fuzz's blocks of
+size > 1 take an `eigh`.  A scalar operand c·I (a pure word's `neg_inv` at
+0.5) is solved for nothing: spider takes I as its basis, and fuzz and
+phaser give c times the other operand (`_times`), from that operand's
+decomposition and with no matmul.  mult and diag are O(d^2) entrywise.
+phaser's and mult's outputs are validated by one `eigh`
+(`spectral._decomposed`), which also gives their decomposition; an exactly
+diagonal output (diag's always, mult's for a diagonal operand) is
+validated by its sorted diagonal instead and keeps the standard basis.
+Rescaling divides a decomposition, and solves nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import Dmat, _born, _decomposed, _roundoff_cut, check_dims, spectral_decompose
+from .spectral import Dmat, _born, _decomposed, _is_scalar, _roundoff_cut, check_dims, spectral_decompose
 
 
 class CompositionKind(str, Enum):
@@ -63,7 +67,10 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     of V_kᵀ diag(1, ..., d) V_k, so the basis depends on B's eigenspaces,
     not on LAPACK's columns (unless that matrix repeats an eigenvalue too),
     and spider equals mult for a diagonal B.  Each column is weighted by
-    its group's value, as in `fuzz`.
+    its group's value, as in `fuzz`.  A group spanning all d columns (B a
+    multiple of I to within the grouping tolerance) takes I with no solve:
+    for a square orthonormal V, V times those eigenvectors is I up to
+    column signs, which the output does not depend on.
 
     Cost: A's diagonal in that basis, diag(Vᵀ A V), is the column sums of
     V * (A V), so the whole update is two d x d matmuls.  Its eigenpairs
@@ -79,7 +86,8 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
         weights[start:stop] = value
         if stop - start > 1 and value > cut:
             block = v[:, start:stop]
-            v[:, start:stop] = block @ np.linalg.eigh((block.T * index) @ block)[1]
+            v[:, start:stop] = (np.eye(B.dim) if stop - start == B.dim
+                                else block @ np.linalg.eigh((block.T * index) @ block)[1])
     values = weights * np.sum(v * (A.matrix @ v), axis=0)
     return _born(_symmetric((v * values) @ v.T), np.sort(values), lambda: (values, v))
 
@@ -101,18 +109,22 @@ def fuzz(A: Dmat, B: Dmat) -> Dmat:
     is its own eigenvalue, and a block of size > 1 valued above roundoff
     (`_roundoff_cut` of B's top) is solved by `eigh`, rotating its columns;
     one within roundoff (B's kernel) keeps its diagonal, off by at most that
-    cut times A's top eigenvalue.
+    cut times A's top eigenvalue.  A B of one group valued above roundoff
+    has the one projector I, so the output is that value times A
+    (`_times`): no solve and no matmul.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
     v = decomp.eigenvectors
     groups = decomp.eigenvalue_groups()
+    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
+    if len(groups) == 1 and groups[0][0] > cut:
+        return _times(groups[0][0], A)
     blocks = np.zeros((A.dim, A.dim))
     for value, start, stop in groups:
         blocks[start:stop, start:stop] = value
     blocks *= v.T @ A.matrix @ v
     values, vectors = np.diagonal(blocks).copy(), v
-    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
     for value, start, stop in groups:
         if stop - start > 1 and value > cut:
             vectors = v.copy() if vectors is v else vectors
@@ -128,10 +140,19 @@ def phaser(A: Dmat, B: Dmat) -> Dmat:
     top, where `SpectralDecomposition.support_factor` cuts) are zeroed
     before the root: the square root would turn a kernel eigenvalue of
     1e-17 into a weight of 3e-9 on an eigenvector that roundoff picks.
+
+    A scalar operand c·I (`spectral._is_scalar`) is solved for nothing: a
+    scalar B gives c·A, and a scalar A gives c·B with B's roundoff kernel
+    cut (`_times`).  Otherwise the output is validated by one `eigh`.
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
-    cut = _roundoff_cut(decomp.eigenvalues[0], B.dim)
+    top = decomp.eigenvalues[0]
+    cut = _roundoff_cut(top, B.dim)
+    if _is_scalar(top, decomp.eigenvalues[-1], B.dim):
+        return _times(top, A)
+    if _is_scalar(A.eigenvalues[-1], A.eigenvalues[0], A.dim):
+        return _times(A.eigenvalues[-1], B, cut)
     root = decomp.apply(lambda lam: np.sqrt(np.where(lam > cut, lam, 0.0)))
     return _decomposed(_symmetric(root @ A.matrix @ root))
 
@@ -145,7 +166,20 @@ def mult(A: Dmat, B: Dmat) -> Dmat:
 def diag_comp(A: Dmat, B: Dmat) -> Dmat:
     """Product of the diagonal parts; off-diagonal entries are discarded."""
     check_dims(A, B)
-    return Dmat(np.diag(np.diagonal(A.matrix) * np.diagonal(B.matrix)))
+    return _decomposed(np.diag(np.diagonal(A.matrix) * np.diagonal(B.matrix)))
+
+
+def _times(c, M: Dmat, cut: float = -np.inf) -> Dmat:
+    """c·M for c > 0, born from M's decomposition times c with eigenvalues at or below `cut` (roundoff) zeroed."""
+
+    def scaled(lam):
+        return c * np.where(lam > cut, lam, 0.0)
+
+    def eigenpairs():
+        decomp = spectral_decompose(M)
+        return scaled(decomp.eigenvalues), decomp.eigenvectors
+
+    return _born(c * M.matrix, scaled(M.eigenvalues), eigenpairs)
 
 
 _SYMMETRIC_KINDS = {CompositionKind.MULT, CompositionKind.DIAG}

@@ -7,7 +7,9 @@ latter two.  Outputs are deliberately left unnormalized; the conversational
 pipeline normalizes once, after composition.
 Each output is f(X) = V f(Λ) Vᵀ, so its decomposition (f(Λ), V) is given
 at construction (`spectral._born`), and only X is ever decomposed: by
-`neg_inv` to form its output, by `neg_sub` only once its output is.
+`neg_inv` to form its output, by `neg_sub` only once its output is.  An f
+constant on the spectrum to roundoff gives c·I (Higham, Functions of
+Matrices, ch. 1), which `neg_inv` forms with no product.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
-from .spectral import PSD_TOL, Dmat, _born, spectral_decompose
+from .spectral import PSD_TOL, Dmat, _born, _decomposed, _is_scalar, spectral_decompose
 
 
 def neg_sub(X: Dmat) -> Dmat:
@@ -61,7 +63,11 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
     Equal weighting is the default; `support_weight` in [0, 1] tilts toward
     the support inverse (1 is neg_supp, 0 the kernel projector).  Every
     weight w is one spectral function of X: w/lambda on the support (+0.0
-    at w = 0), 1 - w on the kernel.  An input of rank 0 raises
+    at w = 0), 1 - w on the kernel.  When those values lie within roundoff
+    (`spectral._is_scalar`) of their top c, the output is exactly c·I, with
+    no V·diag·Vᵀ product, validated and decomposed as a diagonal matrix:
+    a pure word of top eigenvalue 1 gives 0.5·I at w = 0.5, and one a few
+    ulps below 1 gives (0.5 / top)·I.  An input of rank 0 raises
     ZeroMatrixError when w > 0.  An empty kernel contributes zero without a
     warning, and the process-wide warning filters are left alone, so
     concurrent callers are safe.
@@ -73,4 +79,7 @@ def neg_inv(X: Dmat, support_weight: float = 0.5) -> Dmat:
         raise ZeroMatrixError("support inverse of a rank-0 matrix")
     lam = decomp.eigenvalues
     mapped = np.divide(support_weight, lam, out=np.full_like(lam, 1.0 - support_weight), where=lam > decomp.support_cut())
-    return _born(decomp.apply(lambda _: mapped), np.sort(mapped), lambda: (mapped, decomp.eigenvectors))
+    ascending = np.sort(mapped)
+    if _is_scalar(ascending[-1], ascending[0], X.dim):
+        return _decomposed(np.eye(X.dim) * ascending[-1])
+    return _born(decomp.apply(lambda _: mapped), ascending, lambda: (mapped, decomp.eigenvectors))

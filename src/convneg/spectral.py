@@ -10,13 +10,16 @@ read-only on the instance: the eigenvalues from validation, and the full
 `SpectralDecomposition`, the only other field.  Nothing else is kept on a
 `Dmat`: a measure that reuses work across calls keeps it in its own module
 (the rank-1 route's one-slot cache in `entailment`).  A construction that
-holds its output's eigenbasis (both logical negations, spider, fuzz)
-gives it (`_born`): validation reads that spectrum, the eigenpairs are
-formed on first use, and nothing is solved.  A lexicon word is validated
-against the spectrum of its r×r Gram matrix, and its eigenpairs are formed
-from it on first use (`_deferred`, which `_born` uses too).  The rest
-(phaser, mult, the worldly contexts) are validated by one `eigh`
-(`_decomposed`), which also gives their decomposition.
+holds its output's eigenbasis (both logical negations, spider, fuzz,
+phaser with a scalar operand) gives it (`_born`): validation reads that
+spectrum, the eigenpairs are formed on first use, and nothing is solved.
+A lexicon word is validated against the spectrum of its r×r Gram matrix,
+and its eigenpairs are formed from it on first use (`_deferred`, which
+`_born` uses too).  The rest (phaser, mult, diag, the worldly contexts) are
+validated by one `eigh` (`_decomposed`), which also gives their
+decomposition; an exactly diagonal one (diag's output, mult's by a
+diagonal operand, `neg_inv`'s c·I) by its sorted diagonal, keeping the
+standard basis, with no solve.
 `normalize_max_eig` and `rescale_max_eig` read their result's checks off
 the input's spectrum divided by the scale (a scale of at least 1 needs
 none), and hand the result that spectrum, with the input's decomposition,
@@ -57,14 +60,16 @@ class Dmat:
     """Real symmetric PSD matrix representing a word or context meaning.
 
     Construction validates symmetry (within SYMMETRY_TOL) and positive
-    semidefiniteness (eigenvalues >= -PSD_TOL).  Instances are immutable;
-    the wrapped array is read-only.  An operation that needs a top
-    eigenvalue of at most 1 checks it itself (`neg_sub`).
+    semidefiniteness (eigenvalues at least -max(PSD_TOL, roundoff of the
+    top), `_check_psd`).  Instances are immutable; the wrapped array is
+    read-only.  An operation that needs a top eigenvalue of at most 1
+    checks it itself (`neg_sub`).
 
     The read-only ascending `eigenvalues` are the ones validation checked,
-    kept from construction: `eigvalsh(matrix)` by default, `eigh`'s for a
-    matrix made by `_decomposed`, and the input's divided by the scale for
-    one made by `normalize_max_eig` or `rescale_max_eig`, within roundoff of
+    kept from construction: `eigvalsh(matrix)` by default, `eigh`'s (or the
+    sorted diagonal of an exactly diagonal one) for a matrix made by
+    `_decomposed`, and the input's divided by the scale for one made by
+    `normalize_max_eig` or `rescale_max_eig`, within roundoff of
     `eigvalsh`'s.  A caller that knows the spectrum more cheaply passes
     `spectrum`, a function from the array to its ascending eigenvalues
     (default `np.linalg.eigvalsh`); validation checks and keeps what it
@@ -118,8 +123,8 @@ def _validate(m: np.ndarray, spectrum) -> np.ndarray:
     """Check a square float array as a Dmat; return `spectrum(m)`.
 
     The checks: finite entries, symmetry within SYMMETRY_TOL, and ascending
-    eigenvalues `spectrum(m)` at least -PSD_TOL.  `spectrum` runs only on a
-    finite symmetric `m`.
+    eigenvalues `spectrum(m)` passing `_check_psd`.  `spectrum` runs only on
+    a finite symmetric `m`.
     """
     if not np.isfinite(m).all():
         raise NotPSDError("matrix has non-finite entries")
@@ -129,8 +134,19 @@ def _validate(m: np.ndarray, spectrum) -> np.ndarray:
         raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     eigenvalues = spectrum(m)
     if eigenvalues[0] < -PSD_TOL:
-        raise NotPSDError(f"eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL:.0e}")
+        _check_psd(eigenvalues[0], eigenvalues[-1], len(m))
     return eigenvalues
+
+
+def _check_psd(lowest, top, dim: int) -> None:
+    """Raise NotPSDError for a lowest eigenvalue below -max(PSD_TOL, `_roundoff_cut` of the top).
+
+    The roundoff cut is the larger above a top of about 1e6 / dim.  Callers
+    ask only past -PSD_TOL, so a valid matrix pays one comparison.
+    """
+    cut = max(PSD_TOL, _roundoff_cut(top, dim))
+    if lowest < -cut:
+        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{cut:.3g}")
 
 
 def _scaled(M: Dmat, s: float) -> Dmat:
@@ -173,16 +189,23 @@ def _decomposed(matrix) -> Dmat:
     For a matrix whose construction does not give its eigenbasis (phaser,
     mult, a worldly context), so that it is solved once.  `_validate`
     checks finiteness and symmetry before the solve, as for any `Dmat`,
-    then checks and keeps eigh's eigenvalues.
+    then checks and keeps eigh's eigenvalues.  An exactly diagonal matrix
+    (diag, mult by a diagonal operand, a scalar `neg_inv`) is solved for
+    nothing: it is validated by its sorted diagonal, and decomposed on first
+    use by `_decompose`'s diagonal rule.
     """
     solved = []
 
     def spectrum(m):
+        diagonal = _diagonal(m)
+        if diagonal is not None:
+            return np.sort(diagonal)
         solved.extend(np.linalg.eigh(m))
         return solved[0]
 
     out = Dmat(matrix, spectrum=spectrum)
-    spectral_decompose(out, solved)
+    if solved:
+        spectral_decompose(out, solved)
     return out
 
 
@@ -217,6 +240,11 @@ def _deferred(M: Dmat, eigenpairs: Callable[[], tuple[np.ndarray, np.ndarray]]) 
 def _roundoff_cut(scale, dim: int):
     """Roundoff in the spectrum of a dim-square matrix whose largest eigenvalue magnitude is `scale`: 4 dim eps scale."""
     return 4 * dim * EPS * scale
+
+
+def _is_scalar(top, bottom, dim: int) -> bool:
+    """Whether a dim-square matrix with eigenvalues in [bottom, top], top > 0, is top·I to roundoff: its distance top - bottom within `_roundoff_cut` of top."""
+    return top > 0.0 and top - bottom <= _roundoff_cut(top, dim)
 
 
 def _roundoff_rank(eigenvalues: np.ndarray, dim: int) -> np.ndarray:
@@ -333,16 +361,22 @@ class SpectralDecomposition:
         return groups
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray | None:
+    """m's diagonal if m is exactly diagonal, else None (counted, with no d×d temporary)."""
+    diagonal = m.diagonal()
+    return diagonal if np.count_nonzero(m) == np.count_nonzero(diagonal) else None
+
+
 def _decompose(m: np.ndarray, solved=None) -> SpectralDecomposition:
-    diagonal = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+    diagonal = _diagonal(m)
+    if diagonal is not None:
         order = np.argsort(-diagonal, kind="stable")
         eigenvalues, vectors = diagonal[order], np.eye(m.shape[0])[:, order]
     else:
         ascending, vectors = np.linalg.eigh(m) if solved is None else solved
         eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
     if eigenvalues[-1] < -PSD_TOL:
-        raise NotPSDError(f"eigenvalue {eigenvalues[-1]:.3e} below -{PSD_TOL:.0e}")
+        _check_psd(eigenvalues[-1], eigenvalues[0], m.shape[0])
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 
@@ -354,9 +388,10 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     (equal diagonal entries in index order), so diagonal fixtures decompose
     without floating-point surprises.  The result is computed once per Dmat
     and the same read-only object is returned on every later call.  An
-    eigenvalue below -PSD_TOL raises NotPSDError when the decomposition is
-    computed.  A caller holding `np.linalg.eigh(M.matrix)`, say a row of a
-    stacked solve, passes it as `solved` to be used in place of that solve.
+    eigenvalue below `_check_psd`'s cut raises NotPSDError when the
+    decomposition is computed.  A caller holding `np.linalg.eigh(M.matrix)`,
+    say a row of a stacked solve, passes it as `solved` to be used in place
+    of that solve.
     A deferred decomposition (`_deferred`, or a rescaled one) is computed
     by its function instead.
     """

@@ -19,6 +19,23 @@ def from_diagonal(values) -> Dmat:
 
 
 @pytest.fixture
+def eigen_solves(monkeypatch):
+    """The names of the `np.linalg.eigh` and `eigvalsh` calls made from here on, in order."""
+    calls = []
+
+    def counting(name, real):
+        def solve(a, *args, **kwargs):
+            calls.append(name)
+            return real(a, *args, **kwargs)
+
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

@@ -1,9 +1,10 @@
 """Eigenpairs given at construction, checked against the matrices they decompose.
 
 Both logical negations, spider and fuzz give their output's eigenpairs
-(`spectral._born`), and a lexicon word of r < d rows is decomposed from its
-r×r Gram matrix (`lexicon._gram_eigenpairs`), in place of a d×d solve;
-phaser's output, solved by `eigh`, is held to the same checks.  Each
+(`spectral._born`), as does phaser with a scalar operand, and a lexicon word
+of r < d rows is decomposed from its r×r Gram matrix
+(`lexicon._gram_eigenpairs`), in place of a d×d solve; phaser's other
+outputs, solved by `eigh`, are held to the same checks.  Each
 decomposition (Λ, V) is held to C·d·eps·S,
 where S is the construction's scale: 1 for a word and for neg_sub, the
 output's top eigenvalue for neg_inv, and for a composition the larger of
@@ -95,6 +96,20 @@ def test_structural_compositions(dim, seed):
     for fn in (spider, fuzz, phaser):
         out = fn(a, b)
         assert_decomposes(out, composition_scale(out, a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=DIMS, seed=SEEDS)
+def test_compositions_with_a_scalar_operand(dim, seed):
+    # a pure word's neg_inv at 0.5 is c·I: spider takes I as its basis, and fuzz and
+    # phaser give c times the other operand, born from its decomposition
+    rng = np.random.default_rng(seed)
+    a, v = operand(rng, dim), rng.normal(size=dim)
+    s = neg_inv(rescale_max_eig(Dmat(np.outer(v, v))), 0.5)
+    for x, y in ((a, s), (s, a)):
+        for fn in (spider, fuzz, phaser):
+            out = fn(x, y)
+            assert_decomposes(out, composition_scale(out, x, y))
 
 
 def test_exactly_diagonal_outputs_keep_the_standard_basis():

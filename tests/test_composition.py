@@ -14,9 +14,9 @@ from convneg.composition import (
     spider,
 )
 from convneg.errors import DimensionMismatchError
-from convneg.negation import neg_sub, neg_supp
+from convneg.negation import neg_inv, neg_sub, neg_supp
 from convneg.sampling import random_orthogonal, random_psd
-from convneg.spectral import Dmat, SpectralDecomposition, rescale_max_eig, spectral_decompose, support_projector
+from convneg.spectral import EPS, Dmat, SpectralDecomposition, rescale_max_eig, spectral_decompose, support_projector
 
 from conftest import from_diagonal, identity
 
@@ -271,6 +271,77 @@ class TestPhaser:
         )
 
 
+def _pure_negation(rng, dim: int) -> Dmat:
+    """`neg_inv` at 0.5 of a pure word: exactly c·I, c within ulps of 0.5 (the grid's operand at basis w)."""
+    a = rng.normal(size=dim)
+    out = neg_inv(rescale_max_eig(Dmat(np.outer(a, a))), 0.5)
+    assert np.count_nonzero(out.matrix - out.matrix[0, 0] * np.eye(dim)) == 0
+    return out
+
+
+def _near_scalar(rng, dim: int) -> Dmat:
+    """c·I rotated, its eigenvalues a few ulps apart: a scalar only to roundoff."""
+    v = random_orthogonal(rng, dim)
+    m = (v * (0.5 + np.arange(dim) * EPS)) @ v.T
+    out = Dmat((m + m.T) / 2.0)
+    assert np.count_nonzero(out.matrix - np.diag(np.diagonal(out.matrix)))
+    return out
+
+
+def _phaser_reference(A: Dmat, B: Dmat) -> np.ndarray:
+    """The d×d phaser: A conjugated by B's square root, from B's own eigh."""
+    w, v = np.linalg.eigh(B.matrix)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    return root @ A.matrix @ root
+
+
+class TestScalarOperand:
+    """A scalar operand c·I: spider, fuzz, phaser and mult solve nothing for it.
+
+    Each output is checked against its d×d formula within `_assert_relatively_close`'s
+    1e-12 of the product's scale, and decomposed with no solve once its other
+    operand is.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 20])
+    def test_spider_equals_mult(self, dim, rng, eigen_solves):
+        a, scalar = random_psd(rng, dim, rank=max(1, dim // 2)), _pure_negation(rng, dim)
+        eigen_solves.clear()
+        out, ref = spider(a, scalar), mult(a, scalar)
+        # bit for bit but for the sign of zero: mult's entries a_ij * 0 are -0.0 where a_ij < 0
+        assert (out.matrix + 0.0).tobytes() == (ref.matrix + 0.0).tobytes()
+        assert out.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert np.array_equal(spectral_decompose(out).eigenvectors, spectral_decompose(ref).eigenvectors)
+        assert eigen_solves == []
+
+    @pytest.mark.parametrize("scalar", [_pure_negation, _near_scalar])
+    @pytest.mark.parametrize("dim", [2, 7, 20])
+    def test_fuzz_and_phaser_with_scalar_structure(self, dim, scalar, rng, eigen_solves):
+        a, s = random_psd(rng, dim, rank=max(1, dim // 2)), scalar(rng, dim)
+        spectral_decompose(a), spectral_decompose(s)
+        refs = {fuzz: _fuzz_projector_loop(a, s), phaser: _phaser_reference(a, s)}
+        eigen_solves.clear()
+        for fn, ref in refs.items():
+            out = fn(a, s)
+            _assert_relatively_close(out.matrix, ref, a, s)
+            _assert_relatively_close(spectral_decompose(out).reconstruct(), ref, a, s)
+        assert eigen_solves == []
+
+    @pytest.mark.parametrize("scalar", [_pure_negation, _near_scalar])
+    @pytest.mark.parametrize("dim", [2, 7, 20])
+    def test_phaser_with_scalar_operand(self, dim, scalar, rng, eigen_solves):
+        # B rank deficient: its roundoff kernel is cut, as phaser cuts it before the root
+        s, b = scalar(rng, dim), random_psd(rng, dim, rank=max(1, dim // 2))
+        spectral_decompose(b)
+        ref = _phaser_reference(s, b)
+        eigen_solves.clear()
+        out = phaser(s, b)
+        _assert_relatively_close(out.matrix, ref, s, b)
+        _assert_relatively_close(spectral_decompose(out).reconstruct(), ref, s, b)
+        assert np.all(spectral_decompose(out).eigenvalues[spectral_decompose(b).roundoff_rank:] == 0.0)
+        assert eigen_solves == []
+
+
 class TestMultDiag:
     def test_mult_entrywise(self):
         np.testing.assert_allclose(
@@ -290,6 +361,15 @@ class TestMultDiag:
         np.testing.assert_allclose(
             diag_comp(PLUS, B_DIAG).matrix, np.diag([0.5, 0.125])
         )
+
+    def test_diag_solves_nothing(self, rng, eigen_solves):
+        a, b = random_psd(rng, 5), random_psd(rng, 5, rank=2)
+        eigen_solves.clear()
+        out = diag_comp(a, b)
+        product = np.diagonal(a.matrix) * np.diagonal(b.matrix)
+        np.testing.assert_array_equal(out.eigenvalues, np.sort(product))
+        np.testing.assert_array_equal(spectral_decompose(out).eigenvectors, np.eye(5)[:, np.argsort(-product, kind="stable")])
+        assert eigen_solves == []
 
     def test_diag_with_identity(self):
         np.testing.assert_allclose(

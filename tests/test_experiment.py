@@ -1,5 +1,5 @@
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import partial
 
 import numpy as np
@@ -305,7 +305,9 @@ def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
     # its Gram matrix.  Negations, spider and fuzz give their outputs'
     # eigenpairs.  So an eigh at size d - 1 or more is only: the validation of
     # a phaser or mult output or a context (`_decomposed`), a spider group
-    # rotation, or a fuzz block of size > 1.
+    # rotation, or a fuzz block of size > 1.  Every negated word is a pure leaf,
+    # so its `neg_inv` is 0.5·I: spider, fuzz, phaser and mult solve nothing for
+    # it, and only `neg_sub`'s rows solve (its eigenvalue 1 repeats d - 1 times).
     rng = np.random.default_rng(5)
     dim = 12
     leaves = {f"c{i}l{j}": f"c{i}" for i in range(2) for j in range(4)}
@@ -317,7 +319,7 @@ def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
     negated = ("c0l0", "c1l1", "c0l2")
     records = tuple(PlausibilityRecord(n, a, float(rng.uniform(1.0, 5.0))) for n in negated for a in leaves if a != n)
     provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=WeightFunction(WeightKind.POLY, 2.0))
-    sites = Counter()
+    sites, sizes = Counter(), defaultdict(set)
     real_eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
@@ -330,14 +332,17 @@ def test_grid_on_words_from_rows_solves_only_unknown_eigenbases(monkeypatch):
                 # a `_decomposed` validation: name the construction that asked for it
                 names = [name for name in names if name in ("phaser", "mult", "worldly_context_hierarchy")] or names
             sites[names[0]] += 1
+            sizes[names[0]].add(len(a))
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     table = run_grid(PlausibilityDataset(records), lexicon, provider, GridSpec().configs())
     assert all(cell.skipped == 0 for row in table.rows for cell in row.cells.values())
     assert set(sites) <= {"mult", "worldly_context_hierarchy", "phaser", "spider", "fuzz"}, sites
-    assert sites["mult"] == 2 * len(negated) and sites["worldly_context_hierarchy"] == len(negated)
-    assert sites["phaser"] == 4 * len(negated)  # both negations at both bases
+    assert sites["mult"] == len(negated) and sites["worldly_context_hierarchy"] == len(negated)
+    assert sites["phaser"] == 2 * len(negated)  # neg_sub at both bases
+    # neg_sub's repeated 1 at basis w, never a full-size group
+    assert sites["spider"] == sites["fuzz"] == len(negated) and sizes["spider"] | sizes["fuzz"] == {dim - 1}, sizes
 
 
 def make_shuffled_grid(rank=None):
@@ -408,11 +413,13 @@ def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
     # rank-1 words, as the lexicon's leaves are
     dataset, lexicon, provider, _ = make_shuffled_grid(rank=1)
     measure_solves = Counter()
-    real_eigvalsh = np.linalg.eigvalsh
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        measure_solves[sys._getframe(1).f_globals["__name__"]] += 1
-        return real_eigvalsh(a, *args, **kwargs)
+    def counting(real):
+        def solve(a, *args, **kwargs):
+            measure_solves[sys._getframe(1).f_globals["__name__"]] += 1
+            return real(a, *args, **kwargs)
+
+        return solve
 
     calls = []
     real_plausibility = experiment.plausibility
@@ -421,7 +428,8 @@ def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
         calls.append(len(alternative))
         return real_plausibility(negated, alternative, *args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     monkeypatch.setattr(experiment, "plausibility", counting_plausibility)
     misses = _rank_one_terms.cache_info().misses
     table = run_grid(dataset, lexicon, provider, GridSpec().configs())
@@ -430,7 +438,8 @@ def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
     assert calls == [len(dataset) - 1] * len(MEASURE_COLUMNS) * len(table.rows)
     assert _rank_one_terms.cache_info().misses == misses + len(table.rows)
     # k_E both ways and k_BA against a rank-1 word are read off the negation's cached eigenbasis,
-    # k_hyp against one is a 1 x 1 problem, and trace similarity needs no solve
+    # k_hyp against one is a 1 x 1 problem, and trace similarity needs no solve; the solves
+    # are the outputs' and contexts' validations, in `spectral`
     assert measure_solves["convneg.entailment"] == 0
     assert measure_solves["convneg.spectral"] > 0
 

@@ -5,8 +5,8 @@ import pytest
 
 from convneg.errors import EmptyKernelWarning, NotNormalizedError, WeightOutOfRangeError, ZeroMatrixError
 from convneg.negation import neg_inv, neg_ker, neg_sub, neg_supp
-from convneg.sampling import random_psd
-from convneg.spectral import Dmat
+from convneg.sampling import random_orthogonal, random_psd
+from convneg.spectral import Dmat, _born, spectral_decompose
 
 from conftest import from_diagonal, identity
 
@@ -119,6 +119,28 @@ class TestNegInv:
             monkeypatch.setattr(warnings, "catch_warnings", forbidden)
             out = neg_inv(x, 0.5)
         np.testing.assert_array_equal(out.matrix, 0.5 * neg_supp(x).matrix)
+
+    @pytest.mark.parametrize("ulps", [0, 3])
+    def test_pure_word_is_exactly_scalar(self, rng, ulps, eigen_solves):
+        # a pure word of top t maps to 0.5 / t on its support and 0.5 on its kernel,
+        # one value to roundoff; normalize_max_eig never scales upward, so t can sit
+        # a few ulps below 1
+        dim, top = 6, 1.0
+        for _ in range(ulps):
+            top = np.nextafter(top, 0.0)
+        v = random_orthogonal(rng, dim)
+        values = np.append(top, np.zeros(dim - 1))
+        word = _born(top * np.outer(v[:, 0], v[:, 0]), np.sort(values), lambda: (values, v))
+        spectral_decompose(word)
+        eigen_solves.clear()
+        out = neg_inv(word, 0.5)
+        c = 0.5 / top
+        assert c == 0.5 if ulps == 0 else 0.5 < c <= 0.5 + 2 * np.spacing(0.5)
+        assert out.matrix.tobytes() == (c * np.eye(dim)).tobytes()
+        decomp = spectral_decompose(out)
+        assert np.array_equal(decomp.eigenvectors, np.eye(dim)) and np.all(decomp.eigenvalues == c)
+        assert np.all(out.eigenvalues == c)
+        assert eigen_solves == []
 
 
 def test_negations_preserve_eigenspaces(rng):

@@ -56,6 +56,20 @@ class TestDmatInvariants:
         m = Dmat(np.diag([1.0, -1e-10]))
         assert m.dim == 2
 
+    @pytest.mark.parametrize("scale", [1e8, 1e10, 1e20, 1e50, 1e100, 1e150])
+    def test_psd_cut_is_relative_to_the_top(self, rng, scale):
+        # s·A's roundoff-negative eigenvalue, about -2e-16·s here, passes PSD_TOL only
+        # below s = 5e6; the cut is -max(PSD_TOL, _roundoff_cut of the top), in validation
+        # and in decomposition alike
+        a = random_psd(rng, 20, rank=3).matrix
+        assert np.linalg.eigvalsh(scale * a)[0] < -1e-9
+        for m in (Dmat(scale * a), _decomposed(scale * a), Dmat(scale * a, spectrum=lambda _: np.zeros(20))):
+            np.testing.assert_allclose(spectral_decompose(m).eigenvalues[:3] / scale, np.linalg.eigvalsh(a)[:-4:-1], rtol=1e-12)
+        with pytest.raises(NotPSDError, match="below -"):
+            Dmat(scale * (a - 1e-6 * np.eye(20)))
+        with pytest.raises(NotPSDError, match="below -"):
+            spectral_decompose(Dmat(scale * (a - 1e-6 * np.eye(20)), spectrum=lambda _: np.zeros(20)))
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             Dmat(np.zeros((2, 3)))
@@ -209,9 +223,12 @@ class TestDecomposed:
             assert not array.flags.writeable
         assert decomp.eigenvectors.flags.c_contiguous
 
-    def test_diagonal_keeps_the_standard_basis(self):
+    def test_diagonal_keeps_the_standard_basis(self, eigen_solves):
+        # validated by its sorted diagonal and decomposed by the diagonal rule: nothing is solved
         m = _decomposed(np.diag([0.25, 1.0, 0.25]))
         np.testing.assert_array_equal(spectral_decompose(m).eigenvectors, np.eye(3)[:, [1, 0, 2]])
+        np.testing.assert_array_equal(m.eigenvalues, [0.25, 0.25, 1.0])
+        assert eigen_solves == []
 
     def test_nan_raises_not_psd(self):
         with pytest.raises(NotPSDError, match="non-finite"):
