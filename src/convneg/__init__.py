@@ -1,6 +1,6 @@
 """Density-matrix word meanings, conversational negation, and evaluation."""
 
-from .composition import BasisSlot, CompositionKind, compose, diag_comp, fuzz, mult, phaser, spider
+from .composition import COMPOSITIONS, CompositionKind, diag_comp, fuzz, mult, phaser, spider
 from .context import (
     EntailmentGraph,
     HypernymHierarchy,

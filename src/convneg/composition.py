@@ -5,9 +5,9 @@ operand B: spider pinches A in B's eigenbasis and multiplies by B's
 eigenvalues, fuzz conjugates A by B's eigenspace projectors weighted by the
 eigenvalues, phaser conjugates by B's square root.  fuzz and phaser use
 B's eigenspaces only, and spider fixes a basis inside each (see `spider`).
-mult and diag work in the computational basis and ignore any basis choice.
-`compose` dispatches and lets callers pick which argument occupies the
-structural slot.
+mult and diag work in the computational basis, and their entrywise
+products commute bit for bit.  `COMPOSITIONS` names each composition; its
+second argument is the structural operand B.
 
 Cost at dimension d: the three structural compositions read B's cached
 eigendecomposition (`spectral_decompose`, solved once per B) and then take
@@ -16,8 +16,8 @@ O(d^3) time and O(d^2) memory whatever B's spectrum is.  spider and fuzz
 give their output's eigenpairs (`spectral._born`), so it is never solved:
 past spider's rotations of groups smaller than d, only fuzz's blocks of
 size > 1 take an `eigh`.  A scalar operand c·I (a pure word's `neg_inv` at
-0.5) is solved for nothing: spider takes I as its basis, and fuzz and
-phaser give c times the other operand (`_times`), from that operand's
+0.5) is solved for nothing: spider gives c times A's diagonal, and fuzz
+and phaser give c times the other operand (`_times`), from that operand's
 decomposition and with no matmul.  mult and diag are O(d^2) entrywise.
 phaser's and mult's outputs are validated by one `eigh`
 (`spectral._decomposed`), which also gives their decomposition; an exactly
@@ -29,6 +29,8 @@ Rescaling divides a decomposition, and solves nothing.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -41,13 +43,6 @@ class CompositionKind(str, Enum):
     PHASER = "phaser"
     MULT = "mult"
     DIAG = "diag"
-
-
-class BasisSlot(str, Enum):
-    """Which compose() argument supplies the spectral structure (the B slot)."""
-
-    FIRST_OPERAND = "first_operand"
-    SECOND_OPERAND = "second_operand"
 
 
 def _symmetric(matrix: np.ndarray) -> np.ndarray:
@@ -67,10 +62,9 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     of V_kᵀ diag(1, ..., d) V_k, so the basis depends on B's eigenspaces,
     not on LAPACK's columns (unless that matrix repeats an eigenvalue too),
     and spider equals mult for a diagonal B.  Each column is weighted by
-    its group's value, as in `fuzz`.  A group spanning all d columns (B a
-    multiple of I to within the grouping tolerance) takes I with no solve:
-    for a square orthonormal V, V times those eigenvectors is I up to
-    column signs, which the output does not depend on.
+    its group's value, as in `fuzz`.  So a B of one group above its support
+    cut (a multiple of I to within the grouping tolerance) gives that value
+    times A's diagonal, with no solve and no matmul.
 
     Cost: A's diagonal in that basis, diag(Vᵀ A V), is the column sums of
     V * (A V), so the whole update is two d x d matmuls.  Its eigenpairs
@@ -78,16 +72,18 @@ def spider(A: Dmat, B: Dmat) -> Dmat:
     """
     check_dims(A, B)
     decomp = spectral_decompose(B)
+    groups = decomp.eigenvalue_groups()
+    cut = decomp.support_cut()
+    if len(groups) == 1 and groups[0][0] > cut:
+        return _decomposed(np.diag(groups[0][0] * np.diagonal(A.matrix)))
     v = decomp.eigenvectors.copy()
     weights = np.empty(B.dim)
     index = np.arange(1.0, B.dim + 1)
-    cut = decomp.support_cut()
-    for value, start, stop in decomp.eigenvalue_groups():
+    for value, start, stop in groups:
         weights[start:stop] = value
         if stop - start > 1 and value > cut:
             block = v[:, start:stop]
-            v[:, start:stop] = (np.eye(B.dim) if stop - start == B.dim
-                                else block @ np.linalg.eigh((block.T * index) @ block)[1])
+            v[:, start:stop] = block @ np.linalg.eigh((block.T * index) @ block)[1]
     values = weights * np.sum(v * (A.matrix @ v), axis=0)
     return _born(_symmetric((v * values) @ v.T), np.sort(values), lambda: (values, v))
 
@@ -182,31 +178,11 @@ def _times(c, M: Dmat, cut: float = -np.inf) -> Dmat:
     return _born(c * M.matrix, scaled(M.eigenvalues), eigenpairs)
 
 
-_SYMMETRIC_KINDS = {CompositionKind.MULT, CompositionKind.DIAG}
-
-_STRUCTURAL = {
+# name -> composition; each takes (A, B) with B the structural operand
+COMPOSITIONS: Mapping[CompositionKind, Callable[[Dmat, Dmat], Dmat]] = MappingProxyType({
     CompositionKind.SPIDER: spider,
     CompositionKind.FUZZ: fuzz,
     CompositionKind.PHASER: phaser,
-}
-
-
-def compose(
-    A: Dmat,
-    B: Dmat,
-    kind: CompositionKind,
-    slot: BasisSlot = BasisSlot.SECOND_OPERAND,
-) -> Dmat:
-    """Apply a composition, honoring which operand holds the spectral structure.
-
-    For spider/fuzz/phaser the operand named by `slot` is placed in the
-    structural position; mult and diag are symmetric and ignore it.  Output
-    is not normalized; the pipeline normalizes once after composition.
-    """
-    kind = CompositionKind(kind)
-    if kind in _SYMMETRIC_KINDS:
-        return mult(A, B) if kind is CompositionKind.MULT else diag_comp(A, B)
-    fn = _STRUCTURAL[kind]
-    if BasisSlot(slot) is BasisSlot.FIRST_OPERAND:
-        return fn(B, A)
-    return fn(A, B)
+    CompositionKind.MULT: mult,
+    CompositionKind.DIAG: diag_comp,
+})

@@ -200,11 +200,8 @@ class EntailmentGraph:
         return len(self.edges)
 
 
-# each measure scores a matrix against a sequence of matrices, either way round
-GRAPH_MEASURES = MappingProxyType({
-    "k_E": entailment.k_e,
-    "k_hyp": entailment.k_hyp_clamped,
-})
+# the `entailment.MEASURES` a graph may be scored by
+GRAPH_MEASURES = ("k_E", "k_hyp")
 
 
 def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: float = 0.0) -> EntailmentGraph:
@@ -217,7 +214,7 @@ def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: floa
     in the lexicon has no edges.
 
     Each source word s is scored by two calls of its measure
-    (`GRAPH_MEASURES`), score(M_s, others) and score(others, M_s), with
+    (`entailment.MEASURES`), score(M_s, others) and score(others, M_s), with
     `others` the other n - 1 lexicon words, so every edge is the scalar
     measure's value bit for bit, and a bad lexicon word raises as those
     calls do.  With no source word in the lexicon nothing is scored or
@@ -227,7 +224,7 @@ def build_entailment_graph(lexicon, words, measure: str = "k_E", threshold: floa
     """
     if measure not in GRAPH_MEASURES:
         raise ValueError(f"graph measure must be one of {sorted(GRAPH_MEASURES)}")
-    score = GRAPH_MEASURES[measure]
+    score = entailment.MEASURES[measure]
     scored = frozenset(words)
     lexicon_words = sorted(lexicon)
     n = len(lexicon_words)

@@ -30,13 +30,14 @@ route's closed forms.  Every pair kernel takes one list of matrices and
 the index of each pair's A and B in it (`_pairs` builds them for a
 measure), and `_stacks` is the one way pairs are grouped into solve
 stacks.  The grid and the entailment graph score through the measures
-themselves.
+themselves, looked up by name in `MEASURES`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -387,3 +388,9 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     mats, ia, ib = _pairs(A, B, zero_a, zero_b, "trace similarity needs two nonzero matrices")
     traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
     return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
+
+
+# name -> measure, as the grid's plausibility columns and the entailment graph name them
+MEASURES: Mapping[str, Callable] = MappingProxyType(
+    {"k_hyp": k_hyp_clamped, "k_E": k_e, "k_BA": k_ba, "trace": trace_similarity}
+)

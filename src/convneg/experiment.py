@@ -304,19 +304,19 @@ def run_grid(
 ) -> ResultTable:
     """Evaluate every config plus one negation-only baseline row per negation.
 
-    Rows for mult/diag collapse across bases (their basis column is '-'), so
-    duplicate labels are evaluated once.  Records are grouped by negated word
-    once, and each row negates its words, then scores all its pairs in one
-    batch per measure column.  A word's worldly context does not depend on
-    the row, and its logical negation depends only on the negation kind and
-    support weight, so each is built once and shared by every row that
-    needs it (with the decomposition it caches); rows running in parallel
-    may both build one, and all then share whichever is stored first.
+    One pass over `configs` maps each row label to the function that negates
+    a word for its row.  The first config of a label wins, so mult and diag
+    rows (basis '-') run once, and a negation's baseline row (its rescaled
+    logical negation, no context) takes that negation's first config.  Each
+    row negates its words, then scores all its pairs in one batch per
+    measure column.  A word's worldly context does not depend on the row,
+    and its logical negation depends only on the negation kind and support
+    weight, so each is built once and shared by every row that needs it
+    (with the decomposition it caches); rows running in parallel may both
+    build one, and all then share whichever is stored first.
     """
-    configs = list(configs)
     groups = _group_pairs(dataset, lexicon)
     dim = next((alternatives[0].dim for _, alternatives, _ in groups.values() if alternatives), 1)
-    jobs: dict[tuple[str, str, str], Callable[[], ResultRow]] = {}
     contexts: dict[str, Dmat] = {}
     negations: dict[tuple[str, NegationKind, float], Dmat] = {}
 
@@ -333,41 +333,22 @@ def run_grid(
         key = (word, cfg.negation, cfg.support_weight)
         return shared(negations, key, lambda: logical_negation(lookup_word(lexicon, word), cfg))
 
-    def full_job(label, cfg):
-        def run() -> ResultRow:
-            negation_of = lambda word: shared_negation(word, cfg)
-            negate = lambda word: conversational_negate(word, cfg, lexicon, shared_context, negation_of)
-            return _row_from_scores(label, *_score_pairs(dataset, groups, negate), dim)
-
-        return run
-
-    def baseline_job(label, cfg):
-        def run() -> ResultRow:
-            negate = lambda word: rescale_max_eig(shared_negation(word, cfg))
-            return _row_from_scores(label, *_score_pairs(dataset, groups, negate), dim)
-
-        return run
-
+    negate: dict[tuple[str, str, str], Callable[[str], Dmat]] = {}
     for cfg in configs:
-        label = cfg.label()
-        if label not in jobs:
-            jobs[label] = full_job(label, cfg)
-    for negation in dict.fromkeys(c.negation for c in configs):
-        source = next(c for c in configs if c.negation is negation)
-        baseline_cfg = NegationConfig(
-            negation=negation,
-            composition=CompositionKind.SPIDER,
-            support_weight=source.support_weight,
-        )
-        label = (negation.value, BASELINE_COMPOSITION, BASELINE_BASIS)
-        jobs[label] = baseline_job(label, baseline_cfg)
+        baseline = (cfg.negation.value, BASELINE_COMPOSITION, BASELINE_BASIS)
+        negate.setdefault(baseline, lambda word, cfg=cfg: rescale_max_eig(shared_negation(word, cfg)))
+        negate.setdefault(cfg.label(), lambda word, cfg=cfg: conversational_negate(
+            word, cfg, lexicon, shared_context, lambda w: shared_negation(w, cfg)))
 
-    ordered = sorted(jobs)
+    def row(label: tuple[str, str, str]) -> ResultRow:
+        return _row_from_scores(label, *_score_pairs(dataset, groups, negate[label]), dim)
+
+    ordered = sorted(negate)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda k: jobs[k](), ordered))
+            rows = list(pool.map(row, ordered))
     else:
-        rows = [jobs[k]() for k in ordered]
+        rows = list(map(row, ordered))
 
     table = ResultTable(rows=rows, dataset_size=len(dataset))
     if out is not None:

@@ -2,8 +2,9 @@
 
 Three steps: negate the word's matrix, fetch its worldly context, compose
 the two, then rescale so the largest eigenvalue is exactly 1.  The basis
-flag decides which operand supplies the spectral structure: 'w' puts the
-negated word in the structural slot, 'c' the context.
+flag decides which operand supplies the spectral structure, the second
+argument of each `COMPOSITIONS` function: 'w' the negated word, 'c' the
+context.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .composition import BasisSlot, CompositionKind, compose
-from .entailment import k_ba, k_e, k_hyp_clamped, trace_similarity
+from .composition import COMPOSITIONS, CompositionKind
+from .entailment import MEASURES
 from .errors import WeightOutOfRangeError, ZeroMatrixError
 from .lexicon import lookup_word
 from .negation import neg_inv, neg_sub
@@ -78,19 +79,11 @@ def conversational_negate(
     else:
         negated = negation_provider(word)
     context = context_provider(word)
-    slot = BasisSlot.FIRST_OPERAND if cfg.basis is Basis.W else BasisSlot.SECOND_OPERAND
-    raw = compose(negated, context, cfg.composition, slot)
+    fn = COMPOSITIONS[cfg.composition]
+    raw = fn(context, negated) if cfg.basis is Basis.W else fn(negated, context)
     if raw.is_zero():
         raise ZeroMatrixError(f"composition annihilated the meaning of not-{word!r}")
     return rescale_max_eig(raw)
-
-
-_MEASURES = {
-    "k_hyp": k_hyp_clamped,
-    "k_E": k_e,
-    "k_BA": k_ba,
-    "trace": trace_similarity,
-}
 
 
 def plausibility(negated: Dmat | Sequence[Dmat], alternative: Dmat | Sequence[Dmat], measure: str, direction: int = 1):
@@ -105,9 +98,9 @@ def plausibility(negated: Dmat | Sequence[Dmat], alternative: Dmat | Sequence[Dm
     matrices give a float.
     """
     try:
-        fn = _MEASURES[measure]
+        fn = MEASURES[measure]
     except KeyError:
-        raise ValueError(f"measure must be one of {sorted(_MEASURES)}") from None
+        raise ValueError(f"measure must be one of {sorted(MEASURES)}") from None
     if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
     if measure in ("k_BA", "trace") or direction == 1:

@@ -192,7 +192,8 @@ def _decomposed(matrix) -> Dmat:
     then checks and keeps eigh's eigenvalues.  An exactly diagonal matrix
     (diag, mult by a diagonal operand, a scalar `neg_inv`) is solved for
     nothing: it is validated by its sorted diagonal, and decomposed on first
-    use by `_decompose`'s diagonal rule.
+    use by `_decompose`'s diagonal rule.  Any other is tested for
+    diagonality once, here, and decomposed from eigh's (w, V) directly.
     """
     solved = []
 
@@ -205,7 +206,7 @@ def _decomposed(matrix) -> Dmat:
 
     out = Dmat(matrix, spectrum=spectrum)
     if solved:
-        spectral_decompose(out, solved)
+        object.__setattr__(out, "_spectral", _from_eigh(*solved))
     return out
 
 
@@ -369,14 +370,18 @@ def _diagonal(m: np.ndarray) -> np.ndarray | None:
 
 def _decompose(m: np.ndarray, solved=None) -> SpectralDecomposition:
     diagonal = _diagonal(m)
-    if diagonal is not None:
-        order = np.argsort(-diagonal, kind="stable")
-        eigenvalues, vectors = diagonal[order], np.eye(m.shape[0])[:, order]
-    else:
-        ascending, vectors = np.linalg.eigh(m) if solved is None else solved
-        eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
+    if diagonal is None:
+        return _from_eigh(*(np.linalg.eigh(m) if solved is None else solved))
+    # the standard basis, ascending as eigh orders it, so that equal entries end in index order
+    order = np.argsort(-diagonal, kind="stable")[::-1]
+    return _from_eigh(diagonal[order], np.eye(m.shape[0])[:, order])
+
+
+def _from_eigh(ascending: np.ndarray, vectors: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of eigh's ascending (w, V): descending, roundoff-negative eigenvalues clamped to zero."""
+    eigenvalues, vectors = ascending[::-1], vectors[:, ::-1]
     if eigenvalues[-1] < -PSD_TOL:
-        _check_psd(eigenvalues[-1], eigenvalues[0], m.shape[0])
+        _check_psd(eigenvalues[-1], eigenvalues[0], len(eigenvalues))
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 

@@ -31,12 +31,11 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import wraps
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .composition import BasisSlot, CompositionKind, compose, diag_comp, fuzz, mult, phaser, spider
+from .composition import COMPOSITIONS
 from .context import HypernymHierarchy, WeightFunction, WeightKind, hypernym_weights, worldly_context_hierarchy
 from .entailment import _k_hyp_oracle_pairs, k_ba, k_e, k_hyp, trace_similarity
 from .experiment import pearson
@@ -129,13 +128,6 @@ def _suite(name: str):
 def _ranks(rng: np.random.Generator, dims: list[int], full: bool = True) -> list[int]:
     """A rank per dim, uniform on 1..dim (on 1..dim - 1 unless `full`)."""
     return rng.integers(1, np.add(dims, int(full))).tolist()
-
-
-# The suites look compositions up here by name; read-only so that a
-# negative control's overrides go into a copy.
-COMPOSITIONS: Mapping[str, Callable] = MappingProxyType(
-    {"spider": spider, "fuzz": fuzz, "phaser": phaser, "mult": mult, "diag": diag_comp}
-)
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +493,8 @@ def suite_pipeline_toy(t, rng, dims, comps):
     scores = [trace_similarity(normalized, alt) for alt in (orange, fig, movie)]
     t.check(scores[0] > scores[1] > scores[2] == 0.0)
     for a, b in zip(random_normalized(rng, dims), random_normalized(rng, dims)):
-        for kind in (CompositionKind.MULT, CompositionKind.DIAG):
-            first = compose(a, b, kind, BasisSlot.FIRST_OPERAND).matrix
-            second = compose(a, b, kind, BasisSlot.SECOND_OPERAND).matrix
-            t.check(bool(np.array_equal(first, second)))
+        for name in ("mult", "diag"):
+            t.check(bool(np.array_equal(comps[name](a, b).matrix, comps[name](b, a).matrix)))
 
 
 @_suite("correlation invariant under positive affine transforms")

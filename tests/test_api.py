@@ -15,6 +15,8 @@ REMOVED_NAMES = {
     "export_lexicon_text",
     "hierarchy_context_provider",
     "graph_context_provider",
+    "compose",
+    "BasisSlot",
 }
 
 
@@ -76,4 +78,4 @@ def test_dmat_keeps_only_its_matrix_and_spectrum():
 def test_removed_names_are_not_exported():
     assert not REMOVED_NAMES & set(convneg.__all__)
     for name in REMOVED_NAMES:
-        assert not any(hasattr(getattr(convneg, m), name) for m in ("context", "lexicon", "pipeline"))
+        assert not any(hasattr(getattr(convneg, m), name) for m in ("composition", "context", "lexicon", "pipeline"))

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from convneg.composition import (
-    BasisSlot,
+    COMPOSITIONS,
     CompositionKind,
-    compose,
     diag_comp,
     fuzz,
     mult,
     phaser,
     spider,
 )
-from convneg.errors import DimensionMismatchError
 from convneg.negation import neg_inv, neg_sub, neg_supp
 from convneg.sampling import random_orthogonal, random_psd
 from convneg.spectral import EPS, Dmat, SpectralDecomposition, rescale_max_eig, spectral_decompose, support_projector
@@ -383,30 +381,12 @@ class TestMultDiag:
         )
 
 
-class TestCompose:
-    def test_slot_selects_structural_operand(self, rng):
-        a = random_psd(rng, 3)
-        b = random_psd(rng, 3)
-        np.testing.assert_array_equal(
-            compose(a, b, CompositionKind.PHASER, BasisSlot.FIRST_OPERAND).matrix,
-            phaser(b, a).matrix,
-        )
-        np.testing.assert_array_equal(
-            compose(a, b, CompositionKind.PHASER, BasisSlot.SECOND_OPERAND).matrix,
-            phaser(a, b).matrix,
-        )
-
-    def test_mult_ignores_slot(self, rng):
-        a = random_psd(rng, 3)
-        b = random_psd(rng, 3)
-        np.testing.assert_array_equal(
-            compose(a, b, CompositionKind.MULT, BasisSlot.FIRST_OPERAND).matrix,
-            compose(a, b, CompositionKind.MULT, BasisSlot.SECOND_OPERAND).matrix,
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            compose(identity(2), identity(3), CompositionKind.SPIDER)
+class TestTable:
+    def test_one_entry_per_kind(self):
+        assert list(COMPOSITIONS) == list(CompositionKind)
+        assert list(COMPOSITIONS.values()) == [spider, fuzz, phaser, mult, diag_comp]
+        with pytest.raises(TypeError):
+            COMPOSITIONS[CompositionKind.MULT] = spider
 
 
 class TestSharedProperties:

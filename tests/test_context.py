@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convneg
-from convneg import context
+from convneg import entailment
 from convneg.context import (
     GRAPH_MEASURES,
     EntailmentGraph,
@@ -492,6 +492,10 @@ class TestGraphAroundWords:
             build_entailment_graph(lexicon, ["b", "c"], measure)
         assert type(raised.value) is error
 
+    def test_graph_measures_are_named_in_the_one_table(self):
+        assert set(GRAPH_MEASURES) < set(entailment.MEASURES)
+        assert {name: entailment.MEASURES[name] for name in GRAPH_MEASURES} == {"k_E": k_e, "k_hyp": k_hyp_clamped}
+
     @pytest.mark.parametrize("measure", ["k_E", "k_hyp"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_two_measure_calls_per_source(self, monkeypatch, measure, k):
@@ -500,8 +504,8 @@ class TestGraphAroundWords:
         words = sorted(lexicon)
         sources = words[::-1][:k]
         calls = []
-        score = GRAPH_MEASURES[measure]
-        monkeypatch.setattr(context, "GRAPH_MEASURES", {measure: lambda a, b: calls.append((a, b)) or score(a, b)})
+        score = entailment.MEASURES[measure]
+        monkeypatch.setattr(entailment, "MEASURES", {measure: lambda a, b: calls.append((a, b)) or score(a, b)})
         build_entailment_graph(lexicon, [*sources, "ghost"], measure)
         ids = lambda x: id(x) if isinstance(x, Dmat) else [id(m) for m in x]
         expected = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convneg.composition import CompositionKind
+from convneg.composition import COMPOSITIONS, CompositionKind
 from convneg.context import (
     HypernymHierarchy,
     WeightFunction,
@@ -16,7 +16,13 @@ from convneg.context import (
     worldly_context_graph,
     worldly_context_hierarchy,
 )
-from convneg.errors import IsolatedWordError, UnknownWordError, WeightOutOfRangeError, ZeroMatrixError
+from convneg.errors import (
+    DimensionMismatchError,
+    IsolatedWordError,
+    UnknownWordError,
+    WeightOutOfRangeError,
+    ZeroMatrixError,
+)
 from convneg.pipeline import (
     Basis,
     NegationConfig,
@@ -30,7 +36,7 @@ from convneg.lexicon import Lexicon, build_lexicon, load_vectors
 from convneg.sampling import random_normalized, random_orthogonal, random_psd
 from convneg.spectral import Dmat, rescale_max_eig, spectral_decompose
 
-from conftest import from_diagonal
+from conftest import from_diagonal, identity
 
 
 @pytest.fixture
@@ -79,6 +85,27 @@ class TestConversationalNegate:
                 "apple", NegationConfig(NegationKind.SUB, kind, Basis.C), lexicon, provider
             )
             np.testing.assert_array_equal(out_w.matrix, out_c.matrix)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("kind", list(CompositionKind))
+    def test_basis_picks_the_structural_argument(self, rng, kind, basis):
+        # the second argument of a composition is its structural operand: the negated word at w,
+        # the context at c; on this non-commuting pair only mult and diag give the same bits swapped
+        word, context = random_psd(rng, 5, rank=2), rescale_max_eig(random_psd(rng, 5, rank=4))
+        cfg = NegationConfig(NegationKind.SUB, kind, basis)
+        negated, fn = logical_negation(word, cfg), COMPOSITIONS[kind]
+        args = (context, negated) if basis is Basis.W else (negated, context)
+        out = conversational_negate("w", cfg, {"w": word}, lambda _: context)
+        assert out.matrix.tobytes() == rescale_max_eig(fn(*args)).matrix.tobytes()
+        swapped = fn(*args[::-1]).matrix
+        assert np.array_equal(swapped, fn(*args).matrix) == (kind in (CompositionKind.MULT, CompositionKind.DIAG))
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("kind", list(CompositionKind))
+    def test_dimension_mismatch(self, kind, basis):
+        cfg = NegationConfig(NegationKind.SUB, kind, basis)
+        with pytest.raises(DimensionMismatchError):
+            conversational_negate("w", cfg, {"w": from_diagonal([1.0, 0.0, 0.0])}, lambda _: identity(2))
 
     def test_unknown_word(self, toy_setup):
         lexicon, provider = toy_setup

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convneg import verify
+from convneg import composition, verify
 from convneg.composition import mult, phaser
 from convneg.verify import verify_theorems
 
@@ -54,6 +54,10 @@ def test_broken_spider_is_caught():
 
     report = verify_theorems(seed=0, trials=10, overrides={"spider": shifted_spider})
     assert not report.passed
+
+
+def test_suites_read_the_one_composition_table():
+    assert verify.COMPOSITIONS is composition.COMPOSITIONS
 
 
 def test_overrides_leave_the_shared_table_alone():
