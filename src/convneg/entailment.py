@@ -13,16 +13,18 @@ ValueError if their lengths differ.  The values come back as an array in
 sequence order (empty for empty sequences), equal bit for bit to a loop
 of scalar calls and raising what the first failing call of that loop
 would raise: how a pair is solved, and how it rounds, depends on the pair
-alone.  k_hyp solves one stack per problem shape and reads a 1 x 1
-problem off without one.  k_E and k_BA are read off the spectrum of
-B - A.  When one side of a pair is a pure state a a^T
-(roundoff rank 1, as every lexicon leaf is), the few terms they need come
-from the other side's cached eigenbasis in O(d^2), with no d x d solve:
-one Newton loop per call scores every such pair (`_rank_one_terms`), and
-its one-slot cache lets k_E both ways and k_BA of one batch of pairs
-share one evaluation.  Every other pair is solved d x d (`_solve`), one
-stack per call.  Trace similarity is the sum of the entrywise product,
-O(d^2) for any rank.
+alone.  k_hyp solves one stack per problem shape, with no per-pair copy
+of an operand shared by several pairs, and reads a 1 x 1 problem off
+without one.  k_E and k_BA are read off the spectrum of B - A.  When one
+side of a pair is a pure state a a^T (roundoff rank 1, as every lexicon
+leaf is), the few terms they need come from the other side's cached
+eigenbasis in O(d^2), with no d x d solve: one Newton loop per call
+scores every such pair (`_rank_one_terms`), and its one-slot cache lets
+k_E both ways and k_BA of one batch of pairs share one evaluation.  The
+grid's batch is one negated word: its outputs under every grid row, each
+paired with each of the word's alternatives.  Every other pair is solved
+d x d (`_solve`), one stack per call.  Trace similarity is the sum of the
+entrywise product, O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
@@ -123,7 +125,10 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     r_A-square problem.  The result is 1/gamma, or +inf where gamma is at or
     below RANK_TOL.  Pairs are grouped by their problem's shape (`_stacks`)
     and solved a stack at a time; every pair rounds the same in any stack,
-    so values do not depend on the batch.
+    so values do not depend on the batch.  Within a stack, the operand a
+    core is built around (A's matrix in B's support, else B's whitened
+    support) enters once per distinct member, as one matrix against the
+    stack of its pairs' other operands, and is never copied per pair.
     """
     if not ia:
         return np.empty(0)
@@ -141,14 +146,16 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
             r_a = factors[i].shape[1]
         shapes.append((r_b, r_a))
     gamma = np.empty(len(ia))
-    for (_, r_a), part in _stacks(shapes):
-        w = _stack([whitened[ib[k]] for k in part])
-        wt = np.swapaxes(w, -1, -2)
-        if r_a == 0:
-            cores = wt @ _stack([mats[ia[k]].matrix for k in part]) @ w
-        else:
-            g = wt @ _stack([factors[ia[k]] for k in part])
-            cores = np.swapaxes(g, -1, -2) @ g
+    for (r_b, r_a), part in _stacks(shapes):
+        cores = np.empty((len(part), r_a or r_b, r_a or r_b))
+        for shared, ks in _stacks([(ib if r_a else ia)[k] for k in part]):
+            if r_a == 0:
+                w = _stack([whitened[ib[k]] for k in part[ks]])
+                # A's matrix in C order, the layout a `_stack` slot has, whatever order it was built in
+                cores[ks] = np.swapaxes(w, -1, -2) @ np.ascontiguousarray(mats[shared].matrix) @ w
+            else:
+                g = whitened[shared].T @ _stack([factors[ia[k]] for k in part[ks]])
+                cores[ks] = np.swapaxes(g, -1, -2) @ g
         gamma[part] = _top_eigenvalue(cores)
     return np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > RANK_TOL)
 
@@ -245,8 +252,10 @@ def _rank_one_terms(pairs: tuple[tuple[Dmat, Dmat], ...]):
     row of a stacked product would.  The one cache slot keeps the terms of
     the last `pairs` (matrices compare by identity), so k_E both ways and
     k_BA of one batch share one evaluation; another batch replaces it.  A
-    grid row is one batch: its negations repeated once per alternative,
-    paired with the alternatives.  Every caller gets the same read-only
+    grid batch is one negated word: its outputs under every row, each
+    repeated once per alternative, paired with the alternatives.  The grid
+    asks for these columns first in each batch, so the slot never keeps an
+    earlier word's outputs alive.  Every caller gets the same read-only
     arrays.  Threads share the slot safely: the cache locks its own
     bookkeeping, and a miss only recomputes.
     """

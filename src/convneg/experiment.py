@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,10 @@ DATASET_HEADER = ("negated", "alternative", "mean_rating")
 MEASURE_COLUMNS = ("k_hyp1", "k_hyp2", "k_E1", "k_E2", "k_BA", "trace")
 # columns whose every value errs by a bound absolute in d (see `_row_from_scores`)
 _ROUNDOFF_BOUNDED = ("k_E1", "k_E2", "k_BA", "trace")
+# the order a word's batch scores its columns in: k_E both ways and k_BA first, so the
+# word's first call replaces the one-slot rank-1 cache (`entailment._rank_one_terms`)
+# and no earlier word's outputs stay alive in it
+_BATCH_ORDER = ("k_E1", "k_E2", "k_BA", "k_hyp1", "k_hyp2", "trace")
 
 BASELINE_COMPOSITION = "none"
 BASELINE_BASIS = "-"
@@ -230,38 +235,6 @@ def _group_pairs(dataset: PlausibilityDataset, lexicon) -> _Groups:
     return groups
 
 
-def _score_pairs(
-    dataset: PlausibilityDataset,
-    groups: _Groups,
-    negate: Callable[[str], Dmat],
-) -> tuple[dict[str, list[float]], list[float], int]:
-    """Negate every w_N once, then score all of the row's pairs at once per measure.
-
-    Each measure column is one `plausibility` call over two lists: each
-    negation repeated once per alternative, and the alternatives.  Scores
-    and ratings come back in dataset order, so the correlations sum in the
-    same order as a record-by-record loop would.
-    """
-    indices, negations, alternatives = [], [], []
-    skipped = 0
-    for word, (word_indices, word_alternatives, missing) in groups.items():
-        try:
-            negated = negate(word)
-        except _SKIP_ERRORS:
-            skipped += len(word_indices) + len(missing)
-            continue
-        skipped += len(missing)
-        indices += word_indices
-        negations += [negated] * len(word_alternatives)
-        alternatives += word_alternatives
-    columns = [plausibility(negations, alternatives, *_measure_and_direction(column)).tolist() for column in MEASURE_COLUMNS]
-    by_record = dict(zip(indices, zip(*columns)))
-    order = sorted(by_record)
-    scores = {column: [by_record[i][k] for i in order] for k, column in enumerate(MEASURE_COLUMNS)}
-    ratings = [dataset.records[i].mean_rating for i in order]
-    return scores, ratings, skipped
-
-
 def _row_from_scores(
     label: tuple[str, str, str],
     scores: dict[str, list[float]],
@@ -304,53 +277,84 @@ def run_grid(
 ) -> ResultTable:
     """Evaluate every config plus one negation-only baseline row per negation.
 
-    One pass over `configs` maps each row label to the function that negates
-    a word for its row.  The first config of a label wins, so mult and diag
-    rows (basis '-') run once, and a negation's baseline row (its rescaled
-    logical negation, no context) takes that negation's first config.  Each
-    row negates its words, then scores all its pairs in one batch per
-    measure column.  A word's worldly context does not depend on the row,
-    and its logical negation depends only on the negation kind and support
-    weight, so each is built once and shared by every row that needs it
-    (with the decomposition it caches); rows running in parallel may both
-    build one, and all then share whichever is stored first.
+    One pass over `configs` maps each row label to its config.  The first
+    config of a label wins, so mult and diag rows (basis '-') run once, and
+    a negation's baseline row (its rescaled logical negation, no context)
+    takes that negation's first config.
+
+    The grid is scored one negated word at a time, so the outputs held at
+    once are one word's under each row, whatever the number of words.  The
+    word is negated under every row label, and all of its (output,
+    alternative) pairs are scored in one `plausibility` call per column.
+    Its worldly context does not depend on the row, and its logical negation
+    depends only on the negation kind and support weight, so each is built
+    once per word (with the decomposition it caches).  A row that cannot
+    negate the word skips all of its pairs; a missing alternative is skipped
+    in every row.  Each row's scores are then put back in dataset order, so
+    its correlations sum in the same order as a record-by-record loop would.
+    With `workers` > 1 the words are scored on a thread pool.
     """
     groups = _group_pairs(dataset, lexicon)
     dim = next((alternatives[0].dim for _, alternatives, _ in groups.values() if alternatives), 1)
-    contexts: dict[str, Dmat] = {}
-    negations: dict[tuple[str, NegationKind, float], Dmat] = {}
-
-    def shared(cache: dict, key, build: Callable[[], Dmat]) -> Dmat:
-        value = cache.get(key)
-        if value is None:
-            value = cache.setdefault(key, build())
-        return value
-
-    def shared_context(word: str) -> Dmat:
-        return shared(contexts, word, lambda: context_provider(word))
-
-    def shared_negation(word: str, cfg: NegationConfig) -> Dmat:
-        key = (word, cfg.negation, cfg.support_weight)
-        return shared(negations, key, lambda: logical_negation(lookup_word(lexicon, word), cfg))
-
-    negate: dict[tuple[str, str, str], Callable[[str], Dmat]] = {}
+    rows: dict[tuple[str, str, str], tuple[NegationConfig, bool]] = {}
     for cfg in configs:
-        baseline = (cfg.negation.value, BASELINE_COMPOSITION, BASELINE_BASIS)
-        negate.setdefault(baseline, lambda word, cfg=cfg: rescale_max_eig(shared_negation(word, cfg)))
-        negate.setdefault(cfg.label(), lambda word, cfg=cfg: conversational_negate(
-            word, cfg, lexicon, shared_context, lambda w: shared_negation(w, cfg)))
+        rows.setdefault((cfg.negation.value, BASELINE_COMPOSITION, BASELINE_BASIS), (cfg, True))
+        rows.setdefault(cfg.label(), (cfg, False))
+    labels = sorted(rows)
 
-    def row(label: tuple[str, str, str]) -> ResultRow:
-        return _row_from_scores(label, *_score_pairs(dataset, groups, negate[label]), dim)
+    def score_word(item) -> dict[tuple[str, str, str], np.ndarray]:
+        """The word's (column, alternative) scores under each label that does not skip it."""
+        word, (_, alternatives, _) = item
+        context, negations = cache(context_provider), {}
 
-    ordered = sorted(negate)
+        def negation(cfg: NegationConfig) -> Dmat:
+            key = (cfg.negation, cfg.support_weight)
+            if key not in negations:
+                negations[key] = logical_negation(lookup_word(lexicon, word), cfg)
+            return negations[key]
+
+        outputs = {}
+        for label in labels:
+            cfg, baseline = rows[label]
+            try:
+                if baseline:
+                    outputs[label] = rescale_max_eig(negation(cfg))
+                else:
+                    outputs[label] = conversational_negate(word, cfg, lexicon, context, lambda _: negation(cfg))
+            except _SKIP_ERRORS:
+                continue
+        negated = [output for output in outputs.values() for _ in alternatives]
+        batch = {
+            column: plausibility(negated, alternatives * len(outputs), *_measure_and_direction(column))
+            for column in _BATCH_ORDER
+        }
+        scores = np.array([batch[column] for column in MEASURE_COLUMNS])
+        return dict(zip(outputs, scores.reshape(len(MEASURE_COLUMNS), len(outputs), len(alternatives)).swapaxes(0, 1)))
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, ordered))
+            scored = list(pool.map(score_word, groups.items()))
     else:
-        rows = list(map(row, ordered))
+        scored = map(score_word, groups.items())
+    scores = {label: np.empty((len(MEASURE_COLUMNS), len(dataset))) for label in labels}
+    kept: dict[tuple[str, str, str], list[int]] = {label: [] for label in labels}
+    skipped = dict.fromkeys(labels, 0)
+    for (indices, _, missing), by_label in zip(groups.values(), scored):
+        for label in labels:
+            skipped[label] += len(missing)
+            if label in by_label:
+                scores[label][:, indices] = by_label[label]
+                kept[label] += indices
+            else:
+                skipped[label] += len(indices)
 
-    table = ResultTable(rows=rows, dataset_size=len(dataset))
+    def row(label: tuple[str, str, str]) -> ResultRow:
+        order = sorted(kept[label])
+        columns = dict(zip(MEASURE_COLUMNS, scores[label][:, order].tolist()))
+        ratings = [dataset.records[i].mean_rating for i in order]
+        return _row_from_scores(label, columns, ratings, skipped[label], dim)
+
+    table = ResultTable(rows=[row(label) for label in labels], dataset_size=len(dataset))
     if out is not None:
         table.to_csv(out)
     return table

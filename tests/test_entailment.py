@@ -546,6 +546,40 @@ class TestStackedMeasures:
                         assert got.tobytes() == np.array(want).tobytes(), (name, dim)
                         assert np.all(np.isfinite(got)), (name, dim)
 
+    def test_k_hyp_around_shared_operands_in_unequal_groups_matches_scalar_loop_bitwise(self):
+        # three negations with 1, 2 and 5 alternatives of rank 1 and rank > 1, in shuffled
+        # order, so that each stack's cores are built around shared operands (a negation's
+        # matrix one way, its whitened support the other) in groups of unequal size
+        rng = np.random.default_rng(83)
+        for dim in range(4, 25, 4):
+            negations = [random_psd(rng, dim), random_psd(rng, dim, rank=dim - 1), random_psd(rng, dim)]
+            ranks = iter([1, 2, 1, 3, 1, 1, 2, 1])
+            pairs = [(n, random_psd(rng, dim, rank=next(ranks))) for n, count in zip(negations, (1, 2, 5)) for _ in range(count)]
+            A, B = zip(*(pairs[k] for k in rng.permutation(len(pairs))))
+            for fn in (k_hyp, k_hyp_clamped):
+                for X, Y in ((A, B), (B, A)):
+                    assert fn(X, Y).tobytes() == np.array([fn(x, y) for x, y in zip(X, Y)]).tobytes(), dim
+                for n in negations:
+                    assert fn(n, B).tobytes() == np.array([fn(n, b) for b in B]).tobytes(), dim
+                    assert fn(B, n).tobytes() == np.array([fn(b, n) for b in B]).tobytes(), dim
+
+    def test_k_hyp_stacks_a_shared_d_by_d_operand_at_most_once(self, monkeypatch):
+        # one full-rank matrix against n alternatives of lower rank: k_hyp(N, alternatives)
+        # builds every core around N's matrix, and k_hyp(alternatives, N) around N's d x d
+        # whitened support; neither is copied once per pair
+        rng = np.random.default_rng(89)
+        dim = 9
+        n = random_psd(rng, dim)
+        alternatives = [random_psd(rng, dim, rank=r) for r in (1, 1, 2, 1, 3, 1, 4)]
+        members = []
+        real_stack = entailment._stack
+        monkeypatch.setattr(entailment, "_stack", lambda arrays: members.extend(a.shape for a in arrays) or real_stack(arrays))
+        for call in (k_hyp, k_hyp_clamped):
+            for X, Y in ((n, alternatives), (alternatives, n)):
+                members.clear()
+                call(X, Y)
+                assert members and members.count((dim, dim)) <= 1, members
+
     @pytest.mark.parametrize("name", MEASURES)
     @pytest.mark.parametrize("matrix_first", [True, False])
     def test_empty_sequence_gives_empty_array(self, rng, name, matrix_first):

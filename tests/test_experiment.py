@@ -41,7 +41,7 @@ from convneg.experiment import (
 from convneg.lexicon import VectorTable, build_lexicon, load_vectors
 from convneg.pipeline import NegationConfig, conversational_negate, logical_negation, plausibility
 from convneg.sampling import random_normalized
-from convneg.spectral import rescale_max_eig
+from convneg.spectral import Dmat, rescale_max_eig
 
 
 def write(tmp_path, name, text):
@@ -409,7 +409,7 @@ def test_grid_scores_keep_dataset_order(shuffled_grid, monkeypatch):
     assert seen == expected
 
 
-def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
+def test_grid_scores_each_word_with_one_batch_per_column(monkeypatch):
     # rank-1 words, as the lexicon's leaves are
     dataset, lexicon, provider, _ = make_shuffled_grid(rank=1)
     measure_solves = Counter()
@@ -433,10 +433,13 @@ def test_grid_scores_each_row_with_one_batch_per_column(monkeypatch):
     monkeypatch.setattr(experiment, "plausibility", counting_plausibility)
     misses = _rank_one_terms.cache_info().misses
     table = run_grid(dataset, lexicon, provider, GridSpec().configs())
-    # every row scores all of its pairs in one call per column, and k_E both ways and k_BA
-    # share one evaluation of the rank-1 terms per row
-    assert calls == [len(dataset) - 1] * len(MEASURE_COLUMNS) * len(table.rows)
-    assert _rank_one_terms.cache_info().misses == misses + len(table.rows)
+    # every negated word, in order of first appearance, scores its pairs under every row in
+    # one call per column, and k_E both ways and k_BA share one evaluation of the rank-1
+    # terms per word
+    alternatives = Counter(record.negated for record in dataset if record.alternative in lexicon)
+    assert len(alternatives) == 3 and len(table.rows) == 18
+    assert calls == [n * len(table.rows) for n in alternatives.values() for _ in MEASURE_COLUMNS]
+    assert _rank_one_terms.cache_info().misses == misses + len(alternatives)
     # k_E both ways and k_BA against a rank-1 word are read off the negation's cached eigenbasis,
     # k_hyp against one is a 1 x 1 problem, and trace similarity needs no solve; the solves
     # are the outputs' and contexts' validations, in `spectral`
@@ -483,6 +486,30 @@ def test_grid_csv_identical_across_worker_counts(shuffled_grid, tmp_path):
     run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "serial.csv")
     run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "pool.csv", workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_skips_per_row_when_scored_word_by_word(workers):
+    # Every word but "iso" lives in the last 5 coordinates and "iso" on the first, so k_E is
+    # 0 both ways between them and the thresholded graph gives "iso" no neighbors: each
+    # context row skips all of its pairs, and each baseline row scores them.  The unknown
+    # alternative "ghost" is skipped in every row.
+    rng = np.random.default_rng(29)
+    pad = ((1, 0), (1, 0))
+    lexicon = {f"w{i}": Dmat(np.pad(random_normalized(rng, 5, rank=int(rng.integers(1, 4))).matrix, pad)) for i in range(8)}
+    lexicon["iso"] = Dmat(np.diag([1.0, 0, 0, 0, 0, 0]))
+    negated = ("w0", "iso", "w1")
+    pairs = [(n, a) for n in negated for a in ("w2", "w3", "w4", "w5", "w6")] + [("w1", "ghost"), ("iso", "w0")]
+    records = tuple(PlausibilityRecord(*pairs[i], float(rng.uniform(1.0, 5.0))) for i in rng.permutation(len(pairs)))
+    graph = build_entailment_graph(lexicon, negated, "k_E", threshold=0.05)
+    assert graph.neighbors("iso") == () and all(graph.neighbors(w) for w in ("w0", "w1"))
+    provider = partial(worldly_context_graph, graph=graph, lexicon=lexicon)
+    table = run_grid(PlausibilityDataset(records), lexicon, provider, GridSpec().configs(), workers=workers)
+    assert len(table.rows) == 18
+    for row in table.rows:
+        # the values the row-by-row grid gave: 17 pairs, 6 of them on "iso", 1 on "ghost"
+        want = (16, 1) if row.composition == "none" else (10, 7)
+        assert {(cell.n, cell.skipped) for cell in row.cells.values()} == {want}, row.key
 
 
 class TestGridConfig:
