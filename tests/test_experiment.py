@@ -507,7 +507,7 @@ def test_grid_skips_per_row_when_scored_word_by_word(workers):
     table = run_grid(PlausibilityDataset(records), lexicon, provider, GridSpec().configs(), workers=workers)
     assert len(table.rows) == 18
     for row in table.rows:
-        # the values the row-by-row grid gave: 17 pairs, 6 of them on "iso", 1 on "ghost"
+        # 17 pairs: 6 on "iso", skipped by the context rows, and 1 on "ghost", skipped by all
         want = (16, 1) if row.composition == "none" else (10, 7)
         assert {(cell.n, cell.skipped) for cell in row.cells.values()} == {want}, row.key
 
