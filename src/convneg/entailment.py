@@ -28,9 +28,10 @@ entrywise product, O(d^2) for any rank.
 
 The k_hyp, k_E and k_BA formulas each live in one array kernel
 (`_k_hyp_pairs`, `k_e_from_spectra`, `k_ba_from_spectra`) and the rank-1
-route's closed forms.  Every pair kernel takes one list of matrices and
-the index of each pair's A and B in it (`_pairs` builds them for a
-measure), and `_stacks` is the one way pairs are grouped into solve
+route's closed forms.  Every pair kernel takes one list of matrices, one
+slot per distinct operand, and the slot of each pair's A and B (`_pairs`
+builds them), so what a measure needs of an operand is computed once per
+matrix, however many pairs share it.  `_stacks` groups pairs into solve
 stacks.  The grid and the entailment graph score through the measures
 themselves, looked up by name in `MEASURES`.
 """
@@ -53,37 +54,35 @@ ORACLE_STEPS = 60  # and its bisection steps
 
 
 def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zero_b=False, message=""):
-    """The members of A then of B as one list, and the index in it of each pair's A and B, in loop order.
+    """One slot per distinct operand: the distinct members of A and B as one list, and the slot of each pair's A and B.
 
-    Two sequences pair elementwise, (A[k], B[k]), and raise ValueError
-    first if their lengths differ.  Then raises what the first failing call
-    of a loop of scalar calls would raise.  The loop visits the pairs in
-    sequence order; a pair fails on differing dims, else on its A's flag in
-    `zero_a` or its B's in `zero_b` (one flag, or an array over the
-    sequence) with ZeroMatrixError(message).
+    Members are told apart by identity and take slots in order of first
+    appearance.  Two sequences pair elementwise, (A[k], B[k]), and raise
+    ValueError first if their lengths differ.  Then raises what the first
+    failing call of a loop of scalar calls would raise.  The loop visits the
+    pairs in sequence order; a pair fails on differing dims, else with
+    ZeroMatrixError(message) on a zero (`Dmat.is_zero`, read once per slot)
+    A where `zero_a` is set, or B where `zero_b` is.
     """
     if isinstance(A, Dmat):
         b = [B] if isinstance(B, Dmat) else list(B)
-        mats, ia, ib = [A, *b], [0] * len(b), list(range(1, len(b) + 1))
+        a = [A] * len(b)
     elif isinstance(B, Dmat):
-        mats, ia, ib = [*A, B], list(range(len(A))), [len(A)] * len(A)
+        a, b = A, [B] * len(A)
     elif len(A) != len(B):
         raise ValueError(f"two sequences pair elementwise, but have lengths {len(A)} and {len(B)}")
     else:
-        mats, ia, ib = [*A, *B], list(range(len(A))), list(range(len(A), 2 * len(A)))
-    for i, j, flag in zip(ia, ib, np.broadcast_to(np.logical_or(zero_a, zero_b), len(ia))):
+        a, b = A, B
+    slots: dict[Dmat, int] = {}
+    ia = [slots.setdefault(m, len(slots)) for m in a]
+    ib = [slots.setdefault(m, len(slots)) for m in b]
+    mats = list(slots)
+    zero = [m.is_zero() for m in mats] if zero_a or zero_b else []
+    for i, j in zip(ia, ib):
         check_dims(mats[i], mats[j])
-        if flag:
+        if zero_a and zero[i] or zero_b and zero[j]:
             raise ZeroMatrixError(message)
     return mats, ia, ib
-
-
-def _each(X: Dmat | Sequence[Dmat], fn: Callable[[Dmat], object]):
-    """fn(X) for one matrix; the array of fn's scalars over a sequence, one call per distinct member."""
-    if isinstance(X, Dmat):
-        return fn(X)
-    values = {x: fn(x) for x in dict.fromkeys(X)}
-    return np.array([values[x] for x in X])
 
 
 def _result(values, A, B):
@@ -127,8 +126,8 @@ def _k_hyp_pairs(mats: Sequence[Dmat], ia: list[int], ib: list[int]) -> np.ndarr
     and solved a stack at a time; every pair rounds the same in any stack,
     so values do not depend on the batch.  Within a stack, the operand a
     core is built around (A's matrix in B's support, else B's whitened
-    support) enters once per distinct member, as one matrix against the
-    stack of its pairs' other operands, and is never copied per pair.
+    support) enters once per slot (distinct matrix), as one matrix against
+    the stack of its pairs' other operands, and is never copied per pair.
     """
     if not ia:
         return np.empty(0)
@@ -169,8 +168,7 @@ def k_hyp(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     places nothing measurable inside B's support; +inf is returned to signal
     the unconstrained case.
     """
-    pairs = _pairs(A, B, _each(A, Dmat.is_zero), _each(B, Dmat.is_zero), "k_hyp needs two nonzero matrices")
-    return _result(_k_hyp_pairs(*pairs), A, B)
+    return _result(_k_hyp_pairs(*_pairs(A, B, True, True, "k_hyp needs two nonzero matrices")), A, B)
 
 
 def k_hyp_clamped(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
@@ -375,15 +373,15 @@ def k_e(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
     and otherwise the norm of D's positive part, sqrt(pos_sq), left to the
     d x d solve unless `sure`.
     """
-    norm_a = _each(A, lambda a: spectrum_norms(a.eigenvalues))
-    pairs = _pairs(A, B, _each(A, Dmat.is_zero), message="k_e needs a nonzero first argument")
-    norm_of = (lambda pairs: norm_a) if isinstance(A, Dmat) else (lambda pairs: norm_a[pairs])
+    mats, ia, ib = _pairs(A, B, zero_a=True, message="k_e needs a nonzero first argument")
+    norms = {i: spectrum_norms(mats[i].eigenvalues) for i in dict.fromkeys(ia)}
+    norm_a = np.array([norms[i] for i in ia])
 
     def from_terms(pairs, flip, t, total, pos_sq, sure):
-        values = np.clip(1.0 - np.where(flip, np.sqrt(np.maximum(pos_sq, 0.0)), t) / norm_of(pairs), 0.0, 1.0)
+        values = np.clip(1.0 - np.where(flip, np.sqrt(np.maximum(pos_sq, 0.0)), t) / norm_a[pairs], 0.0, 1.0)
         return np.where(flip & ~sure, np.nan, values)
 
-    values = _by_route(*pairs, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_of(pairs)))
+    values = _by_route(mats, ia, ib, from_terms, lambda spectra, pairs: k_e_from_spectra(spectra, norm_a[pairs]))
     return _result(values, A, B)
 
 
@@ -392,11 +390,10 @@ def trace_similarity(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat]):
 
     trace(A B) of symmetric matrices is the sum of their entrywise product.
     """
-    norm_a, norm_b = _each(A, Dmat.frobenius_norm), _each(B, Dmat.frobenius_norm)
-    zero_a, zero_b = _each(A, Dmat.is_zero), _each(B, Dmat.is_zero)
-    mats, ia, ib = _pairs(A, B, zero_a, zero_b, "trace similarity needs two nonzero matrices")
+    mats, ia, ib = _pairs(A, B, True, True, "trace similarity needs two nonzero matrices")
+    norm = [m.frobenius_norm() for m in mats]
     traces = np.array([np.vdot(mats[i].matrix, mats[j].matrix) for i, j in zip(ia, ib)])
-    return _result(np.clip(traces / (norm_a * norm_b), 0.0, 1.0), A, B)
+    return _result(np.clip(traces / np.array([norm[i] * norm[j] for i, j in zip(ia, ib)]), 0.0, 1.0), A, B)
 
 
 # name -> measure, as the grid's plausibility columns and the entailment graph name them

@@ -119,22 +119,24 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise InsufficientDataError(f"length mismatch {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise InsufficientDataError(f"need at least 3 points, got {len(xs)}")
+    n = len(xs)
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     # Centering twice removes the rounding error of the first mean, which is
-    # not small next to a tiny spread (values like 1, 1, 1, 1 + 2e-12).
-    dx = x - x.mean()
-    dx -= dx.mean()
-    dy = y - y.mean()
-    dy -= dy.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
+    # not small next to a tiny spread (values like 1, 1, 1, 1 + 2e-12);
+    # np.add.reduce(v) / n is v.mean() in fewer calls, to the bit.
+    dx = x - np.add.reduce(x) / n
+    dx -= np.add.reduce(dx) / n
+    dy = y - np.add.reduce(y) / n
+    dy -= np.add.reduce(dy) / n
+    sx = math.sqrt(np.add.reduce(dx * dx))
+    sy = math.sqrt(np.add.reduce(dy * dy))
     # A spread within rounding of the values' magnitude is constant: the
     # rounding-noise columns of the benchmark grids reach 65 eps sqrt(n) max|x|.
-    cut = 256 * np.finfo(float).eps * math.sqrt(len(x))
+    cut = 256 * EPS * math.sqrt(n)
     if sx <= cut * float(np.abs(x).max()) or sy <= cut * float(np.abs(y).max()):
         raise ZeroVarianceError("one input list is constant")
-    return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
+    return min(max(float(np.add.reduce(dx * dy)) / (sx * sy), -1.0), 1.0)
 
 
 @dataclass(frozen=True)

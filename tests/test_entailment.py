@@ -385,6 +385,21 @@ MEASURES = {
 }
 
 
+def spy_core_groups(monkeypatch) -> list[int]:
+    """The size of each group of cores `_k_hyp_pairs` builds around one shared operand, as it calls `_stacks`."""
+    sizes: list[int] = []
+    real_stacks = entailment._stacks
+
+    def spy(keys):
+        groups = list(real_stacks(keys))
+        if keys and not isinstance(keys[0], tuple):  # a stack's pairs keyed by their shared operand's slot
+            sizes.extend(len(ks) for _, ks in groups)
+        return iter(groups)
+
+    monkeypatch.setattr(entailment, "_stacks", spy)
+    return sizes
+
+
 class TestStackedMeasures:
     """A sequence operand must give exactly what a loop of scalar calls gives."""
 
@@ -422,11 +437,14 @@ class TestStackedMeasures:
             ("zero", "ok"),
             ("small", "ok"),
             ("ok", "ok", "zero"),
+            # the fixed operand on both sides and in several pairs, then a mixed-dim member, then a zero one
+            ("self", "ok", "self", "small", "zero"),
         ],
     )
     def test_errors_match_first_failing_scalar_call(self, rng, members):
         a = random_psd(rng, 3)
         kinds = {
+            "self": lambda: a,
             "ok": lambda: random_psd(rng, 3),
             "zero": lambda: Dmat(np.zeros((3, 3))),
             "small": lambda: random_psd(rng, 2),
@@ -546,22 +564,52 @@ class TestStackedMeasures:
                         assert got.tobytes() == np.array(want).tobytes(), (name, dim)
                         assert np.all(np.isfinite(got)), (name, dim)
 
-    def test_k_hyp_around_shared_operands_in_unequal_groups_matches_scalar_loop_bitwise(self):
+    def test_k_hyp_around_shared_operands_in_unequal_groups_matches_scalar_loop_bitwise(self, monkeypatch):
         # three negations with 1, 2 and 5 alternatives of rank 1 and rank > 1, in shuffled
         # order, so that each stack's cores are built around shared operands (a negation's
         # matrix one way, its whitened support the other) in groups of unequal size
         rng = np.random.default_rng(83)
+        groups = spy_core_groups(monkeypatch)
         for dim in range(4, 25, 4):
             negations = [random_psd(rng, dim), random_psd(rng, dim, rank=dim - 1), random_psd(rng, dim)]
             ranks = iter([1, 2, 1, 3, 1, 1, 2, 1])
             pairs = [(n, random_psd(rng, dim, rank=next(ranks))) for n, count in zip(negations, (1, 2, 5)) for _ in range(count)]
             A, B = zip(*(pairs[k] for k in rng.permutation(len(pairs))))
+            # each alternative's rank is below its negation's, so either way round a stack holds one
+            # alternative rank and its cores group around the negations
+            shared = {(n, _roundoff_rank(b.eigenvalues, dim)) for n, b in pairs}
             for fn in (k_hyp, k_hyp_clamped):
                 for X, Y in ((A, B), (B, A)):
-                    assert fn(X, Y).tobytes() == np.array([fn(x, y) for x, y in zip(X, Y)]).tobytes(), dim
+                    groups.clear()
+                    got = fn(X, Y)
+                    assert sum(groups) == len(pairs) and len(groups) == len(shared) < len(pairs), (dim, groups)
+                    assert got.tobytes() == np.array([fn(x, y) for x, y in zip(X, Y)]).tobytes(), dim
                 for n in negations:
                     assert fn(n, B).tobytes() == np.array([fn(n, b) for b in B]).tobytes(), dim
                     assert fn(B, n).tobytes() == np.array([fn(b, n) for b in B]).tobytes(), dim
+
+    @pytest.mark.parametrize("k, m", [(3, 4), (6, 2)])
+    def test_two_sequences_built_the_grid_s_way_hold_one_slot_per_matrix(self, monkeypatch, k, m):
+        # as `run_grid` scores a column: k outputs each repeated m times against m alternatives
+        # repeated k times.  Each distinct matrix holds one slot, so one call ranks k + m spectra
+        # (not 2 k m), and k_hyp builds one core group per output either way round (not k m)
+        rng = np.random.default_rng(101)
+        outputs = [random_psd(rng, 8) for _ in range(k)]
+        alternatives = [random_psd(rng, 8, rank=1) for _ in range(m)]
+        negated, alts = [o for o in outputs for _ in alternatives], alternatives * k
+        ranked, groups = [], spy_core_groups(monkeypatch)
+        real_rank = entailment._roundoff_rank
+        monkeypatch.setattr(entailment, "_roundoff_rank", lambda lam, dim: ranked.append(len(lam)) or real_rank(lam, dim))
+        for name, fn in MEASURES.items():
+            for X, Y in ((negated, alts), (alts, negated)):
+                ranked.clear()
+                groups.clear()
+                got = fn(X, Y)
+                if name in ("k_e", "k_ba"):
+                    assert ranked == [k + m], name
+                if name in ("k_hyp", "k_hyp_clamped"):
+                    assert sorted(groups) == [m] * k, name
+                assert got.tobytes() == np.array([fn(x, y) for x, y in zip(X, Y)]).tobytes(), name
 
     def test_k_hyp_stacks_a_shared_d_by_d_operand_at_most_once(self, monkeypatch):
         # one full-rank matrix against n alternatives of lower rank: k_hyp(N, alternatives)
@@ -625,21 +673,29 @@ class TestStackedMeasures:
 
     @pytest.mark.parametrize("mismatch_first", [True, False])
     def test_two_sequences_raise_the_first_failing_pair_s_error(self, rng, mismatch_first):
-        ok, zero, small = random_psd(rng, 3), Dmat(np.zeros((3, 3))), random_psd(rng, 2)
-        pairs = [(ok, ok), (ok, small), (zero, zero)] if mismatch_first else [(ok, ok), (zero, zero), (ok, small)]
-        A, B = [a for a, _ in pairs], [b for _, b in pairs]
-        for name, fn in MEASURES.items():
-            for a, b in pairs:
-                try:
-                    fn(a, b)
-                except (ZeroMatrixError, DimensionMismatchError) as exc:
-                    want = (type(exc), str(exc))
-                    break
-            with pytest.raises(want[0]) as raised:
-                fn(A, B)
-            assert str(raised.value) == want[1], name
-            if mismatch_first or name == "k_ba":
-                assert want[0] is DimensionMismatchError, name
+        ok, other, zero, small = random_psd(rng, 3), random_psd(rng, 3), Dmat(np.zeros((3, 3))), random_psd(rng, 2)
+        failing = [(ok, small), (zero, zero)] if mismatch_first else [(zero, zero), (ok, small)]
+        inputs = [
+            [(ok, ok), *failing],
+            # one Dmat on both sides and in several pairs, as in a grid column, so that it holds one slot
+            [(ok, other), (other, ok), (ok, ok), (other, other), *failing],
+            # a zero Dmat on the side k_e does not check, before a mixed-dim pair and then on the side it does
+            [(ok, zero), (other, ok), (ok, small), (zero, ok)],
+        ]
+        for k, pairs in enumerate(inputs):
+            A, B = [a for a, _ in pairs], [b for _, b in pairs]
+            for name, fn in MEASURES.items():
+                for a, b in pairs:
+                    try:
+                        fn(a, b)
+                    except (ZeroMatrixError, DimensionMismatchError) as exc:
+                        want = (type(exc), str(exc))
+                        break
+                with pytest.raises(want[0]) as raised:
+                    fn(A, B)
+                assert str(raised.value) == want[1], (name, k)
+                if k < 2 and (mismatch_first or name == "k_ba"):
+                    assert want[0] is DimensionMismatchError, (name, k)
 
 
 @pytest.mark.parametrize(

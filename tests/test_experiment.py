@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter, defaultdict
 from functools import partial
@@ -134,6 +135,38 @@ class TestPearson:
             pearson(values, range(20))
         with pytest.raises(ZeroVarianceError):
             pearson(range(20), [1e30 * v for v in values])
+
+    def test_matches_the_mean_sum_and_clip_formula_bitwise(self):
+        # the same double centering and cut through ndarray.mean, np.sum, np.sqrt and np.clip
+        def reference(xs, ys):
+            x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+            dx = x - x.mean()
+            dx -= dx.mean()
+            dy = y - y.mean()
+            dy -= dy.mean()
+            sx, sy = float(np.sqrt(np.sum(dx * dx))), float(np.sqrt(np.sum(dy * dy)))
+            cut = 256 * np.finfo(float).eps * math.sqrt(len(x))
+            if sx <= cut * float(np.abs(x).max()) or sy <= cut * float(np.abs(y).max()):
+                raise ZeroVarianceError("one input list is constant")
+            return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
+
+        def outcome(fn, xs, ys):
+            try:
+                r = fn(xs, ys)
+            except ZeroVarianceError:
+                return "constant"
+            assert type(r) is float
+            return np.float64(r).tobytes()
+
+        rng = np.random.default_rng(97)
+        for _ in range(3000):
+            n, scale = int(rng.integers(3, 40)), 10.0 ** rng.uniform(-8, 8)
+            xs = scale * (rng.normal(size=n) + rng.normal())
+            if rng.random() < 0.3:  # constant, or nearly so
+                xs = np.full(n, rng.normal()) + rng.choice([0.0, 1e-14, 1e-12]) * rng.normal(size=n)
+            ys = rng.normal(size=n) if rng.random() < 0.8 else -xs + 1e-9 * rng.normal(size=n)
+            for a, b in ((xs.tolist(), ys.tolist()), (ys.tolist(), xs.tolist())):
+                assert outcome(pearson, a, b) == outcome(reference, a, b), (a, b)
 
 
 class TestConstantByRoundoff:
