@@ -19,8 +19,8 @@ from .context import (
 )
 from .errors import ConvNegError
 from .experiment import load_dataset, parse_grid_config, run_grid
-from .lexicon import build_lexicon, load_lexicon, load_vectors, save_lexicon
-from .pipeline import Basis, NegationConfig, NegationKind, conversational_negate
+from .lexicon import build_lexicon, load_lexicon, load_vectors, lookup_word, save_lexicon
+from .pipeline import Basis, NegationConfig, NegationKind, conversational_negate, logical_negation
 from .verify import verify_theorems
 
 
@@ -77,14 +77,15 @@ def _cmd_negate(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     hierarchy = load_hierarchy(args.hierarchy)
     fn = WeightFunction(WeightKind(args.context_fn), args.x)
-    provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=fn)
     cfg = NegationConfig(
         negation=args.negation,
         composition=args.composition,
         basis=args.basis,
         support_weight=args.support_weight,
     )
-    result = conversational_negate(args.word, cfg, lexicon, provider)
+    negated = logical_negation(lookup_word(lexicon, args.word), cfg)
+    context = worldly_context_hierarchy(args.word, hierarchy, lexicon, fn)
+    result = conversational_negate(negated, context, cfg)
     if args.text_out:
         values = " ".join(f"{v:.17g}" for v in result.matrix.reshape(-1))
         print(f"{args.word}\t{result.dim}\t{values}")
@@ -106,7 +107,8 @@ def _cmd_evaluate(args) -> int:
         hierarchy = load_hierarchy(args.hierarchy)
         fn = WeightFunction(WeightKind(spec.context_fn), spec.x)
         provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=lexicon, fn=fn)
-    table = run_grid(dataset, lexicon, provider, spec.configs(), out=args.out, workers=args.workers)
+    table = run_grid(dataset, lexicon, provider, spec.configs(), workers=args.workers)
+    table.to_csv(args.out)
     print(table.render(highlight=args.highlight))
     print(f"wrote {args.out}")
     return 0

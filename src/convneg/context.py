@@ -135,6 +135,18 @@ def hypernym_weights(fn: WeightFunction, word: str, hierarchy: HypernymHierarchy
     return raw / total
 
 
+def _mixture(terms, lexicon) -> Dmat:
+    """Σ w·M over the (weight, word) terms of positive weight, in order from 0.0, rescaled to top eigenvalue 1.
+
+    A word of zero weight is not looked up.  Some weight must be positive.
+    """
+    mix = 0.0
+    for w, word in terms:
+        if w > 0.0:
+            mix += w * lookup_word(lexicon, word).matrix
+    return rescale_max_eig(_decomposed(mix))
+
+
 def worldly_context_hierarchy(
     word: str,
     hierarchy: HypernymHierarchy,
@@ -142,16 +154,10 @@ def worldly_context_hierarchy(
     fn: WeightFunction,
 ) -> Dmat:
     """Weighted mixture of hypernym matrices, rescaled to top eigenvalue 1."""
-    path = hierarchy.hypernyms(word)
     weights = hypernym_weights(fn, word, hierarchy, lexicon)
     if not np.any(weights > 0.0):
         raise ZeroMatrixError(f"all hypernym weights vanish for {word!r}")
-    dim = lookup_word(lexicon, path[0]).dim
-    mix = np.zeros((dim, dim))
-    for w, h in zip(weights, path):
-        if w > 0.0:
-            mix += w * lookup_word(lexicon, h).matrix
-    return rescale_max_eig(_decomposed(mix))
+    return _mixture(zip(weights, hierarchy.hypernyms(word)), lexicon)
 
 
 @dataclass(frozen=True)
@@ -258,15 +264,8 @@ def worldly_context_graph(word: str, graph: EntailmentGraph, lexicon) -> Dmat:
     neighbors = graph.neighbors(word)
     if not neighbors:
         raise IsolatedWordError(f"{word!r} has no neighbors in the entailment graph")
-    dim = lookup_word(lexicon, neighbors[0]).dim
-    mix = np.zeros((dim, dim))
-    total = 0.0
-    for h in neighbors:
-        w = graph.weight(word, h)
-        if w > 0.0:
-            mix += w * lookup_word(lexicon, h).matrix
-            total += w
-    if total <= 0.0:
+    weights = [graph.weight(word, h) for h in neighbors]
+    if not any(w > 0.0 for w in weights):
         raise ZeroMatrixError(f"all outgoing weights vanish for {word!r}")
-    return rescale_max_eig(_decomposed(mix))
+    return _mixture(zip(weights, neighbors), lexicon)
 

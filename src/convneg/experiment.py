@@ -178,17 +178,14 @@ class ResultTable:
             for row in self.sorted_rows():
                 fh.write(format_csv_row(row) + "\n")
 
-    def render(self, highlight: float | None = None) -> str:
+    def render(self, highlight: float) -> str:
+        """The table in columns, with `  *` after each row whose best r reaches `highlight`."""
         lines = [csv_header().replace(",", "  ")]
         for row in self.sorted_rows():
             text = format_csv_row(row).replace(",", "  ")
-            if highlight is not None:
-                top = max(
-                    (c.r for c in row.cells.values() if c.r is not None),
-                    default=None,
-                )
-                if top is not None and top >= highlight:
-                    text += "  *"
+            top = max((c.r for c in row.cells.values() if c.r is not None), default=None)
+            if top is not None and top >= highlight:
+                text += "  *"
             lines.append(text)
         return "\n".join(lines)
 
@@ -274,7 +271,6 @@ def run_grid(
     lexicon,
     context_provider: Callable[[str], Dmat],
     configs: Iterable[NegationConfig],
-    out=None,
     workers: int = 1,
 ) -> ResultTable:
     """Evaluate every config plus one negation-only baseline row per negation.
@@ -286,15 +282,17 @@ def run_grid(
 
     The grid is scored one negated word at a time, so the outputs held at
     once are one word's under each row, whatever the number of words.  The
-    word is negated under every row label, and all of its (output,
-    alternative) pairs are scored in one `plausibility` call per column.
-    Its worldly context does not depend on the row, and its logical negation
-    depends only on the negation kind and support weight, so each is built
-    once per word (with the decomposition it caches).  A row that cannot
-    negate the word skips all of its pairs; a missing alternative is skipped
-    in every row.  Each row's scores are then put back in dataset order, so
-    its correlations sum in the same order as a record-by-record loop would.
-    With `workers` > 1 the words are scored on a thread pool.
+    word is looked up and negated (`logical_negation`), its worldly context
+    fetched, and the two composed (`conversational_negate`) under every row
+    label; all of its (output, alternative) pairs are scored in one
+    `plausibility` call per column.  Its context does not depend on the
+    row, and its logical negation depends only on the negation kind and
+    support weight, so each is built once per word (with the decomposition
+    it caches).  A row that cannot negate the word skips all of its pairs;
+    a missing alternative is skipped in every row.  Each row's scores are
+    then put back in dataset order, so its correlations sum in the same
+    order as a record-by-record loop would.  With `workers` > 1 the words
+    are scored on a thread pool.  The caller writes the CSV (`to_csv`).
     """
     groups = _group_pairs(dataset, lexicon)
     dim = next((alternatives[0].dim for _, alternatives, _ in groups.values() if alternatives), 1)
@@ -322,7 +320,7 @@ def run_grid(
                 if baseline:
                     outputs[label] = rescale_max_eig(negation(cfg))
                 else:
-                    outputs[label] = conversational_negate(word, cfg, lexicon, context, lambda _: negation(cfg))
+                    outputs[label] = conversational_negate(negation(cfg), context(word), cfg)
             except _SKIP_ERRORS:
                 continue
         negated = [output for output in outputs.values() for _ in alternatives]
@@ -356,10 +354,7 @@ def run_grid(
         ratings = [dataset.records[i].mean_rating for i in order]
         return _row_from_scores(label, columns, ratings, skipped[label], dim)
 
-    table = ResultTable(rows=[row(label) for label in labels], dataset_size=len(dataset))
-    if out is not None:
-        table.to_csv(out)
-    return table
+    return ResultTable(rows=[row(label) for label in labels], dataset_size=len(dataset))
 
 
 @dataclass

@@ -1,22 +1,21 @@
 """Conversational negation: logical negation composed with worldly context.
 
-Three steps: negate the word's matrix, fetch its worldly context, compose
-the two, then rescale so the largest eigenvalue is exactly 1.  The basis
-flag decides which operand supplies the spectral structure, the second
-argument of each `COMPOSITIONS` function: 'w' the negated word, 'c' the
-context.
+The callers look the word up, negate it (`logical_negation`) and fetch its
+worldly context; `conversational_negate` composes the two, then rescales
+so the largest eigenvalue is exactly 1.  The basis flag decides which
+operand supplies the spectral structure, the second argument of each
+`COMPOSITIONS` function: 'w' the negated word, 'c' the context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .composition import COMPOSITIONS, CompositionKind
 from .entailment import MEASURES
 from .errors import WeightOutOfRangeError, ZeroMatrixError
-from .lexicon import lookup_word
 from .negation import neg_inv, neg_sub
 from .spectral import Dmat, rescale_max_eig
 
@@ -58,31 +57,17 @@ def logical_negation(X: Dmat, cfg: NegationConfig) -> Dmat:
     return neg_inv(X, cfg.support_weight)
 
 
-def conversational_negate(
-    word: str,
-    cfg: NegationConfig,
-    lexicon,
-    context_provider: Callable[[str], Dmat],
-    negation_provider: Callable[[str], Dmat] | None = None,
-) -> Dmat:
-    """Negate, contextualize, compose, rescale.
+def conversational_negate(negated: Dmat, context: Dmat, cfg: NegationConfig) -> Dmat:
+    """Compose a logical negation with its worldly context under `cfg`, then rescale.
 
-    `negation_provider(word)`, when given, supplies the word's logical
-    negation under `cfg` (so callers can share one across configs);
-    otherwise it is computed from the lexicon.  Raises UnknownWordError /
-    IsolatedWordError from the lexicon or providers, and ZeroMatrixError
-    when the composition annihilates everything (an orthogonal context); a
-    silent all-zero rating never escapes.
+    Raises DimensionMismatchError for operands of different dims, and
+    ZeroMatrixError when the composition annihilates everything (an
+    orthogonal context); a silent all-zero rating never escapes.
     """
-    if negation_provider is None:
-        negated = logical_negation(lookup_word(lexicon, word), cfg)
-    else:
-        negated = negation_provider(word)
-    context = context_provider(word)
     fn = COMPOSITIONS[cfg.composition]
     raw = fn(context, negated) if cfg.basis is Basis.W else fn(negated, context)
     if raw.is_zero():
-        raise ZeroMatrixError(f"composition annihilated the meaning of not-{word!r}")
+        raise ZeroMatrixError(f"composition annihilated the negation in row {','.join(cfg.label())}")
     return rescale_max_eig(raw)
 
 

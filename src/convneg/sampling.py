@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Dmat, rescale_max_eig, spectral_decompose
+from .spectral import Dmat, _deferred, rescale_max_eig, spectral_decompose
 
 
 def _each(value, n: int) -> list:
@@ -66,9 +66,9 @@ def _psd(eigs, normals) -> list[Dmat]:
 
 
 def _decompositions(ms: list[Dmat]):
-    """Each matrix's `spectral_decompose`, kept on it, from one stacked `eigh`."""
+    """Each matrix's `spectral_decompose`, kept on it, from its row of one stacked `eigh` (`_deferred`)."""
     solved = zip(*np.linalg.eigh(np.stack([m.matrix for m in ms])))
-    return [spectral_decompose(m, s) for m, s in zip(ms, solved)]
+    return [spectral_decompose(_deferred(m, lambda s=s: s)) for m, s in zip(ms, solved)]
 
 
 def _supported(basis: np.ndarray, core: np.ndarray) -> list[Dmat]:

@@ -386,7 +386,7 @@ def _from_eigh(ascending: np.ndarray, vectors: np.ndarray) -> SpectralDecomposit
     return SpectralDecomposition(_read_only(eigenvalues), _read_only(np.ascontiguousarray(vectors)))
 
 
-def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
+def spectral_decompose(M: Dmat) -> SpectralDecomposition:
     """Eigendecompose a Dmat, clamping roundoff-negative eigenvalues to zero.
 
     Exactly diagonal matrices take a fast path that keeps the standard basis
@@ -394,15 +394,13 @@ def spectral_decompose(M: Dmat, solved=None) -> SpectralDecomposition:
     without floating-point surprises.  The result is computed once per Dmat
     and the same read-only object is returned on every later call.  An
     eigenvalue below `_check_psd`'s cut raises NotPSDError when the
-    decomposition is computed.  A caller holding `np.linalg.eigh(M.matrix)`,
-    say a row of a stacked solve, passes it as `solved` to be used in place
-    of that solve.
-    A deferred decomposition (`_deferred`, or a rescaled one) is computed
-    by its function instead.
+    decomposition is computed.  A deferred decomposition (`_deferred`, say
+    from a row of a stacked solve, or a rescaled one) is computed by its
+    function instead of a solve.
     """
     decomp = M._spectral
     if not isinstance(decomp, SpectralDecomposition):
-        decomp = _decompose(M.matrix, solved) if decomp is None else decomp()
+        decomp = _decompose(M.matrix) if decomp is None else decomp()
         object.__setattr__(M, "_spectral", decomp)
     return decomp
 

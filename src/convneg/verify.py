@@ -511,7 +511,6 @@ def suite_pearson_affine(t, rng, dims, comps):
 def verify_theorems(
     seed: int = 0,
     trials: int = 200,
-    dims: Sequence[int] = DEFAULT_DIMS,
     overrides: Mapping[str, Callable] | None = None,
 ) -> VerifyReport:
     """Run every suite with seeded randomness and collect a report.
@@ -525,5 +524,5 @@ def verify_theorems(
     report = VerifyReport(seed=seed, trials=trials)
     for index, suite in enumerate(ALL_SUITES):
         rng = np.random.default_rng([seed, index])
-        report.results.append(suite(rng, trials, tuple(dims), comps))
+        report.results.append(suite(rng, trials, DEFAULT_DIMS, comps))
     return report

@@ -79,3 +79,15 @@ def test_removed_names_are_not_exported():
     assert not REMOVED_NAMES & set(convneg.__all__)
     for name in REMOVED_NAMES:
         assert not any(hasattr(getattr(convneg, m), name) for m in ("composition", "context", "lexicon", "pipeline"))
+
+
+def test_single_caller_parameters_are_gone():
+    # conversational_negate composes what its callers looked up, negated and fetched;
+    # run_grid's caller writes the CSV, and verify runs at DEFAULT_DIMS
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(convneg.conversational_negate) == ["negated", "context", "cfg"]
+    assert "out" not in params(convneg.run_grid)
+    assert params(convneg.spectral_decompose) == ["M"]
+    assert "dims" not in params(convneg.verify_theorems)

@@ -225,6 +225,19 @@ def test_unknown_word_is_reported(fixture_paths, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "word, message",
+    [("entity", "'entity' has no hypernym path"), ("movie", "all hypernym weights vanish for 'movie'")],
+)
+def test_negate_reports_a_word_without_context(fixture_paths, tmp_path, capsys, word, message):
+    # both words are in the lexicon: "entity" tops the hierarchy, and "movie"'s one
+    # hypernym weighs (n - i)^x = 0 under poly
+    lex_path = build(fixture_paths, tmp_path)
+    code = main(["negate", "--lexicon", str(lex_path), "--hierarchy", str(fixture_paths["hierarchy"]), "--word", word])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "config, line",
     [
         ("negations = sub, bogus\n", 1),

@@ -39,8 +39,7 @@ from convneg.errors import (
     WeightOutOfRangeError,
     ZeroMatrixError,
 )
-from convneg.lexicon import Lexicon
-from convneg.pipeline import NegationConfig, conversational_negate
+from convneg.lexicon import Lexicon, lookup_word
 from convneg.sampling import random_orthogonal, random_psd
 from convneg.spectral import Dmat
 
@@ -600,6 +599,12 @@ class TestWorldlyContextGraph:
         with pytest.raises(IsolatedWordError):
             worldly_context_graph("w", EntailmentGraph({}), {"h": onb["orange"]})
 
+    def test_zero_weight_neighbor_is_not_looked_up(self, onb):
+        # "ghost", the first neighbor in sorted order, is joined only by an incoming edge
+        graph = EntailmentGraph({("w", "h"): 0.5, ("ghost", "w"): 0.5})
+        out = worldly_context_graph("w", graph, {"h": onb["orange"]})
+        np.testing.assert_allclose(out.matrix, onb["orange"].matrix, atol=1e-12)
+
     def test_two_orthogonal_neighbors(self):
         basis = np.eye(3)
         lexicon = {f"e{i}": Dmat(np.outer(basis[i], basis[i])) for i in range(2)}
@@ -647,7 +652,6 @@ class TestMissingWordRaisesUnknownWord:
         with pytest.raises(UnknownWordError, match="'ghost'"):
             worldly_context_graph("w", graph, container({"h": onb["orange"]}))
 
-    def test_conversational_negate_missing_word(self, onb, container):
-        cfg = NegationConfig("sub", "spider")
+    def test_lookup_word_missing_word(self, onb, container):
         with pytest.raises(UnknownWordError, match="'ghost'"):
-            conversational_negate("ghost", cfg, container({"h": onb["orange"]}), lambda word: onb["orange"])
+            lookup_word(container({"h": onb["orange"]}), "ghost")

@@ -286,7 +286,7 @@ class TestRunGrid:
     def test_csv_format(self, toy_run, tmp_path):
         dataset, lexicon, provider = toy_run
         out = tmp_path / "results.csv"
-        run_grid(dataset, lexicon, provider, [NegationConfig("sub", "spider", "w")], out=out)
+        run_grid(dataset, lexicon, provider, [NegationConfig("sub", "spider", "w")]).to_csv(out)
         lines = out.read_text().splitlines()
         assert lines[0] == csv_header()
         assert lines[0].startswith("negation,composition,basis,k_hyp1_r,k_hyp1_n")
@@ -436,7 +436,7 @@ def test_grid_scores_keep_dataset_order(shuffled_grid, monkeypatch):
             negate = lambda word: rescale_max_eig(logical_negation(lexicon[word], cfg))
         else:
             cfg = NegationConfig(row.negation, row.composition, "w" if row.basis == "-" else row.basis)
-            negate = lambda word: conversational_negate(word, cfg, lexicon, provider)
+            negate = lambda word: conversational_negate(logical_negation(lexicon[word], cfg), provider(word), cfg)
         expected += record_by_record(dataset, lexicon, negate)
         assert row.cells["trace"].n == len(dataset) - 1 and row.cells["trace"].skipped == 1
     assert seen == expected
@@ -516,8 +516,8 @@ def test_grid_negates_each_word_once_per_kind(shuffled_grid, monkeypatch):
 
 def test_grid_csv_identical_across_worker_counts(shuffled_grid, tmp_path):
     dataset, lexicon, provider, _ = shuffled_grid
-    run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "serial.csv")
-    run_grid(dataset, lexicon, provider, GridSpec().configs(), out=tmp_path / "pool.csv", workers=2)
+    run_grid(dataset, lexicon, provider, GridSpec().configs()).to_csv(tmp_path / "serial.csv")
+    run_grid(dataset, lexicon, provider, GridSpec().configs(), workers=2).to_csv(tmp_path / "pool.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
 
 

@@ -570,7 +570,7 @@ class TestLazyLoad:
             provider = partial(worldly_context_hierarchy, hierarchy=hierarchy, lexicon=loaded, fn=fn)
             if workers == 2:
                 monkeypatch.setattr(Lexicon, "__getitem__", recording)
-            run_grid(dataset, loaded, provider, configs, out=tmp_path / f"w{workers}.csv", workers=workers)
+            run_grid(dataset, loaded, provider, configs, workers=workers).to_csv(tmp_path / f"w{workers}.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
         objects = {}
         for word, m in seen:

@@ -41,17 +41,8 @@ from conftest import from_diagonal, identity
 
 @pytest.fixture
 def toy_setup(onb, fruit_raw):
-    lexicon = dict(onb)
-    lexicon["fruit"] = fruit_raw
-
-    def provider(word):
-        if word == "apple":
-            from convneg.spectral import rescale_max_eig
-
-            return rescale_max_eig(fruit_raw)
-        raise IsolatedWordError(f"no context for {word!r}")
-
-    return lexicon, provider
+    """The pure state "apple" and its worldly context, the rescaled fruit mixture."""
+    return onb["apple"], rescale_max_eig(fruit_raw)
 
 
 WORKED_OUTPUT = np.diag([0.0, 1.0, 0.5, 0.0])
@@ -62,28 +53,25 @@ class TestConversationalNegate:
     def test_worked_example_all_compositions(self, toy_setup, composition):
         # the negated pure state and the context commute, so all three
         # structural compositions give the same normalized output
-        lexicon, provider = toy_setup
+        apple, context = toy_setup
         cfg = NegationConfig(NegationKind.SUB, composition, Basis.W)
-        out = conversational_negate("apple", cfg, lexicon, provider)
+        out = conversational_negate(logical_negation(apple, cfg), context, cfg)
         np.testing.assert_allclose(out.matrix, WORKED_OUTPUT, atol=1e-10)
         assert out.max_eigenvalue() == 1.0
 
     def test_basis_flag_irrelevant_for_commuting_toy(self, toy_setup):
-        lexicon, provider = toy_setup
+        apple, context = toy_setup
         for basis in (Basis.W, Basis.C):
             cfg = NegationConfig(NegationKind.SUB, CompositionKind.SPIDER, basis)
-            out = conversational_negate("apple", cfg, lexicon, provider)
+            out = conversational_negate(logical_negation(apple, cfg), context, cfg)
             np.testing.assert_allclose(out.matrix, WORKED_OUTPUT, atol=1e-10)
 
     def test_mult_diag_ignore_basis(self, toy_setup):
-        lexicon, provider = toy_setup
+        apple, context = toy_setup
         for kind in (CompositionKind.MULT, CompositionKind.DIAG):
-            out_w = conversational_negate(
-                "apple", NegationConfig(NegationKind.SUB, kind, Basis.W), lexicon, provider
-            )
-            out_c = conversational_negate(
-                "apple", NegationConfig(NegationKind.SUB, kind, Basis.C), lexicon, provider
-            )
+            cfg_w, cfg_c = (NegationConfig(NegationKind.SUB, kind, basis) for basis in (Basis.W, Basis.C))
+            out_w = conversational_negate(logical_negation(apple, cfg_w), context, cfg_w)
+            out_c = conversational_negate(logical_negation(apple, cfg_c), context, cfg_c)
             np.testing.assert_array_equal(out_w.matrix, out_c.matrix)
 
     @pytest.mark.parametrize("basis", list(Basis))
@@ -95,7 +83,7 @@ class TestConversationalNegate:
         cfg = NegationConfig(NegationKind.SUB, kind, basis)
         negated, fn = logical_negation(word, cfg), COMPOSITIONS[kind]
         args = (context, negated) if basis is Basis.W else (negated, context)
-        out = conversational_negate("w", cfg, {"w": word}, lambda _: context)
+        out = conversational_negate(negated, context, cfg)
         assert out.matrix.tobytes() == rescale_max_eig(fn(*args)).matrix.tobytes()
         swapped = fn(*args[::-1]).matrix
         assert np.array_equal(swapped, fn(*args).matrix) == (kind in (CompositionKind.MULT, CompositionKind.DIAG))
@@ -105,36 +93,21 @@ class TestConversationalNegate:
     def test_dimension_mismatch(self, kind, basis):
         cfg = NegationConfig(NegationKind.SUB, kind, basis)
         with pytest.raises(DimensionMismatchError):
-            conversational_negate("w", cfg, {"w": from_diagonal([1.0, 0.0, 0.0])}, lambda _: identity(2))
-
-    def test_unknown_word(self, toy_setup):
-        lexicon, provider = toy_setup
-        cfg = NegationConfig(NegationKind.SUB, CompositionKind.SPIDER)
-        with pytest.raises(UnknownWordError):
-            conversational_negate("ghost", cfg, lexicon, provider)
-
-    def test_isolated_word(self, toy_setup):
-        lexicon, provider = toy_setup
-        cfg = NegationConfig(NegationKind.SUB, CompositionKind.SPIDER)
-        with pytest.raises(IsolatedWordError):
-            conversational_negate("orange", cfg, lexicon, provider)
+            conversational_negate(logical_negation(from_diagonal([1.0, 0.0, 0.0]), cfg), identity(2), cfg)
 
     def test_orthogonal_context_annihilates(self, onb):
         # context disjoint from the negation support zeroes out under mult
-        lexicon = {"orange": onb["orange"]}
         hierarchy = HypernymHierarchy({"orange": ("ctx",)})
         ctx_lexicon = {"ctx": onb["orange"], "orange": onb["orange"]}
-        provider = partial(
-            worldly_context_hierarchy, hierarchy=hierarchy, lexicon=ctx_lexicon, fn=WeightFunction(WeightKind.EXP, 5.0)
-        )
+        context = worldly_context_hierarchy("orange", hierarchy, ctx_lexicon, WeightFunction(WeightKind.EXP, 5.0))
         cfg = NegationConfig(NegationKind.SUB, CompositionKind.MULT)
-        with pytest.raises(ZeroMatrixError):
-            conversational_negate("orange", cfg, lexicon, provider)
+        with pytest.raises(ZeroMatrixError, match="row sub,mult,-"):
+            conversational_negate(logical_negation(onb["orange"], cfg), context, cfg)
 
     def test_inv_negation_path(self, toy_setup):
-        lexicon, provider = toy_setup
+        apple, context = toy_setup
         cfg = NegationConfig(NegationKind.INV, CompositionKind.SPIDER, Basis.W, support_weight=0.5)
-        out = conversational_negate("apple", cfg, lexicon, provider)
+        out = conversational_negate(logical_negation(apple, cfg), context, cfg)
         assert out.max_eigenvalue() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("negation", list(NegationKind))
@@ -166,7 +139,7 @@ class TestConversationalNegate:
             for name in ("eigh", "eigvalsh"):
                 monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
             solves.clear()
-            out = conversational_negate("w", cfg, {}, lambda w: context, lambda w: negated)
+            out = conversational_negate(negated, context, cfg)
             for measure, direction in (("k_hyp", 1), ("k_hyp", 2), ("k_E", 1), ("k_E", 2), ("k_BA", 1), ("trace", 1)):
                 plausibility(out, alternatives, measure, direction)
             monkeypatch.undo()
@@ -266,12 +239,13 @@ def _basis_free_scores(lexicon, hierarchy, dataset) -> dict[str, list[float]]:
         for negation in NegationKind:
             for record in dataset:
                 alternative = lexicon[record.alternative]
+                plain = logical_negation(lexicon[record.negated], NegationConfig(negation, "fuzz"))
+                context = provider(record.negated)
                 outputs = [
-                    (comp, conversational_negate(record.negated, NegationConfig(negation, comp, basis), lexicon, provider))
+                    (comp, conversational_negate(plain, context, NegationConfig(negation, comp, basis)))
                     for comp in ("fuzz", "phaser")
                     for basis in Basis
                 ]
-                plain = logical_negation(lexicon[record.negated], NegationConfig(negation, "fuzz"))
                 outputs.append(("none", rescale_max_eig(plain)))
                 for comp, out in outputs:
                     scores[comp] += [plausibility(out, alternative, m, d) for m, d in SCORE_COLUMNS]
