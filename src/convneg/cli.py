@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .pipeline import Basis, NegationConfig, NegationKind, conversational_negate
 from .verify import verify_theorems
 
 
+@cache  # built once per process, on the first `main` call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convneg",
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the correlation grid against a rating dataset")
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--hierarchy", required=True)
+    p.add_argument("--hierarchy", help="hypernym file; required when the grid's context is hierarchy")
     p.add_argument("--dataset", required=True, help="TSV: negated<TAB>alternative<TAB>mean_rating")
     p.add_argument("--grid", required=True, help="flat `key = value` grid config")
     p.add_argument("--out", required=True, help="output CSV")
@@ -97,6 +98,9 @@ def _cmd_negate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = parse_grid_config(args.grid)
+    if spec.context == "hierarchy" and args.hierarchy is None:
+        print("error: --hierarchy is required when the grid's context is hierarchy", file=sys.stderr)
+        return 2
     lexicon = load_lexicon(args.lexicon)
     dataset = load_dataset(args.dataset)
     if spec.context == "graph":

@@ -62,7 +62,8 @@ def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zer
     failing call of a loop of scalar calls would raise.  The loop visits the
     pairs in sequence order; a pair fails on differing dims, else with
     ZeroMatrixError(message) on a zero (`Dmat.is_zero`, read once per slot)
-    A where `zero_a` is set, or B where `zero_b` is.
+    A where `zero_a` is set, or B where `zero_b` is.  The loop runs only
+    where the slots hold more than one dim or the zero check finds a zero.
     """
     if isinstance(A, Dmat):
         b = [B] if isinstance(B, Dmat) else list(B)
@@ -78,10 +79,11 @@ def _pairs(A: Dmat | Sequence[Dmat], B: Dmat | Sequence[Dmat], zero_a=False, zer
     ib = [slots.setdefault(m, len(slots)) for m in b]
     mats = list(slots)
     zero = [m.is_zero() for m in mats] if zero_a or zero_b else []
-    for i, j in zip(ia, ib):
-        check_dims(mats[i], mats[j])
-        if zero_a and zero[i] or zero_b and zero[j]:
-            raise ZeroMatrixError(message)
+    if any(zero) or len({m.dim for m in mats}) > 1:  # else no pair can fail
+        for i, j in zip(ia, ib):
+            check_dims(mats[i], mats[j])
+            if zero_a and zero[i] or zero_b and zero[j]:
+                raise ZeroMatrixError(message)
     return mats, ia, ib
 
 

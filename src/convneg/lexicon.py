@@ -5,7 +5,9 @@ vectors of the word and its hyponyms, scaled so the largest eigenvalue is 1.
 A word of r < d such vectors has rank r, so its spectrum is read off the r×r
 Gram matrix of the vectors: building it costs O(d²·r + d·r²), not the O(d³)
 of a d×d eigensolve, and so does its decomposition, left to its first
-`spectral_decompose` (`_gram_eigenpairs`).  The on-disk lexicon (format
+`spectral_decompose` (`_gram_eigenpairs`).  The sum itself is one
+`np.einsum` pass in row order, not BLAS, whose rounding would follow the
+BLAS thread count (`_mixture`).  The on-disk lexicon (format
 DMLX2) stores each word's unit vectors, not its d×d matrix.  `load_lexicon`
 checks every record, then leaves each word to be built from its rows on its
 first read, by the same construction (`_mixture`) as `build_density_matrix`:
@@ -127,21 +129,20 @@ def build_density_matrix(word: str, hyponyms: Iterable[str], vectors: VectorTabl
 def _mixture(f: np.ndarray) -> Dmat:
     """Σ fᵢfᵢᵀ over the r unit rows of f (r×d), divided by its largest eigenvalue where that exceeds 1.
 
-    The one construction behind a built and a loaded word.  The sum is
-    formed row by row in f's order (each row's outer product, `np.outer`'s
-    entrywise products written into one reused buffer, added to the sum, so
-    it rounds the same on every call) and validated against the spectrum of
-    its r×r Gram matrix where `_gram_spectrum` proves it, and a d×d
-    `eigvalsh` otherwise; `normalize_max_eig` reuses that spectrum.  On the
-    Gram route the scaled word's decomposition is deferred to
-    `_gram_eigenpairs`; otherwise it is solved on first use.
+    The one construction behind a built and a loaded word.  The sum is one
+    `np.einsum` pass, numpy's own sum-of-products loop with `optimize` off:
+    each product fᵢ[k]·fᵢ[l] is rounded, then added in row order, which is
+    bit for bit a loop adding each row's outer product, on every call and
+    for every BLAS thread count.  (BLAS, as `f.T @ f` or `optimize=True`, is
+    faster, but orders its additions by its thread count.)  The sum is
+    validated against the spectrum of its r×r Gram matrix where
+    `_gram_spectrum` proves it, and a d×d `eigvalsh` otherwise;
+    `normalize_max_eig` reuses that spectrum.  On the Gram route the scaled
+    word's decomposition is deferred to `_gram_eigenpairs`; otherwise it is
+    solved on first use.
     """
     r, dim = f.shape
-    out = np.zeros((dim, dim))
-    product = np.empty((dim, dim))
-    for unit in f:
-        out += np.multiply(unit[:, None], unit, out=product)
-    del product  # freed before `Dmat` copies the sum and the scaling divides it
+    out = np.einsum("ki,kj->ij", f, f)
     # each outer product is exactly symmetric, and so is their sum in one order
     word = Dmat(out, spectrum=_gram_spectrum(f))
     if not _gram_route(r, dim):

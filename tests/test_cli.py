@@ -106,9 +106,8 @@ def test_evaluate_writes_csv(fixture_paths, tmp_path, capsys):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == FIXTURE_CSV_SHA256
 
 
-@pytest.mark.parametrize("measure", sorted(GRAPH_FIXTURE_CSV_SHA256))
-def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
-    lex_path = build(fixture_paths, tmp_path)
+def graph_grid(fixture_paths, tmp_path, measure):
+    """The fixture grid config with its context switched to the entailment graph under `measure`."""
     hierarchy_grid = fixture_paths["grid"].read_text(encoding="utf-8")
     assert "context = hierarchy\n" in hierarchy_grid
     grid = tmp_path / "graph.cfg"
@@ -116,6 +115,13 @@ def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
         hierarchy_grid.replace("context = hierarchy\n", f"context = graph\ngraph_measure = {measure}\n"),
         encoding="utf-8",
     )
+    return grid
+
+
+@pytest.mark.parametrize("measure", sorted(GRAPH_FIXTURE_CSV_SHA256))
+def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
+    lex_path = build(fixture_paths, tmp_path)
+    grid = graph_grid(fixture_paths, tmp_path, measure)
     out_csv = tmp_path / "results.csv"
     code = main(
         [
@@ -129,6 +135,39 @@ def test_evaluate_graph_context_csv(fixture_paths, tmp_path, measure):
     )
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GRAPH_FIXTURE_CSV_SHA256[measure]
+
+
+@pytest.mark.parametrize("measure", sorted(GRAPH_FIXTURE_CSV_SHA256))
+def test_evaluate_graph_context_needs_no_hierarchy(fixture_paths, tmp_path, measure):
+    lex_path = build(fixture_paths, tmp_path)
+    out_csv = tmp_path / "results.csv"
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(lex_path),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(graph_grid(fixture_paths, tmp_path, measure)),
+            "--out", str(out_csv),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GRAPH_FIXTURE_CSV_SHA256[measure]
+
+
+def test_evaluate_hierarchy_context_requires_hierarchy(fixture_paths, tmp_path, capsys):
+    # the lexicon does not exist: the missing flag is reported before anything loads
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", str(tmp_path / "missing.lex"),
+            "--dataset", str(fixture_paths["dataset"]),
+            "--grid", str(fixture_paths["grid"]),
+            "--out", str(tmp_path / "results.csv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --hierarchy is required when the grid's context is hierarchy\n"
+    assert not (tmp_path / "results.csv").exists()
 
 
 def write_synthetic_grid(out_dir, dim=64):

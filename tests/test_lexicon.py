@@ -1,5 +1,8 @@
+import hashlib
 import logging
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -639,3 +642,83 @@ class TestLazyLoad:
         assert extended["a"].matrix.tobytes() == lexicon["a"].matrix.tobytes()
         with pytest.raises(DimensionMismatchError):
             Lexicon({"c": identity(3)}, rows=lexicon.rows)
+
+
+def row_by_row_sum(f):
+    """Σ fᵢfᵢᵀ over the rows of f as a loop: each row's outer product rounded, then added in row order."""
+    out = np.zeros((f.shape[1], f.shape[1]))
+    for unit in f:
+        out += np.outer(unit, unit)
+    return out
+
+
+# Run as a child: build a lexicon, save it, and print each word's row count, route (True for Gram),
+# the digest of its built matrix and eigenvalues, and the digest of its unscaled sum.
+BUILD_DIGESTS = """
+import hashlib, sys
+from unittest import mock
+from convneg import lexicon
+from convneg.context import load_hierarchy
+lex = lexicon.build_lexicon(lexicon.load_vectors(sys.argv[1]), load_hierarchy(sys.argv[2]).hyponym_sets())
+lexicon.save_lexicon(lex, sys.argv[3])
+with mock.patch.object(lexicon, "normalize_max_eig", lambda unscaled: unscaled):
+    sums = {word: lexicon._mixture(f).matrix for word, f in lex.rows.items()}
+for word, m in lex.items():
+    r = len(lex.rows[word])
+    built = hashlib.sha256(m.matrix.tobytes() + m.eigenvalues.tobytes()).hexdigest()
+    print(word, r, lexicon._gram_route(r, lex.dim), built, hashlib.sha256(sums[word].tobytes()).hexdigest())
+"""
+
+
+class TestMixtureSum:
+    """`_mixture`'s sum rounds as the row-by-row loop, whatever the shape, alignment or BLAS thread count."""
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize("d", [4, 20, 300])
+    @pytest.mark.parametrize("r", [1, 2, 11, 47, 400])
+    def test_sum_is_the_row_by_row_sum(self, rng, r, d, aligned):
+        f = rng.normal(size=(r, d))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        if not aligned:  # rows read off a byte string at an odd offset, as `load_lexicon` may read them
+            f = np.frombuffer(b"\0" + f.tobytes(), offset=1).reshape(r, d)
+            assert not f.flags.aligned
+        with mock.patch("convneg.lexicon.normalize_max_eig", lambda unscaled: unscaled):
+            summed = lexicon_module._mixture(f)
+        assert summed.matrix.tobytes() == row_by_row_sum(f).tobytes()
+
+    def test_build_does_not_depend_on_blas_threads(self, tmp_path, rng):
+        # dim 300: leaves of 1 row and words of 81 (Gram route), and a root of 325 (d×d route); each
+        # thread count is set in a child's environment, before numpy loads
+        dim, mids, leaves = 300, 4, 80
+        paths = {f"m{i}": ("entity",) for i in range(mids)}
+        paths |= {f"m{i}l{k}": (f"m{i}", "entity") for i in range(mids) for k in range(leaves)}
+        vectors = write(tmp_path, "v.txt", "".join(
+            f"{w} " + " ".join(f"{x:.17g}" for x in rng.normal(size=dim)) + "\n" for w in ["entity", *paths]
+        ))
+        hierarchy = write(tmp_path, "h.tsv", "".join(f"{w}\t{','.join(p)}\n" for w, p in paths.items()))
+        src = str(Path(lexicon_module.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            out = tmp_path / f"threads{threads}.bin"
+            done = subprocess.run([sys.executable, "-c", BUILD_DIGESTS, str(vectors), str(hierarchy), str(out)],
+                                  env=env, check=True, capture_output=True, text=True)
+            words = {word: rest for word, *rest in map(str.split, done.stdout.splitlines())}
+            runs.append((words, hashlib.sha256(out.read_bytes()).hexdigest()))
+        (one, saved_one), (two, saved_two) = runs
+        assert saved_one == saved_two
+        assert sorted({(int(r), gram) for r, gram, *_ in one.values()}) == [
+            (1, "True"), (1 + leaves, "True"), (1 + mids * (1 + leaves), "False")
+        ]
+        for word, (r, gram, built, summed) in one.items():
+            assert two[word][3] == summed, word
+            # a d×d-route word's scale is eigvalsh's top eigenvalue, which at dim 300 moves by
+            # an ulp with the thread count: only its sum is compared
+            if gram == "True":
+                assert two[word][2] == built, word
+
